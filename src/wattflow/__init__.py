@@ -7,172 +7,4 @@ coordination methods against synthetic scenarios with analytic ground
 truth.
 """
 
-from __future__ import annotations
-
-from .accounting import (
-    AttributionPolicy,
-    AttributionResult,
-    EnergyReport,
-    MeasurementMethod,
-    NodeEnergyLog,
-    PolicyKind,
-    TaskEnergy,
-    assemble_report,
-    attribute_concurrent,
-    countable_domains,
-    coverage_compare,
-    exclusive_task_energy,
-    interval_estimate,
-    load_report,
-    node_window_energy,
-    report_from_obj,
-    report_to_json,
-    report_to_obj,
-    workflow_total,
-)
-from .agent import SamplerAgent, SamplerConfig, build_backend, load_config
-from .backends import (
-    BackendKind,
-    CounterBackend,
-    MockBackend,
-    MockProfile,
-    MsrBackend,
-    PowercapBackend,
-    read_backend,
-)
-from .counter import (
-    CounterSpec,
-    EnergyQuantity,
-    RaplDomain,
-    RawSample,
-    SampleSeries,
-    build_series,
-    integrate_window,
-    series_total,
-    to_joules,
-    wrap_delta,
-    wrap_horizon_s,
-)
-from .errors import WattflowError
-from .logfile import LogStatus, LogWriter, ParsedLog, log_filename, parse_log
-from .orchestrate import (
-    AgentEndpoint,
-    RunConfig,
-    RunResult,
-    load_run_config,
-    resume,
-    run_wrapped,
-)
-from .signals import (
-    SessionMarker,
-    SessionScope,
-    SignalWatcher,
-    signal_start,
-    signal_stop,
-    watch_signals,
-)
-from .simulate import (
-    CoverageTable,
-    GroundTruth,
-    MethodTiming,
-    PowerProfile,
-    Scenario,
-    TaskLoad,
-    analytic_energy,
-    evaluate_methods,
-    ground_truth,
-    load_scenario,
-    scrape_points,
-    synthesize_counters,
-)
-from .trace import (
-    TaskRecord,
-    TaskStatus,
-    WorkflowTrace,
-    parse_generic_trace,
-    parse_nextflow_trace,
-    tasks_by_node,
-    write_generic_trace,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AgentEndpoint",
-    "AttributionPolicy",
-    "AttributionResult",
-    "BackendKind",
-    "CounterBackend",
-    "CounterSpec",
-    "CoverageTable",
-    "EnergyQuantity",
-    "EnergyReport",
-    "GroundTruth",
-    "LogStatus",
-    "LogWriter",
-    "MeasurementMethod",
-    "MethodTiming",
-    "MockBackend",
-    "MockProfile",
-    "MsrBackend",
-    "NodeEnergyLog",
-    "ParsedLog",
-    "PolicyKind",
-    "PowerProfile",
-    "PowercapBackend",
-    "RaplDomain",
-    "RawSample",
-    "RunConfig",
-    "RunResult",
-    "SampleSeries",
-    "SamplerAgent",
-    "SamplerConfig",
-    "Scenario",
-    "SessionMarker",
-    "SessionScope",
-    "SignalWatcher",
-    "TaskEnergy",
-    "TaskLoad",
-    "TaskRecord",
-    "TaskStatus",
-    "WattflowError",
-    "WorkflowTrace",
-    "analytic_energy",
-    "assemble_report",
-    "attribute_concurrent",
-    "build_backend",
-    "build_series",
-    "countable_domains",
-    "coverage_compare",
-    "evaluate_methods",
-    "exclusive_task_energy",
-    "ground_truth",
-    "integrate_window",
-    "interval_estimate",
-    "load_config",
-    "load_report",
-    "load_run_config",
-    "load_scenario",
-    "log_filename",
-    "node_window_energy",
-    "parse_generic_trace",
-    "parse_log",
-    "parse_nextflow_trace",
-    "read_backend",
-    "report_from_obj",
-    "report_to_json",
-    "report_to_obj",
-    "resume",
-    "run_wrapped",
-    "scrape_points",
-    "series_total",
-    "signal_start",
-    "signal_stop",
-    "synthesize_counters",
-    "tasks_by_node",
-    "to_joules",
-    "watch_signals",
-    "workflow_total",
-    "wrap_delta",
-    "wrap_horizon_s",
-]

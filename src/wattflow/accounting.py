@@ -28,7 +28,6 @@ from .errors import (
     InvalidArgumentError,
     MissingNodeLogError,
     NoPointsInWindowError,
-    OverlapDetectedError,
     SchemaViolationError,
     ZeroEnergyReferenceError,
 )
@@ -179,6 +178,21 @@ def _countable_sum(joules_by_domain: Mapping[RaplDomain, float]) -> float:
                for d in sorted(counted, key=lambda d: d.value))
 
 
+def countable_total(per_node: Mapping[str, Mapping[RaplDomain, float]]
+                    ) -> float:
+    """Countable energy summed over nodes.
+
+    Each node contributes the sum of its countable domains, taken in
+    domain-name order; nodes are added in sorted node-id order.  The fixed
+    order makes the float result, and so every report that carries it,
+    identical in every process.
+    """
+    total = 0.0
+    for node in sorted(per_node):
+        total += _countable_sum(per_node[node])
+    return total
+
+
 @dataclass(frozen=True)
 class TaskEnergy:
     """Energy attributed to one task, with how trustworthy it is.
@@ -209,48 +223,6 @@ class TaskEnergy:
     @property
     def total_joules(self) -> float:
         return _countable_sum(self.joules_by_domain)
-
-
-def _overlaps(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[0] < b[1] and b[0] < a[1]
-
-
-def exclusive_task_energy(task: TaskRecord, log: NodeEnergyLog,
-                          others: Sequence[TaskRecord] = (),
-                          assumed_duration_s: float = DEFAULT_SUB_RESOLUTION_S
-                          ) -> TaskEnergy:
-    """Energy of a task that had its node to itself.
-
-    Integrates the counters over the task's own window.  This is only valid
-    when nothing else ran concurrently, so any overlapping task among
-    ``others`` on the same node is an error directing the caller to the
-    concurrent attribution path.
-
-    Raises:
-        OverlapDetectedError: Another task overlaps this window.
-    """
-    if task.node_id != log.node_id:
-        raise InvalidArgumentError(
-            f"task {task.task_id} ran on {task.node_id!r}, log is for "
-            f"{log.node_id!r}")
-    window = task.window(assumed_duration_s)
-    for other in others:
-        if other.task_id == task.task_id or other.node_id != task.node_id:
-            continue
-        if _overlaps(window, other.window(assumed_duration_s)):
-            raise OverlapDetectedError(
-                f"task {task.task_id} overlaps {other.task_id} on "
-                f"{task.node_id}; use concurrent attribution")
-    joules = node_window_energy(log, *window)
-    notes = set()
-    estimated = False
-    if task.sub_resolution:
-        notes.add(NOTE_SUB_RESOLUTION)
-        estimated = True
-    if log.has_unsafe_gap(*window):
-        notes.add(NOTE_UNSAFE_GAP)
-    return TaskEnergy(task_id=task.task_id, joules_by_domain=joules,
-                      estimated=estimated, notes=frozenset(notes))
 
 
 @dataclass(frozen=True)
@@ -385,30 +357,6 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
                              unattributed_by_domain=unattributed)
 
 
-def workflow_total(logs: Mapping[str, NodeEnergyLog],
-                   window: tuple[int, int],
-                   expected_nodes: Iterable[str] | None = None
-                   ) -> EnergyQuantity:
-    """Sum of all participating nodes' window energy.
-
-    Every node expected in the session must have a log; a missing one would
-    silently undercount the workflow, so it is fatal.
-
-    Raises:
-        MissingNodeLogError: An expected node has no log.
-    """
-    expected = sorted(expected_nodes) if expected_nodes is not None \
-        else sorted(logs)
-    missing = [n for n in expected if n not in logs]
-    if missing:
-        raise MissingNodeLogError(
-            f"no sample log for node(s): {', '.join(missing)}")
-    total = 0.0
-    for node in expected:
-        total += _countable_sum(node_window_energy(logs[node], *window))
-    return EnergyQuantity(total)
-
-
 def interval_estimate(avg_watt_points: Sequence[tuple[int, float]],
                       window: tuple[int, int], scrape_interval_s: float,
                       corrected: bool = False) -> EnergyQuantity:
@@ -527,7 +475,6 @@ def assemble_report(trace: WorkflowTrace,
     report_flags: set[str] = set()
     per_node: dict[str, Mapping[RaplDomain, float]] = {}
     all_tasks: list[TaskEnergy] = []
-    total = 0.0
     unattributed = 0.0
     for node in sorted(logs):
         log = logs[node]
@@ -543,16 +490,15 @@ def assemble_report(trace: WorkflowTrace,
         result = attribute_concurrent(
             groups.get(node, []), log, policy, window=(win_lo, win_hi),
             assumed_duration_s=assumed_duration_s)
-        node_energy = node_window_energy(log, win_lo, win_hi)
-        per_node[node] = node_energy
-        total += _countable_sum(node_energy)
+        per_node[node] = node_window_energy(log, win_lo, win_hi)
         unattributed += result.unattributed_joules
         all_tasks.extend(result.task_energies)
         if any(s.gap_markers for s in log.series_by_domain.values()):
             report_flags.add(NOTE_UNSAFE_GAP)
     all_tasks.sort(key=lambda te: te.task_id)
     return EnergyReport(
-        workflow_id=trace.workflow_id, method=method, total_joules=total,
+        workflow_id=trace.workflow_id, method=method,
+        total_joules=countable_total(per_node),
         per_node=per_node, per_task=tuple(all_tasks),
         coverage_fraction=coverage_fraction,
         unattributed_joules=unattributed, status=status,

@@ -17,7 +17,7 @@ import json
 import logging
 import signal as _signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from .backends import (
@@ -26,7 +26,6 @@ from .backends import (
     MockProfile,
     MsrBackend,
     PowercapBackend,
-    read_backend,
 )
 from .counter import CounterSpec, RaplDomain, RawSample, wrap_horizon_s
 from .errors import (
@@ -86,9 +85,8 @@ def build_backend(spec: CounterSpec, obj: Any,
     """Construct a counter backend from its config document.
 
     ``kind`` selects the backend: ``mock`` takes ``segments`` (pairs of
-    duration seconds and watts) and an optional ``seed``; ``powercap``
-    takes ``zone_dir`` or discovers the zone under ``base_path``; ``msr``
-    takes ``device_path``.
+    duration seconds and watts); ``powercap`` takes ``zone_dir`` or
+    discovers the zone under ``base_path``; ``msr`` takes ``device_path``.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaViolationError(
@@ -99,8 +97,7 @@ def build_backend(spec: CounterSpec, obj: Any,
         if kind == "mock":
             segments = tuple((float(d), float(w))
                              for d, w in obj["segments"])
-            profile = MockProfile(segments=segments, spec=spec,
-                                  seed=int(obj.get("seed", 0)))
+            profile = MockProfile(segments=segments, spec=spec)
             return MockBackend(profile, start_ns=start_ns)
         if kind == "powercap":
             if "zone_dir" in obj:
@@ -249,8 +246,8 @@ class SamplerAgent:
             sample = None
             for attempt in range(2):
                 try:
-                    sample = read_backend(backend, spec, self._mono_ns()
-                                          if attempt else now_ns)
+                    sample = backend.read(
+                        spec, self._mono_ns() if attempt else now_ns)
                     break
                 except WattflowError as exc:
                     if attempt:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from enum import Enum
 
 from .counter import CounterSpec, RaplDomain, RawSample
 from .errors import (
@@ -25,20 +24,12 @@ from .errors import (
 )
 
 __all__ = [
-    "BackendKind",
     "MockProfile",
     "CounterBackend",
     "MockBackend",
     "PowercapBackend",
     "MsrBackend",
-    "read_backend",
 ]
-
-
-class BackendKind(Enum):
-    POWERCAP_FS = "powercap"
-    MSR_DEVICE = "msr"
-    MOCK = "mock"
 
 
 @dataclass(frozen=True)
@@ -49,14 +40,12 @@ class MockProfile:
         segments: (duration_s, power_watts) pairs played back in order.
             After the last segment the power holds at the final level, so an
             agent that outlives the profile keeps producing plausible counts.
-        spec: Counter geometry the synthetic counter emulates.
-        seed: Reserved for deterministic perturbations; the counter itself
-            is exact cumulative energy reduced by the wrap modulus.
+        spec: Counter geometry the synthetic counter emulates.  The
+            counter is exact cumulative energy reduced by the wrap modulus.
     """
 
     segments: tuple[tuple[float, float], ...]
     spec: CounterSpec
-    seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments",
@@ -244,9 +233,3 @@ class MsrBackend(CounterBackend):
                 path=self.device_path)
         value = struct.unpack("<Q", data)[0]
         return RawSample(t_ns=now_ns, raw=value & ((1 << spec.bit_width) - 1))
-
-
-def read_backend(backend: CounterBackend, spec: CounterSpec,
-                 now_ns: int) -> RawSample:
-    """Read the current raw counter for ``spec`` through ``backend``."""
-    return backend.read(spec, now_ns)

@@ -37,7 +37,6 @@ from .errors import (
     ParseError,
     SchemaViolationError,
     WattflowError,
-    WorkflowMismatchError,
 )
 from .logfile import parse_log
 from .orchestrate import load_run_config, resume, run_wrapped

@@ -68,7 +68,6 @@ class CounterSpec:
         bit_width: Register width in bits, 1..64.  The counter wraps at
             ``wrap_modulus`` which defaults to ``2**bit_width``.
         energy_unit_joules: Joules represented by one raw count.
-        update_period_s: How often the hardware refreshes the register.
         wrap_modulus: Optional override for counters that wrap at an
             advertised maximum range rather than a power of two (the
             powercap sysfs backend reads this range at startup).  Must not
@@ -78,7 +77,6 @@ class CounterSpec:
     domain: RaplDomain
     bit_width: int
     energy_unit_joules: float
-    update_period_s: float = 1e-3
     wrap_modulus: int | None = None
 
     def __post_init__(self) -> None:
@@ -90,9 +88,6 @@ class CounterSpec:
             raise InvalidArgumentError(
                 f"energy_unit_joules must be finite and positive, "
                 f"got {self.energy_unit_joules}")
-        if not self.update_period_s > 0:
-            raise InvalidArgumentError(
-                f"update_period_s must be positive, got {self.update_period_s}")
         if self.wrap_modulus is not None:
             if not 0 < self.wrap_modulus <= (1 << self.bit_width):
                 raise InvalidArgumentError(

@@ -80,10 +80,6 @@ class AlreadyActiveError(WattflowError):
     code = "already-active"
 
 
-class SignalDirVanishedError(WattflowError):
-    code = "directory-vanished"
-
-
 class MissingColumnError(ParseError):
     code = "missing-column"
 
@@ -106,12 +102,6 @@ class SchemaViolationError(ParseError):
         self.json_path = json_path
 
 
-class OverlapDetectedError(WattflowError):
-    """Task window overlaps another task; exclusive accounting impossible."""
-
-    code = "overlap-detected"
-
-
 class MissingNodeLogError(WattflowError):
     """A node participated in the session but produced no log (undercount)."""
 
@@ -126,15 +116,5 @@ class ZeroEnergyReferenceError(WattflowError):
     code = "division-by-zero-energy"
 
 
-class WorkflowMismatchError(WattflowError):
-    code = "workflow-mismatch"
-
-
 class AgentStartError(WattflowError):
     code = "agent-start-failed"
-
-
-class PartialDataError(WattflowError):
-    """Result was produced but parts of the input were missing or flagged."""
-
-    code = "partial-data"

@@ -25,7 +25,7 @@ from .accounting import (
     EnergyReport,
     MeasurementMethod,
     NodeEnergyLog,
-    countable_domains,
+    countable_total,
     node_window_energy,
     report_to_json,
 )
@@ -269,14 +269,10 @@ def _build_run_report(config: RunConfig,
             flags.append(f"flagged_log:{node_id}")
         log = NodeEnergyLog.from_parsed(parsed)
         per_node[node_id] = node_window_energy(log, *log.wall_span())
-    total = 0.0
-    for energies in per_node.values():
-        for domain in countable_domains(energies.keys()):
-            total += energies[domain]
     return EnergyReport(
         workflow_id=config.session_id,
         method=MeasurementMethod.SHELL_WRAP,
-        total_joules=total,
+        total_joules=countable_total(per_node),
         per_node=per_node,
         coverage_fraction=1.0,
         status=status,

@@ -20,13 +20,12 @@ import re
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 from .errors import (
     AlreadyActiveError,
     InvalidArgumentError,
     ParseError,
-    SignalDirVanishedError,
 )
 
 log = logging.getLogger(__name__)
@@ -196,27 +195,23 @@ class SignalWatcher:
     A marker already stale at the first poll still yields Started before
     Reaped so consumers see a complete session lifecycle.
 
-    ``poll_once`` does one scan and returns the new events; ``events`` wraps
-    it in a sleep loop for standalone use.
+    ``poll_once`` does one scan and returns the new events; the caller
+    decides how often to poll.
     """
 
-    def __init__(self, signal_dir: str, tick_ms: int = 100,
+    def __init__(self, signal_dir: str,
                  stale_timeout_s: float = DEFAULT_STALE_TIMEOUT_S,
                  wall_ns: Callable[[], int] = time.time_ns) -> None:
-        if tick_ms <= 0:
-            raise InvalidArgumentError(f"tick_ms must be > 0, got {tick_ms}")
         if stale_timeout_s <= 0:
             raise InvalidArgumentError(
                 f"stale_timeout_s must be > 0, got {stale_timeout_s}")
         self.signal_dir = signal_dir
-        self.tick_ms = tick_ms
         self.stale_timeout_s = stale_timeout_s
         self._wall_ns = wall_ns
         self._active: dict[str, SessionMarker] = {}
         self._reaped: set[str] = set()
         self._bad_markers: set[str] = set()
         self.failed = False
-        self._stop_requested = False
 
     def poll_once(self) -> list[SessionEvent]:
         if self.failed:
@@ -270,26 +265,3 @@ class SignalWatcher:
 
     def active_sessions(self) -> dict[str, SessionMarker]:
         return dict(self._active)
-
-    def stop(self) -> None:
-        self._stop_requested = True
-
-    def events(self) -> Iterator[SessionEvent]:
-        while not self._stop_requested:
-            for event in self.poll_once():
-                yield event
-                if isinstance(event, WatcherFailed):
-                    return
-            time.sleep(self.tick_ms / 1000.0)
-
-
-def watch_signals(signal_dir: str, tick_ms: int = 100,
-                  stale_timeout_s: float = DEFAULT_STALE_TIMEOUT_S
-                  ) -> Iterator[SessionEvent]:
-    """Stream session events from a signal directory until it vanishes."""
-    watcher = SignalWatcher(signal_dir, tick_ms=tick_ms,
-                            stale_timeout_s=stale_timeout_s)
-    if not os.path.isdir(signal_dir):
-        raise SignalDirVanishedError(
-            f"signal directory does not exist: {signal_dir}")
-    return watcher.events()

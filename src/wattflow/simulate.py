@@ -21,12 +21,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .accounting import (
     EnergyReport,
     MeasurementMethod,
     NodeEnergyLog,
+    countable_total,
     interval_estimate,
     node_window_energy,
 )
@@ -146,7 +147,6 @@ class Scenario:
     specs: Mapping[str, CounterSpec]
     timing: MethodTiming = field(default_factory=MethodTiming)
     sample_interval_ms: int = DEFAULT_SAMPLE_INTERVAL_MS
-    seed: int = 0
     wall_origin_ns: int = DEFAULT_WALL_ORIGIN_NS
 
     def __post_init__(self) -> None:
@@ -365,22 +365,6 @@ class MethodEvaluation:
     table: CoverageTable
 
 
-def _window_total(logs: Mapping[str, NodeEnergyLog],
-                  start_wall_ns: int, end_wall_ns: int
-                  ) -> tuple[float, dict[str, dict[RaplDomain, float]]]:
-    per_node = {}
-    total = 0.0
-    for node in sorted(logs):
-        if start_wall_ns >= end_wall_ns:
-            energies = {d: 0.0 for d in logs[node].series_by_domain}
-        else:
-            energies = node_window_energy(logs[node], start_wall_ns,
-                                          end_wall_ns)
-        per_node[node] = energies
-        total += sum(energies.values())
-    return total, per_node
-
-
 def evaluate_methods(scenario: Scenario,
                      logs: Mapping[str, NodeEnergyLog] | None = None
                      ) -> MethodEvaluation:
@@ -389,8 +373,10 @@ def evaluate_methods(scenario: Scenario,
     Every counter-based method integrates the *same* synthesized logs, only
     over its own window: the shell method brackets the workflow with its
     lead, the plugin and in-workflow methods start late by their delays,
-    and interval scraping estimates from average-power points.  Coverage is
-    reported against both analytic ground truth and the shell measurement.
+    and interval scraping estimates from average-power points.  A counter
+    method's total counts each node's countable domains only, so a node
+    that logs package and psys is not counted twice.  Coverage is reported
+    against both analytic ground truth and the shell measurement.
     """
     if logs is None:
         logs = synthesize_counters(scenario)
@@ -415,8 +401,10 @@ def evaluate_methods(scenario: Scenario,
     per_node_by_method: dict[MeasurementMethod,
                              dict[str, dict[RaplDomain, float]]] = {}
     for method, (lo, hi) in windows.items():
-        measured[method], per_node_by_method[method] = \
-            _window_total(logs, lo, hi)
+        per_node = {node: node_window_energy(logs[node], lo, hi)
+                    for node in sorted(logs)}
+        measured[method] = countable_total(per_node)
+        per_node_by_method[method] = per_node
 
     scrape_total = 0.0
     scrape_per_node: dict[str, dict[RaplDomain, float]] = {}
@@ -489,8 +477,7 @@ def scenario_from_obj(doc: Any) -> Scenario:
         profiles = []
         specs: dict[str, CounterSpec] = {}
         tasks: list[TaskRecord] = []
-        for i, node in enumerate(doc["nodes"]):
-            jp = f"$.nodes[{i}]"
+        for node in doc["nodes"]:
             node_id = node["node_id"]
             spec_obj = node.get("spec", {})
             specs[node_id] = CounterSpec(
@@ -498,7 +485,7 @@ def scenario_from_obj(doc: Any) -> Scenario:
                 bit_width=int(spec_obj.get("bit_width", 32)),
                 energy_unit_joules=float(spec_obj.get("unit_j", 1e-6)))
             loads = []
-            for j, load_obj in enumerate(node.get("tasks", [])):
+            for load_obj in node.get("tasks", []):
                 load = TaskLoad(task_id=load_obj["task_id"],
                                 start_s=float(load_obj["start_s"]),
                                 end_s=float(load_obj["end_s"]),
@@ -518,7 +505,6 @@ def scenario_from_obj(doc: Any) -> Scenario:
                 node_id=node_id,
                 idle_watts=float(node.get("idle_watts", 0.0)),
                 task_loads=tuple(loads)))
-            del jp
         trace = WorkflowTrace(
             workflow_id=wf_id,
             submitted_wall_ns=origin + _ns(wf_start),
@@ -530,7 +516,6 @@ def scenario_from_obj(doc: Any) -> Scenario:
             specs=specs, timing=timing,
             sample_interval_ms=int(
                 doc.get("sample_interval_ms", DEFAULT_SAMPLE_INTERVAL_MS)),
-            seed=int(doc.get("seed", 0)),
             wall_origin_ns=origin)
     except SchemaViolationError:
         raise

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from .errors import (
     EmptyTraceError,

@@ -20,21 +20,19 @@ from wattflow.accounting import (
     assemble_report,
     attribute_concurrent,
     countable_domains,
+    countable_total,
     coverage_compare,
-    exclusive_task_energy,
     interval_estimate,
     node_window_energy,
     report_from_obj,
     report_to_json,
     report_to_obj,
-    workflow_total,
 )
 from wattflow.counter import CounterSpec, RaplDomain, RawSample, build_series
 from wattflow.errors import (
     InvalidArgumentError,
     MissingNodeLogError,
     NoPointsInWindowError,
-    OverlapDetectedError,
     SchemaViolationError,
     ZeroEnergyReferenceError,
 )
@@ -97,35 +95,55 @@ class TestNodeWindowEnergy:
                 PKG: constant_power_series("n1", 100, 10)})
 
 
+EXCLUSIVE = AttributionPolicy(kind=PolicyKind.EXCLUSIVE_ONLY)
+
+
 class TestExclusiveTaskEnergy:
+    """EXCLUSIVE_ONLY attribution: a task alone gets its whole window."""
+
     def test_single_task_on_quiet_node(self):
         log = constant_log(watts=150, duration_s=120)
-        te = exclusive_task_energy(task("t1", 10, 110), log)
+        result = attribute_concurrent([task("t1", 10, 110)], log, EXCLUSIVE)
+        te, = result.task_energies
         assert te.joules_by_domain[PKG] == pytest.approx(15000.0, rel=1e-12)
-        assert te.estimated is False
         assert te.notes == frozenset()
 
     def test_sub_resolution_assumed_half_second(self):
         log = constant_log(watts=150, duration_s=120)
-        te = exclusive_task_energy(task("t1", 60, 60, cpu_time_s=0.1), log)
+        result = attribute_concurrent(
+            [task("t1", 60, 60, cpu_time_s=0.1)], log, EXCLUSIVE)
+        te, = result.task_energies
         assert te.joules_by_domain[PKG] == pytest.approx(75.0, rel=1e-9)
         assert te.estimated is True
         assert NOTE_SUB_RESOLUTION in te.notes
 
     def test_task_window_equal_to_session_window(self):
         log = constant_log(watts=100, duration_s=60)
-        te = exclusive_task_energy(task("t1", 0, 60), log)
+        result = attribute_concurrent([task("t1", 0, 60)], log, EXCLUSIVE)
         total = node_window_energy(log, EPOCH, EPOCH + 60 * S)
-        assert te.joules_by_domain == total
+        assert result.task_energies[0].joules_by_domain == total
+        assert result.unattributed_by_domain == {PKG: 0.0}
 
     def test_overlap_detected(self):
         log = constant_log(duration_s=120)
-        with pytest.raises(OverlapDetectedError, match="t2"):
-            exclusive_task_energy(task("t1", 10, 50), log,
-                                  others=[task("t2", 40, 80)])
+        result = attribute_concurrent(
+            [task("t1", 10, 50), task("t2", 40, 80)], log, EXCLUSIVE)
+        by_id = {te.task_id: te for te in result.task_energies}
+        # The shared 10 s stay unattributed and both tasks say so.
+        assert by_id["t1"].joules_by_domain[PKG] == pytest.approx(3000.0)
+        assert by_id["t2"].joules_by_domain[PKG] == pytest.approx(3000.0)
+        assert NOTE_SHARED_WINDOW in by_id["t1"].notes
+        assert NOTE_SHARED_WINDOW in by_id["t2"].notes
+        assert result.unattributed_joules == pytest.approx(
+            12000.0 - 6000.0)
         # touching windows do not overlap
-        exclusive_task_energy(task("t1", 10, 50), log,
-                              others=[task("t2", 50, 80)])
+        result = attribute_concurrent(
+            [task("t1", 10, 50), task("t2", 50, 80)], log, EXCLUSIVE)
+        by_id = {te.task_id: te for te in result.task_energies}
+        assert by_id["t1"].joules_by_domain[PKG] == pytest.approx(4000.0)
+        assert by_id["t2"].joules_by_domain[PKG] == pytest.approx(3000.0)
+        assert all(NOTE_SHARED_WINDOW not in te.notes
+                   for te in result.task_energies)
 
 
 def cpu_policy(**kw):
@@ -235,22 +253,37 @@ class TestAttributeConcurrent:
 
 
 class TestWorkflowTotal:
+    WINDOW = (EPOCH, EPOCH + 60 * S)
+
+    def per_node(self, logs):
+        return {node: node_window_energy(log, *self.WINDOW)
+                for node, log in logs.items()}
+
     def test_two_nodes_add(self):
         logs = {"n1": constant_log("n1"), "n2": constant_log("n2")}
-        total = workflow_total(logs, (EPOCH, EPOCH + 60 * S))
-        assert total.joules == pytest.approx(12000.0, rel=1e-12)
+        total = countable_total(self.per_node(logs))
+        assert total == pytest.approx(12000.0, rel=1e-12)
 
     def test_idle_node_contributes_zero(self):
         logs = {"n1": constant_log("n1", watts=100),
                 "n2": constant_log("n2", watts=0)}
-        total = workflow_total(logs, (EPOCH, EPOCH + 60 * S))
-        assert total.joules == pytest.approx(6000.0)
+        assert countable_total(self.per_node(logs)) == pytest.approx(6000.0)
 
-    def test_missing_node_is_fatal(self):
-        logs = {"n1": constant_log("n1")}
-        with pytest.raises(MissingNodeLogError, match="n2"):
-            workflow_total(logs, (EPOCH, EPOCH + 60 * S),
-                           expected_nodes=["n1", "n2"])
+    def test_only_countable_domains_add(self):
+        # core is inside package and psys contains it: package counts once.
+        logs = {"n1": constant_log("n1", domains=(PKG, DRAM)),
+                "n2": constant_log("n2", domains=(PKG, RaplDomain.CORE,
+                                                  RaplDomain.PSYS))}
+        assert countable_total(self.per_node(logs)) \
+            == pytest.approx(3 * 6000.0, rel=1e-12)
+
+    def test_nodes_add_in_sorted_order(self):
+        # Float addition does not associate: 1 + 1 + 1e16 is exact, while
+        # 1e16 + 1 rounds back to 1e16.  Mapping order must not matter.
+        per_node = {"c": {PKG: 1e16}, "a": {PKG: 1.0}, "b": {PKG: 1.0}}
+        assert countable_total(per_node) == 1e16 + 2.0
+        assert countable_total(dict(reversed(per_node.items()))) \
+            == 1e16 + 2.0
 
 
 class TestIntervalEstimate:

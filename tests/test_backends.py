@@ -12,7 +12,6 @@ from wattflow.backends import (
     MockProfile,
     MsrBackend,
     PowercapBackend,
-    read_backend,
 )
 from wattflow.counter import CounterSpec, RaplDomain
 from wattflow.errors import (
@@ -34,7 +33,7 @@ class TestMockBackend:
         # 100 W for 10 s at 1e-6 J/count: t=5 s -> 5e8 counts exactly.
         spec = mock_spec()
         backend = MockBackend(MockProfile(((10.0, 100.0),), spec))
-        sample = read_backend(backend, spec, 5_000_000_000)
+        sample = backend.read(spec, 5_000_000_000)
         assert sample.raw == 500_000_000
         assert sample.t_ns == 5_000_000_000
 

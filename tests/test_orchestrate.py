@@ -11,13 +11,13 @@ import time
 
 import pytest
 
-from wattflow.counter import RaplDomain
+from wattflow.counter import CounterSpec, RaplDomain
 from wattflow.errors import (
     AgentStartError,
     InvalidArgumentError,
     SchemaViolationError,
 )
-from wattflow.logfile import LogStatus, parse_log
+from wattflow.logfile import LogStatus, LogWriter, log_filename, parse_log
 from wattflow.orchestrate import (
     AgentEndpoint,
     RunConfig,
@@ -213,3 +213,45 @@ class TestRunConfig:
             run_config_from_obj([])
         with pytest.raises(SchemaViolationError):
             run_config_from_obj({"agents": []})
+
+
+class TestResumeDeterminism:
+    def test_report_bytes_do_not_depend_on_hash_seed(self, tmp_path):
+        # Package plus dram on two nodes.  Adding these joules domain by
+        # domain gives a different float for each domain order, and set
+        # order follows the per-process hash seed; seeds 0..3 cover both
+        # orders.
+        counts_uj = {"n1": (102_285_142, 475_623_510),
+                     "n2": (459_008_934, 85_006_691)}
+        domains = (RaplDomain.PACKAGE, RaplDomain.DRAM)
+        specs = {d: CounterSpec(domain=d, bit_width=64,
+                                energy_unit_joules=1e-6) for d in domains}
+        log_dir = tmp_path / "agent_logs"
+        log_dir.mkdir()
+        for node, counts in counts_uj.items():
+            writer = LogWriter(str(log_dir / log_filename(node, "hs")), node,
+                               specs, epoch_wall_ns=1_700_000_000 * 10**9)
+            for t_ns, scale in ((0, 0), (10 * 10**9, 1)):
+                for domain, count in zip(domains, counts):
+                    writer.record(t_ns, domain, scale * count)
+            writer.close(LogStatus.CLOSED)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "workflow_cmd": "true",
+            "output_dir": str(tmp_path / "out"),
+            "agents": [{"node_id": node, "agent_cmd": "unused",
+                        "signal_dir": str(tmp_path / "signals"),
+                        "log_dir": str(log_dir)} for node in counts_uj]}),
+            encoding="utf-8")
+        reports = set()
+        for seed in range(4):
+            out = tmp_path / f"out{seed}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "wattflow.cli", "run",
+                 "--config", str(config), "--resume", "hs",
+                 "--out", str(out)],
+                env=dict(os.environ, PYTHONHASHSEED=str(seed)),
+                capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            reports.add((out / "report_hs.json").read_bytes())
+        assert len(reports) == 1

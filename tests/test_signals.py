@@ -6,8 +6,6 @@ import os
 import random
 import subprocess
 import sys
-import threading
-import time
 
 import pytest
 
@@ -184,31 +182,17 @@ class TestWatcherPolling:
 
 
 class TestWatcherTiming:
-    def test_detection_within_two_ticks(self, tmp_path):
-        tick_ms = 100
-        w = SignalWatcher(str(tmp_path), tick_ms=tick_ms)
-        seen: list[tuple[float, object]] = []
-
-        def run():
-            for event in w.events():
-                seen.append((time.monotonic(), event))
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        time.sleep(0.15)
-        t_create = time.monotonic()
-        signal_start(str(tmp_path), wf_marker(created=time.time_ns()))
-        time.sleep(0.3)
-        t_delete = time.monotonic()
+    def test_detection_on_first_poll(self, tmp_path):
+        w = SignalWatcher(str(tmp_path), wall_ns=lambda: 1_000)
+        assert w.poll_once() == []
+        signal_start(str(tmp_path), wf_marker())
+        started = w.poll_once()
+        assert [type(e) for e in started] == [SessionStarted]
+        assert started[0].marker.session_id == "wf42"
+        assert w.poll_once() == []
         signal_stop(str(tmp_path), "wf42")
-        time.sleep(0.3)
-        w.stop()
-        thread.join(timeout=2)
-        kinds = [type(e) for _, e in seen]
-        assert kinds == [SessionStarted, SessionStopped]
-        assert seen[0][1].marker.session_id == "wf42"
-        assert seen[0][0] - t_create <= 2 * tick_ms / 1000.0
-        assert seen[1][0] - t_delete <= 2 * tick_ms / 1000.0
+        assert w.poll_once() == [SessionStopped("wf42")]
+        assert w.poll_once() == []
 
 
 class TestLifecycleProperty:

@@ -5,11 +5,18 @@ from __future__ import annotations
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from wattflow.accounting import MeasurementMethod, report_to_json
-from wattflow.counter import CounterSpec, RaplDomain, integrate_window
+from wattflow.accounting import MeasurementMethod, NodeEnergyLog, report_to_json
+from wattflow.counter import (
+    CounterSpec,
+    RaplDomain,
+    RawSample,
+    build_series,
+    integrate_window,
+)
 from wattflow.errors import (
     InvalidArgumentError,
     SchemaViolationError,
@@ -351,6 +358,29 @@ class TestEvaluateMethods:
                 report_to_json(second.reports[method])
         assert json.dumps(first.table.to_obj(), sort_keys=True) == \
             json.dumps(second.table.to_obj(), sort_keys=True)
+
+    def test_psys_beside_package_is_not_added(self):
+        # psys contains package, so a node logging both counts package
+        # alone; adding psys would double count the node.
+        scenario = make_scenario(idle=20.0)
+        pkg = synthesize_counters(scenario)["n1"].series_by_domain[
+            RaplDomain.PACKAGE]
+        psys_spec = replace(pkg.spec, domain=RaplDomain.PSYS)
+        psys = build_series(
+            "n1", psys_spec,
+            [RawSample(s.t_ns, 2 * s.raw % psys_spec.modulus)
+             for s in pkg.samples],
+            epoch_wall_ns=pkg.epoch_wall_ns)
+        logs = {"n1": NodeEnergyLog("n1", {RaplDomain.PACKAGE: pkg,
+                                           RaplDomain.PSYS: psys})}
+        result = evaluate_methods(scenario, logs=logs)
+        for method in (MeasurementMethod.SHELL_WRAP,
+                       MeasurementMethod.SIGNAL_PLUGIN,
+                       MeasurementMethod.SIGNAL_WORKFLOW):
+            report = result.reports[method]
+            node = report.per_node["n1"]
+            assert node[RaplDomain.PSYS] > node[RaplDomain.PACKAGE] > 0
+            assert report.total_joules == node[RaplDomain.PACKAGE]
 
     def test_table_text_lists_all_methods(self):
         scenario = make_scenario()
