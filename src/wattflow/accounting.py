@@ -255,6 +255,16 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
 
     holds per domain up to float rounding regardless of policy.
 
+    The active tasks of each segment come from a sweep over the sorted
+    segment boundaries: at each boundary the tasks whose clipped window
+    ends there leave the live set, then those starting there join it.
+    That costs O((tasks + segments) log tasks) plus the active tasks of
+    each segment, instead of a scan of every task per segment.  Each
+    segment's active list is taken in input task order, so every float
+    sum (total weight, shares, leftover, and each task's accumulation
+    over segments) adds its terms in a fixed order and reports stay
+    byte-stable.
+
     Args:
         tasks: Task records placed on this log's node.
         log: The node's recorded counters.
@@ -274,85 +284,89 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
     if win_lo >= win_hi:
         raise InvalidArgumentError(f"empty accounting window {window}")
 
-    clipped: dict[str, tuple[int, int]] = {}
-    weights: dict[str, float] = {}
-    notes: dict[str, set[str]] = {}
-    for task in tasks:
+    # Per task, by position in ``tasks``.
+    clipped: list[tuple[int, int]] = []
+    weights: list[float] = []
+    notes: list[set[str]] = []
+    starting: dict[int, list[int]] = {}
+    ending: dict[int, list[int]] = {}
+    for i, task in enumerate(tasks):
         lo, hi = task.window(assumed_duration_s)
         lo, hi = max(lo, win_lo), min(hi, win_hi)
-        notes[task.task_id] = set(
-            {NOTE_SUB_RESOLUTION} if task.sub_resolution else set())
+        notes.append({NOTE_SUB_RESOLUTION} if task.sub_resolution else set())
         if lo >= hi:
-            clipped[task.task_id] = (win_lo, win_lo)
-            weights[task.task_id] = 0.0
-            notes[task.task_id].add(NOTE_CLIPPED_WINDOW)
+            clipped.append((win_lo, win_lo))
+            weights.append(0.0)
+            notes[i].add(NOTE_CLIPPED_WINDOW)
             continue
         if (lo, hi) != task.window(assumed_duration_s):
-            notes[task.task_id].add(NOTE_CLIPPED_WINDOW)
-        clipped[task.task_id] = (lo, hi)
+            notes[i].add(NOTE_CLIPPED_WINDOW)
+        clipped.append((lo, hi))
+        starting.setdefault(lo, []).append(i)
+        ending.setdefault(hi, []).append(i)
         if policy.kind is PolicyKind.CPU_TIME_SHARE:
-            weights[task.task_id] = task.cpu_time_s / ((hi - lo) / 1e9)
+            weights.append(task.cpu_time_s / ((hi - lo) / 1e9))
         else:
-            weights[task.task_id] = 1.0
+            weights.append(1.0)
 
-    boundaries = sorted({win_lo, win_hi}
-                        | {t for w in clipped.values() for t in w
-                           if win_lo <= t <= win_hi})
-    task_joules: dict[str, dict[RaplDomain, float]] = {
-        t.task_id: {} for t in tasks}
+    boundaries = sorted({win_lo, win_hi} | starting.keys() | ending.keys())
+    task_joules: list[dict[RaplDomain, float]] = [{} for _ in tasks]
     unattributed: dict[RaplDomain, float] = {}
+    exclusive = policy.kind is PolicyKind.EXCLUSIVE_ONLY
+    baseline_w = policy.idle_baseline_watts
+    live: set[int] = set()
 
     for seg_lo, seg_hi in zip(boundaries, boundaries[1:]):
+        live.difference_update(ending.get(seg_lo, ()))
+        live.update(starting.get(seg_lo, ()))
         seg_energy = node_window_energy(log, seg_lo, seg_hi)
-        active = [t for t in tasks
-                  if clipped[t.task_id][0] <= seg_lo
-                  and clipped[t.task_id][1] >= seg_hi
-                  and clipped[t.task_id][0] < clipped[t.task_id][1]]
+        active = sorted(live)
         shared = len(active) > 1
         if shared:
-            for t in active:
-                notes[t.task_id].add(NOTE_SHARED_WINDOW)
-        if policy.kind is PolicyKind.EXCLUSIVE_ONLY and shared:
-            active = []
+            for i in active:
+                notes[i].add(NOTE_SHARED_WINDOW)
+            if exclusive:
+                active = []
+        fractions: list[float] | None = None
+        if active:
+            total_weight = sum(weights[i] for i in active)
+            if total_weight > 0:
+                fractions = [weights[i] / total_weight for i in active]
+            else:
+                for i in active:
+                    notes[i].add(NOTE_EQUAL_SPLIT)
         dur_s = (seg_hi - seg_lo) / 1e9
         for domain, joules in seg_energy.items():
-            shares: list[tuple[str, float]] = []
+            shares: list[float] = []
             if active:
                 available = joules
-                if (policy.idle_baseline_watts is not None
-                        and domain is RaplDomain.PACKAGE):
-                    baseline_j = policy.idle_baseline_watts * dur_s
+                if baseline_w is not None and domain is RaplDomain.PACKAGE:
+                    baseline_j = baseline_w * dur_s
                     if baseline_j > available:
-                        for t in active:
-                            notes[t.task_id].add(NOTE_IDLE_CLAMPED)
+                        for i in active:
+                            notes[i].add(NOTE_IDLE_CLAMPED)
                     available = max(available - baseline_j, 0.0)
-                total_weight = sum(weights[t.task_id] for t in active)
-                if total_weight > 0:
-                    shares = [(t.task_id,
-                               available * (weights[t.task_id] / total_weight))
-                              for t in active]
+                if fractions is not None:
+                    shares = [available * f for f in fractions]
                 else:
-                    for t in active:
-                        notes[t.task_id].add(NOTE_EQUAL_SPLIT)
-                    shares = [(t.task_id, available / len(active))
-                              for t in active]
-            for task_id, share in shares:
-                dom = task_joules[task_id]
-                dom[domain] = dom.get(domain, 0.0) + share
-            leftover = joules - sum(share for _, share in shares)
+                    shares = [available / len(active)] * len(active)
+                for i, share in zip(active, shares):
+                    dom = task_joules[i]
+                    dom[domain] = dom.get(domain, 0.0) + share
+            leftover = joules - sum(shares)
             unattributed[domain] = unattributed.get(domain, 0.0) + leftover
 
     energies = []
-    for task in tasks:
-        if log.has_unsafe_gap(*clipped[task.task_id]) \
-                and clipped[task.task_id][0] < clipped[task.task_id][1]:
-            notes[task.task_id].add(NOTE_UNSAFE_GAP)
-        joules = task_joules[task.task_id]
+    for i, task in enumerate(tasks):
+        lo, hi = clipped[i]
+        if lo < hi and log.has_unsafe_gap(lo, hi):
+            notes[i].add(NOTE_UNSAFE_GAP)
+        joules = task_joules[i]
         for domain in log.series_by_domain:
             joules.setdefault(domain, 0.0)
         energies.append(TaskEnergy(
             task_id=task.task_id, joules_by_domain=joules, estimated=True,
-            notes=frozenset(notes[task.task_id])))
+            notes=frozenset(notes[i])))
     return AttributionResult(task_energies=tuple(energies),
                              unattributed_by_domain=unattributed)
 

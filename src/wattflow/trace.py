@@ -111,6 +111,13 @@ class WorkflowTrace:
         if self.finished_wall_ns < self.submitted_wall_ns:
             raise InvalidArgumentError(
                 f"workflow {self.workflow_id}: finished before submitted")
+        seen: set[str] = set()
+        for t in self.tasks:
+            if t.task_id in seen:
+                raise InvalidArgumentError(
+                    f"workflow {self.workflow_id}: duplicate task_id "
+                    f"{t.task_id!r}")
+            seen.add(t.task_id)
         flagged = tuple(
             replace(t, flags=t.flags | {FLAG_OUTSIDE_WINDOW})
             if (t.start_wall_ns < self.submitted_wall_ns

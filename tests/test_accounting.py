@@ -6,17 +6,23 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wattflow.accounting import (
+    NOTE_CLIPPED_WINDOW,
     NOTE_EQUAL_SPLIT,
     NOTE_IDLE_CLAMPED,
     NOTE_SHARED_WINDOW,
     NOTE_SUB_RESOLUTION,
+    NOTE_UNSAFE_GAP,
     AttributionPolicy,
+    AttributionResult,
     EnergyReport,
     MeasurementMethod,
     NodeEnergyLog,
     PolicyKind,
+    TaskEnergy,
     assemble_report,
     attribute_concurrent,
     countable_domains,
@@ -36,7 +42,12 @@ from wattflow.errors import (
     SchemaViolationError,
     ZeroEnergyReferenceError,
 )
-from wattflow.trace import TaskRecord, TaskStatus, WorkflowTrace
+from wattflow.trace import (
+    DEFAULT_SUB_RESOLUTION_S,
+    TaskRecord,
+    TaskStatus,
+    WorkflowTrace,
+)
 
 PKG = RaplDomain.PACKAGE
 DRAM = RaplDomain.DRAM
@@ -250,6 +261,202 @@ class TestAttributeConcurrent:
             [task("a", 2, 8), task("late", 100, 200)], log, cpu_policy())
         by_id = {te.task_id: te for te in result.task_energies}
         assert by_id["late"].joules_by_domain[PKG] == 0.0
+
+
+def scan_attribution(tasks, log, policy, window=None,
+                     assumed_duration_s=DEFAULT_SUB_RESOLUTION_S):
+    """Reference attribution: scans every task for each segment.
+
+    This is the O(segments x tasks) form the event sweep replaced, kept
+    here verbatim so the sweep can be held to it exactly, float for float.
+    """
+    if window is None:
+        window = log.wall_span()
+    win_lo, win_hi = window
+    clipped, weights, notes = {}, {}, {}
+    for t in tasks:
+        lo, hi = t.window(assumed_duration_s)
+        lo, hi = max(lo, win_lo), min(hi, win_hi)
+        notes[t.task_id] = set(
+            {NOTE_SUB_RESOLUTION} if t.sub_resolution else set())
+        if lo >= hi:
+            clipped[t.task_id] = (win_lo, win_lo)
+            weights[t.task_id] = 0.0
+            notes[t.task_id].add(NOTE_CLIPPED_WINDOW)
+            continue
+        if (lo, hi) != t.window(assumed_duration_s):
+            notes[t.task_id].add(NOTE_CLIPPED_WINDOW)
+        clipped[t.task_id] = (lo, hi)
+        if policy.kind is PolicyKind.CPU_TIME_SHARE:
+            weights[t.task_id] = t.cpu_time_s / ((hi - lo) / 1e9)
+        else:
+            weights[t.task_id] = 1.0
+    boundaries = sorted({win_lo, win_hi}
+                        | {b for w in clipped.values() for b in w
+                           if win_lo <= b <= win_hi})
+    task_joules = {t.task_id: {} for t in tasks}
+    unattributed = {}
+    for seg_lo, seg_hi in zip(boundaries, boundaries[1:]):
+        seg_energy = node_window_energy(log, seg_lo, seg_hi)
+        active = [t for t in tasks
+                  if clipped[t.task_id][0] <= seg_lo
+                  and clipped[t.task_id][1] >= seg_hi
+                  and clipped[t.task_id][0] < clipped[t.task_id][1]]
+        shared = len(active) > 1
+        if shared:
+            for t in active:
+                notes[t.task_id].add(NOTE_SHARED_WINDOW)
+        if policy.kind is PolicyKind.EXCLUSIVE_ONLY and shared:
+            active = []
+        dur_s = (seg_hi - seg_lo) / 1e9
+        for domain, joules in seg_energy.items():
+            shares = []
+            if active:
+                available = joules
+                if (policy.idle_baseline_watts is not None
+                        and domain is RaplDomain.PACKAGE):
+                    baseline_j = policy.idle_baseline_watts * dur_s
+                    if baseline_j > available:
+                        for t in active:
+                            notes[t.task_id].add(NOTE_IDLE_CLAMPED)
+                    available = max(available - baseline_j, 0.0)
+                total_weight = sum(weights[t.task_id] for t in active)
+                if total_weight > 0:
+                    shares = [(t.task_id,
+                               available * (weights[t.task_id] / total_weight))
+                              for t in active]
+                else:
+                    for t in active:
+                        notes[t.task_id].add(NOTE_EQUAL_SPLIT)
+                    shares = [(t.task_id, available / len(active))
+                              for t in active]
+            for task_id, share in shares:
+                dom = task_joules[task_id]
+                dom[domain] = dom.get(domain, 0.0) + share
+            leftover = joules - sum(share for _, share in shares)
+            unattributed[domain] = unattributed.get(domain, 0.0) + leftover
+    energies = []
+    for t in tasks:
+        if log.has_unsafe_gap(*clipped[t.task_id]) \
+                and clipped[t.task_id][0] < clipped[t.task_id][1]:
+            notes[t.task_id].add(NOTE_UNSAFE_GAP)
+        joules = task_joules[t.task_id]
+        for domain in log.series_by_domain:
+            joules.setdefault(domain, 0.0)
+        energies.append(TaskEnergy(
+            task_id=t.task_id, joules_by_domain=joules, estimated=True,
+            notes=frozenset(notes[t.task_id])))
+    return AttributionResult(task_energies=tuple(energies),
+                             unattributed_by_domain=unattributed)
+
+
+TICK = 500_000_000
+
+
+@st.composite
+def random_node_logs(draw):
+    """One node, package or package+dram, on irregular sample times with
+    wrapping 32-bit counters, optional gap markers and wrap horizon."""
+    steps = draw(st.lists(st.sampled_from([TICK, TICK, 3 * TICK]),
+                          min_size=1, max_size=24))
+    times = [0]
+    for step in steps:
+        times.append(times[-1] + step)
+    horizon = draw(st.sampled_from([None, 4 * TICK, TICK]))
+    domains = draw(st.sampled_from([(PKG,), (PKG, DRAM)]))
+    series = {}
+    for domain in domains:
+        spec = CounterSpec(domain=domain, bit_width=32,
+                           energy_unit_joules=1e-6)
+        raw = draw(st.integers(0, 2**32 - 1))
+        samples = []
+        for t in times:
+            samples.append(RawSample(t, raw))
+            raw = (raw + draw(st.integers(0, 90_000_000))) % 2**32
+        markers = draw(st.lists(st.integers(0, times[-1]), max_size=2,
+                                unique=True))
+        series[domain] = build_series(
+            "n1", spec, samples, epoch_wall_ns=EPOCH,
+            gap_markers=sorted(markers), wrap_horizon_ns=horizon)
+    return NodeEnergyLog(node_id="n1", series_by_domain=series)
+
+
+@st.composite
+def attribution_cases(draw):
+    log = draw(random_node_logs())
+    span = log.wall_span()[1] - EPOCH
+    # Instants on a quarter-tick grid make equal and touching boundaries
+    # common; arbitrary nanoseconds make them distinct.  Both reach past
+    # the sampled span so that tasks get clipped.
+    instant = st.one_of(
+        st.integers(-4, span * 4 // TICK + 4).map(lambda q: q * TICK // 4),
+        st.integers(-TICK, span + TICK))
+    cpu = st.one_of(st.just(0.0),
+                    st.floats(0.0, 64.0, allow_nan=False))
+    raw_tasks = draw(st.lists(
+        st.tuples(instant, st.one_of(st.just(0), instant), cpu),
+        max_size=14))
+    tasks = []
+    for i, (start, length, cpu_s) in enumerate(raw_tasks):
+        length = max(length, 0)
+        tasks.append(TaskRecord(
+            task_id=f"t{i}", name="p", node_id="n1",
+            start_wall_ns=EPOCH + start,
+            end_wall_ns=EPOCH + start + length,
+            cpu_time_s=cpu_s, status=TaskStatus.COMPLETED))
+    window = None
+    if draw(st.booleans()):
+        lo, hi = sorted(draw(st.lists(st.integers(0, span), min_size=2,
+                                      max_size=2, unique=True)))
+        window = (EPOCH + lo, EPOCH + hi)
+    kind = draw(st.sampled_from(list(PolicyKind)))
+    baseline = None
+    if kind is not PolicyKind.EXCLUSIVE_ONLY and draw(st.booleans()):
+        baseline = draw(st.floats(0.0, 200.0, allow_nan=False))
+    policy = AttributionPolicy(kind=kind, idle_baseline_watts=baseline)
+    assumed = draw(st.sampled_from([DEFAULT_SUB_RESOLUTION_S, 1.3]))
+    return tasks, log, policy, window, assumed
+
+
+class TestSweepMatchesScan:
+    """The event sweep equals the per-segment scan exactly (``==``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(attribution_cases())
+    def test_sweep_equals_scan(self, case):
+        tasks, log, policy, window, assumed = case
+        got = attribute_concurrent(tasks, log, policy, window=window,
+                                   assumed_duration_s=assumed)
+        want = scan_attribution(tasks, log, policy, window=window,
+                                assumed_duration_s=assumed)
+        assert [(te.task_id, te.joules_by_domain, te.notes)
+                for te in got.task_energies] \
+            == [(te.task_id, te.joules_by_domain, te.notes)
+                for te in want.task_energies]
+        assert got.unattributed_by_domain == want.unattributed_by_domain
+
+    def test_touching_equal_and_nested_windows(self):
+        # b starts where a ends, c shares a's start and end, d is inside,
+        # e is sub-resolution on a boundary, f lies outside the span.
+        log = constant_log(watts=37, duration_s=20, domains=(PKG, DRAM))
+        tasks = [task("a", 2, 8, 5.0), task("b", 8, 14, 2.0),
+                 task("c", 2, 8, 0.5), task("d", 4, 6, 1.5),
+                 task("e", 8, 8, 0.1), task("f", 30, 40, 3.0)]
+        for kind in PolicyKind:
+            policy = AttributionPolicy(kind=kind)
+            got = attribute_concurrent(tasks, log, policy)
+            want = scan_attribution(tasks, log, policy)
+            assert got == want
+            by_id = {te.task_id: te for te in got.task_energies}
+            assert NOTE_CLIPPED_WINDOW in by_id["f"].notes
+            assert NOTE_SUB_RESOLUTION in by_id["e"].notes
+
+    def test_node_without_tasks_leaves_all_unattributed(self):
+        log = constant_log(watts=25, duration_s=10)
+        got = attribute_concurrent([], log, cpu_policy())
+        assert got.task_energies == ()
+        assert got.unattributed_by_domain \
+            == scan_attribution([], log, cpu_policy()).unattributed_by_domain
 
 
 class TestWorkflowTotal:

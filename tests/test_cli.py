@@ -191,6 +191,25 @@ class TestReportCommand:
         assert "partial" in captured.err
         assert json.loads(captured.out)["workflow_id"] == "wf-g"
 
+    def test_duplicate_task_id_is_usage_error(self, tmp_path, capsys):
+        out = run_simulate(tmp_path)
+        doc = {"workflow_id": "wf-demo", "submitted_wall_ns": ORIGIN,
+               "finished_wall_ns": ORIGIN + 60 * S,
+               "tasks": [{"task_id": "x", "name": "x", "node_id": "alpha",
+                          "start_wall_ns": ORIGIN + lo * S,
+                          "end_wall_ns": ORIGIN + hi * S,
+                          "cpu_time_s": 5.0, "status": "completed"}
+                         for lo, hi in ((0, 10), (20, 30))]}
+        trace_path = tmp_path / "dup.json"
+        trace_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["report", "--logs", out, "--trace", str(trace_path),
+                     "--policy", "walltime"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "duplicate task_id 'x'" in captured.err
+        assert captured.out == ""
+
     def test_empty_logs_dir_is_usage_error(self, tmp_path):
         (tmp_path / "empty").mkdir()
         code = main(["report", "--logs", str(tmp_path / "empty"),

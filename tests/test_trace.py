@@ -246,6 +246,32 @@ class TestGenericTrace:
             trace_from_obj(doc)
 
 
+class TestDuplicateTaskIds:
+    def test_workflow_trace_names_duplicated_id(self):
+        # Two windows under one id would share one per-task entry and
+        # break conservation, so the trace refuses them.
+        tasks = tuple(
+            TaskRecord(task_id="x", name="n", node_id="n1",
+                       start_wall_ns=lo * 10**9, end_wall_ns=hi * 10**9,
+                       cpu_time_s=1.0, status=TaskStatus.COMPLETED)
+            for lo, hi in ((0, 10), (20, 30)))
+        with pytest.raises(InvalidArgumentError, match="duplicate task_id 'x'"):
+            WorkflowTrace(workflow_id="wf", submitted_wall_ns=0,
+                          finished_wall_ns=60 * 10**9, tasks=tasks)
+
+    def test_generic_document_rejects_duplicate(self):
+        doc = generic_doc()
+        doc["tasks"].append(dict(doc["tasks"][0], node_id="n2"))
+        with pytest.raises(SchemaViolationError, match="'t1'"):
+            trace_from_obj(doc)
+
+    def test_engine_trace_rejects_duplicate(self, tmp_path):
+        path = write_tsv(tmp_path, [tsv_row(task_id="7"),
+                                    tsv_row(task_id="7", hostname="n2")])
+        with pytest.raises(InvalidArgumentError, match="'7'"):
+            parse_nextflow_trace(path)
+
+
 class TestTaskRecord:
     def test_end_before_start_rejected(self):
         with pytest.raises(InvalidArgumentError):
