@@ -99,8 +99,10 @@ class NodeEnergyLog:
         if not self.series_by_domain:
             raise InvalidArgumentError(
                 f"node {self.node_id}: no recorded domains")
-        object.__setattr__(self, "series_by_domain",
-                           dict(self.series_by_domain))
+        # Kept in domain-name order: node_window_energy, called once per
+        # attribution segment, returns domains in this order unsorted.
+        object.__setattr__(self, "series_by_domain", dict(sorted(
+            self.series_by_domain.items(), key=lambda kv: kv[0].value)))
         for domain, series in self.series_by_domain.items():
             if series.node_id != self.node_id:
                 raise InvalidArgumentError(
@@ -147,8 +149,7 @@ def node_window_energy(log: NodeEnergyLog, start_wall_ns: int,
         raise InvalidArgumentError(
             f"window start {start_wall_ns} after end {end_wall_ns}")
     out: dict[RaplDomain, float] = {}
-    for domain, series in sorted(log.series_by_domain.items(),
-                                 key=lambda kv: kv[0].value):
+    for domain, series in log.series_by_domain.items():
         if start_wall_ns == end_wall_ns:
             out[domain] = 0.0
             continue

@@ -15,7 +15,7 @@ import bisect
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DegenerateSeriesError,
@@ -101,9 +101,12 @@ class CounterSpec:
             else 1 << self.bit_width
 
 
-@dataclass(frozen=True)
-class RawSample:
-    """One raw counter reading: monotonic nanoseconds and counts."""
+class RawSample(NamedTuple):
+    """One raw counter reading: monotonic nanoseconds and counts.
+
+    A tuple subclass, so a log's samples are cheap to build in bulk; it
+    also equals the plain tuple ``(t_ns, raw)``.
+    """
 
     t_ns: int
     raw: int

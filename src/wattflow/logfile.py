@@ -12,6 +12,14 @@ Line grammar::
     <t_ns>,<domain>,<raw>
     #wattflow-gap t_ns=<int> domain=<name>
     #wattflow-end status=<closed|truncated|reaped>
+
+Record lines make up nearly all of a long log, so :func:`parse_log` tests
+for them first and handles each in one pass: one split, and one dict
+lookup of the domain by the spelling its header used (any other spelling
+falls back to :meth:`RaplDomain.parse`).  Times and raw counts are
+gathered as plain ints and turned into samples once per domain.
+:func:`read_status` answers "has this log closed?" from the file's tail
+alone, for callers that poll a growing log.
 """
 
 from __future__ import annotations
@@ -36,6 +44,8 @@ log = logging.getLogger(__name__)
 HEADER_PREFIX = "#wattflow-v1 "
 GAP_PREFIX = "#wattflow-gap "
 END_PREFIX = "#wattflow-end "
+_END_PREFIX_BYTES = END_PREFIX.encode("ascii")
+_TAIL_BLOCK = 256
 
 _FILENAME_RE = re.compile(r"^rapl_(?P<rest>.+)\.csv$")
 
@@ -181,7 +191,8 @@ class ParsedLog:
                 or any(s.gap_markers for s in self.series.values()))
 
 
-def _parse_kv(body: str, path: str, lineno: int) -> dict[str, str]:
+def _parse_kv(body: str, path: str,
+              lineno: int | None) -> dict[str, str]:
     out: dict[str, str] = {}
     for token in body.split():
         key, sep, value = token.partition("=")
@@ -190,6 +201,20 @@ def _parse_kv(body: str, path: str, lineno: int) -> dict[str, str]:
                              path=path, line=lineno)
         out[key] = value
     return out
+
+
+def _parse_trailer(line: str, path: str,
+                   lineno: int | None) -> LogStatus:
+    kv = _parse_kv(line[len(END_PREFIX):], path, lineno)
+    try:
+        status = LogStatus(kv["status"])
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"bad end trailer: {exc}", path=path,
+                         line=lineno) from None
+    if status is LogStatus.OPEN:
+        raise ParseError("trailer may not declare status open",
+                         path=path, line=lineno)
+    return status
 
 
 def parse_log(path: str) -> ParsedLog:
@@ -221,8 +246,11 @@ def parse_log(path: str) -> ParsedLog:
     node_id: str | None = None
     epoch_wall_ns: int | None = None
     specs: dict[RaplDomain, CounterSpec] = {}
-    samples: dict[RaplDomain, list[RawSample]] = {}
     gaps: dict[RaplDomain, list[int]] = {}
+    # Per domain: (modulus, times, raws), also reachable by the domain's
+    # header spelling so a record line costs one dict lookup.
+    columns: dict[RaplDomain, tuple[int, list[int], list[int]]] = {}
+    by_spelling: dict[str, tuple[int, list[int], list[int]]] = {}
     status = LogStatus.OPEN
     saw_trailer = False
 
@@ -230,7 +258,37 @@ def parse_log(path: str) -> ParsedLog:
         if saw_trailer:
             raise ParseError("content after end trailer", path=path,
                              line=lineno)
-        if line.startswith(HEADER_PREFIX):
+        if line[:1] != "#":
+            fields = line.split(",")
+            if len(fields) != 3:
+                raise ParseError(f"expected t_ns,domain,raw got {line!r}",
+                                 path=path, line=lineno)
+            t_text, domain_text, raw_text = fields
+            column = by_spelling.get(domain_text)
+            try:
+                t_ns = int(t_text)
+                if column is None:
+                    domain = RaplDomain.parse(domain_text)
+                raw = int(raw_text)
+            except (ValueError, InvalidArgumentError) as exc:
+                raise ParseError(str(exc), path=path, line=lineno) from None
+            if column is None:
+                column = columns.get(domain)
+                if column is None:
+                    raise HeaderMismatchError(
+                        f"{path}:{lineno}: record for {domain} before its "
+                        f"header")
+            modulus, times, raws = column
+            if not 0 <= raw < modulus:
+                raise ParseError(f"raw {raw} outside [0, {modulus})",
+                                 path=path, line=lineno)
+            if times and t_ns <= times[-1]:
+                raise ParseError(
+                    f"non-monotonic timestamp {t_ns} after {times[-1]}",
+                    path=path, line=lineno)
+            times.append(t_ns)
+            raws.append(raw)
+        elif line.startswith(HEADER_PREFIX):
             kv = _parse_kv(line[len(HEADER_PREFIX):], path, lineno)
             try:
                 domain = RaplDomain.parse(kv["domain"])
@@ -252,8 +310,9 @@ def parse_log(path: str) -> ParsedLog:
                 raise ParseError(f"duplicate header for domain {domain}",
                                  path=path, line=lineno)
             specs[domain] = spec
-            samples[domain] = []
             gaps[domain] = []
+            column = (spec.modulus, [], [])
+            columns[domain] = by_spelling[kv["domain"]] = column
         elif line.startswith(GAP_PREFIX):
             kv = _parse_kv(line[len(GAP_PREFIX):], path, lineno)
             try:
@@ -267,43 +326,11 @@ def parse_log(path: str) -> ParsedLog:
                     f"{path}:{lineno}: gap for {domain} before its header")
             gaps[domain].append(t_ns)
         elif line.startswith(END_PREFIX):
-            kv = _parse_kv(line[len(END_PREFIX):], path, lineno)
-            try:
-                status = LogStatus(kv["status"])
-            except (KeyError, ValueError) as exc:
-                raise ParseError(f"bad end trailer: {exc}", path=path,
-                                 line=lineno) from None
-            if status is LogStatus.OPEN:
-                raise ParseError("trailer may not declare status open",
-                                 path=path, line=lineno)
+            status = _parse_trailer(line, path, lineno)
             saw_trailer = True
-        elif line.startswith("#"):
+        else:
             raise ParseError(f"unknown directive {line.split()[0]!r}",
                              path=path, line=lineno)
-        else:
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParseError(f"expected t_ns,domain,raw got {line!r}",
-                                 path=path, line=lineno)
-            try:
-                t_ns = int(parts[0])
-                domain = RaplDomain.parse(parts[1])
-                raw = int(parts[2])
-            except (ValueError, InvalidArgumentError) as exc:
-                raise ParseError(str(exc), path=path, line=lineno) from None
-            if domain not in specs:
-                raise HeaderMismatchError(
-                    f"{path}:{lineno}: record for {domain} before its header")
-            if not 0 <= raw < specs[domain].modulus:
-                raise ParseError(
-                    f"raw {raw} outside [0, {specs[domain].modulus})",
-                    path=path, line=lineno)
-            dom_samples = samples[domain]
-            if dom_samples and t_ns <= dom_samples[-1].t_ns:
-                raise ParseError(
-                    f"non-monotonic timestamp {t_ns} after "
-                    f"{dom_samples[-1].t_ns}", path=path, line=lineno)
-            dom_samples.append(RawSample(t_ns, raw))
 
     if node_id is None or epoch_wall_ns is None:
         raise HeaderMismatchError(f"{path}: no header line found")
@@ -312,12 +339,47 @@ def parse_log(path: str) -> ParsedLog:
 
     series = {
         domain: SampleSeries(node_id=node_id, spec=specs[domain],
-                             samples=tuple(samples[domain]),
+                             samples=tuple(map(RawSample._make,
+                                               zip(times, raws))),
                              epoch_wall_ns=epoch_wall_ns,
                              gap_markers=tuple(gaps[domain]))
-        for domain in specs
+        for domain, (_, times, raws) in columns.items()
     }
     return ParsedLog(path=path, node_id=node_id,
                      session_id=session_from_filename(path, node_id),
                      epoch_wall_ns=epoch_wall_ns, status=status,
                      series=series)
+
+
+def read_status(path: str) -> LogStatus:
+    """How a log has ended so far, read from the file's tail only.
+
+    Returns the trailer's status when the last complete line is a trailer,
+    ``TRUNCATED`` when the file ends inside a line (a torn tail, as
+    :func:`parse_log` reads it), and ``OPEN`` otherwise, including when
+    content follows a trailer.  Costs a few small reads however long the
+    log is, so a caller can poll it while the writer finishes.
+
+    Raises:
+        OSError: The file cannot be opened or read.
+        ParseError: The last line is a malformed trailer.
+    """
+    with open(path, "rb") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        if end == 0:
+            return LogStatus.OPEN
+        fh.seek(end - 1)
+        if fh.read(1) != b"\n":
+            return LogStatus.TRUNCATED
+        # Read backwards until the newline before the last line, if any.
+        tail = b"\n"
+        pos = end - 1
+        while pos > 0 and b"\n" not in tail[:-1]:
+            step = min(_TAIL_BLOCK, pos)
+            pos -= step
+            fh.seek(pos)
+            tail = fh.read(step) + tail
+    last = tail[tail.rfind(b"\n", 0, len(tail) - 1) + 1:-1]
+    if not last.startswith(_END_PREFIX_BYTES):
+        return LogStatus.OPEN
+    return _parse_trailer(last.decode("ascii", "replace"), path, None)

@@ -35,7 +35,13 @@ from .errors import (
     ParseError,
     SchemaViolationError,
 )
-from .logfile import LogStatus, ParsedLog, log_filename, parse_log
+from .logfile import (
+    LogStatus,
+    ParsedLog,
+    log_filename,
+    parse_log,
+    read_status,
+)
 from .signals import (
     SessionMarker,
     SessionScope,
@@ -204,13 +210,17 @@ def _await_first_records(config: RunConfig,
 
 def _await_trailers(config: RunConfig,
                     sleep: Callable[[float], None]) -> None:
+    """Wait until every node's log has ended, reading only each tail."""
     deadline = time.monotonic() + config.stop_timeout_s
     pending = {a.node_id: _session_log_path(a, config.session_id)
                for a in config.agents}
     while pending and time.monotonic() < deadline:
         for node_id in list(pending):
-            parsed = _try_parse(pending[node_id])
-            if parsed is not None and parsed.status is not LogStatus.OPEN:
+            try:
+                status = read_status(pending[node_id])
+            except (OSError, ParseError):
+                continue
+            if status is not LogStatus.OPEN:
                 del pending[node_id]
         if pending:
             sleep(0.05)

@@ -105,6 +105,16 @@ class TestNodeWindowEnergy:
             NodeEnergyLog(node_id="n2", series_by_domain={
                 PKG: constant_power_series("n1", 100, 10)})
 
+    def test_domains_kept_and_integrated_in_name_order(self):
+        psys = RaplDomain.PSYS
+        given_order = (PKG, psys, DRAM)
+        log = NodeEnergyLog(node_id="n1", series_by_domain={
+            d: constant_power_series("n1", 10, 10, domain=d)
+            for d in given_order})
+        assert list(log.series_by_domain) == [DRAM, PKG, psys]
+        out = node_window_energy(log, EPOCH, EPOCH + 10 * S)
+        assert list(out) == [DRAM, PKG, psys]
+
 
 EXCLUSIVE = AttributionPolicy(kind=PolicyKind.EXCLUSIVE_ONLY)
 

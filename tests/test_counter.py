@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -282,6 +284,42 @@ class TestSampleSeries:
         series = build_series("n1", s, [RawSample(0, 0), RawSample(10**9, 1)],
                               gap_markers=(5 * 10**8,))
         assert series.has_unsafe_gap(0, 10**9)
+
+
+@dataclass(frozen=True)
+class DataclassSample:
+    """``RawSample`` as it was before it became a tuple, kept as reference."""
+
+    t_ns: int
+    raw: int
+
+
+class TestRawSample:
+    def test_immutable(self):
+        sample = RawSample(10, 20)
+        with pytest.raises(AttributeError):
+            sample.t_ns = 11
+        with pytest.raises(AttributeError):
+            sample.raw = 21
+        assert sample == RawSample(t_ns=10, raw=20)
+
+    @given(a=st.tuples(st.integers(-3, 3), st.integers(0, 3)),
+           b=st.tuples(st.integers(-3, 3), st.integers(0, 3)))
+    def test_equality_hash_and_repr_match_the_dataclass(self, a, b):
+        new_a, new_b = RawSample(*a), RawSample(*b)
+        old_a, old_b = DataclassSample(*a), DataclassSample(*b)
+        assert (new_a == new_b) is (old_a == old_b)
+        assert (new_a != new_b) is (old_a != old_b)
+        assert hash(new_a) == hash(old_a)
+        assert repr(new_a) == repr(old_a).replace("DataclassSample",
+                                                  "RawSample")
+
+    def test_equals_the_plain_tuple(self):
+        # New with the tuple subclass: the dataclass never equalled a tuple.
+        assert RawSample(10, 20) == (10, 20)
+        assert DataclassSample(10, 20) != (10, 20)
+        t_ns, raw = RawSample(10, 20)
+        assert (t_ns, raw) == (10, 20)
 
 
 class TestWrapHorizon:

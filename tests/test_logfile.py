@@ -6,12 +6,18 @@ import itertools
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 _UNIQUE = itertools.count()
 
-from wattflow.counter import CounterSpec, RaplDomain, RawSample
+from wattflow.counter import (
+    CounterSpec,
+    RaplDomain,
+    RawSample,
+    SampleSeries,
+    build_series,
+)
 from wattflow.errors import (
     AlreadyActiveError,
     HeaderMismatchError,
@@ -19,11 +25,16 @@ from wattflow.errors import (
     ParseError,
 )
 from wattflow.logfile import (
+    END_PREFIX,
+    GAP_PREFIX,
+    HEADER_PREFIX,
     LogStatus,
     LogWriter,
+    ParsedLog,
     format_record,
     log_filename,
     parse_log,
+    read_status,
     session_from_filename,
 )
 
@@ -93,6 +104,22 @@ class TestRoundTrip:
         series = parse_log(path).series[RaplDomain.PACKAGE]
         assert series.samples == tuple(expected)
         assert series.spec.energy_unit_joules == unit
+
+    def test_series_equal_after_round_trip(self, tmp_path):
+        original = build_series(
+            "n1", PKG_SPEC,
+            [RawSample(10, 2**32 - 5), RawSample(20, 3), RawSample(35, 90)],
+            epoch_wall_ns=1_000, gap_markers=(25,))
+        path = str(tmp_path / log_filename("n1", "eq"))
+        w = LogWriter(path, "n1", {RaplDomain.PACKAGE: PKG_SPEC}, 1_000)
+        w.record(10, RaplDomain.PACKAGE, 2**32 - 5)
+        w.record(20, RaplDomain.PACKAGE, 3)
+        w.gap(25, RaplDomain.PACKAGE)
+        w.record(35, RaplDomain.PACKAGE, 90)
+        w.close()
+        parsed = parse_log(path).series[RaplDomain.PACKAGE]
+        assert parsed == original
+        assert all(type(s) is RawSample for s in parsed.samples)
 
     def test_node_with_underscore_in_name(self, tmp_path):
         path = write_simple_log(tmp_path, [(1, RaplDomain.PACKAGE, 0)],
@@ -255,3 +282,380 @@ class TestNaming:
 
     def test_format_record_is_plain_decimal(self):
         assert format_record(123, RaplDomain.PACKAGE, 456) == "123,package,456"
+
+
+class TestReadStatus:
+    @pytest.mark.parametrize("status", [LogStatus.CLOSED, LogStatus.REAPED,
+                                        LogStatus.TRUNCATED])
+    def test_trailer_status(self, tmp_path, status):
+        path = write_simple_log(tmp_path, [(1, RaplDomain.PACKAGE, 0)],
+                                status=status)
+        assert read_status(path) is status
+        assert parse_log(path).status is status
+
+    def test_torn_tail_is_truncated(self, tmp_path):
+        path = write_simple_log(tmp_path, [(1, RaplDomain.PACKAGE, 0)])
+        p = tmp_path / log_filename("n1", "torn")
+        p.write_text(open(path).read() + "2,pack")
+        assert read_status(str(p)) is LogStatus.TRUNCATED
+        assert parse_log(str(p)).status is LogStatus.TRUNCATED
+
+    def test_open_log(self, tmp_path):
+        path = str(tmp_path / log_filename("n1", "open"))
+        w = LogWriter(path, "n1", {RaplDomain.PACKAGE: PKG_SPEC}, 0)
+        assert read_status(path) is LogStatus.OPEN
+        w.record(10, RaplDomain.PACKAGE, 0)
+        assert read_status(path) is LogStatus.OPEN
+        w.close()
+        assert read_status(path) is LogStatus.CLOSED
+
+    def test_empty_file_is_open(self, tmp_path):
+        p = tmp_path / log_filename("n1", "empty")
+        p.write_text("")
+        assert read_status(str(p)) is LogStatus.OPEN
+
+    def test_missing_log_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_status(str(tmp_path / log_filename("n1", "absent")))
+
+    def test_content_after_trailer_is_pending(self, tmp_path):
+        path = write_simple_log(tmp_path, [(1, RaplDomain.PACKAGE, 0)])
+        with open(path, "a") as fh:
+            fh.write("2,package,1\n")
+        assert read_status(path) is LogStatus.OPEN
+
+    def test_long_last_line_read_whole(self, tmp_path):
+        # The last line is longer than one tail block and only its start
+        # says whether it is a trailer.
+        head = write_simple_log(tmp_path, [], status=LogStatus.REAPED)
+        text = open(head).read()
+        p = tmp_path / log_filename("n1", "long")
+        p.write_text(text.replace("status=reaped",
+                                  "status=reaped " + "x=y " * 400))
+        assert read_status(str(p)) is LogStatus.REAPED
+        p.write_text(text + "1,package," + "0" * 2000 + "\n")
+        assert read_status(str(p)) is LogStatus.OPEN
+
+    def test_trailer_only_file(self, tmp_path):
+        p = tmp_path / log_filename("n1", "bare")
+        p.write_text(f"{END_PREFIX}status=closed\n")
+        assert read_status(str(p)) is LogStatus.CLOSED
+
+    def test_malformed_trailer_raises(self, tmp_path):
+        p = tmp_path / log_filename("n1", "bad")
+        p.write_text(f"{END_PREFIX}status=open\n")
+        with pytest.raises(ParseError, match="may not declare status open"):
+            read_status(str(p))
+        p.write_text(f"{END_PREFIX}status=done\n")
+        with pytest.raises(ParseError, match="bad end trailer"):
+            read_status(str(p))
+
+
+# ------------------------------------------------- differential parse test
+
+def _reference_kv(body: str, path: str, lineno: int) -> dict[str, str]:
+    out: dict[str, str] = {}
+    for token in body.split():
+        key, sep, value = token.partition("=")
+        if not sep or not key:
+            raise ParseError("malformed key=value token " + repr(token),
+                             path=path, line=lineno)
+        out[key] = value
+    return out
+
+
+def reference_parse_log(path: str) -> ParsedLog:
+    """The parser before the one-pass record branch, kept as the reference.
+
+    Each record line is matched after the three directive prefixes, its
+    domain goes through ``RaplDomain.parse`` and each sample is built as it
+    is read.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        content = fh.read()
+    torn_tail = bool(content) and not content.endswith("\n")
+    lines = content.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if torn_tail and lines:
+        lines.pop()
+
+    node_id: str | None = None
+    epoch_wall_ns: int | None = None
+    specs: dict[RaplDomain, CounterSpec] = {}
+    samples: dict[RaplDomain, list[RawSample]] = {}
+    gaps: dict[RaplDomain, list[int]] = {}
+    status = LogStatus.OPEN
+    saw_trailer = False
+
+    for lineno, line in enumerate(lines, start=1):
+        if saw_trailer:
+            raise ParseError("content after end trailer", path=path,
+                             line=lineno)
+        if line.startswith(HEADER_PREFIX):
+            kv = _reference_kv(line[len(HEADER_PREFIX):], path, lineno)
+            try:
+                domain = RaplDomain.parse(kv["domain"])
+                spec = CounterSpec(domain=domain,
+                                   bit_width=int(kv["bit_width"]),
+                                   energy_unit_joules=float(kv["unit_j"]))
+                node = kv["node"]
+                epoch = int(kv["epoch_wall_ns"])
+            except (KeyError, ValueError, InvalidArgumentError) as exc:
+                raise ParseError(f"bad header: {exc}", path=path,
+                                 line=lineno) from None
+            if node_id is None:
+                node_id, epoch_wall_ns = node, epoch
+            elif node != node_id or epoch != epoch_wall_ns:
+                raise HeaderMismatchError(
+                    f"{path}:{lineno}: header disagrees with earlier header "
+                    f"(node {node!r} vs {node_id!r})")
+            if domain in specs:
+                raise ParseError(f"duplicate header for domain {domain}",
+                                 path=path, line=lineno)
+            specs[domain] = spec
+            samples[domain] = []
+            gaps[domain] = []
+        elif line.startswith(GAP_PREFIX):
+            kv = _reference_kv(line[len(GAP_PREFIX):], path, lineno)
+            try:
+                domain = RaplDomain.parse(kv["domain"])
+                t_ns = int(kv["t_ns"])
+            except (KeyError, ValueError, InvalidArgumentError) as exc:
+                raise ParseError(f"bad gap marker: {exc}", path=path,
+                                 line=lineno) from None
+            if domain not in specs:
+                raise HeaderMismatchError(
+                    f"{path}:{lineno}: gap for {domain} before its header")
+            gaps[domain].append(t_ns)
+        elif line.startswith(END_PREFIX):
+            kv = _reference_kv(line[len(END_PREFIX):], path, lineno)
+            try:
+                status = LogStatus(kv["status"])
+            except (KeyError, ValueError) as exc:
+                raise ParseError(f"bad end trailer: {exc}", path=path,
+                                 line=lineno) from None
+            if status is LogStatus.OPEN:
+                raise ParseError("trailer may not declare status open",
+                                 path=path, line=lineno)
+            saw_trailer = True
+        elif line.startswith("#"):
+            raise ParseError(f"unknown directive {line.split()[0]!r}",
+                             path=path, line=lineno)
+        else:
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise ParseError(f"expected t_ns,domain,raw got {line!r}",
+                                 path=path, line=lineno)
+            try:
+                t_ns = int(parts[0])
+                domain = RaplDomain.parse(parts[1])
+                raw = int(parts[2])
+            except (ValueError, InvalidArgumentError) as exc:
+                raise ParseError(str(exc), path=path, line=lineno) from None
+            if domain not in specs:
+                raise HeaderMismatchError(
+                    f"{path}:{lineno}: record for {domain} before its header")
+            if not 0 <= raw < specs[domain].modulus:
+                raise ParseError(
+                    f"raw {raw} outside [0, {specs[domain].modulus})",
+                    path=path, line=lineno)
+            dom_samples = samples[domain]
+            if dom_samples and t_ns <= dom_samples[-1].t_ns:
+                raise ParseError(
+                    f"non-monotonic timestamp {t_ns} after "
+                    f"{dom_samples[-1].t_ns}", path=path, line=lineno)
+            dom_samples.append(RawSample(t_ns, raw))
+
+    if node_id is None or epoch_wall_ns is None:
+        raise HeaderMismatchError(f"{path}: no header line found")
+    if torn_tail:
+        status = LogStatus.TRUNCATED
+
+    series = {
+        domain: SampleSeries(node_id=node_id, spec=specs[domain],
+                             samples=tuple(samples[domain]),
+                             epoch_wall_ns=epoch_wall_ns,
+                             gap_markers=tuple(gaps[domain]))
+        for domain in specs
+    }
+    return ParsedLog(path=path, node_id=node_id,
+                     session_id=session_from_filename(path, node_id),
+                     epoch_wall_ns=epoch_wall_ns, status=status,
+                     series=series)
+
+
+PKG, DRAM = RaplDomain.PACKAGE, RaplDomain.DRAM
+SPELLINGS = {PKG: ("package", "package", "Package", "PACKAGE"),
+             DRAM: ("dram", "dram", "DRAM")}
+LINE_FAULTS = (None, None, "fields", "empty", "before_header", "append")
+T_FAULTS = (None, "underscore", "back")
+DOMAIN_FAULTS = (None, "upper", "pad", "canonical", "unknown", "undeclared")
+RAW_FAULTS = (None, "underscore", "range")
+
+
+def _underscored(draw, text: str) -> str:
+    """``text`` with underscores added: ``1_000`` is an int, ``1__0`` not."""
+    if len(text) < 2:
+        return text + draw(st.sampled_from(("", "_")))
+    cut = draw(st.integers(1, len(text) - 1))
+    return text[:cut] + draw(st.sampled_from(("_", "__"))) + text[cut:]
+
+
+def _mutate(draw, line: str, modulus: int,
+            first_t: str) -> tuple[str | None, str]:
+    """A record line with zero or more faults, and where it goes.
+
+    Each field draws its fault independently, so one line often breaks
+    two checks at once and only the order of the checks decides which
+    error is reported.
+    """
+    t, dom, raw = line.split(",")
+    line_fault = draw(st.sampled_from(LINE_FAULTS))
+    if line_fault == "fields":
+        return line_fault, draw(st.sampled_from((
+            f"{t},{dom}", f"{t},{dom},{raw},1", f"{t};{dom};{raw}", t)))
+    if line_fault == "empty":
+        return line_fault, ""
+    t_fault = draw(st.sampled_from(T_FAULTS))
+    if t_fault == "underscore":
+        t = _underscored(draw, t)
+    elif t_fault == "back":
+        t = draw(st.sampled_from((first_t, "0", "-5")))
+    dom_fault = draw(st.sampled_from(DOMAIN_FAULTS))
+    if dom_fault == "upper":
+        dom = dom.upper()
+    elif dom_fault == "pad":
+        dom = draw(st.sampled_from((" " + dom, "  " + dom, dom + " ")))
+    elif dom_fault == "canonical":
+        dom = dom.lower()
+    elif dom_fault == "unknown":
+        dom = draw(st.sampled_from(("gpu", "pkg", "", "package0")))
+    elif dom_fault == "undeclared":
+        dom = draw(st.sampled_from(("core", "psys", "dram")))
+    raw_fault = draw(st.sampled_from(RAW_FAULTS))
+    if raw_fault == "underscore":
+        raw = _underscored(draw, raw)
+    elif raw_fault == "range":
+        raw = str(draw(st.sampled_from((modulus, modulus + 7, -1))))
+    return line_fault, f"{t},{dom},{raw}"
+
+
+@st.composite
+def mutated_logs(draw) -> tuple[str, bool]:
+    """Text of a valid log with faults in a few record lines."""
+    domains = draw(st.sampled_from(((PKG,), (PKG, DRAM), (DRAM, PKG))))
+    spelling = {d: draw(st.sampled_from(SPELLINGS[d])) for d in domains}
+    width = {d: draw(st.sampled_from((8, 32))) for d in domains}
+    lines = [f"{HEADER_PREFIX}node=n1 domain={spelling[d]} "
+             f"bit_width={width[d]} unit_j=1e-06 epoch_wall_ns=7"
+             for d in domains]
+    t = 0
+    for _ in range(draw(st.integers(0, 8))):
+        t += draw(st.integers(1, 10**9))
+        for d in domains:
+            if draw(st.integers(0, 9)) == 0:
+                lines.append(f"{GAP_PREFIX}t_ns={t} domain={d.value}")
+            else:
+                raw = draw(st.integers(0, 2**width[d] - 1))
+                lines.append(f"{t},{spelling[d]},{raw}")
+    status = draw(st.sampled_from((None, "closed", "truncated", "reaped")))
+    if status is not None:
+        lines.append(f"{END_PREFIX}status={status}")
+
+    records = [i for i, ln in enumerate(lines) if ln[:1] != "#"]
+    if records:
+        first_t = lines[records[0]].split(",")[0]
+        modulus = 2 ** max(width.values())
+        head, tail = [], []
+        for i in draw(st.lists(st.sampled_from(records), min_size=1,
+                               max_size=2, unique=True)):
+            where, line = _mutate(draw, lines[i], modulus, first_t)
+            if where == "before_header":
+                head.append(line)
+            elif where == "append":
+                tail.append(line)
+            else:
+                lines[i] = line
+        lines = head + lines + tail
+    text = "".join(line + "\n" for line in lines)
+    torn = draw(st.booleans()) and draw(st.booleans())
+    if torn and text:
+        text = text[:-1 - draw(st.integers(0, min(6, len(lines[-1]))))]
+    return text, torn
+
+
+def _outcome(parse, path: str):
+    try:
+        return ("parsed", parse(path))
+    except ParseError as exc:
+        return ("raised", type(exc), str(exc), exc.line)
+
+
+_HEAD = (f"{HEADER_PREFIX}node=n1 domain=package bit_width=32 "
+         f"unit_j=1e-06 epoch_wall_ns=7\n")
+# Lines that break two neighbouring checks at once, so swapping any two
+# checks changes the reported error on at least one of them.
+TWO_FAULT_LOGS = (
+    "5,package\n" + _HEAD,                       # field count, header
+    _HEAD + "1__0,gpu,5\n",                      # int(t), domain
+    _HEAD + "10,gpu,5__5\n",                     # domain, int(raw)
+    _HEAD + "1__0,core,5\n",                     # int(t), header present
+    _HEAD + "10,core,5__5\n",                    # int(raw), header present
+    _HEAD + f"10,core,{2**32}\n",                 # header present, range
+    _HEAD + f"10,package,1\n5,package,{2**32}\n",  # range, monotonic
+    _HEAD + "10,package,1\n10,PACKAGE,2\n",      # monotonic, other spelling
+)
+
+
+class TestDifferentialParse:
+    @given(log=mutated_logs())
+    @example(log=(TWO_FAULT_LOGS[0], False))
+    @example(log=(TWO_FAULT_LOGS[1], False))
+    @example(log=(TWO_FAULT_LOGS[2], False))
+    @example(log=(TWO_FAULT_LOGS[3], False))
+    @example(log=(TWO_FAULT_LOGS[4], False))
+    @example(log=(TWO_FAULT_LOGS[5], False))
+    @example(log=(TWO_FAULT_LOGS[6], False))
+    @example(log=(TWO_FAULT_LOGS[7], False))
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_parse_matches_reference(self, tmp_path, log):
+        text, _ = log
+        path = tmp_path / log_filename("n1", f"d{next(_UNIQUE)}")
+        path.write_text(text, encoding="ascii")
+        assert _outcome(parse_log, str(path)) == \
+            _outcome(reference_parse_log, str(path))
+
+    def test_generator_reaches_each_outcome(self, tmp_path):
+        # The property above is only as strong as the cases it sees: valid
+        # logs, records in another spelling than their header, and every
+        # check must all occur.  A fixed seed keeps this count stable.
+        seen: set[str] = set()
+
+        @given(log=mutated_logs())
+        @settings(max_examples=400, deadline=None, derandomize=True)
+        def collect(log):
+            text, torn = log
+            path = tmp_path / log_filename("n1", f"c{next(_UNIQUE)}")
+            path.write_text(text, encoding="ascii")
+            outcome = _outcome(reference_parse_log, str(path))
+            if outcome[0] == "raised":
+                seen.update(n for n in NEEDLES if n in outcome[2])
+                return
+            seen.add("parsed-torn" if torn else "parsed")
+            lines = text.splitlines()
+            headers = {ln.split("domain=")[1].split()[0] for ln in lines
+                       if ln.startswith(HEADER_PREFIX)}
+            if any(ln.split(",")[1] not in headers for ln in lines
+                   if ln.count(",") == 2):
+                seen.add("parsed-other-spelling")
+
+        collect()
+        assert seen == set(NEEDLES) | {"parsed", "parsed-torn",
+                                       "parsed-other-spelling"}
+
+
+NEEDLES = ("expected t_ns,domain,raw", "invalid literal",
+           "unknown counter domain", "before its header", "outside",
+           "non-monotonic", "after end trailer")

@@ -18,6 +18,7 @@ from wattflow.errors import (
     SchemaViolationError,
 )
 from wattflow.logfile import LogStatus, LogWriter, log_filename, parse_log
+from wattflow import orchestrate
 from wattflow.orchestrate import (
     AgentEndpoint,
     RunConfig,
@@ -255,3 +256,82 @@ class TestResumeDeterminism:
             assert proc.returncode == 0, proc.stderr
             reports.add((out / "report_hs.json").read_bytes())
         assert len(reports) == 1
+
+
+def closed_logs_config(tmp_path, tails: dict[str, str | None],
+                       **kwargs) -> RunConfig:
+    """A resume config over hand-written logs, one per node.
+
+    ``tails`` maps node to the text after its records (``None``: no log).
+    """
+    log_dir = tmp_path / "agent_logs"
+    log_dir.mkdir()
+    (tmp_path / "out").mkdir()
+    spec = CounterSpec(domain=RaplDomain.PACKAGE, bit_width=32,
+                       energy_unit_joules=1e-6)
+    for node, tail in tails.items():
+        if tail is None:
+            continue
+        path = str(log_dir / log_filename(node, "rs"))
+        writer = LogWriter(path, node, {RaplDomain.PACKAGE: spec},
+                           epoch_wall_ns=1_700_000_000 * 10**9)
+        writer.record(0, RaplDomain.PACKAGE, 0)
+        writer.record(10**9, RaplDomain.PACKAGE, 100_000_000)
+        writer.abandon()
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write(tail)
+    agents = tuple(AgentEndpoint(
+        node_id=node, exec_template="{cmd}", agent_cmd="unused",
+        signal_dir=str(tmp_path / "signals"), log_dir=str(log_dir))
+        for node in tails)
+    return RunConfig(workflow_cmd="true", agents=agents, session_id="rs",
+                     output_dir=str(tmp_path / "out"), **kwargs)
+
+
+def _never_sleep(seconds: float) -> None:
+    raise AssertionError(f"waited {seconds}s for logs that had ended")
+
+
+class TestResumeTrailerWait:
+    def test_each_log_parsed_once(self, tmp_path, monkeypatch):
+        config = closed_logs_config(
+            tmp_path, {"n1": "#wattflow-end status=closed\n",
+                       "n2": "#wattflow-end status=closed\n"})
+        parsed = []
+
+        def counting_parse(path):
+            parsed.append(path)
+            return parse_log(path)
+        monkeypatch.setattr(orchestrate, "parse_log", counting_parse)
+        result = resume(config, sleep=_never_sleep)
+        assert sorted(parsed) == sorted(result.log_paths.values())
+        assert result.report.total_joules == pytest.approx(200.0)
+
+    @pytest.mark.parametrize("tail", [
+        "#wattflow-end status=closed\n", "#wattflow-end status=reaped\n",
+        "#wattflow-end status=truncated\n", "2000000000,pack"])
+    def test_ended_logs_need_no_wait(self, tmp_path, tail):
+        config = closed_logs_config(tmp_path, {"n1": tail})
+        result = resume(config, sleep=_never_sleep)
+        assert not any(f.startswith("missing_log")
+                       for f in result.report.flags)
+
+    @pytest.mark.parametrize("tail", [
+        "", "#wattflow-end status=closed\n2000000000,package,5\n", None])
+    def test_open_or_missing_log_waits_until_timeout(self, tmp_path, tail):
+        # No trailer, content after a trailer and no file all stay
+        # pending until the stop timeout.
+        config = closed_logs_config(
+            tmp_path, {"n1": "#wattflow-end status=closed\n", "n2": tail},
+            stop_timeout_s=0.2)
+        sleeps = []
+
+        def sleep(seconds):
+            sleeps.append(seconds)
+            time.sleep(seconds)
+        started = time.monotonic()
+        result = resume(config, sleep=sleep)
+        assert time.monotonic() - started >= 0.2
+        assert sleeps
+        flagged = "missing_log:n2" in result.report.flags
+        assert flagged is (tail != "")
