@@ -9,8 +9,7 @@ node total.
 
 Also hosts the interval-scrape estimator, which deliberately reproduces the
 point-count times interval arithmetic of average-power monitoring queries
-(including their boundary coarseness), and the coverage ratio used to
-compare measurement methods.
+(including their boundary coarseness).
 
 Everything here is pure computation over immutable inputs.
 """
@@ -29,11 +28,11 @@ from .errors import (
     MissingNodeLogError,
     NoPointsInWindowError,
     SchemaViolationError,
-    ZeroEnergyReferenceError,
 )
 from .logfile import ParsedLog
 from .trace import (
     DEFAULT_SUB_RESOLUTION_S,
+    FLAG_UNKNOWN_NODE,
     TaskRecord,
     WorkflowTrace,
     tasks_by_node,
@@ -373,20 +372,16 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
 
 
 def interval_estimate(avg_watt_points: Sequence[tuple[int, float]],
-                      window: tuple[int, int], scrape_interval_s: float,
-                      corrected: bool = False) -> EnergyQuantity:
+                      window: tuple[int, int], scrape_interval_s: float
+                      ) -> EnergyQuantity:
     """Energy estimate from periodically scraped average-power points.
 
-    The default faithfully models the monitoring-query arithmetic: take
-    every stored point with timestamp in ``(end - duration, end]`` and
+    Faithfully models the monitoring-query arithmetic: take every stored
+    point with timestamp in ``(end - duration, end]`` and
     multiply the sum of their watt values by the scrape interval.  The
     estimate inherits that query's boundary coarseness: the covered span is
     a whole number of intervals, not the actual window, which overestimates
     short windows inside busy surroundings and truncates heads.
-
-    ``corrected=True`` instead integrates the same points as a trapezoid
-    over exactly the window (clamping to the outermost points), for
-    comparisons against the query arithmetic.
 
     Args:
         avg_watt_points: (t_wall_ns, watts) pairs, any order.
@@ -406,32 +401,7 @@ def interval_estimate(avg_watt_points: Sequence[tuple[int, float]],
     if not inside:
         raise NoPointsInWindowError(
             f"no average-watt points in ({start}, {end}]")
-    if not corrected:
-        return EnergyQuantity(
-            sum(w for _, w in inside) * scrape_interval_s)
-    knots = [(t / 1e9, w) for t, w in inside]
-    first_w = knots[0][1]
-    last_w = knots[-1][1]
-    padded = ([(start / 1e9, first_w)] + knots + [(end / 1e9, last_w)])
-    energy = 0.0
-    for (t0, w0), (t1, w1) in zip(padded, padded[1:]):
-        if t1 > t0:
-            energy += (w0 + w1) / 2.0 * (t1 - t0)
-    return EnergyQuantity(energy)
-
-
-def coverage_compare(ground_truth: float | EnergyQuantity,
-                     measured: float | EnergyQuantity) -> float:
-    """Measured energy as a fraction of a reference measurement.
-
-    Raises:
-        ZeroEnergyReferenceError: Reference is zero or negative.
-    """
-    gt = float(ground_truth)
-    if not gt > 0:
-        raise ZeroEnergyReferenceError(
-            f"coverage reference must be > 0, got {gt}")
-    return float(measured) / gt
+    return EnergyQuantity(sum(w for _, w in inside) * scrape_interval_s)
 
 
 @dataclass(frozen=True)
@@ -479,6 +449,10 @@ def assemble_report(trace: WorkflowTrace,
     node; the report total is the sum of per-node countable energy, so the
     conservation invariant links totals, tasks, and unattributed energy.
 
+    Tasks flagged ``unknown_node`` ran on no known node: they are listed
+    with no energy and that note, their energy stays unattributed, and the
+    report carries the flag.
+
     Raises:
         MissingNodeLogError: The trace places tasks on a node with no log.
     """
@@ -489,7 +463,11 @@ def assemble_report(trace: WorkflowTrace,
             f"no sample log for node(s): {', '.join(missing)}")
     report_flags: set[str] = set()
     per_node: dict[str, Mapping[RaplDomain, float]] = {}
-    all_tasks: list[TaskEnergy] = []
+    all_tasks = [TaskEnergy(task_id=t.task_id, joules_by_domain={},
+                            estimated=True, notes={FLAG_UNKNOWN_NODE})
+                 for t in trace.tasks if FLAG_UNKNOWN_NODE in t.flags]
+    if all_tasks:
+        report_flags.add(FLAG_UNKNOWN_NODE)
     unattributed = 0.0
     for node in sorted(logs):
         log = logs[node]

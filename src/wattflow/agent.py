@@ -4,8 +4,8 @@ The agent watches a signal directory for session markers and, while any
 session is active, reads every configured counter domain once per tick and
 appends the same readings to each active session's log file.  Stopping a
 session writes one final record before the trailer; sessions whose marker
-goes stale are closed as reaped; a failing log sink closes the file as
-truncated rather than killing the agent.
+goes stale are closed as reaped; a log that fails a write or refuses a
+reading is closed as truncated rather than killing the agent.
 
 Clocks are injectable so the whole tick schedule can be driven
 synthetically in tests; ``run`` uses the real monotonic and wall clocks.
@@ -168,7 +168,8 @@ class SamplerAgent:
     One backend read per domain per tick is shared across every active
     session, so concurrent sessions record identical samples.  A read that
     fails twice in one tick becomes a gap marker instead of a record; a
-    log file that stops accepting writes is closed as truncated and its
+    log file that fails a write or refuses a reading (say, a raw value
+    beyond the counter's declared width) is closed as truncated and its
     session dropped.
     """
 
@@ -267,9 +268,9 @@ class SamplerAgent:
                         writer.gap(gap_t_ns, spec.domain)
                     else:
                         writer.record(sample.t_ns, spec.domain, sample.raw)
-            except (OSError, ValueError):
-                logger.error("log write failed for session %s; "
-                             "closing as truncated", session_id)
+            except (OSError, ValueError, WattflowError) as exc:
+                logger.error("log write failed for session %s (%s); "
+                             "closing as truncated", session_id, exc)
                 self._close_writer(session_id, LogStatus.TRUNCATED)
 
     def tick_once(self, now_ns: int | None = None) -> None:
@@ -315,25 +316,28 @@ class SamplerAgent:
 
         Ticks are scheduled at start + k * interval on the monotonic
         clock, so a slow tick shortens the following sleep instead of
-        shifting the whole schedule.
+        shifting the whole schedule.  Open logs are closed as truncated
+        however the loop ends, an exception included.
         """
         interval_ns = self.config.interval_ms * 1_000_000
         start = self._mono_ns()
         k = 0
-        while not self._stopping:
-            self.tick_once(self._mono_ns())
-            if self._stopping:
-                break
-            if self.config.max_runtime_s is not None and \
-                    self._mono_ns() - start >= \
-                    self.config.max_runtime_s * 1e9:
-                break
-            k += 1
-            next_ns = start + k * interval_ns
-            delay = next_ns - self._mono_ns()
-            if delay > 0:
-                sleep(delay / 1e9)
-        self.shutdown()
+        try:
+            while not self._stopping:
+                self.tick_once(self._mono_ns())
+                if self._stopping:
+                    break
+                if self.config.max_runtime_s is not None and \
+                        self._mono_ns() - start >= \
+                        self.config.max_runtime_s * 1e9:
+                    break
+                k += 1
+                next_ns = start + k * interval_ns
+                delay = next_ns - self._mono_ns()
+                if delay > 0:
+                    sleep(delay / 1e9)
+        finally:
+            self.shutdown()
 
     def install_signal_handlers(self) -> None:
         def _handle(signum: int, frame: Any) -> None:

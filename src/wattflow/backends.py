@@ -61,10 +61,6 @@ class MockProfile:
                 raise InvalidArgumentError(
                     f"segment power must be >= 0, got {p}")
 
-    @property
-    def total_duration_s(self) -> float:
-        return sum(d for d, _ in self.segments)
-
     def cumulative_joules(self, elapsed_s: float) -> float:
         """Energy accumulated from profile start to ``elapsed_s``."""
         if elapsed_s < 0:

@@ -7,9 +7,11 @@ Subcommands:
   compare   tabulate reports against a reference report
   simulate  synthesize a scenario, evaluate all methods, emit artifacts
 
-Exit codes: 0 success; 2 usage or malformed input documents; 3 runtime
-failure (agent start, missing node log, workflow mismatch, nonzero
-workflow exit); 4 report produced but from partial or flagged data.
+Exit codes: 0 success; 2 usage, malformed input documents, or an input
+or output path that cannot be read or written; 3 runtime failure (agent
+start, missing node log, workflow mismatch, nonzero workflow exit, an OS
+error while an agent, a run, or a resume is under way); 4 report
+produced but from partial or flagged data.
 """
 
 from __future__ import annotations
@@ -72,8 +74,6 @@ def cmd_agent(args: argparse.Namespace) -> int:
     try:
         config, backends = load_config(args.config,
                                        start_ns=time.monotonic_ns())
-    except OSError as exc:
-        return _fail(str(exc), EXIT_USAGE)
     except _USAGE_ERRORS as exc:
         return _fail(str(exc), EXIT_USAGE)
     agent = SamplerAgent(config, backends)
@@ -82,7 +82,7 @@ def cmd_agent(args: argparse.Namespace) -> int:
                 config.node_id, config.interval_ms)
     try:
         agent.run()
-    except WattflowError as exc:
+    except (WattflowError, OSError) as exc:
         return _fail(str(exc), EXIT_RUNTIME)
     return EXIT_OK
 
@@ -92,14 +92,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         config = load_run_config(args.config, workflow_cmd=args.cmd,
                                  session_id=args.resume or args.session,
                                  output_dir=args.out)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_USAGE)
     except _USAGE_ERRORS as exc:
         return _fail(str(exc), EXIT_USAGE)
     os.makedirs(config.output_dir, exist_ok=True)
     try:
         result = resume(config) if args.resume else run_wrapped(config)
-    except WattflowError as exc:
+    except (WattflowError, OSError) as exc:
         return _fail(str(exc), EXIT_RUNTIME)
     print(result.report_path)
     missing = [flag for flag in result.report.flags
@@ -159,8 +157,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         policy = AttributionPolicy(
             kind=PolicyKind(args.policy),
             idle_baseline_watts=args.idle_baseline_watts)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_USAGE)
     except _USAGE_ERRORS as exc:
         return _fail(str(exc), EXIT_USAGE)
     try:
@@ -176,9 +172,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(args.out)
     else:
         sys.stdout.write(payload)
-    data_issues = logs_flagged or any(
-        FLAG_UNKNOWN_NODE in t.flags for t in trace.tasks)
-    if data_issues:
+    if logs_flagged or FLAG_UNKNOWN_NODE in report.flags:
         print("wattflow: warning: report computed from partial data",
               file=sys.stderr)
         return EXIT_PARTIAL
@@ -188,8 +182,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     try:
         reports = [load_report(path) for path in args.reports]
-    except OSError as exc:
-        return _fail(str(exc), EXIT_USAGE)
     except _USAGE_ERRORS as exc:
         return _fail(str(exc), EXIT_USAGE)
     reference = reports[0]
@@ -228,8 +220,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_USAGE)
     except _USAGE_ERRORS as exc:
         return _fail(str(exc), EXIT_USAGE)
     os.makedirs(args.out, exist_ok=True)
@@ -327,7 +317,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         level=logging.INFO,
         format="%(asctime)s %(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # Reading an input or writing an output; the commands map OS
+        # errors raised while they run to EXIT_RUNTIME themselves.
+        return _fail(str(exc), EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
@@ -128,9 +128,6 @@ class EnergyQuantity:
     def __float__(self) -> float:
         return self.joules
 
-    def __add__(self, other: "EnergyQuantity") -> "EnergyQuantity":
-        return EnergyQuantity(self.joules + other.joules)
-
 
 @dataclass(frozen=True)
 class SampleSeries:
@@ -194,17 +191,16 @@ class SampleSeries:
             self._cum["arrays"] = cached
         return cached
 
-    def unsafe_gaps(self, horizon_ns: int | None = None) -> list[tuple[int, int]]:
+    def unsafe_gaps(self) -> list[tuple[int, int]]:
         """Sample gaps wide enough that an undetected wrap was possible.
 
         A gap is unsafe when it exceeds half the wrap horizon (the shortest
         time the counter could take to wrap at the configured maximum power).
         Explicit gap markers recorded by the agent are always unsafe.
         """
-        horizon = horizon_ns if horizon_ns is not None else self.wrap_horizon_ns
         gaps: list[tuple[int, int]] = []
-        if horizon is not None:
-            limit = horizon // 2
+        if self.wrap_horizon_ns is not None:
+            limit = self.wrap_horizon_ns // 2
             for a, b in zip(self.samples, self.samples[1:]):
                 if b.t_ns - a.t_ns > limit:
                     gaps.append((a.t_ns, b.t_ns))
@@ -212,13 +208,9 @@ class SampleSeries:
             gaps.append((t, t))
         return sorted(set(gaps))
 
-    def has_unsafe_gap(self, start_ns: int, end_ns: int,
-                       horizon_ns: int | None = None) -> bool:
+    def has_unsafe_gap(self, start_ns: int, end_ns: int) -> bool:
         return any(g0 <= end_ns and g1 >= start_ns
-                   for g0, g1 in self.unsafe_gaps(horizon_ns))
-
-    def with_horizon(self, horizon_ns: int) -> "SampleSeries":
-        return replace(self, wrap_horizon_ns=horizon_ns, _cum={})
+                   for g0, g1 in self.unsafe_gaps())
 
 
 def raw_delta(prev: int, curr: int, bit_width: int) -> int:

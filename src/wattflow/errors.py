@@ -112,9 +112,5 @@ class NoPointsInWindowError(WattflowError):
     code = "no-points-in-window"
 
 
-class ZeroEnergyReferenceError(WattflowError):
-    code = "division-by-zero-energy"
-
-
 class AgentStartError(WattflowError):
     code = "agent-start-failed"

@@ -19,7 +19,8 @@ lookup of the domain by the spelling its header used (any other spelling
 falls back to :meth:`RaplDomain.parse`).  Times and raw counts are
 gathered as plain ints and turned into samples once per domain.
 :func:`read_status` answers "has this log closed?" from the file's tail
-alone, for callers that poll a growing log.
+alone, and :func:`has_record` answers "has this log a record yet?" from
+its head, for callers that poll a growing log.
 """
 
 from __future__ import annotations
@@ -349,6 +350,25 @@ def parse_log(path: str) -> ParsedLog:
                      session_id=session_from_filename(path, node_id),
                      epoch_wall_ns=epoch_wall_ns, status=status,
                      series=series)
+
+
+def has_record(path: str) -> bool:
+    """Whether a log holds a complete record line, read from its head.
+
+    Reads lines until the first complete one that is not a ``#``
+    directive; a torn last line does not count.  Costs the header lines
+    and one record however long the log is.
+
+    Raises:
+        OSError: The file cannot be opened or read.
+    """
+    with open(path, "rb") as fh:
+        for line in fh:
+            if not line.endswith(b"\n"):
+                return False
+            if not line.startswith(b"#"):
+                return True
+    return False
 
 
 def read_status(path: str) -> LogStatus:

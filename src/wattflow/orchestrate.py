@@ -38,6 +38,7 @@ from .errors import (
 from .logfile import (
     LogStatus,
     ParsedLog,
+    has_record,
     log_filename,
     parse_log,
     read_status,
@@ -51,7 +52,6 @@ from .signals import (
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_POLL_INTERVAL_S = 5.0
 DEFAULT_STARTUP_TIMEOUT_S = 30.0
 DEFAULT_STOP_TIMEOUT_S = 30.0
 
@@ -99,7 +99,6 @@ class RunConfig:
     agents: tuple[AgentEndpoint, ...]
     session_id: str
     output_dir: str
-    poll_interval_s: float = DEFAULT_POLL_INTERVAL_S
     startup_timeout_s: float = DEFAULT_STARTUP_TIMEOUT_S
     stop_timeout_s: float = DEFAULT_STOP_TIMEOUT_S
 
@@ -109,9 +108,6 @@ class RunConfig:
         if not self.agents:
             raise InvalidArgumentError("at least one agent is required")
         object.__setattr__(self, "agents", tuple(self.agents))
-        if self.poll_interval_s <= 0:
-            raise InvalidArgumentError(
-                f"poll_interval_s must be > 0, got {self.poll_interval_s}")
         nodes = [a.node_id for a in self.agents]
         if len(set(nodes)) != len(nodes):
             raise InvalidArgumentError("duplicate agent node_id")
@@ -123,7 +119,11 @@ class RunConfig:
 def run_config_from_obj(doc: Any, *, workflow_cmd: str | None = None,
                         session_id: str | None = None,
                         output_dir: str | None = None) -> RunConfig:
-    """Parse a run config document, with optional field overrides."""
+    """Parse a run config document, with optional field overrides.
+
+    Unknown keys are ignored, so a document that still carries a removed
+    option loads unchanged.
+    """
     if not isinstance(doc, dict):
         raise SchemaViolationError("run config must be an object")
     try:
@@ -141,8 +141,6 @@ def run_config_from_obj(doc: Any, *, workflow_cmd: str | None = None,
             session_id=session_id or doc.get(
                 "session_id", f"wf-{time.strftime('%Y%m%d-%H%M%S')}"),
             output_dir=output_dir or doc["output_dir"],
-            poll_interval_s=float(
-                doc.get("poll_interval_s", DEFAULT_POLL_INTERVAL_S)),
             startup_timeout_s=float(
                 doc.get("startup_timeout_s", DEFAULT_STARTUP_TIMEOUT_S)),
             stop_timeout_s=float(
@@ -181,52 +179,39 @@ def _try_parse(path: str) -> ParsedLog | None:
         return None
 
 
-def _first_record_wall_ns(parsed: ParsedLog) -> int | None:
-    firsts = [series.epoch_wall_ns + series.samples[0].t_ns
-              for series in parsed.series.values() if series.samples]
-    return min(firsts) if firsts else None
+def _await_logs(config: RunConfig, ready: Callable[[str], bool],
+                timeout_s: float,
+                sleep: Callable[[float], None]) -> list[str]:
+    """Poll every node's log until ``ready`` holds for each, or timeout.
 
-
-def _await_first_records(config: RunConfig,
-                         sleep: Callable[[float], None]) -> None:
-    """Block until every node's log holds at least one record."""
-    deadline = time.monotonic() + config.startup_timeout_s
+    Each log is checked at least once, even with a zero timeout; a log
+    that cannot be read or parsed yet stays pending.  Returns the nodes
+    still pending, sorted.
+    """
+    deadline = time.monotonic() + timeout_s
     pending = {a.node_id: _session_log_path(a, config.session_id)
                for a in config.agents}
-    while pending:
+    while True:
         for node_id in list(pending):
-            parsed = _try_parse(pending[node_id])
-            if parsed is not None and \
-                    _first_record_wall_ns(parsed) is not None:
-                del pending[node_id]
-        if not pending:
-            return
-        if time.monotonic() >= deadline:
-            raise AgentStartError(
-                f"no measurement records from "
-                f"{sorted(pending)} within {config.startup_timeout_s}s")
+            try:
+                if ready(pending[node_id]):
+                    del pending[node_id]
+            except (OSError, ParseError):
+                pass
+        if not pending or time.monotonic() >= deadline:
+            return sorted(pending)
         sleep(0.05)
 
 
 def _await_trailers(config: RunConfig,
                     sleep: Callable[[float], None]) -> None:
     """Wait until every node's log has ended, reading only each tail."""
-    deadline = time.monotonic() + config.stop_timeout_s
-    pending = {a.node_id: _session_log_path(a, config.session_id)
-               for a in config.agents}
-    while pending and time.monotonic() < deadline:
-        for node_id in list(pending):
-            try:
-                status = read_status(pending[node_id])
-            except (OSError, ParseError):
-                continue
-            if status is not LogStatus.OPEN:
-                del pending[node_id]
-        if pending:
-            sleep(0.05)
-    if pending:
+    late = _await_logs(
+        config, lambda path: read_status(path) is not LogStatus.OPEN,
+        config.stop_timeout_s, sleep)
+    if late:
         logger.warning("no trailer from %s within %.0fs",
-                       sorted(pending), config.stop_timeout_s)
+                       late, config.stop_timeout_s)
 
 
 def _signal_dirs(config: RunConfig) -> list[str]:
@@ -336,22 +321,19 @@ def run_wrapped(config: RunConfig,
                 session_id=config.session_id,
                 created_wall_ns=time.time_ns(),
                 scope=SessionScope.WORKFLOW))
-        try:
-            _await_first_records(config, sleep)
-        except AgentStartError:
+        silent = _await_logs(config, has_record,
+                             config.startup_timeout_s, sleep)
+        if silent:
             _stop_everywhere(config)
-            raise
+            raise AgentStartError(
+                f"no measurement records from {silent} within "
+                f"{config.startup_timeout_s}s")
 
         workflow_started_wall_ns = time.time_ns()
         logger.info("measurement active on %d node(s); starting workflow",
                     len(config.agents))
         workflow = subprocess.Popen(shlex.split(config.workflow_cmd))
-        while True:
-            try:
-                workflow.wait(timeout=config.poll_interval_s)
-                break
-            except subprocess.TimeoutExpired:
-                continue
+        workflow.wait()
         workflow_finished_wall_ns = time.time_ns()
         exit_code = workflow.returncode
 

@@ -262,6 +262,3 @@ class SignalWatcher:
                 self._reaped.add(sid)
                 events.append(SessionReaped(sid))
         return events
-
-    def active_sessions(self) -> dict[str, SessionMarker]:
-        return dict(self._active)

@@ -91,10 +91,6 @@ class TaskRecord:
         half = int(assumed_duration_s * 5e8)
         return self.start_wall_ns - half, self.start_wall_ns + half
 
-    @property
-    def wall_duration_s(self) -> float:
-        return (self.end_wall_ns - self.start_wall_ns) / 1e9
-
 
 @dataclass(frozen=True)
 class WorkflowTrace:
@@ -127,31 +123,12 @@ class WorkflowTrace:
             for t in self.tasks)
         object.__setattr__(self, "tasks", flagged)
 
-    @property
-    def node_ids(self) -> tuple[str, ...]:
-        return tuple(sorted({t.node_id for t in self.tasks}))
-
-    @property
-    def flagged_tasks(self) -> tuple[TaskRecord, ...]:
-        return tuple(t for t in self.tasks if t.flags)
-
 
 _NF_STATUS = {
     "COMPLETED": TaskStatus.COMPLETED,
     "CACHED": TaskStatus.CACHED,
     "FAILED": TaskStatus.FAILED,
     "ABORTED": TaskStatus.FAILED,
-}
-
-DEFAULT_COLUMNS: Mapping[str, str] = {
-    "task_id": "task_id",
-    "name": "name",
-    "status": "status",
-    "start": "start",
-    "complete": "complete",
-    "realtime": "realtime",
-    "pcpu": "%cpu",
-    "hostname": "hostname",
 }
 
 _DURATION_TOKEN = re.compile(r"(?P<num>\d+(?:\.\d+)?)\s*(?P<unit>ms|[smhd])$")
@@ -199,23 +176,14 @@ def parse_percent(text: str) -> float:
     return float(text.strip().rstrip("%"))
 
 
-def parse_nextflow_trace(path: str, workflow_id: str | None = None,
-                         columns: Mapping[str, str] | None = None
-                         ) -> WorkflowTrace:
+def parse_nextflow_trace(path: str) -> WorkflowTrace:
     """Parse a workflow engine's tab-separated trace file.
 
     CPU time is reconstructed as ``realtime x (%cpu / 100)``: the engine
     reports task wall runtime and average CPU utilization, not CPU seconds.
     Node placement comes from the hostname column when present; rows without
-    one get node ``unknown`` plus a flag.
-
-    Args:
-        path: Trace file location.
-        workflow_id: Defaults to the file's base name without extension.
-        columns: Optional logical-to-actual column name overrides for
-            engines or configs that rename columns (logical names:
-            task_id, name, status, start, complete, realtime, pcpu,
-            hostname).
+    one get node ``unknown`` plus a flag.  The workflow id is the file's
+    base name without extension.
 
     Raises:
         MissingColumnError: A required column is absent from the header.
@@ -223,24 +191,19 @@ def parse_nextflow_trace(path: str, workflow_id: str | None = None,
             row number).
         EmptyTraceError: No task rows.
     """
-    colmap = dict(DEFAULT_COLUMNS)
-    if columns:
-        colmap.update(columns)
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or not lines[0].strip():
         raise EmptyTraceError("trace file has no header row", path=path)
     header = lines[0].split("\t")
     index: dict[str, int] = {}
-    for logical in ("task_id", "name", "status", "start", "complete",
-                    "realtime", "pcpu"):
-        actual = colmap[logical]
-        if actual not in header:
+    for column in ("task_id", "name", "status", "start", "complete",
+                   "realtime", "%cpu"):
+        if column not in header:
             raise MissingColumnError(
-                f"required column {actual!r} not in header", path=path)
-        index[logical] = header.index(actual)
-    host_col = header.index(colmap["hostname"]) \
-        if colmap["hostname"] in header else None
+                f"required column {column!r} not in header", path=path)
+        index[column] = header.index(column)
+    host_col = header.index("hostname") if "hostname" in header else None
 
     tasks: list[TaskRecord] = []
     for rownum, line in enumerate(lines[1:], start=2):
@@ -256,7 +219,7 @@ def parse_nextflow_trace(path: str, workflow_id: str | None = None,
             if status_text not in _NF_STATUS:
                 raise ValueError(f"unknown status {status_text!r}")
             realtime_s = parse_duration_s(fields[index["realtime"]])
-            pcpu = parse_percent(fields[index["pcpu"]])
+            pcpu = parse_percent(fields[index["%cpu"]])
             if pcpu < 0:
                 raise ValueError(f"negative %cpu {pcpu}")
             flags = set()
@@ -280,7 +243,7 @@ def parse_nextflow_trace(path: str, workflow_id: str | None = None,
     if not tasks:
         raise EmptyTraceError("trace file has no task rows", path=path)
     return WorkflowTrace(
-        workflow_id=workflow_id or _stem(path),
+        workflow_id=_stem(path),
         submitted_wall_ns=min(t.start_wall_ns for t in tasks),
         finished_wall_ns=max(t.end_wall_ns for t in tasks),
         tasks=tuple(tasks))
@@ -414,9 +377,15 @@ def write_generic_trace(trace: WorkflowTrace, path: str) -> None:
 
 
 def tasks_by_node(trace: WorkflowTrace) -> dict[str, list[TaskRecord]]:
+    """Tasks grouped by node, each group in start order.
+
+    Tasks flagged ``unknown_node`` ran on no node the trace names, so
+    they are left out.
+    """
     out: dict[str, list[TaskRecord]] = {}
     for t in trace.tasks:
-        out.setdefault(t.node_id, []).append(t)
+        if FLAG_UNKNOWN_NODE not in t.flags:
+            out.setdefault(t.node_id, []).append(t)
     for records in out.values():
         records.sort(key=lambda t: (t.start_wall_ns, t.end_wall_ns, t.task_id))
     return out

@@ -27,7 +27,6 @@ from wattflow.accounting import (
     attribute_concurrent,
     countable_domains,
     countable_total,
-    coverage_compare,
     interval_estimate,
     node_window_energy,
     report_from_obj,
@@ -40,7 +39,6 @@ from wattflow.errors import (
     MissingNodeLogError,
     NoPointsInWindowError,
     SchemaViolationError,
-    ZeroEnergyReferenceError,
 )
 from wattflow.trace import (
     DEFAULT_SUB_RESOLUTION_S,
@@ -546,33 +544,11 @@ class TestIntervalEstimate:
         assert est.joules == pytest.approx(5 * 30 * 100.0)
         assert est.joules / exact > 1.10
 
-    def test_corrected_trapezoid_matches_constant_power(self):
-        window = (self.END - 1476 * S, self.END)
-        est = interval_estimate(self.grid(), window, 30.0, corrected=True)
-        assert est.joules == pytest.approx(147600.0, rel=1e-9)
-
     def test_rejects_bad_interval_and_window(self):
         with pytest.raises(InvalidArgumentError):
             interval_estimate([(0, 1.0)], (0, 10), 0.0)
         with pytest.raises(InvalidArgumentError):
             interval_estimate([(0, 1.0)], (10, 10), 30.0)
-
-
-class TestCoverageCompare:
-    def test_identity(self):
-        assert coverage_compare(5000.0, 5000.0) == 1.0
-
-    def test_shell_vs_plugin_ratio(self):
-        assert coverage_compare(393906.17, 393151.76) \
-            == pytest.approx(0.9981, abs=5e-5)
-
-    def test_shell_vs_task_ratio(self):
-        assert coverage_compare(28981.12, 26758.27) \
-            == pytest.approx(0.9233, abs=5e-5)
-
-    def test_zero_reference(self):
-        with pytest.raises(ZeroEnergyReferenceError):
-            coverage_compare(0.0, 100.0)
 
 
 def fixture_trace_and_logs():

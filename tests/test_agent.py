@@ -15,7 +15,12 @@ from wattflow.agent import (
     config_from_obj,
     load_config,
 )
-from wattflow.backends import CounterBackend, MockBackend, MockProfile
+from wattflow.backends import (
+    CounterBackend,
+    MockBackend,
+    MockProfile,
+    PowercapBackend,
+)
 from wattflow.counter import (
     CounterSpec,
     RaplDomain,
@@ -240,6 +245,24 @@ class TestFailureModes:
         agent.tick_once(clock.mono)      # dropped session stays dropped
         assert agent.active_sessions == ()
 
+    def test_raw_beyond_declared_width_closes_log_truncated(self, tmp_path):
+        # A powercap zone whose energy_uj exceeds 2**bit_width: the log
+        # refuses the reading, so the session closes instead of the agent
+        # dying with an open log.
+        zone = tmp_path / "zone"
+        zone.mkdir()
+        (zone / "energy_uj").write_text(f"{2**32 + 5}\n")
+        (zone / "max_energy_range_uj").write_text(f"{2**40}\n")
+        clock = FakeClock()
+        agent = make_agent(tmp_path, clock,
+                           backend=PowercapBackend(str(zone)))
+        start_session(tmp_path, clock)
+        agent.tick_once(clock.mono)
+        assert agent.active_sessions == ()
+        with open(log_path(tmp_path), encoding="ascii") as fh:
+            assert fh.read().splitlines()[-1] == \
+                "#wattflow-end status=truncated"
+
     def test_stale_session_closed_as_reaped(self, tmp_path):
         clock = FakeClock()
         agent = make_agent(tmp_path, clock, stale_timeout_s=100.0)
@@ -327,6 +350,26 @@ class TestRunLoop:
         samples = parsed.series[RaplDomain.PACKAGE].samples
         assert len(samples) == 7        # ticks at t = 0 .. 3.0 s
         assert [s.t_ns for s in samples] == [k * S // 2 for k in range(7)]
+
+    def test_unexpected_error_still_leaves_a_trailer(self, tmp_path):
+        class BrokenBackend(CounterBackend):
+            def __init__(self) -> None:
+                self.calls = 0
+
+            def read(self, spec, now_ns):
+                self.calls += 1
+                if self.calls > 2:
+                    raise RuntimeError("driver bug")
+                return RawSample(t_ns=now_ns, raw=self.calls)
+
+        clock = FakeClock()
+        agent = make_agent(tmp_path, clock, backend=BrokenBackend())
+        start_session(tmp_path, clock)
+        with pytest.raises(RuntimeError, match="driver bug"):
+            agent.run(sleep=clock.advance)
+        parsed = parse_log(log_path(tmp_path))
+        assert parsed.status is LogStatus.TRUNCATED
+        assert len(parsed.series[RaplDomain.PACKAGE].samples) == 2
 
 
 class TestConfigDocument:

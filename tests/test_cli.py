@@ -264,6 +264,14 @@ class TestCompareCommand:
         assert main(["compare", a, b]) == 0
         assert capsys.readouterr().out.count("100.00%") == 2
 
+    def test_zero_reference_is_runtime_error(self, tmp_path, capsys):
+        a = write_report(str(tmp_path / "a.json"), "wf",
+                         MeasurementMethod.SHELL_WRAP, 0.0)
+        b = write_report(str(tmp_path / "b.json"), "wf",
+                         MeasurementMethod.SIGNAL_WORKFLOW, 100.0)
+        assert main(["compare", a, b]) == 3
+        assert "reference total is zero" in capsys.readouterr().err
+
     def test_workflow_mismatch_is_runtime_error(self, tmp_path, capsys):
         a = write_report(str(tmp_path / "a.json"), "wf-one",
                          MeasurementMethod.SHELL_WRAP, 100.0)
@@ -287,7 +295,6 @@ class TestRunCommand:
             "workflow_cmd": config.workflow_cmd,
             "session_id": config.session_id,
             "output_dir": config.output_dir,
-            "poll_interval_s": config.poll_interval_s,
             "startup_timeout_s": config.startup_timeout_s,
             "stop_timeout_s": config.stop_timeout_s,
             "agents": [
@@ -315,7 +322,6 @@ class TestRunCommand:
             "workflow_cmd": "false",
             "session_id": "cli-fail",
             "output_dir": config.output_dir,
-            "poll_interval_s": 0.2,
             "agents": [
                 {"node_id": a.node_id, "agent_cmd": a.agent_cmd,
                  "signal_dir": a.signal_dir, "log_dir": a.log_dir}
@@ -352,3 +358,83 @@ class TestUsage:
     def test_agent_config_path_missing(self, tmp_path):
         assert main(["agent", "--config",
                      str(tmp_path / "none.json")]) == 2
+
+
+class TestUnknownNode:
+    def test_hostname_less_trace_is_flagged_not_fatal(self, tmp_path,
+                                                      capsys):
+        # The engine's default trace fields carry no hostname.
+        out = run_simulate(tmp_path)
+        ms = ORIGIN // 1_000_000
+        header = "task_id\tname\tstatus\tstart\tcomplete\trealtime\t%cpu"
+        rows = ["\t".join([tid, tid, "COMPLETED", str(ms + lo * 1000),
+                           str(ms + hi * 1000), f"{hi - lo}s", "100%"])
+                for tid, lo, hi in (("t1", 0, 30), ("t2", 30, 60))]
+        trace_path = tmp_path / "trace.txt"
+        trace_path.write_text("\n".join([header] + rows) + "\n",
+                              encoding="utf-8")
+        target = tmp_path / "report.json"
+        capsys.readouterr()
+        code = main(["report", "--logs", out, "--trace", str(trace_path),
+                     "--out", str(target)])
+        assert code == 4
+        assert "partial" in capsys.readouterr().err
+        report = json.loads(target.read_text(encoding="utf-8"))
+        assert report["flags"] == ["unknown_node"]
+        assert [(t["task_id"], t["joules_by_domain"], t["notes"])
+                for t in report["per_task"]] == [
+            ("t1", {}, ["unknown_node"]), ("t2", {}, ["unknown_node"])]
+        # Conservation: nothing attributed, the node total unattributed.
+        assert report["unattributed_joules"] == pytest.approx(
+            report["total_joules"], rel=1e-12)
+        assert report["total_joules"] == pytest.approx(
+            40.0 * 60 + 100.0 * 30 + 70.0 * 30, rel=1e-3)
+
+
+def _os_error_case(tmp_path, case: str) -> list[str]:
+    """Arguments for one subcommand that meets an OS error."""
+    blocker = tmp_path / "a-file"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    if case == "report-out":
+        out = run_simulate(tmp_path)
+        return ["report", "--logs", out,
+                "--trace", os.path.join(out, "trace_demo.json"),
+                "--out", str(tmp_path)]
+    if case == "compare-out":
+        a = write_report(str(tmp_path / "a.json"), "wf",
+                         MeasurementMethod.SHELL_WRAP, 10.0)
+        return ["compare", a, "--out", str(blocker / "table.json")]
+    if case == "simulate-out":
+        return ["simulate", "--scenario", write_scenario(tmp_path),
+                "--out", str(blocker / "sim")]
+    doc = {"workflow_cmd": "true", "session_id": "os",
+           "output_dir": str(tmp_path / "out"),
+           "startup_timeout_s": 1.0, "stop_timeout_s": 1.0,
+           "agents": [{"node_id": "n1", "agent_cmd": "true",
+                       "signal_dir": str(tmp_path / "no-such-dir"),
+                       "log_dir": str(tmp_path)}]}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+    if case == "run-out":
+        return ["run", "--config", str(cfg_path), "--resume", "os",
+                "--out", str(blocker / "out")]
+    if case == "run-signal-dir":
+        return ["run", "--config", str(cfg_path)]
+    assert case == "resume-write"
+    (tmp_path / "out" / "report_os.json").mkdir(parents=True)
+    return ["run", "--config", str(cfg_path), "--resume", "os"]
+
+
+class TestOsErrors:
+    @pytest.mark.parametrize("case, code", [
+        ("report-out", 2), ("compare-out", 2), ("simulate-out", 2),
+        ("run-out", 2), ("run-signal-dir", 3), ("resume-write", 3)])
+    def test_exit_code_and_one_error_line(self, tmp_path, capsys, case,
+                                          code):
+        argv = _os_error_case(tmp_path, case)
+        capsys.readouterr()
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines()
+                if line.startswith("wattflow: error:")]

@@ -344,6 +344,3 @@ class TestEnergyQuantity:
     def test_rejects_negative(self):
         with pytest.raises(InvalidArgumentError):
             EnergyQuantity(-0.5)
-
-    def test_addition(self):
-        assert (EnergyQuantity(1.5) + EnergyQuantity(2.5)).joules == 4.0

@@ -32,6 +32,7 @@ from wattflow.logfile import (
     LogWriter,
     ParsedLog,
     format_record,
+    has_record,
     log_filename,
     parse_log,
     read_status,
@@ -349,6 +350,43 @@ class TestReadStatus:
         p.write_text(f"{END_PREFIX}status=done\n")
         with pytest.raises(ParseError, match="bad end trailer"):
             read_status(str(p))
+
+
+class TestHasRecord:
+    def open_log(self, tmp_path) -> tuple[str, LogWriter]:
+        path = str(tmp_path / log_filename("n1", "head"))
+        return path, LogWriter(path, "n1", {RaplDomain.PACKAGE: PKG_SPEC,
+                                            RaplDomain.DRAM: DRAM_SPEC}, 0)
+
+    def test_headers_only(self, tmp_path):
+        path, _ = self.open_log(tmp_path)
+        assert not has_record(path)
+
+    def test_headers_and_gap_marker(self, tmp_path):
+        path, writer = self.open_log(tmp_path)
+        writer.gap(10, RaplDomain.PACKAGE)
+        assert not has_record(path)
+
+    def test_torn_first_record(self, tmp_path):
+        path, _ = self.open_log(tmp_path)
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write("10,package,12")
+        assert not has_record(path)
+
+    def test_complete_record(self, tmp_path):
+        path, writer = self.open_log(tmp_path)
+        writer.gap(10, RaplDomain.PACKAGE)
+        writer.record(20, RaplDomain.DRAM, 7)
+        assert has_record(path)
+
+    def test_empty_file(self, tmp_path):
+        p = tmp_path / log_filename("n1", "empty")
+        p.write_text("")
+        assert not has_record(str(p))
+
+    def test_missing_file_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            has_record(str(tmp_path / log_filename("n1", "absent")))
 
 
 # ------------------------------------------------- differential parse test

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import logging
 import os
 import shlex
 import subprocess
@@ -69,8 +71,7 @@ def make_run_config(tmp_path, nodes=("n1", "n2"),
             node_id=node, exec_template="{cmd}", agent_cmd=cmd,
             signal_dir=str(tmp_path / "signals"),
             log_dir=str(tmp_path / "agent_logs")))
-    defaults = dict(poll_interval_s=0.2, startup_timeout_s=10.0,
-                    stop_timeout_s=10.0)
+    defaults = dict(startup_timeout_s=10.0, stop_timeout_s=10.0)
     defaults.update(kwargs)
     return RunConfig(workflow_cmd=workflow_cmd, agents=tuple(agents),
                      session_id=session_id,
@@ -196,8 +197,9 @@ class TestRunConfig:
                  "signal_dir": "sig", "log_dir": "logs"},
             ],
         }
+        # A document still carrying the removed key loads; it is ignored.
         config = run_config_from_obj(doc)
-        assert config.poll_interval_s == 1.5
+        assert not hasattr(config, "poll_interval_s")
         assert config.agents[0].exec_template == "{cmd}"
         overridden = run_config_from_obj(
             doc, workflow_cmd="sleep 1", session_id="cli-session",
@@ -335,3 +337,50 @@ class TestResumeTrailerWait:
         assert sleeps
         flagged = "missing_log:n2" in result.report.flags
         assert flagged is (tail != "")
+
+    def test_zero_timeout_still_checks_each_log(self, tmp_path, caplog):
+        config = closed_logs_config(
+            tmp_path, {"n1": "#wattflow-end status=closed\n"},
+            stop_timeout_s=0.0)
+        with caplog.at_level(logging.WARNING,
+                             logger="wattflow.orchestrate"):
+            resume(config, sleep=_never_sleep)
+        assert not [r for r in caplog.records if "trailer" in r.message]
+
+
+def prewritten_run_config(tmp_path, **kwargs) -> RunConfig:
+    """A run over logs that already hold records and trailers.
+
+    The agents exit at once, so the orchestrator's waits see only the
+    hand-written logs.
+    """
+    (tmp_path / "signals").mkdir()
+    config = closed_logs_config(
+        tmp_path, {"n1": "#wattflow-end status=closed\n",
+                   "n2": "#wattflow-end status=closed\n"}, **kwargs)
+    return dataclasses.replace(config, agents=tuple(
+        dataclasses.replace(a, agent_cmd="true") for a in config.agents))
+
+
+class TestFirstRecordWait:
+    def test_wait_reads_heads_without_parsing(self, tmp_path, monkeypatch):
+        config = prewritten_run_config(tmp_path)
+        parsed = []
+
+        def counting_parse(path):
+            parsed.append(path)
+            return parse_log(path)
+        monkeypatch.setattr(orchestrate, "parse_log", counting_parse)
+        result = run_wrapped(config, sleep=_never_sleep)
+        # Only the report parses, once per collected log.
+        assert sorted(parsed) == sorted(result.log_paths.values())
+        assert result.workflow_exit_code == 0
+
+    def test_log_without_record_aborts(self, tmp_path):
+        # A zero timeout still checks each log once: only n2 is named.
+        config = prewritten_run_config(tmp_path, startup_timeout_s=0.0)
+        path = tmp_path / "agent_logs" / log_filename("n2", "rs")
+        header = path.read_text().splitlines()[0]
+        path.write_text(header + "\n")
+        with pytest.raises(AgentStartError, match=r"\['n2'\]"):
+            run_wrapped(config, sleep=_never_sleep)

@@ -174,12 +174,6 @@ class TestWatcherPolling:
         assert w.poll_once() == []
         assert w.poll_once() == []
 
-    def test_active_sessions_view(self, tmp_path):
-        w = SignalWatcher(str(tmp_path), wall_ns=lambda: 1_000)
-        signal_start(str(tmp_path), wf_marker("a"))
-        w.poll_once()
-        assert set(w.active_sessions()) == {"a"}
-
 
 class TestWatcherTiming:
     def test_detection_on_first_poll(self, tmp_path):
