@@ -310,8 +310,13 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
             weights.append(1.0)
 
     boundaries = sorted({win_lo, win_hi} | starting.keys() | ending.keys())
-    task_joules: list[dict[RaplDomain, float]] = [{} for _ in tasks]
-    unattributed: dict[RaplDomain, float] = {}
+    # Joules per task and unattributed, by position in ``domains`` (the
+    # order node_window_energy returns them in); dicts are built once.
+    domains = list(log.series_by_domain)
+    package = domains.index(RaplDomain.PACKAGE) \
+        if RaplDomain.PACKAGE in domains else None
+    task_joules = [[0.0] * len(domains) for _ in tasks]
+    unattributed = [0.0] * len(domains)
     exclusive = policy.kind is PolicyKind.EXCLUSIVE_ONLY
     baseline_w = policy.idle_baseline_watts
     live: set[int] = set()
@@ -336,11 +341,11 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
                 for i in active:
                     notes[i].add(NOTE_EQUAL_SPLIT)
         dur_s = (seg_hi - seg_lo) / 1e9
-        for domain, joules in seg_energy.items():
+        for d, joules in enumerate(seg_energy.values()):
             shares: list[float] = []
             if active:
                 available = joules
-                if baseline_w is not None and domain is RaplDomain.PACKAGE:
+                if baseline_w is not None and d == package:
                     baseline_j = baseline_w * dur_s
                     if baseline_j > available:
                         for i in active:
@@ -351,24 +356,21 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
                 else:
                     shares = [available / len(active)] * len(active)
                 for i, share in zip(active, shares):
-                    dom = task_joules[i]
-                    dom[domain] = dom.get(domain, 0.0) + share
-            leftover = joules - sum(shares)
-            unattributed[domain] = unattributed.get(domain, 0.0) + leftover
+                    task_joules[i][d] += share
+            unattributed[d] += joules - sum(shares)
 
     energies = []
     for i, task in enumerate(tasks):
         lo, hi = clipped[i]
         if lo < hi and log.has_unsafe_gap(lo, hi):
             notes[i].add(NOTE_UNSAFE_GAP)
-        joules = task_joules[i]
-        for domain in log.series_by_domain:
-            joules.setdefault(domain, 0.0)
         energies.append(TaskEnergy(
-            task_id=task.task_id, joules_by_domain=joules, estimated=True,
-            notes=frozenset(notes[i])))
+            task_id=task.task_id,
+            joules_by_domain=dict(zip(domains, task_joules[i])),
+            estimated=True, notes=frozenset(notes[i])))
     return AttributionResult(task_energies=tuple(energies),
-                             unattributed_by_domain=unattributed)
+                             unattributed_by_domain=dict(zip(domains,
+                                                             unattributed)))
 
 
 def interval_estimate(avg_watt_points: Sequence[tuple[int, float]],

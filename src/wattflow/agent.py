@@ -5,7 +5,9 @@ session is active, reads every configured counter domain once per tick and
 appends the same readings to each active session's log file.  Stopping a
 session writes one final record before the trailer; sessions whose marker
 goes stale are closed as reaped; a log that fails a write or refuses a
-reading is closed as truncated rather than killing the agent.
+reading is closed as truncated rather than killing the agent, and a session
+whose log cannot be created is skipped while the others keep sampling.
+A stop signal wakes the wait between ticks, so the agent exits at once.
 
 Clocks are injectable so the whole tick schedule can be driven
 synthetically in tests; ``run`` uses the real monotonic and wall clocks.
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import select
 import signal as _signal
 import time
 from dataclasses import dataclass
@@ -170,7 +174,8 @@ class SamplerAgent:
     fails twice in one tick becomes a gap marker instead of a record; a
     log file that fails a write or refuses a reading (say, a raw value
     beyond the counter's declared width) is closed as truncated and its
-    session dropped.
+    session dropped; a session whose log cannot be created (say, a missing
+    log directory) is logged and skipped.
     """
 
     def __init__(self, config: SamplerConfig,
@@ -191,6 +196,8 @@ class SamplerAgent:
         self._writers: dict[str, LogWriter] = {}
         self._skipped: set[str] = set()
         self._stopping = False
+        # Read end of the pipe a stop signal writes to; see _sleep.
+        self._wake_fd: int | None = None
         self._warn_horizons()
 
     def _warn_horizons(self) -> None:
@@ -222,6 +229,11 @@ class SamplerAgent:
             logger.warning(
                 "log %s already exists; ignoring session %s",
                 path, session_id)
+            self._skipped.add(session_id)
+            return
+        except OSError as exc:
+            logger.error("cannot create log %s (%s); ignoring session %s",
+                         path, exc, session_id)
             self._skipped.add(session_id)
             return
         self._writers[session_id] = writer
@@ -311,14 +323,27 @@ class SamplerAgent:
         for session_id in list(self._writers):
             self._close_writer(session_id, LogStatus.TRUNCATED)
 
-    def run(self, sleep: Callable[[float], None] = time.sleep) -> None:
+    def _sleep(self, seconds: float) -> None:
+        """Sleep until the next tick, or until a stop signal arrives.
+
+        The signal handler writes to a pipe, so a stop that lands before
+        or during the wait ends it at once.
+        """
+        if self._wake_fd is None:
+            time.sleep(seconds)
+        else:
+            select.select([self._wake_fd], [], [], seconds)
+
+    def run(self, sleep: Callable[[float], None] | None = None) -> None:
         """Tick at the configured interval until told to stop.
 
         Ticks are scheduled at start + k * interval on the monotonic
         clock, so a slow tick shortens the following sleep instead of
         shifting the whole schedule.  Open logs are closed as truncated
-        however the loop ends, an exception included.
+        however the loop ends, an exception included.  ``sleep`` replaces
+        the wait between ticks, which a stop signal otherwise cuts short.
         """
+        sleep = sleep or self._sleep
         interval_ns = self.config.interval_ms * 1_000_000
         start = self._mono_ns()
         k = 0
@@ -340,9 +365,21 @@ class SamplerAgent:
             self.shutdown()
 
     def install_signal_handlers(self) -> None:
+        """Stop on SIGTERM or SIGINT, waking the wait between ticks.
+
+        The wake-up pipe stays open for the life of the process, since a
+        handler may still run after ``run`` returns.
+        """
+        self._wake_fd, wake_w = os.pipe()
+        os.set_blocking(wake_w, False)
+
         def _handle(signum: int, frame: Any) -> None:
             logger.info("received signal %d, shutting down", signum)
             self._stopping = True
+            try:
+                os.write(wake_w, b"\0")
+            except OSError:
+                pass  # the pipe is full, so the wait wakes anyway
 
         _signal.signal(_signal.SIGTERM, _handle)
         _signal.signal(_signal.SIGINT, _handle)

@@ -5,6 +5,15 @@ units and silently roll over to zero when they exceed their bit width.  This
 module turns sequences of raw readings into joules: single-wrap deltas, unit
 conversion, and windowed integration of a timestamped sample series.
 
+A :class:`SampleSeries` is columnar: its timestamps are one ``array('q')``
+and its raw readings one ``array('Q')``, so a day-long log costs 16 bytes
+per sample and no tracked object.  Unwrapped cumulative counts are not
+stored; a wrap-count prefix is (``wraps[i]`` counts the readings up to
+``i`` that fell below their predecessor), and the count at sample ``i`` is
+``raws[i] - raws[0] + modulus * wraps[i]``, an exact Python int for any
+modulus.  :attr:`SampleSeries.samples` presents the columns as a read-only
+sequence of :class:`RawSample`.
+
 All functions are pure and operate on immutable inputs; they are safe to call
 from any number of threads.
 """
@@ -13,9 +22,13 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
+from array import array
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from itertools import accumulate, islice, repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DegenerateSeriesError,
@@ -28,6 +41,7 @@ __all__ = [
     "RaplDomain",
     "CounterSpec",
     "RawSample",
+    "SampleView",
     "SampleSeries",
     "EnergyQuantity",
     "raw_delta",
@@ -104,8 +118,8 @@ class CounterSpec:
 class RawSample(NamedTuple):
     """One raw counter reading: monotonic nanoseconds and counts.
 
-    A tuple subclass, so a log's samples are cheap to build in bulk; it
-    also equals the plain tuple ``(t_ns, raw)``.
+    A tuple subclass: it unpacks and equals the plain tuple
+    ``(t_ns, raw)``.
     """
 
     t_ns: int
@@ -129,13 +143,83 @@ class EnergyQuantity:
         return self.joules
 
 
+# Builds a RawSample from a (t_ns, raw) pair without a Python-level call.
+_new_sample = tuple.__new__
+
+
+class SampleView(SequenceABC):
+    """Read-only sequence of :class:`RawSample` over a series' columns.
+
+    Indexing builds one ``RawSample``; slicing returns a view of the
+    sliced columns.  A view equals another view, or a tuple, holding the
+    same samples in the same order.
+    """
+
+    __slots__ = ("_times", "_raws")
+
+    def __init__(self, times: array, raws: array) -> None:
+        self._times = times
+        self._raws = raws
+
+    def __len__(self) -> int:
+        return len(self._times)
+
+    def __getitem__(self, index):
+        if index.__class__ is slice:
+            return SampleView(self._times[index], self._raws[index])
+        return _new_sample(RawSample, (self._times[index], self._raws[index]))
+
+    def __iter__(self) -> Iterator[RawSample]:
+        return map(_new_sample, repeat(RawSample),
+                   zip(self._times, self._raws))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SampleView):
+            return self._times == other._times and self._raws == other._raws
+        if isinstance(other, tuple):
+            return len(other) == len(self) and \
+                all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SampleView({tuple(self)!r})"
+
+
+def _first_offender(times: Sequence[int], raws: Sequence[int],
+                    modulus: int) -> InvalidArgumentError:
+    """The error naming the first sample that fails validation.
+
+    Checks each sample in order as ``SampleSeries`` always has: raw range,
+    then strictly increasing time; then that the time fits the signed
+    64-bit column.
+    """
+    prev_t = None
+    for t_ns, raw in zip(times, raws):
+        if not 0 <= raw < modulus:
+            return InvalidArgumentError(
+                f"raw value {raw} outside [0, {modulus}) at t={t_ns}")
+        if prev_t is not None and t_ns <= prev_t:
+            return InvalidArgumentError(
+                f"non-monotonic timestamp {t_ns} after {prev_t}")
+        if not -(1 << 63) <= t_ns < 1 << 63:
+            return InvalidArgumentError(
+                f"timestamp {t_ns} outside the signed 64-bit range")
+        prev_t = t_ns
+    return InvalidArgumentError(
+        f"{len(times)} timestamps for {len(raws)} raw values")
+
+
 @dataclass(frozen=True)
 class SampleSeries:
     """Ordered raw readings of one counter on one node.
 
-    Timestamps are integer nanoseconds on the node's monotonic clock;
-    ``epoch_wall_ns`` maps monotonic zero to wall time so traces recorded in
-    wall time can be correlated (wall = epoch_wall_ns + t_ns).
+    ``times`` and ``raws`` are the columns: integer nanoseconds on the
+    node's monotonic clock, strictly increasing, and raw counts in
+    ``[0, spec.modulus)``.  Any integer sequences are accepted and stored
+    as ``array('q')`` and ``array('Q')``; ``samples`` shows them as a
+    read-only sequence of :class:`RawSample`.  ``epoch_wall_ns`` maps
+    monotonic zero to wall time so traces recorded in wall time can be
+    correlated (wall = epoch_wall_ns + t_ns).
 
     ``gap_markers`` lists timestamps where the producing agent recorded a
     failed read; ``wrap_horizon_ns`` is the configured minimum wrap period
@@ -145,51 +229,52 @@ class SampleSeries:
 
     node_id: str
     spec: CounterSpec
-    samples: tuple[RawSample, ...]
+    times: array
+    raws: array
     epoch_wall_ns: int = 0
     gap_markers: tuple[int, ...] = ()
     wrap_horizon_ns: int | None = None
-    _cum: dict = field(default_factory=dict, repr=False, compare=False)
+    samples: SampleView = field(init=False, repr=False, compare=False)
+    _wraps: array | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self) -> None:
-        samples = tuple(self.samples)
-        object.__setattr__(self, "samples", samples)
         modulus = self.spec.modulus
-        prev_t = None
-        for s in samples:
-            if not 0 <= s.raw < modulus:
-                raise InvalidArgumentError(
-                    f"raw value {s.raw} outside [0, {modulus}) at t={s.t_ns}")
-            if prev_t is not None and s.t_ns <= prev_t:
-                raise InvalidArgumentError(
-                    f"non-monotonic timestamp {s.t_ns} after {prev_t}")
-            prev_t = s.t_ns
+        times, raws = self.times, self.raws
+        try:
+            if not (isinstance(times, array) and times.typecode == "q"):
+                times = array("q", times)
+            if not (isinstance(raws, array) and raws.typecode == "Q"):
+                raws = array("Q", raws)
+        except OverflowError:
+            raise _first_offender(self.times, self.raws, modulus) from None
+        if len(times) != len(raws) or (raws and max(raws) >= modulus) or \
+                not all(map(operator.lt, times, islice(times, 1, None))):
+            raise _first_offender(times, raws, modulus)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "raws", raws)
+        object.__setattr__(self, "samples", SampleView(times, raws))
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.times)
 
     @property
     def span_ns(self) -> tuple[int, int]:
-        if len(self.samples) < 2:
+        if len(self.times) < 2:
             raise DegenerateSeriesError(
                 f"series for {self.node_id}/{self.spec.domain} has "
-                f"{len(self.samples)} sample(s); need >= 2")
-        return self.samples[0].t_ns, self.samples[-1].t_ns
+                f"{len(self.times)} sample(s); need >= 2")
+        return self.times[0], self.times[-1]
 
-    def _cumulative(self) -> tuple[list[int], list[int]]:
-        """Timestamps and unwrapped cumulative counts, cached."""
-        cached = self._cum.get("arrays")
-        if cached is None:
-            times = [s.t_ns for s in self.samples]
-            modulus = self.spec.modulus
-            counts = [0]
-            prev = self.samples[0].raw if self.samples else 0
-            for s in self.samples[1:]:
-                counts.append(counts[-1] + (s.raw - prev) % modulus)
-                prev = s.raw
-            cached = (times, counts)
-            self._cum["arrays"] = cached
-        return cached
+    def _count_at(self, i: int) -> int:
+        """Unwrapped counts from the first sample to sample ``i``."""
+        wraps = self._wraps
+        if wraps is None:
+            raws = self.raws
+            wraps = array("q", accumulate(
+                map(operator.lt, islice(raws, 1, None), raws), initial=0))
+            object.__setattr__(self, "_wraps", wraps)
+        return self.raws[i] - self.raws[0] + self.spec.modulus * wraps[i]
 
     def unsafe_gaps(self) -> list[tuple[int, int]]:
         """Sample gaps wide enough that an undetected wrap was possible.
@@ -201,9 +286,10 @@ class SampleSeries:
         gaps: list[tuple[int, int]] = []
         if self.wrap_horizon_ns is not None:
             limit = self.wrap_horizon_ns // 2
-            for a, b in zip(self.samples, self.samples[1:]):
-                if b.t_ns - a.t_ns > limit:
-                    gaps.append((a.t_ns, b.t_ns))
+            times = self.times
+            for a, b in zip(times, islice(times, 1, None)):
+                if b - a > limit:
+                    gaps.append((a, b))
         for t in self.gap_markers:
             gaps.append((t, t))
         return sorted(set(gaps))
@@ -264,12 +350,12 @@ def _cumulative_counts_at(series: SampleSeries, t_ns: int) -> float:
     Counters refresh far more often than they are sampled, so cumulative
     energy is modeled as linear between consecutive samples.
     """
-    times, counts = series._cumulative()
+    times = series.times
     i = bisect.bisect_right(times, t_ns) - 1
     if i == len(times) - 1:
-        return float(counts[-1])
+        return float(series._count_at(i))
     t0, t1 = times[i], times[i + 1]
-    c0, c1 = counts[i], counts[i + 1]
+    c0, c1 = series._count_at(i), series._count_at(i + 1)
     return c0 + (c1 - c0) * ((t_ns - t0) / (t1 - t0))
 
 
@@ -321,8 +407,7 @@ def series_total(series: SampleSeries) -> EnergyQuantity:
         raise DegenerateSeriesError(
             f"series for {series.node_id}/{series.spec.domain} has "
             f"{len(series)} sample(s); need >= 2")
-    _, counts = series._cumulative()
-    return to_joules(counts[-1], series.spec)
+    return to_joules(series._count_at(len(series) - 1), series.spec)
 
 
 def wrap_horizon_s(spec: CounterSpec, max_power_watts: float) -> float:
@@ -343,7 +428,10 @@ def build_series(node_id: str, spec: CounterSpec,
                  gap_markers: Iterable[int] = (),
                  wrap_horizon_ns: int | None = None) -> SampleSeries:
     """Convenience constructor accepting any iterable of samples."""
-    return SampleSeries(node_id=node_id, spec=spec, samples=tuple(samples),
+    samples = tuple(samples)
+    return SampleSeries(node_id=node_id, spec=spec,
+                        times=[s.t_ns for s in samples],
+                        raws=[s.raw for s in samples],
                         epoch_wall_ns=epoch_wall_ns,
                         gap_markers=tuple(gap_markers),
                         wrap_horizon_ns=wrap_horizon_ns)

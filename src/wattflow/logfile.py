@@ -13,11 +13,14 @@ Line grammar::
     #wattflow-gap t_ns=<int> domain=<name>
     #wattflow-end status=<closed|truncated|reaped>
 
-Record lines make up nearly all of a long log, so :func:`parse_log` tests
-for them first and handles each in one pass: one split, and one dict
-lookup of the domain by the spelling its header used (any other spelling
-falls back to :meth:`RaplDomain.parse`).  Times and raw counts are
-gathered as plain ints and turned into samples once per domain.
+Record lines make up nearly all of a long log, so :func:`parse_log` reads
+the file line by line, tests for records first and handles each in one
+pass: one split, one dict lookup of the domain by the spelling its header
+used, and two appends to that domain's columns, an ``array('q')`` of
+times and an ``array('Q')`` of raw counts, which become the
+:class:`SampleSeries` as they are.  Any other spelling, and any line that
+fails a check, takes a slow path that checks it in full and names the
+first failure.  Nothing but the columns grows with the log.
 :func:`read_status` answers "has this log closed?" from the file's tail
 alone, and :func:`has_record` answers "has this log a record yet?" from
 its head, for callers that poll a growing log.
@@ -28,11 +31,12 @@ from __future__ import annotations
 import logging
 import os
 import re
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Mapping
 
-from .counter import CounterSpec, RaplDomain, RawSample, SampleSeries
+from .counter import CounterSpec, RaplDomain, SampleSeries
 from .errors import (
     AlreadyActiveError,
     HeaderMismatchError,
@@ -49,6 +53,9 @@ _END_PREFIX_BYTES = END_PREFIX.encode("ascii")
 _TAIL_BLOCK = 256
 
 _FILENAME_RE = re.compile(r"^rapl_(?P<rest>.+)\.csv$")
+
+# One domain's columns while a log is read: modulus, times, raw counts.
+_Column = tuple[int, array, array]
 
 
 class LogStatus(Enum):
@@ -218,6 +225,63 @@ def _parse_trailer(line: str, path: str,
     return status
 
 
+def _non_ascii(line: str, path: str, lineno: int) -> ParseError | None:
+    """The error for a line holding a byte the ASCII format forbids.
+
+    The file is decoded with ``surrogateescape``, so each such byte is a
+    lone surrogate that names it.
+    """
+    if line.isascii():
+        return None
+    byte = next(ord(c) for c in line if not c.isascii()) - 0xDC00
+    return ParseError(f"non-ASCII byte 0x{byte:02x}", path=path, line=lineno)
+
+
+def _append_record(line: str, lineno: int, path: str,
+                   by_spelling: Mapping[str, _Column],
+                   columns: Mapping[RaplDomain, _Column]) -> None:
+    """Check one record line in full and append it to its domain's columns.
+
+    The slow path of :func:`parse_log`: it runs for a record the fast path
+    did not take (another domain spelling, or a line that fails a check)
+    and reports the first failing check in the parser's fixed order.
+    """
+    error = _non_ascii(line, path, lineno)
+    if error is not None:
+        raise error
+    fields = line.split(",")
+    if len(fields) != 3:
+        raise ParseError(f"expected t_ns,domain,raw got {line!r}",
+                         path=path, line=lineno)
+    t_text, domain_text, raw_text = fields
+    column = by_spelling.get(domain_text)
+    try:
+        t_ns = int(t_text)
+        if column is None:
+            domain = RaplDomain.parse(domain_text)
+        raw = int(raw_text)
+    except (ValueError, InvalidArgumentError) as exc:
+        raise ParseError(str(exc), path=path, line=lineno) from None
+    if column is None:
+        column = columns.get(domain)
+        if column is None:
+            raise HeaderMismatchError(
+                f"{path}:{lineno}: record for {domain} before its header")
+    modulus, times, raws = column
+    if not 0 <= raw < modulus:
+        raise ParseError(f"raw {raw} outside [0, {modulus})",
+                         path=path, line=lineno)
+    if times and t_ns <= times[-1]:
+        raise ParseError(f"non-monotonic timestamp {t_ns} after {times[-1]}",
+                         path=path, line=lineno)
+    try:
+        times.append(t_ns)
+    except OverflowError:
+        raise ParseError(f"timestamp {t_ns} outside the signed 64-bit range",
+                         path=path, line=lineno) from None
+    raws.append(raw)
+
+
 def parse_log(path: str) -> ParsedLog:
     """Read a session log back into immutable sample series.
 
@@ -225,113 +289,105 @@ def parse_log(path: str) -> ParsedLog:
     and raw counts are preserved bit for bit, the energy unit through its
     shortest decimal representation.
 
-    A final line without a terminating newline is treated as torn by a
-    crashed writer: it is dropped and the log is marked truncated.
+    The file is read line by line with universal newlines, so ``\\r`` and
+    ``\\r\\n`` end a line as ``\\n`` does.  Each record is appended
+    straight to its domain's two columns.  A final line without a
+    terminating newline is treated as torn by a crashed writer: it is
+    dropped and the log is marked truncated.
 
     Raises:
         ParseError: Malformed line, unknown domain, non-monotonic timestamp,
-            or out-of-range raw value (message carries path and line number).
+            out-of-range raw value, or a byte outside ASCII (message carries
+            path and line number).
         HeaderMismatchError: Record or gap before its domain header, no
             header at all, or headers disagreeing on node or epoch.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        content = fh.read()
-    torn_tail = bool(content) and not content.endswith("\n")
-    lines = content.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if torn_tail and lines:
-        dropped = lines.pop()
-        log.warning("%s: dropping unterminated final line %r", path, dropped)
-
     node_id: str | None = None
     epoch_wall_ns: int | None = None
     specs: dict[RaplDomain, CounterSpec] = {}
     gaps: dict[RaplDomain, list[int]] = {}
     # Per domain: (modulus, times, raws), also reachable by the domain's
     # header spelling so a record line costs one dict lookup.
-    columns: dict[RaplDomain, tuple[int, list[int], list[int]]] = {}
-    by_spelling: dict[str, tuple[int, list[int], list[int]]] = {}
+    columns: dict[RaplDomain, _Column] = {}
+    by_spelling: dict[str, _Column] = {}
     status = LogStatus.OPEN
-    saw_trailer = False
+    saw_trailer = torn_tail = False
 
-    for lineno, line in enumerate(lines, start=1):
-        if saw_trailer:
-            raise ParseError("content after end trailer", path=path,
-                             line=lineno)
-        if line[:1] != "#":
-            fields = line.split(",")
-            if len(fields) != 3:
-                raise ParseError(f"expected t_ns,domain,raw got {line!r}",
-                                 path=path, line=lineno)
-            t_text, domain_text, raw_text = fields
-            column = by_spelling.get(domain_text)
-            try:
-                t_ns = int(t_text)
-                if column is None:
-                    domain = RaplDomain.parse(domain_text)
-                raw = int(raw_text)
-            except (ValueError, InvalidArgumentError) as exc:
-                raise ParseError(str(exc), path=path, line=lineno) from None
-            if column is None:
-                column = columns.get(domain)
-                if column is None:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line[-1] != "\n":
+                log.warning("%s: dropping unterminated final line %r",
+                            path, line)
+                torn_tail = True
+                break
+            if saw_trailer:
+                raise ParseError("content after end trailer", path=path,
+                                 line=lineno)
+            if line[0] != "#":
+                # Fast path: the header's spelling, valid ints, in range
+                # and in order.  ``int`` ignores the raw field's newline.
+                try:
+                    t_text, domain_text, raw_text = line.split(",")
+                    modulus, times, raws = by_spelling[domain_text]
+                    t_ns = int(t_text)
+                    raw = int(raw_text)
+                    if 0 <= raw < modulus and \
+                            (not times or t_ns > times[-1]):
+                        times.append(t_ns)
+                        raws.append(raw)
+                        continue
+                except (ValueError, KeyError, OverflowError):
+                    pass
+                _append_record(line[:-1], lineno, path, by_spelling, columns)
+                continue
+            line = line[:-1]
+            error = _non_ascii(line, path, lineno)
+            if error is not None:
+                raise error
+            if line.startswith(HEADER_PREFIX):
+                kv = _parse_kv(line[len(HEADER_PREFIX):], path, lineno)
+                try:
+                    domain = RaplDomain.parse(kv["domain"])
+                    spec = CounterSpec(domain=domain,
+                                       bit_width=int(kv["bit_width"]),
+                                       energy_unit_joules=float(kv["unit_j"]))
+                    node = kv["node"]
+                    epoch = int(kv["epoch_wall_ns"])
+                except (KeyError, ValueError, InvalidArgumentError) as exc:
+                    raise ParseError(f"bad header: {exc}", path=path,
+                                     line=lineno) from None
+                if node_id is None:
+                    node_id, epoch_wall_ns = node, epoch
+                elif node != node_id or epoch != epoch_wall_ns:
                     raise HeaderMismatchError(
-                        f"{path}:{lineno}: record for {domain} before its "
+                        f"{path}:{lineno}: header disagrees with earlier "
+                        f"header (node {node!r} vs {node_id!r})")
+                if domain in specs:
+                    raise ParseError(f"duplicate header for domain {domain}",
+                                     path=path, line=lineno)
+                specs[domain] = spec
+                gaps[domain] = []
+                column = (spec.modulus, array("q"), array("Q"))
+                columns[domain] = by_spelling[kv["domain"]] = column
+            elif line.startswith(GAP_PREFIX):
+                kv = _parse_kv(line[len(GAP_PREFIX):], path, lineno)
+                try:
+                    domain = RaplDomain.parse(kv["domain"])
+                    t_ns = int(kv["t_ns"])
+                except (KeyError, ValueError, InvalidArgumentError) as exc:
+                    raise ParseError(f"bad gap marker: {exc}", path=path,
+                                     line=lineno) from None
+                if domain not in specs:
+                    raise HeaderMismatchError(
+                        f"{path}:{lineno}: gap for {domain} before its "
                         f"header")
-            modulus, times, raws = column
-            if not 0 <= raw < modulus:
-                raise ParseError(f"raw {raw} outside [0, {modulus})",
+                gaps[domain].append(t_ns)
+            elif line.startswith(END_PREFIX):
+                status = _parse_trailer(line, path, lineno)
+                saw_trailer = True
+            else:
+                raise ParseError(f"unknown directive {line.split()[0]!r}",
                                  path=path, line=lineno)
-            if times and t_ns <= times[-1]:
-                raise ParseError(
-                    f"non-monotonic timestamp {t_ns} after {times[-1]}",
-                    path=path, line=lineno)
-            times.append(t_ns)
-            raws.append(raw)
-        elif line.startswith(HEADER_PREFIX):
-            kv = _parse_kv(line[len(HEADER_PREFIX):], path, lineno)
-            try:
-                domain = RaplDomain.parse(kv["domain"])
-                spec = CounterSpec(domain=domain,
-                                   bit_width=int(kv["bit_width"]),
-                                   energy_unit_joules=float(kv["unit_j"]))
-                node = kv["node"]
-                epoch = int(kv["epoch_wall_ns"])
-            except (KeyError, ValueError, InvalidArgumentError) as exc:
-                raise ParseError(f"bad header: {exc}", path=path,
-                                 line=lineno) from None
-            if node_id is None:
-                node_id, epoch_wall_ns = node, epoch
-            elif node != node_id or epoch != epoch_wall_ns:
-                raise HeaderMismatchError(
-                    f"{path}:{lineno}: header disagrees with earlier header "
-                    f"(node {node!r} vs {node_id!r})")
-            if domain in specs:
-                raise ParseError(f"duplicate header for domain {domain}",
-                                 path=path, line=lineno)
-            specs[domain] = spec
-            gaps[domain] = []
-            column = (spec.modulus, [], [])
-            columns[domain] = by_spelling[kv["domain"]] = column
-        elif line.startswith(GAP_PREFIX):
-            kv = _parse_kv(line[len(GAP_PREFIX):], path, lineno)
-            try:
-                domain = RaplDomain.parse(kv["domain"])
-                t_ns = int(kv["t_ns"])
-            except (KeyError, ValueError, InvalidArgumentError) as exc:
-                raise ParseError(f"bad gap marker: {exc}", path=path,
-                                 line=lineno) from None
-            if domain not in specs:
-                raise HeaderMismatchError(
-                    f"{path}:{lineno}: gap for {domain} before its header")
-            gaps[domain].append(t_ns)
-        elif line.startswith(END_PREFIX):
-            status = _parse_trailer(line, path, lineno)
-            saw_trailer = True
-        else:
-            raise ParseError(f"unknown directive {line.split()[0]!r}",
-                             path=path, line=lineno)
 
     if node_id is None or epoch_wall_ns is None:
         raise HeaderMismatchError(f"{path}: no header line found")
@@ -340,8 +396,7 @@ def parse_log(path: str) -> ParsedLog:
 
     series = {
         domain: SampleSeries(node_id=node_id, spec=specs[domain],
-                             samples=tuple(map(RawSample._make,
-                                               zip(times, raws))),
+                             times=times, raws=raws,
                              epoch_wall_ns=epoch_wall_ns,
                              gap_markers=tuple(gaps[domain]))
         for domain, (_, times, raws) in columns.items()

@@ -31,7 +31,7 @@ from .accounting import (
     interval_estimate,
     node_window_energy,
 )
-from .counter import CounterSpec, RaplDomain, RawSample, build_series
+from .counter import CounterSpec, RaplDomain, SampleSeries
 from .errors import (
     InvalidArgumentError,
     SchemaViolationError,
@@ -249,15 +249,15 @@ def synthesize_counters(scenario: Scenario) -> dict[str, NodeEnergyLog]:
         spec = scenario.specs[profile.node_id]
         modulus = spec.modulus
         unit = spec.energy_unit_joules
-        samples = []
+        raws = []
         for k in range(ticks + 1):
             t_s = synth_start_s + k * interval_ns / 1e9
             joules = analytic_energy(profile, (synth_start_s, t_s))
-            samples.append(RawSample(
-                t_ns=k * interval_ns,
-                raw=math.floor(joules / unit) % modulus))
-        series = build_series(
-            profile.node_id, spec, samples,
+            raws.append(math.floor(joules / unit) % modulus)
+        series = SampleSeries(
+            node_id=profile.node_id, spec=spec,
+            times=range(0, (ticks + 1) * interval_ns, interval_ns),
+            raws=raws,
             epoch_wall_ns=scenario.wall_origin_ns + _ns(synth_start_s))
         logs[profile.node_id] = NodeEnergyLog(
             node_id=profile.node_id,
@@ -278,8 +278,8 @@ def write_log_files(scenario: Scenario, logs: Mapping[str, NodeEnergyLog],
                             log.series_by_domain.items()},
                            epoch_wall_ns=series.epoch_wall_ns)
         for domain, s in log.series_by_domain.items():
-            for sample in s.samples:
-                writer.record(sample.t_ns, domain, sample.raw)
+            for t_ns, raw in zip(s.times, s.raws):
+                writer.record(t_ns, domain, raw)
         writer.close(LogStatus.CLOSED)
         paths.append(path)
     return paths

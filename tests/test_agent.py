@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -32,7 +37,13 @@ from wattflow.errors import (
     InvalidArgumentError,
     SchemaViolationError,
 )
-from wattflow.logfile import LogStatus, log_filename, parse_log
+from wattflow.logfile import (
+    LogStatus,
+    has_record,
+    log_filename,
+    parse_log,
+    read_status,
+)
 from wattflow.signals import SessionMarker, signal_start, signal_stop
 
 S = 1_000_000_000
@@ -285,6 +296,45 @@ class TestFailureModes:
         assert agent.active_sessions == ()
         assert any("already exists" in r.message for r in caplog.records)
 
+    def test_open_session_keeps_sampling_across_failed_open(
+            self, tmp_path, caplog):
+        # The log directory moves away under a running session: its open
+        # file keeps taking records, while a session started meanwhile
+        # cannot create its log and is skipped, not fatal to the agent.
+        clock = FakeClock()
+        agent = make_agent(tmp_path, clock)
+        start_session(tmp_path, clock, "s1")
+        drive(agent, clock, 2)
+        os.rename(tmp_path / "logs", tmp_path / "moved")
+        with caplog.at_level(logging.ERROR, logger="wattflow.agent"):
+            start_session(tmp_path, clock, "s2")
+            drive(agent, clock, 3)
+        assert agent.active_sessions == ("s1",)
+        assert any("cannot create log" in r.message for r in caplog.records)
+        signal_stop(str(tmp_path / "signals"), "s1")
+        agent.tick_once(clock.mono)
+        parsed = parse_log(str(tmp_path / "moved" / log_filename("n1", "s1")))
+        assert parsed.status is LogStatus.CLOSED
+        assert [s.t_ns for s in parsed.series[RaplDomain.PACKAGE].samples] \
+            == [k * S // 2 for k in range(6)]
+
+    def test_session_after_directory_returns_records(self, tmp_path):
+        clock = FakeClock()
+        agent = make_agent(tmp_path, clock)
+        shutil.rmtree(tmp_path / "logs")
+        start_session(tmp_path, clock, "s1")
+        drive(agent, clock, 2)
+        assert agent.active_sessions == ()
+        (tmp_path / "logs").mkdir()
+        start_session(tmp_path, clock, "s2")
+        drive(agent, clock, 3)
+        signal_stop(str(tmp_path / "signals"), "s2")
+        agent.tick_once(clock.mono)
+        assert os.listdir(tmp_path / "logs") == [log_filename("n1", "s2")]
+        parsed = parse_log(log_path(tmp_path, "s2"))
+        assert parsed.status is LogStatus.CLOSED
+        assert len(parsed.series[RaplDomain.PACKAGE].samples) == 4
+
     def test_signal_dir_vanishing_truncates_all_logs(self, tmp_path):
         clock = FakeClock()
         agent = make_agent(tmp_path, clock)
@@ -370,6 +420,74 @@ class TestRunLoop:
         parsed = parse_log(log_path(tmp_path))
         assert parsed.status is LogStatus.TRUNCATED
         assert len(parsed.series[RaplDomain.PACKAGE].samples) == 2
+
+
+class TestPromptStop:
+    def test_sigterm_ends_the_wait_between_ticks(self, tmp_path):
+        # A 5 s interval: without a wakeable wait the agent would exit
+        # only at its next tick, seconds after the signal.
+        (tmp_path / "logs").mkdir()
+        (tmp_path / "signals").mkdir()
+        config = tmp_path / "agent.json"
+        config.write_text(json.dumps({
+            "node_id": "n1", "interval_ms": 5000,
+            "log_dir": str(tmp_path / "logs"),
+            "signal_dir": str(tmp_path / "signals"),
+            "max_runtime_s": 60.0,
+            "domains": [{"domain": "package", "bit_width": 32,
+                         "unit_j": 1e-6,
+                         "backend": {"kind": "mock",
+                                     "segments": [[3600.0, 100.0]]}}],
+        }), encoding="utf-8")
+        signal_start(str(tmp_path / "signals"), SessionMarker(
+            session_id="s1", created_wall_ns=time.time_ns()))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wattflow.cli", "agent",
+             "--config", str(config)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 10.0
+            while not (os.path.exists(log_path(tmp_path))
+                       and has_record(log_path(tmp_path))):
+                assert time.monotonic() < deadline, "agent never recorded"
+                time.sleep(0.05)
+            time.sleep(0.2)              # well inside the 5 s wait
+            sent = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            code = proc.wait(timeout=10.0)
+            waited = time.monotonic() - sent
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert code == 0
+        assert waited < 1.0
+        assert read_status(log_path(tmp_path)) is LogStatus.TRUNCATED
+        parsed = parse_log(log_path(tmp_path))
+        assert len(parsed.series[RaplDomain.PACKAGE].samples) == 1
+
+    def test_injected_sleep_still_drives_the_loop(self, tmp_path):
+        clock = FakeClock()
+        agent = make_agent(tmp_path, clock)
+        agent.install_signal_handlers()
+        try:
+            start_session(tmp_path, clock)
+            naps: list[float] = []
+
+            def nap(seconds: float) -> None:
+                naps.append(seconds)
+                clock.advance(seconds)
+                if len(naps) == 3:
+                    os.kill(os.getpid(), signal.SIGTERM)
+
+            agent.run(sleep=nap)
+        finally:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+        assert naps == [0.5, 0.5, 0.5]
+        parsed = parse_log(log_path(tmp_path))
+        assert parsed.status is LogStatus.TRUNCATED
+        assert len(parsed.series[RaplDomain.PACKAGE].samples) == 3
 
 
 class TestConfigDocument:

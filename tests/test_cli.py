@@ -210,6 +210,24 @@ class TestReportCommand:
         assert "duplicate task_id 'x'" in captured.err
         assert captured.out == ""
 
+    def test_non_ascii_byte_in_log_is_usage_error(self, tmp_path, capsys):
+        out = run_simulate(tmp_path)
+        log = next(os.path.join(out, name) for name in sorted(os.listdir(out))
+                   if name.startswith("rapl_"))
+        with open(log, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        lines[3] = lines[3][:-1] + b"\xe9"
+        with open(log, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        capsys.readouterr()
+        code = main(["report", "--logs", out,
+                     "--trace", os.path.join(out, "trace_demo.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == \
+            f"wattflow: error: {log}:4: non-ASCII byte 0xe9\n"
+        assert captured.out == ""
+
     def test_empty_logs_dir_is_usage_error(self, tmp_path):
         (tmp_path / "empty").mkdir()
         code = main(["report", "--logs", str(tmp_path / "empty"),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import pytest
@@ -14,6 +15,7 @@ from wattflow.counter import (
     RaplDomain,
     RawSample,
     SampleSeries,
+    SampleView,
     build_series,
     integrate_window,
     raw_delta,
@@ -320,6 +322,218 @@ class TestRawSample:
         assert DataclassSample(10, 20) != (10, 20)
         t_ns, raw = RawSample(10, 20)
         assert (t_ns, raw) == (10, 20)
+
+
+# ------------------------------------------- differential series test
+
+@dataclass(frozen=True)
+class TupleSeries:
+    """``SampleSeries`` as it was before it became columnar, kept as reference.
+
+    One ``RawSample`` per reading in a tuple, validated one by one, and
+    the unwrapped counts summed delta by delta.
+    """
+
+    spec: CounterSpec
+    samples: tuple[RawSample, ...]
+    wrap_horizon_ns: int | None = None
+
+    def __post_init__(self) -> None:
+        modulus = self.spec.modulus
+        prev_t = None
+        for s in self.samples:
+            if not 0 <= s.raw < modulus:
+                raise InvalidArgumentError(
+                    f"raw value {s.raw} outside [0, {modulus}) at t={s.t_ns}")
+            if prev_t is not None and s.t_ns <= prev_t:
+                raise InvalidArgumentError(
+                    f"non-monotonic timestamp {s.t_ns} after {prev_t}")
+            prev_t = s.t_ns
+
+    @property
+    def span_ns(self) -> tuple[int, int]:
+        return self.samples[0].t_ns, self.samples[-1].t_ns
+
+    def cumulative(self) -> tuple[list[int], list[int]]:
+        times = [s.t_ns for s in self.samples]
+        counts = [0]
+        prev = self.samples[0].raw
+        for s in self.samples[1:]:
+            counts.append(counts[-1] + (s.raw - prev) % self.spec.modulus)
+            prev = s.raw
+        return times, counts
+
+    def counts_at(self, t_ns: int) -> float:
+        times, counts = self.cumulative()
+        i = bisect.bisect_right(times, t_ns) - 1
+        if i == len(times) - 1:
+            return float(counts[-1])
+        t0, t1 = times[i], times[i + 1]
+        c0, c1 = counts[i], counts[i + 1]
+        return c0 + (c1 - c0) * ((t_ns - t0) / (t1 - t0))
+
+    def integrate(self, start_ns: int, end_ns: int) -> float:
+        counts = self.counts_at(end_ns) - self.counts_at(start_ns)
+        return max(counts, 0.0) * self.spec.energy_unit_joules
+
+    def total(self) -> float:
+        return to_joules(self.cumulative()[1][-1], self.spec).joules
+
+    def unsafe_gaps(self) -> list[tuple[int, int]]:
+        gaps = []
+        if self.wrap_horizon_ns is not None:
+            limit = self.wrap_horizon_ns // 2
+            for a, b in zip(self.samples, self.samples[1:]):
+                if b.t_ns - a.t_ns > limit:
+                    gaps.append((a.t_ns, b.t_ns))
+        return sorted(set(gaps))
+
+
+@st.composite
+def series_specs(draw) -> CounterSpec:
+    bit_width = draw(st.sampled_from((8, 20, 32, 64)))
+    wrap_modulus = draw(st.one_of(
+        st.none(),
+        st.integers(2, 2**bit_width).filter(lambda m: m & (m - 1))))
+    return spec(bit_width=bit_width, unit=draw(st.sampled_from(
+        (1e-6, 2**-14, 6.103515625e-05))), wrap_modulus=wrap_modulus)
+
+
+@st.composite
+def series_samples(draw, modulus: int, faults: bool) -> list[RawSample]:
+    t = draw(st.integers(-10**12, 10**12))
+    samples = []
+    for _ in range(draw(st.integers(0 if faults else 2, 30))):
+        samples.append(RawSample(t, draw(st.integers(0, modulus - 1))))
+        t += draw(st.integers(1, 10**10))
+    if faults and samples:
+        i = draw(st.integers(0, len(samples) - 1))
+        t_i, raw_i = samples[i]
+        fault = draw(st.sampled_from(("raw", "time", "both")))
+        if fault in ("raw", "both"):
+            raw_i = draw(st.sampled_from((modulus, modulus + 5, -1, 2**64)))
+        if fault in ("time", "both") and i:
+            t_i = samples[i - 1].t_ns - draw(st.integers(0, 3))
+        samples[i] = RawSample(t_i, raw_i)
+    return samples
+
+
+def _validation(build):
+    try:
+        build()
+    except InvalidArgumentError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestColumnarMatchesTupleSeries:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_energy_spans_and_gaps_equal(self, data):
+        s = data.draw(series_specs())
+        samples = data.draw(series_samples(s.modulus, faults=False))
+        first, last = samples[0].t_ns, samples[-1].t_ns
+        horizon = data.draw(st.integers(1, 2 * 10**10))
+        columnar = build_series("n1", s, samples, wrap_horizon_ns=horizon)
+        reference = TupleSeries(s, tuple(samples), wrap_horizon_ns=horizon)
+        assert columnar.span_ns == reference.span_ns
+        assert series_total(columnar).joules == reference.total()
+        assert integrate_window(columnar, first, last).joules \
+            == reference.integrate(first, last)
+        for _ in range(5):
+            a = data.draw(st.integers(first, last - 1))
+            b = data.draw(st.integers(a + 1, last))
+            assert integrate_window(columnar, a, b).joules \
+                == reference.integrate(a, b)
+        assert columnar.unsafe_gaps() == reference.unsafe_gaps()
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_validation_raises_the_same_error(self, data):
+        s = data.draw(series_specs())
+        samples = data.draw(series_samples(s.modulus, faults=True))
+        assert _validation(lambda: build_series("n1", s, samples)) \
+            == _validation(lambda: TupleSeries(s, tuple(samples)))
+
+    def test_sixty_four_bit_total_beyond_two_to_the_sixty_four(self):
+        # Each step advances 2**63 + 1 units, so three steps sum past
+        # 2**64 units: a 64-bit column of counts would have wrapped.
+        s = spec(bit_width=64, unit=1e-6)
+        step = 2**63 + 1
+        samples = [RawSample(k * 10**9, (k * step) % 2**64)
+                   for k in range(4)]
+        columnar = build_series("n1", s, samples)
+        reference = TupleSeries(s, tuple(samples))
+        assert reference.cumulative()[1][-1] == 3 * step > 2**64
+        assert series_total(columnar).joules == reference.total() \
+            == 3 * step * 1e-6
+        assert integrate_window(columnar, 5 * 10**8, 25 * 10**8).joules \
+            == reference.integrate(5 * 10**8, 25 * 10**8)
+
+    def test_non_power_of_two_modulus(self):
+        # powercap's max_energy_range_uj + 1: 262143328850 + 1 units.
+        s = spec(bit_width=64, wrap_modulus=262143328851)
+        raws = [262143328851 - 10**8, 10**8, 3 * 10**8, 5]
+        samples = [RawSample(k * 10**9, r) for k, r in enumerate(raws)]
+        columnar = build_series("n1", s, samples)
+        reference = TupleSeries(s, tuple(samples))
+        assert series_total(columnar).joules == reference.total()
+        assert integrate_window(columnar, 10**8, 29 * 10**8).joules \
+            == reference.integrate(10**8, 29 * 10**8)
+
+    def test_timestamp_beyond_the_signed_64_bit_column(self):
+        with pytest.raises(InvalidArgumentError,
+                           match="outside the signed 64-bit range"):
+            build_series("n1", spec(), [RawSample(0, 0),
+                                        RawSample(2**63, 1)])
+
+
+class TestSampleView:
+    SAMPLES = (RawSample(10, 1), RawSample(20, 2), RawSample(30, 3))
+
+    def view(self) -> SampleView:
+        return build_series("n1", spec(), self.SAMPLES).samples
+
+    def test_len_and_index(self):
+        view = self.view()
+        assert len(view) == 3
+        assert view[0] == RawSample(10, 1)
+        assert type(view[1]) is RawSample
+        assert view[-1] == RawSample(30, 3)
+        assert view[-3].t_ns == 10
+        with pytest.raises(IndexError):
+            view[3]
+        with pytest.raises(IndexError):
+            view[-4]
+
+    def test_slice(self):
+        view = self.view()
+        assert view[1:] == self.SAMPLES[1:]
+        assert view[::-1] == self.SAMPLES[::-1]
+        assert view[5:] == ()
+        assert isinstance(view[:2], SampleView)
+
+    def test_iteration(self):
+        assert list(self.view()) == list(self.SAMPLES)
+        assert [s.raw for s in self.view()] == [1, 2, 3]
+        assert RawSample(20, 2) in self.view()
+
+    def test_equality(self):
+        view = self.view()
+        assert view == self.SAMPLES
+        assert self.SAMPLES == view
+        assert view == ((10, 1), (20, 2), (30, 3))
+        assert view != self.SAMPLES[:2]
+        assert view != (RawSample(10, 1), RawSample(20, 2), RawSample(30, 4))
+        assert view == self.view()
+        assert view != list(self.SAMPLES)
+
+    def test_read_only(self):
+        view = self.view()
+        with pytest.raises(TypeError):
+            view[0] = RawSample(0, 0)
+        with pytest.raises(TypeError):
+            hash(view)
 
 
 class TestWrapHorizon:

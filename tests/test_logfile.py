@@ -15,7 +15,6 @@ from wattflow.counter import (
     CounterSpec,
     RaplDomain,
     RawSample,
-    SampleSeries,
     build_series,
 )
 from wattflow.errors import (
@@ -212,6 +211,63 @@ class TestParserErrors:
             fh.write("2,package,1\n")
         with pytest.raises(ParseError, match="after end trailer"):
             parse_log(path)
+
+    def test_non_ascii_byte_names_path_and_line(self, tmp_path):
+        path = write_simple_log(tmp_path, [(1, RaplDomain.PACKAGE, 0),
+                                           (2, RaplDomain.PACKAGE, 5)])
+        data = open(path, "rb").read().replace(b"2,package,5",
+                                               b"2,package,\xe95")
+        p = tmp_path / log_filename("n1", "s8")
+        p.write_bytes(data)
+        with pytest.raises(ParseError) as exc:
+            parse_log(str(p))
+        assert exc.value.line == 3
+        assert str(exc.value) == f"{p}:3: non-ASCII byte 0xe9"
+
+    def test_non_ascii_byte_in_header(self, tmp_path):
+        p = tmp_path / log_filename("n1", "s9")
+        p.write_bytes(b"#wattflow-v1 node=n\xc3\xa9 domain=package "
+                      b"bit_width=32 unit_j=1e-06 epoch_wall_ns=0\n")
+        with pytest.raises(ParseError, match=r":1: non-ASCII byte 0xc3$"):
+            parse_log(str(p))
+
+    def test_bad_line_before_bad_byte_wins(self, tmp_path):
+        # The file is read line by line, so the first bad line is reported
+        # even when a later line holds a byte outside ASCII.
+        path = write_simple_log(tmp_path, [(1, RaplDomain.PACKAGE, 0)])
+        text = open(path, "rb").read().replace(
+            b"1,package,0\n", b"1;package;0\n2,package,\xff\n")
+        p = tmp_path / log_filename("n1", "s10")
+        p.write_bytes(text)
+        with pytest.raises(ParseError, match=r":2: expected t_ns,domain,raw"):
+            parse_log(str(p))
+
+    def test_non_ascii_byte_in_torn_tail_is_dropped(self, tmp_path):
+        path = write_simple_log(tmp_path, [(1, RaplDomain.PACKAGE, 0)])
+        data = open(path, "rb").read().replace(
+            b"#wattflow-end status=closed\n", b"2,pack\xe9")
+        p = tmp_path / log_filename("n1", "s11")
+        p.write_bytes(data)
+        parsed = parse_log(str(p))
+        assert parsed.status is LogStatus.TRUNCATED
+        assert len(parsed.series[RaplDomain.PACKAGE]) == 1
+
+    def test_carriage_return_ends_a_line(self, tmp_path):
+        # Universal newlines: "\r\n" and a lone "\r" end a line as "\n"
+        # does, and count as one line each.
+        head = (f"{HEADER_PREFIX}node=n1 domain=package bit_width=32 "
+                f"unit_j=1e-06 epoch_wall_ns=7\n")
+        p = tmp_path / log_filename("n1", "cr")
+        p.write_bytes((head + "1,package,5\r\n2,package,6\r"
+                       f"{END_PREFIX}status=closed\r\n").encode())
+        parsed = parse_log(str(p))
+        assert parsed.series[RaplDomain.PACKAGE].samples == \
+            (RawSample(1, 5), RawSample(2, 6))
+        assert parsed.status is LogStatus.CLOSED
+        p.write_bytes((head + "1,package,5\r\n2,pack\rage,6\n").encode())
+        with pytest.raises(ParseError,
+                           match=":3: expected t_ns,domain,raw got '2,pack'"):
+            parse_log(str(p))
 
     def test_header_disagreement(self, tmp_path):
         p = tmp_path / log_filename("n1", "s7")
@@ -511,10 +567,9 @@ def reference_parse_log(path: str) -> ParsedLog:
         status = LogStatus.TRUNCATED
 
     series = {
-        domain: SampleSeries(node_id=node_id, spec=specs[domain],
-                             samples=tuple(samples[domain]),
+        domain: build_series(node_id, specs[domain], samples[domain],
                              epoch_wall_ns=epoch_wall_ns,
-                             gap_markers=tuple(gaps[domain]))
+                             gap_markers=gaps[domain])
         for domain in specs
     }
     return ParsedLog(path=path, node_id=node_id,
@@ -526,7 +581,8 @@ def reference_parse_log(path: str) -> ParsedLog:
 PKG, DRAM = RaplDomain.PACKAGE, RaplDomain.DRAM
 SPELLINGS = {PKG: ("package", "package", "Package", "PACKAGE"),
              DRAM: ("dram", "dram", "DRAM")}
-LINE_FAULTS = (None, None, "fields", "empty", "before_header", "append")
+LINE_FAULTS = (None, None, "fields", "empty", "before_header", "append",
+               "cr")
 T_FAULTS = (None, "underscore", "back")
 DOMAIN_FAULTS = (None, "upper", "pad", "canonical", "unknown", "undeclared")
 RAW_FAULTS = (None, "underscore", "range")
@@ -555,6 +611,9 @@ def _mutate(draw, line: str, modulus: int,
             f"{t},{dom}", f"{t},{dom},{raw},1", f"{t};{dom};{raw}", t)))
     if line_fault == "empty":
         return line_fault, ""
+    if line_fault == "cr":
+        cut = draw(st.integers(0, len(line)))
+        return line_fault, line[:cut] + "\r" + line[cut:]
     t_fault = draw(st.sampled_from(T_FAULTS))
     if t_fault == "underscore":
         t = _underscored(draw, t)
@@ -616,6 +675,15 @@ def mutated_logs(draw) -> tuple[str, bool]:
             else:
                 lines[i] = line
         lines = head + lines + tail
+    if status is not None:
+        # A "\r" ending the trailer, or on a line of its own after it.
+        trailer = next(i for i, ln in enumerate(lines)
+                       if ln.startswith(END_PREFIX))
+        after = draw(st.sampled_from((None, None, "in", "line")))
+        if after == "in":
+            lines[trailer] += "\r"
+        elif after == "line":
+            lines.insert(trailer + 1, "\r")
     text = "".join(line + "\n" for line in lines)
     torn = draw(st.booleans()) and draw(st.booleans())
     if torn and text:
