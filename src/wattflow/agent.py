@@ -2,11 +2,14 @@
 
 The agent watches a signal directory for session markers and, while any
 session is active, reads every configured counter domain once per tick and
-appends the same readings to each active session's log file.  Stopping a
-session writes one final record before the trailer; sessions whose marker
-goes stale are closed as reaped; a log that fails a write or refuses a
-reading is closed as truncated rather than killing the agent, and a session
-whose log cannot be created is skipped while the others keep sampling.
+appends the same readings to each active session's log file.  A tick's
+lines are formatted once and each log takes them in one write; counter
+files stay open between ticks, and known markers are not parsed again.
+Stopping a session writes one final record before the trailer; sessions
+whose marker goes stale are closed as reaped; a log that fails a write or
+refuses a reading is closed as truncated rather than killing the agent, and
+a session whose log cannot be created is skipped while the others keep
+sampling.
 A stop signal wakes the wait between ticks, so the agent exits at once.
 
 Clocks are injectable so the whole tick schedule can be driven
@@ -38,7 +41,7 @@ from .errors import (
     SchemaViolationError,
     WattflowError,
 )
-from .logfile import LogStatus, LogWriter, log_filename
+from .logfile import LogStatus, LogWriter, format_tick, log_filename
 from .signals import (
     DEFAULT_STALE_TIMEOUT_S,
     SessionReaped,
@@ -188,6 +191,7 @@ class SamplerAgent:
             if spec.domain not in self._backends:
                 raise InvalidArgumentError(
                     f"no backend for domain {spec.domain}")
+        self._specs = {spec.domain: spec for spec in config.domains}
         self._mono_ns = mono_ns
         self._wall_ns = wall_ns
         self._watcher = SignalWatcher(
@@ -221,10 +225,8 @@ class SamplerAgent:
                f"{log_filename(self.config.node_id, session_id)}"
         epoch_wall_ns = self._wall_ns() - self._mono_ns()
         try:
-            writer = LogWriter(
-                path, self.config.node_id,
-                {spec.domain: spec for spec in self.config.domains},
-                epoch_wall_ns=epoch_wall_ns)
+            writer = LogWriter(path, self.config.node_id, self._specs,
+                               epoch_wall_ns=epoch_wall_ns)
         except AlreadyActiveError:
             logger.warning(
                 "log %s already exists; ignoring session %s",
@@ -271,15 +273,12 @@ class SamplerAgent:
 
     def _record_all(self, readings: Mapping[RaplDomain, RawSample | None],
                     gap_t_ns: int) -> None:
-        for session_id in list(self._writers):
-            writer = self._writers[session_id]
+        """Format the tick once, in config domain order, and append it to
+        every open log."""
+        block = format_tick(self._specs, readings, gap_t_ns)
+        for session_id, writer in list(self._writers.items()):
             try:
-                for spec in self.config.domains:
-                    sample = readings[spec.domain]
-                    if sample is None:
-                        writer.gap(gap_t_ns, spec.domain)
-                    else:
-                        writer.record(sample.t_ns, spec.domain, sample.raw)
+                writer.append_tick(block)
             except (OSError, ValueError, WattflowError) as exc:
                 logger.error("log write failed for session %s (%s); "
                              "closing as truncated", session_id, exc)
@@ -318,10 +317,12 @@ class SamplerAgent:
             self._close_writer(session_id, LogStatus.CLOSED)
 
     def shutdown(self) -> None:
-        """Close every open log; called on agent exit."""
+        """Close every open log and counter file; called on agent exit."""
         self._stopping = True
         for session_id in list(self._writers):
             self._close_writer(session_id, LogStatus.TRUNCATED)
+        for backend in self._backends.values():
+            backend.close()
 
     def _sleep(self, seconds: float) -> None:
         """Sleep until the next tick, or until a stop signal arrives.

@@ -7,6 +7,13 @@ and the mock stays exactly reproducible.
 The real backends need elevated access (powercap files and /dev/cpu/*/msr are
 root-readable); the mock needs nothing and synthesizes a counter from a
 piecewise-constant power profile.
+
+The real backends open their file on the first read and keep it open: each
+later read is a ``stat`` of the path and one ``pread``, which a sysfs
+attribute answers afresh at offset 0 and a register device at the
+register's offset.  A path that names another file than the one held
+(unlinked, replaced or moved away) is opened again, and a read that fails
+drops the handle, so the caller's retry opens the file again.
 """
 
 from __future__ import annotations
@@ -87,6 +94,9 @@ class CounterBackend:
         """Effective wrap modulus; backends may refine the spec default."""
         return spec.modulus
 
+    def close(self) -> None:
+        """Release what the backend keeps open between reads, if anything."""
+
 
 class MockBackend(CounterBackend):
     """Synthetic counter: cumulative profile energy reduced by the modulus.
@@ -118,19 +128,69 @@ _POWERCAP_ZONE_NAMES = {
 }
 
 
-def _read_int_file(path: str) -> int:
-    try:
-        with open(path, "r") as fh:
-            text = fh.read().strip()
-    except FileNotFoundError:
-        raise DeviceAbsentError(f"no such counter file: {path}") from None
-    except PermissionError:
-        raise PermissionDeniedError(
-            f"cannot read {path}; energy counters need elevated access") from None
+# A sysfs attribute is at most one page, and reads whole at offset 0.
+_ATTRIBUTE_BYTES = 4096
+
+
+class _KeptFile:
+    """A counter file opened on its first read and kept open for later ones.
+
+    Each read first stats the path: when it names another file than the
+    handle holds (unlinked, replaced with ``os.replace`` or moved away), the
+    path is opened again, so a read always sees what the path names now, as
+    an open per read did.  A failed read closes the handle and raises
+    :class:`DeviceAbsentError`, so a retry reopens.
+    """
+
+    def __init__(self, path: str, absent: str, denied: str) -> None:
+        self.path = path
+        self._absent = absent
+        self._denied = denied
+        self._fd: int | None = None
+        self._identity = (0, 0)     # (st_dev, st_ino) of the open file
+
+    def pread(self, size: int, offset: int) -> bytes:
+        try:
+            st = os.stat(self.path)
+            if self._fd is not None and \
+                    (st.st_dev, st.st_ino) != self._identity:
+                self.close()
+            if self._fd is None:
+                self._fd = os.open(self.path, os.O_RDONLY)
+                st = os.fstat(self._fd)
+                self._identity = (st.st_dev, st.st_ino)
+            return os.pread(self._fd, size, offset)
+        except FileNotFoundError:
+            self.close()
+            raise DeviceAbsentError(self._absent) from None
+        except PermissionError:
+            self.close()
+            raise PermissionDeniedError(self._denied) from None
+        except OSError as exc:
+            self.close()
+            raise DeviceAbsentError(
+                f"cannot read {self.path}: {exc}") from None
+
+    def close(self) -> None:
+        fd, self._fd = self._fd, None
+        if fd is not None:
+            os.close(fd)
+
+
+def _powercap_file(path: str) -> _KeptFile:
+    return _KeptFile(
+        path, f"no such counter file: {path}",
+        f"cannot read {path}; energy counters need elevated access")
+
+
+def _read_int(kept: _KeptFile) -> int:
+    """The integer an attribute file holds, read whole at offset 0."""
+    text = kept.pread(_ATTRIBUTE_BYTES, 0).decode("utf-8", "replace").strip()
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"expected integer, got {text!r}", path=path) from None
+        raise ParseError(f"expected integer, got {text!r}",
+                         path=kept.path) from None
 
 
 class PowercapBackend(CounterBackend):
@@ -143,9 +203,13 @@ class PowercapBackend(CounterBackend):
 
     def __init__(self, zone_dir: str) -> None:
         self.zone_dir = zone_dir
-        self._energy_path = os.path.join(zone_dir, "energy_uj")
-        self._max_range = _read_int_file(
+        self._energy = _powercap_file(os.path.join(zone_dir, "energy_uj"))
+        max_range = _powercap_file(
             os.path.join(zone_dir, "max_energy_range_uj"))
+        try:
+            self._max_range = _read_int(max_range)
+        finally:
+            max_range.close()
         if self._max_range <= 0:
             raise ParseError(f"non-positive max_energy_range_uj "
                              f"{self._max_range}", path=zone_dir)
@@ -184,7 +248,10 @@ class PowercapBackend(CounterBackend):
             raise InvalidArgumentError(
                 f"powercap reports microjoules; spec declares unit "
                 f"{spec.energy_unit_joules}")
-        return RawSample(t_ns=now_ns, raw=_read_int_file(self._energy_path))
+        return RawSample(t_ns=now_ns, raw=_read_int(self._energy))
+
+    def close(self) -> None:
+        self._energy.close()
 
 
 _MSR_ENERGY_STATUS = {
@@ -206,26 +273,21 @@ class MsrBackend(CounterBackend):
 
     def __init__(self, device_path: str = "/dev/cpu/0/msr") -> None:
         self.device_path = device_path
+        self._device = _KeptFile(
+            device_path,
+            f"no MSR device at {device_path}; is the msr module loaded?",
+            f"cannot open {device_path}; reading energy registers needs "
+            f"elevated access")
 
     def read(self, spec: CounterSpec, now_ns: int) -> RawSample:
         offset = _MSR_ENERGY_STATUS[spec.domain]
-        try:
-            fd = os.open(self.device_path, os.O_RDONLY)
-        except FileNotFoundError:
-            raise DeviceAbsentError(
-                f"no MSR device at {self.device_path}; is the msr module "
-                f"loaded?") from None
-        except PermissionError:
-            raise PermissionDeniedError(
-                f"cannot open {self.device_path}; reading energy registers "
-                f"needs elevated access") from None
-        try:
-            data = os.pread(fd, 8, offset)
-        finally:
-            os.close(fd)
+        data = self._device.pread(8, offset)
         if len(data) != 8:
             raise ParseError(
                 f"short read ({len(data)} bytes) at register {offset:#x}",
                 path=self.device_path)
         value = struct.unpack("<Q", data)[0]
         return RawSample(t_ns=now_ns, raw=value & ((1 << spec.bit_width) - 1))
+
+    def close(self) -> None:
+        self._device.close()

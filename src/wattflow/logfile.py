@@ -24,6 +24,11 @@ first failure.  Nothing but the columns grows with the log.
 :func:`read_status` answers "has this log closed?" from the file's tail
 alone, and :func:`has_record` answers "has this log a record yet?" from
 its head, for callers that poll a growing log.
+
+The sampling agent appends the same lines to every open session log each
+tick, so :func:`format_tick` formats a tick once, making the checks that
+do not depend on a log's history, and :meth:`LogWriter.append_tick` adds
+each log's own timestamp check and appends the block in one write.
 """
 
 from __future__ import annotations
@@ -34,9 +39,9 @@ import re
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Mapping
+from typing import Mapping
 
-from .counter import CounterSpec, RaplDomain, SampleSeries
+from .counter import CounterSpec, RaplDomain, RawSample, SampleSeries
 from .errors import (
     AlreadyActiveError,
     HeaderMismatchError,
@@ -102,12 +107,73 @@ def format_record(t_ns: int, domain: RaplDomain, raw: int) -> str:
     return f"{t_ns},{domain},{raw}"
 
 
+@dataclass(frozen=True)
+class TickBlock:
+    """One sampling tick's lines, formatted once for every log it goes to.
+
+    ``data`` holds the tick's encoded record and gap lines, up to the first
+    reading the logs refuse whatever their history: a domain without a
+    header, or a raw count outside the counter's modulus.  ``refusal`` is
+    that refusal's message, or None when every reading was taken.
+    ``stamps`` holds, for each record line, the offset in ``data`` where
+    it starts, its domain's name and its timestamp, for each log to check
+    against its own last timestamp.
+    """
+
+    data: bytes
+    stamps: tuple[tuple[int, str, int], ...]
+    refusal: str | None
+
+
+def format_tick(specs: Mapping[RaplDomain, CounterSpec],
+                readings: Mapping[RaplDomain, RawSample | None],
+                gap_t_ns: int) -> TickBlock:
+    """Format one tick's readings, in the mapping's order, for logs whose
+    headers are ``specs``.
+
+    A reading of None becomes a gap marker at ``gap_t_ns``, as
+    :meth:`LogWriter.gap` writes it; any other becomes a record line, as
+    :meth:`LogWriter.record` writes it, once its domain has a header and
+    its raw count lies inside the modulus.  The first reading that fails
+    either check ends the block (see :class:`TickBlock`).
+    """
+    data = b""
+    stamps: list[tuple[int, str, int]] = []
+    refusal = None
+    for domain, sample in readings.items():
+        spec = specs.get(domain)
+        if spec is None:
+            refusal = f"domain {domain} has no header in this log"
+            break
+        if sample is None:
+            data += _gap_line(gap_t_ns, domain)
+            continue
+        t_ns, raw = sample
+        modulus = spec.modulus
+        if not 0 <= raw < modulus:
+            refusal = f"raw {raw} outside [0, {modulus}) for {domain}"
+            break
+        stamps.append((len(data), str(domain), t_ns))
+        data += _record_line(t_ns, domain, raw)
+    return TickBlock(data=data, stamps=tuple(stamps), refusal=refusal)
+
+
+def _record_line(t_ns: int, domain: RaplDomain, raw: int) -> bytes:
+    return (format_record(t_ns, domain, raw) + "\n").encode("ascii")
+
+
+def _gap_line(t_ns: int, domain: RaplDomain) -> bytes:
+    return f"{GAP_PREFIX}t_ns={t_ns} domain={domain}\n".encode("ascii")
+
+
 class LogWriter:
     """Single-writer appender for one session log.
 
     Creates the file exclusively, writes all domain headers up front, then
-    appends records with a flush per line so concurrent readers on shared
-    storage never see torn lines held in a userspace buffer.
+    appends each record, gap marker or tick block with one unbuffered
+    write, so concurrent readers on shared storage never see torn lines
+    held in a userspace buffer.  Timestamps are checked per domain, keyed
+    by the domain's name as the log spells it.
     """
 
     def __init__(self, path: str, node_id: str,
@@ -119,50 +185,83 @@ class LogWriter:
         self.node_id = node_id
         self.specs = dict(specs)
         self.epoch_wall_ns = epoch_wall_ns
-        self._last_t: dict[RaplDomain, int] = {}
+        self._last_t: dict[str, int] = {}
         self._closed = False
         try:
-            self._fh: IO[str] = open(path, "x", encoding="ascii")
+            self._fh = open(path, "xb", buffering=0)
         except FileExistsError:
             raise AlreadyActiveError(
                 f"session log {path} already exists") from None
-        for spec in self.specs.values():
-            self._fh.write(format_header(node_id, spec, epoch_wall_ns) + "\n")
-        self._fh.flush()
+        self._write("".join(
+            format_header(node_id, spec, epoch_wall_ns) + "\n"
+            for spec in self.specs.values()).encode("ascii"))
 
     def record(self, t_ns: int, domain: RaplDomain, raw: int) -> None:
         spec = self._spec_for(domain)
         if not 0 <= raw < spec.modulus:
             raise InvalidArgumentError(
                 f"raw {raw} outside [0, {spec.modulus}) for {domain}")
-        last = self._last_t.get(domain)
+        name = str(domain)
+        last = self._last_t.get(name)
         if last is not None and t_ns <= last:
             raise InvalidArgumentError(
                 f"non-monotonic timestamp {t_ns} after {last} for {domain}")
-        self._last_t[domain] = t_ns
-        self._fh.write(format_record(t_ns, domain, raw) + "\n")
-        self._fh.flush()
+        self._last_t[name] = t_ns
+        self._write(_record_line(t_ns, domain, raw))
 
     def gap(self, t_ns: int, domain: RaplDomain) -> None:
         self._spec_for(domain)
-        self._fh.write(f"{GAP_PREFIX}t_ns={t_ns} domain={domain}\n")
-        self._fh.flush()
+        self._write(_gap_line(t_ns, domain))
+
+    def append_tick(self, block: TickBlock) -> None:
+        """Append a tick that :func:`format_tick` formatted for this log's
+        headers, in one write.
+
+        Ends as the same calls of :meth:`record` and :meth:`gap` would:
+        a record whose timestamp is not after its domain's last one, or the
+        block's refusal, raises :class:`InvalidArgumentError` once the
+        lines before it are written.
+        """
+        last_t = self._last_t
+        data, refusal = block.data, block.refusal
+        for start, name, t_ns in block.stamps:
+            last = last_t.get(name)
+            if last is not None and t_ns <= last:
+                data = data[:start]
+                refusal = (f"non-monotonic timestamp {t_ns} after {last} "
+                           f"for {name}")
+                break
+            last_t[name] = t_ns
+        if data:
+            self._write(data)
+        if refusal is not None:
+            raise InvalidArgumentError(refusal)
 
     def close(self, status: LogStatus = LogStatus.CLOSED) -> None:
         if self._closed:
             return
         if status is LogStatus.OPEN:
             raise InvalidArgumentError("cannot close a log with status open")
-        self._fh.write(f"{END_PREFIX}status={status.value}\n")
-        self._fh.flush()
-        self._fh.close()
-        self._closed = True
+        try:
+            self._write(f"{END_PREFIX}status={status.value}\n"
+                        .encode("ascii"))
+        finally:
+            self._fh.close()
+            self._closed = True
 
     def abandon(self) -> None:
         """Release the handle without a trailer (simulates a writer crash)."""
         if not self._closed:
             self._fh.close()
             self._closed = True
+
+    def _write(self, data: bytes) -> None:
+        """One write of ``data``, repeated only for what a short write
+        left."""
+        written = self._fh.write(data)
+        while written < len(data):
+            data = data[written:]
+            written = self._fh.write(data)
 
     def _spec_for(self, domain: RaplDomain) -> CounterSpec:
         try:
@@ -410,18 +509,19 @@ def parse_log(path: str) -> ParsedLog:
 def has_record(path: str) -> bool:
     """Whether a log holds a complete record line, read from its head.
 
-    Reads lines until the first complete one that is not a ``#``
-    directive; a torn last line does not count.  Costs the header lines
-    and one record however long the log is.
+    Reads lines as :func:`parse_log` does, with universal newlines, until
+    the first complete one that is not a ``#`` directive; a torn last line
+    does not count.  Costs the header lines and one record however long
+    the log is.
 
     Raises:
         OSError: The file cannot be opened or read.
     """
-    with open(path, "rb") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for line in fh:
-            if not line.endswith(b"\n"):
+            if line[-1] != "\n":
                 return False
-            if not line.startswith(b"#"):
+            if line[0] != "#":
                 return True
     return False
 
@@ -432,8 +532,9 @@ def read_status(path: str) -> LogStatus:
     Returns the trailer's status when the last complete line is a trailer,
     ``TRUNCATED`` when the file ends inside a line (a torn tail, as
     :func:`parse_log` reads it), and ``OPEN`` otherwise, including when
-    content follows a trailer.  Costs a few small reads however long the
-    log is, so a caller can poll it while the writer finishes.
+    content follows a trailer.  Lines end as :func:`parse_log` ends them:
+    at ``\n``, ``\r\n`` or ``\r``.  Costs a few small reads however long
+    the log is, so a caller can poll it while the writer finishes.
 
     Raises:
         OSError: The file cannot be opened or read.
@@ -444,17 +545,18 @@ def read_status(path: str) -> LogStatus:
         if end == 0:
             return LogStatus.OPEN
         fh.seek(end - 1)
-        if fh.read(1) != b"\n":
+        if fh.read(1) not in (b"\n", b"\r"):
             return LogStatus.TRUNCATED
-        # Read backwards until the newline before the last line, if any.
-        tail = b"\n"
-        pos = end - 1
-        while pos > 0 and b"\n" not in tail[:-1]:
+        # Read backwards until the line break before the last line, if any.
+        pos, tail, start = end, b"", -1
+        while pos > 0 and start < 0:
             step = min(_TAIL_BLOCK, pos)
             pos -= step
             fh.seek(pos)
             tail = fh.read(step) + tail
-    last = tail[tail.rfind(b"\n", 0, len(tail) - 1) + 1:-1]
+            body = tail[:-2] if tail.endswith(b"\r\n") else tail[:-1]
+            start = max(body.rfind(b"\n"), body.rfind(b"\r"))
+    last = body[start + 1:]
     if not last.startswith(_END_PREFIX_BYTES):
         return LogStatus.OPEN
     return _parse_trailer(last.decode("ascii", "replace"), path, None)

@@ -196,7 +196,10 @@ class SignalWatcher:
     Reaped so consumers see a complete session lifecycle.
 
     ``poll_once`` does one scan and returns the new events; the caller
-    decides how often to poll.
+    decides how often to poll.  The file name of each active or reaped
+    session is remembered, so a scan costs a set lookup per known marker;
+    only new names are parsed, and an unreadable marker is retried on
+    every scan.
     """
 
     def __init__(self, signal_dir: str,
@@ -210,6 +213,8 @@ class SignalWatcher:
         self._wall_ns = wall_ns
         self._active: dict[str, SessionMarker] = {}
         self._reaped: set[str] = set()
+        # File name -> session id, for every session active or reaped.
+        self._known: dict[str, str] = {}
         self._bad_markers: set[str] = set()
         self.failed = False
 
@@ -224,13 +229,16 @@ class SignalWatcher:
                 f"signal directory vanished: {self.signal_dir}")]
         events: list[SessionEvent] = []
         present: set[str] = set()
+        known = self._known
         for name in names:
+            sid = known.get(name)
+            if sid is not None:
+                present.add(sid)
+                continue
             sid = session_id_from_marker_name(name)
             if sid is None:
                 continue
             present.add(sid)
-            if sid in self._active or sid in self._reaped:
-                continue
             path = os.path.join(self.signal_dir, name)
             try:
                 marker = parse_marker(path)
@@ -246,19 +254,24 @@ class SignalWatcher:
                     self._bad_markers.add(name)
                 continue
             self._active[sid] = marker
+            known[name] = sid
             events.append(SessionStarted(marker))
 
-        for sid in sorted(set(self._active) - present):
+        for sid in sorted(self._active.keys() - present):
             del self._active[sid]
+            del known[marker_filename(sid)]
             events.append(SessionStopped(sid))
-        self._reaped &= present
-        self._bad_markers &= {n for n in names}
+        for sid in self._reaped - present:
+            self._reaped.discard(sid)
+            del known[marker_filename(sid)]
+        if self._bad_markers:
+            self._bad_markers.intersection_update(names)
 
         now = self._wall_ns()
         horizon_ns = int(self.stale_timeout_s * 1e9)
-        for sid in sorted(self._active):
-            if now - self._active[sid].created_wall_ns > horizon_ns:
-                del self._active[sid]
-                self._reaped.add(sid)
-                events.append(SessionReaped(sid))
+        for sid in sorted(sid for sid, marker in self._active.items()
+                          if now - marker.created_wall_ns > horizon_ns):
+            del self._active[sid]
+            self._reaped.add(sid)
+            events.append(SessionReaped(sid))
         return events

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import logging
 import os
@@ -12,7 +14,10 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from wattflow import signals
 from wattflow.agent import (
     SamplerAgent,
     SamplerConfig,
@@ -36,6 +41,7 @@ from wattflow.errors import (
     DeviceAbsentError,
     InvalidArgumentError,
     SchemaViolationError,
+    WattflowError,
 )
 from wattflow.logfile import (
     LogStatus,
@@ -242,11 +248,13 @@ class TestFailureModes:
         start_session(tmp_path, clock)
         drive(agent, clock, 3)
         writer = agent._writers["s1"]
+        handle_write = writer._fh.write
 
-        def broken_record(t_ns, domain, raw):
+        def disk_full_once(text):
+            writer._fh.write = handle_write     # the trailer still fits
             raise OSError("disk full")
 
-        writer.record = broken_record
+        writer._fh.write = disk_full_once
         agent.tick_once(clock.mono)
         assert agent.active_sessions == ()
         parsed = parse_log(log_path(tmp_path))
@@ -545,3 +553,287 @@ class TestConfigDocument:
             build_backend(SPEC, {"segments": []})
         with pytest.raises(SchemaViolationError):
             build_backend(SPEC, {"kind": "mock"})
+
+
+# ------------------------------------------- one write per log per tick
+
+def reference_record_all(agent: SamplerAgent, readings, gap_t_ns: int
+                         ) -> None:
+    """The per-record ``_record_all`` that wrote each line of a tick to
+    each log with its own call, kept as the reference."""
+    for session_id in list(agent._writers):
+        writer = agent._writers[session_id]
+        try:
+            for spec in agent.config.domains:
+                sample = readings[spec.domain]
+                if sample is None:
+                    writer.gap(gap_t_ns, spec.domain)
+                else:
+                    writer.record(sample.t_ns, spec.domain, sample.raw)
+        except (OSError, ValueError, WattflowError):
+            agent._close_writer(session_id, LogStatus.TRUNCATED)
+
+
+class ScriptedBackend(CounterBackend):
+    """Reads as told before each tick: a raw count, after one failure or
+    not, or two failures (a gap)."""
+
+    def __init__(self) -> None:
+        self.outcome: tuple[str, int] = ("ok", 0)
+        self.calls = 0
+
+    def set(self, outcome: tuple[str, int]) -> None:
+        self.outcome, self.calls = outcome, 0
+
+    def read(self, spec: CounterSpec, now_ns: int) -> RawSample:
+        kind, raw = self.outcome
+        self.calls += 1
+        if kind == "gap" or (kind == "retry" and self.calls == 1):
+            raise DeviceAbsentError("scripted failure")
+        return RawSample(t_ns=now_ns, raw=raw)
+
+
+# Mostly good readings; a gap, a retried read, or a raw count at or
+# above the modulus now and then.
+READ_KINDS = ("ok",) * 15 + ("retry", "retry", "gap", "gap", "over")
+
+
+@st.composite
+def read_outcomes(draw, modulus: int) -> tuple[str, int]:
+    kind = draw(st.sampled_from(READ_KINDS))
+    if kind == "over":
+        return kind, modulus + draw(st.integers(0, 3))
+    return kind, draw(st.integers(0, modulus - 1))
+
+
+@st.composite
+def tick_schedules(draw):
+    """Domains in config order, and per tick: the clock step in half
+    seconds (0 repeats the last timestamp), a session to start and the age
+    of its marker (old markers are reaped a few ticks later), a marker to
+    remove, each domain's reading, and whether one open log's writes start
+    to fail."""
+    domains = draw(st.permutations(list(RaplDomain)))
+    domains = domains[:draw(st.integers(1, 5))]
+    specs = tuple(CounterSpec(domain=d,
+                              bit_width=draw(st.sampled_from((8, 16, 32))),
+                              energy_unit_joules=1e-6) for d in domains)
+    ticks = [dict(step=draw(st.sampled_from((0, 1, 1, 1, 1))),
+                  start=draw(st.sampled_from((None, None, 0.0, 0.0, 1.2,
+                                              2.9))),
+                  stop=draw(st.sampled_from((None,) * 4 + (0, 1, 2))),
+                  reads=[draw(read_outcomes(spec.modulus))
+                         for spec in specs],
+                  break_writes=draw(st.integers(0, 11)) == 0)
+             for _ in range(draw(st.integers(1, 24)))]
+    return specs, ticks
+
+
+_RUNS = itertools.count()
+
+
+def disk_full(data):
+    raise OSError("disk full")
+
+
+def run_both(base, specs, ticks) -> tuple[str, str]:
+    """Drive an agent and a reference agent through one schedule in
+    lockstep, sharing the signal directory and the clock."""
+    clock = FakeClock()
+    sigs = base / "signals"
+    sigs.mkdir(parents=True)
+    agents, scripted = [], []
+    for name in ("new", "ref"):
+        (base / name).mkdir()
+        backends = {spec.domain: ScriptedBackend() for spec in specs}
+        config = SamplerConfig(node_id="n1", domains=specs,
+                               log_dir=str(base / name),
+                               signal_dir=str(sigs), stale_timeout_s=3.0)
+        agent = SamplerAgent(config, backends, mono_ns=clock.mono_ns,
+                             wall_ns=clock.wall_ns)
+        agents.append(agent)
+        scripted.append(backends)
+    new, ref = agents
+    ref._record_all = functools.partial(reference_record_all, ref)
+    broken = False
+    for k, tick in enumerate(ticks):
+        if tick["start"] is not None:
+            signal_start(str(sigs), SessionMarker(
+                session_id=f"s{k}",
+                created_wall_ns=clock.wall - round(tick["start"] * S)))
+        if tick["stop"] is not None:
+            present = sorted(os.listdir(sigs))
+            if present:
+                os.unlink(sigs / present[tick["stop"] % len(present)])
+        if tick["break_writes"] and not broken and new.active_sessions:
+            sid = new.active_sessions[-1]
+            for agent in agents:
+                agent._writers[sid]._fh.write = disk_full
+            broken = True
+        for backends in scripted:
+            for spec, outcome in zip(specs, tick["reads"]):
+                backends[spec.domain].set(outcome)
+        clock.advance(0.5 * tick["step"])
+        for agent in agents:
+            agent.tick_once(clock.mono)
+        assert new.active_sessions == ref.active_sessions
+    for agent in agents:
+        agent.shutdown()
+    return str(base / "new"), str(base / "ref")
+
+
+def read_dir(path: str) -> dict[str, bytes]:
+    out = {}
+    for name in sorted(os.listdir(path)):
+        with open(os.path.join(path, name), "rb") as fh:
+            out[name] = fh.read()
+    return out
+
+
+class TestTickMatchesPerRecordWrites:
+    @given(schedule=tick_schedules())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_logs_byte_identical_to_reference(self, tmp_path, schedule):
+        specs, ticks = schedule
+        new, ref = run_both(tmp_path / f"run{next(_RUNS)}", specs, ticks)
+        assert read_dir(new) == read_dir(ref)
+
+    def test_partial_tick_before_refused_reading_is_kept(self, tmp_path):
+        # Package reads fine, dram beyond its modulus: the package line of
+        # that tick is written, then the log closes as truncated.
+        specs = (SPEC, CounterSpec(domain=RaplDomain.DRAM, bit_width=8,
+                                   energy_unit_joules=1e-6))
+        ticks = [dict(step=1, start=0.0, stop=None, break_writes=False,
+                      reads=[("ok", 5), ("ok", 7)]),
+                 dict(step=1, start=None, stop=None, break_writes=False,
+                      reads=[("ok", 6), ("over", 256)])]
+        new, ref = run_both(tmp_path, specs, ticks)
+        logs = read_dir(new)
+        assert logs == read_dir(ref)
+        text = logs[log_filename("n1", "s0")].decode().splitlines()
+        assert text[-2:] == ["1000000000,package,6",
+                             "#wattflow-end status=truncated"]
+
+    def test_repeated_timestamp_spares_a_new_session(self, tmp_path):
+        ticks = [dict(step=1, start=0.0, stop=None, break_writes=False,
+                      reads=[("ok", 5)]),
+                 dict(step=0, start=0.0, stop=None, break_writes=False,
+                      reads=[("ok", 6)])]
+        new, ref = run_both(tmp_path, (SPEC,), ticks)
+        logs = read_dir(new)
+        assert logs == read_dir(ref)
+        first = logs[log_filename("n1", "s0")].decode().splitlines()
+        second = logs[log_filename("n1", "s1")].decode().splitlines()
+        assert first[-1] == "#wattflow-end status=truncated"
+        assert second[1:] == ["500000000,package,6",
+                              "#wattflow-end status=truncated"]
+
+
+class TestTickCost:
+    """Counts, not timings: what one tick does with N open sessions."""
+
+    SESSIONS = 5
+
+    def make(self, tmp_path):
+        zone = tmp_path / "zone"
+        zone.mkdir()
+        (zone / "energy_uj").write_text("1000\n")
+        (zone / "max_energy_range_uj").write_text(f"{2**32 - 1}\n")
+        dram = CounterSpec(domain=RaplDomain.DRAM, bit_width=32,
+                           energy_unit_joules=1e-6)
+        (tmp_path / "logs").mkdir()
+        (tmp_path / "signals").mkdir()
+        clock = FakeClock()
+        config = SamplerConfig(
+            node_id="n1", domains=(SPEC, dram),
+            log_dir=str(tmp_path / "logs"),
+            signal_dir=str(tmp_path / "signals"))
+        agent = SamplerAgent(
+            config, {SPEC.domain: PowercapBackend(str(zone)),
+                     dram.domain: MockBackend(MockProfile(
+                         segments=((3600.0, 10.0),), spec=dram))},
+            mono_ns=clock.mono_ns, wall_ns=clock.wall_ns)
+        return agent, clock
+
+    def counters(self, monkeypatch) -> dict[str, int]:
+        counts = {"energy_opens": 0, "name_parses": 0, "marker_parses": 0}
+        real_open = os.open
+        real_name = signals.session_id_from_marker_name
+        real_marker = signals.parse_marker
+
+        def open_(path, *args, **kwargs):
+            if str(path).endswith("energy_uj"):
+                counts["energy_opens"] += 1
+            return real_open(path, *args, **kwargs)
+
+        def name(text):
+            counts["name_parses"] += 1
+            return real_name(text)
+
+        def marker(path):
+            counts["marker_parses"] += 1
+            return real_marker(path)
+
+        monkeypatch.setattr(os, "open", open_)
+        monkeypatch.setattr(signals, "session_id_from_marker_name", name)
+        monkeypatch.setattr(signals, "parse_marker", marker)
+        return counts
+
+    def count_writes(self, agent) -> dict[str, list]:
+        written: dict[str, list] = {}
+        for sid, writer in agent._writers.items():
+            real = writer._fh.write
+            calls = written[sid] = []
+
+            def write(data, real=real, calls=calls):
+                calls.append(data)
+                return real(data)
+
+            writer._fh.write = write
+        return written
+
+    def test_one_write_per_log_and_no_reopen_or_reparse(self, tmp_path,
+                                                        monkeypatch):
+        agent, clock = self.make(tmp_path)
+        for i in range(self.SESSIONS):
+            start_session(tmp_path, clock, f"s{i}")
+        drive(agent, clock, 2)
+        counts = self.counters(monkeypatch)
+        written = self.count_writes(agent)
+        drive(agent, clock, 3)
+        assert {sid: len(calls) for sid, calls in written.items()} == \
+            {f"s{i}": 3 for i in range(self.SESSIONS)}
+        assert counts == {"energy_opens": 0, "name_parses": 0,
+                          "marker_parses": 0}
+        agent.shutdown()
+
+    def test_each_new_marker_parsed_once(self, tmp_path, monkeypatch):
+        agent, clock = self.make(tmp_path)
+        start_session(tmp_path, clock, "s0")
+        drive(agent, clock, 1)
+        counts = self.counters(monkeypatch)
+        for i in range(1, 4):
+            start_session(tmp_path, clock, f"s{i}")
+            drive(agent, clock, 3)
+        assert agent.active_sessions == ("s0", "s1", "s2", "s3")
+        agent.shutdown()
+        assert counts["marker_parses"] == 3
+        assert counts["name_parses"] == 3
+
+    def test_shutdown_closes_counter_files(self, tmp_path):
+        class Closing(CounterBackend):
+            closed = 0
+
+            def read(self, spec, now_ns):
+                return RawSample(t_ns=now_ns, raw=0)
+
+            def close(self):
+                self.closed += 1
+
+        clock = FakeClock()
+        backend = Closing()
+        agent = make_agent(tmp_path, clock, backend=backend)
+        agent.tick_once(clock.mono)
+        agent.shutdown()
+        assert backend.closed == 1

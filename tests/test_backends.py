@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import errno
 import os
 import struct
 
 import pytest
 
+from wattflow import backends
 from wattflow.backends import (
     MockBackend,
     MockProfile,
@@ -154,6 +156,110 @@ class TestPowercapBackend:
         os.unlink(zone / "energy_uj")
         with pytest.raises(DeviceAbsentError):
             backend.read(mock_spec(), 0)
+
+
+def counting_opens(monkeypatch, suffix: str) -> list[str]:
+    """Record every ``os.open`` of a path ending in ``suffix``."""
+    opened: list[str] = []
+    real_open = os.open
+
+    def open_(path, *args, **kwargs):
+        if str(path).endswith(suffix):
+            opened.append(str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", open_)
+    return opened
+
+
+class TestKeptHandles:
+    """The real backends keep their file open and ``pread`` it each read."""
+
+    def test_value_rewritten_in_place_is_read_fresh(self, tmp_path,
+                                                   monkeypatch):
+        zone = make_powercap_zone(tmp_path, energy=5)
+        backend = PowercapBackend(str(zone))
+        opened = counting_opens(monkeypatch, "energy_uj")
+        assert backend.read(mock_spec(), 0).raw == 5
+        for value in (1234567, 8, 2**32 - 1):
+            with open(zone / "energy_uj", "w", encoding="ascii") as fh:
+                fh.write(f"{value}\n")     # same inode, new content
+            assert backend.read(mock_spec(), 0).raw == value
+        assert len(opened) == 1
+
+    def test_replaced_file_gives_new_value(self, tmp_path):
+        zone = make_powercap_zone(tmp_path, energy=5)
+        backend = PowercapBackend(str(zone))
+        assert backend.read(mock_spec(), 0).raw == 5
+        (zone / "next").write_text("77\n")
+        os.replace(zone / "next", zone / "energy_uj")
+        assert backend.read(mock_spec(), 0).raw == 77
+
+    def test_file_moved_away_reads_the_new_one(self, tmp_path):
+        zone = make_powercap_zone(tmp_path, energy=5)
+        backend = PowercapBackend(str(zone))
+        assert backend.read(mock_spec(), 0).raw == 5
+        os.rename(zone / "energy_uj", zone / "old")
+        (zone / "energy_uj").write_text("9\n")
+        assert backend.read(mock_spec(), 0).raw == 9
+
+    def test_unlinked_file_after_a_read_is_absent(self, tmp_path):
+        zone = make_powercap_zone(tmp_path)
+        backend = PowercapBackend(str(zone))
+        backend.read(mock_spec(), 0)
+        os.unlink(zone / "energy_uj")
+        with pytest.raises(DeviceAbsentError, match="no such counter file"):
+            backend.read(mock_spec(), 0)
+
+    def test_failed_read_reopens_on_retry(self, tmp_path, monkeypatch):
+        zone = make_powercap_zone(tmp_path, energy=5)
+        backend = PowercapBackend(str(zone))
+        opened = counting_opens(monkeypatch, "energy_uj")
+        assert backend.read(mock_spec(), 0).raw == 5
+        real_pread = os.pread
+        failures = [OSError(errno.EIO, "Input/output error")]
+
+        def pread(fd, size, offset):
+            if failures:
+                raise failures.pop()
+            return real_pread(fd, size, offset)
+
+        monkeypatch.setattr(backends.os, "pread", pread)
+        with pytest.raises(DeviceAbsentError, match="Input/output error"):
+            backend.read(mock_spec(), 0)
+        assert backend.read(mock_spec(), 0).raw == 5
+        assert len(opened) == 2
+
+    def test_close_releases_and_a_later_read_reopens(self, tmp_path,
+                                                     monkeypatch):
+        zone = make_powercap_zone(tmp_path, energy=5)
+        backend = PowercapBackend(str(zone))
+        opened = counting_opens(monkeypatch, "energy_uj")
+        backend.read(mock_spec(), 0)
+        backend.close()
+        backend.close()
+        assert backend.read(mock_spec(), 0).raw == 5
+        assert len(opened) == 2
+
+    def test_garbage_after_a_good_read_is_parse_error(self, tmp_path):
+        zone = make_powercap_zone(tmp_path, energy=5)
+        backend = PowercapBackend(str(zone))
+        backend.read(mock_spec(), 0)
+        (zone / "energy_uj").write_text("garbage\n")
+        with pytest.raises(ParseError, match="expected integer, got "
+                                             "'garbage'"):
+            backend.read(mock_spec(), 0)
+
+    def test_msr_register_rewritten_in_place(self, tmp_path, monkeypatch):
+        dev = TestMsrBackend().make_device(tmp_path, 99)
+        backend = MsrBackend(dev)
+        opened = counting_opens(monkeypatch, "msr0")
+        assert backend.read(mock_spec(), 0).raw == 99
+        with open(dev, "r+b") as fh:
+            fh.seek(0x611)
+            fh.write(struct.pack("<Q", 123))
+        assert backend.read(mock_spec(), 0).raw == 123
+        assert len(opened) == 1
 
 
 class TestMsrBackend:

@@ -765,3 +765,73 @@ class TestDifferentialParse:
 NEEDLES = ("expected t_ns,domain,raw", "invalid literal",
            "unknown counter domain", "before its header", "outside",
            "non-monotonic", "after end trailer")
+
+
+# ------------------------------------- tail and head readers vs parse_log
+
+ENDINGS = ("\n", "\r\n", "\r")
+
+
+@st.composite
+def ended_logs(draw) -> str:
+    """A valid log whose lines end in any of the three line breaks.
+
+    The trailer may be padded past the tail reader's block, and the text
+    may be cut anywhere in its last few bytes, half of a ``\\r\\n``
+    included.
+    """
+    domains = draw(st.sampled_from(((PKG,), (PKG, DRAM))))
+    lines = [f"{HEADER_PREFIX}node=n1 domain={d.value} bit_width=32 "
+             f"unit_j=1e-06 epoch_wall_ns=7" for d in domains]
+    t = 0
+    for _ in range(draw(st.integers(0, 4))):
+        t += draw(st.integers(1, 10**9))
+        for d in domains:
+            if draw(st.booleans()):
+                lines.append(f"{GAP_PREFIX}t_ns={t} domain={d.value}")
+            else:
+                lines.append(f"{t},{d.value},{draw(st.integers(0, 99))}")
+    status = draw(st.sampled_from((None, "closed", "truncated", "reaped")))
+    if status is not None:
+        pad = " " * draw(st.sampled_from((1, 1, 300)))
+        lines.append(f"{END_PREFIX}{pad}status={status}")
+    text = "".join(line + draw(st.sampled_from(ENDINGS)) for line in lines)
+    if draw(st.booleans()):
+        text = text[:len(text) - draw(st.integers(0, 4))]
+    return text
+
+
+class TestReadersAgreeWithParse:
+    """Wherever ``parse_log`` reads a log, ``read_status`` gives its status
+    and ``has_record`` says whether some series holds a sample."""
+
+    @given(text=ended_logs())
+    @example(text=_HEAD + f"{END_PREFIX}status=closed\r")
+    @example(text=_HEAD.replace("\n", "\r") + "10,package,5\r")
+    @example(text=_HEAD + "10,package,5\r\n" + f"{END_PREFIX}status=reaped\r")
+    @example(text=_HEAD + f"{END_PREFIX}status=closed\r\n"[:-1])
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_tail_and_head_readers_match_parse(self, tmp_path, text):
+        path = str(tmp_path / log_filename("n1", f"e{next(_UNIQUE)}"))
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+        try:
+            parsed = parse_log(path)
+        except ParseError:
+            return
+        assert read_status(path) is parsed.status
+        assert has_record(path) == any(
+            len(s.samples) for s in parsed.series.values())
+
+    def test_trailer_ending_in_carriage_return_is_closed(self, tmp_path):
+        p = tmp_path / log_filename("n1", "cr")
+        p.write_bytes((_HEAD + f"{END_PREFIX}status=closed\r").encode())
+        assert parse_log(str(p)).status is LogStatus.CLOSED
+        assert read_status(str(p)) is LogStatus.CLOSED
+
+    def test_record_ending_in_carriage_return_counts(self, tmp_path):
+        p = tmp_path / log_filename("n1", "crs")
+        p.write_bytes((_HEAD.replace("\n", "\r") + "10,package,5\r").encode())
+        assert len(parse_log(str(p)).series[PKG].samples) == 1
+        assert has_record(str(p))
