@@ -28,10 +28,10 @@ from .errors import (
     MissingNodeLogError,
     NoPointsInWindowError,
     SchemaViolationError,
+    load_json,
 )
 from .logfile import ParsedLog
 from .trace import (
-    DEFAULT_SUB_RESOLUTION_S,
     FLAG_UNKNOWN_NODE,
     TaskRecord,
     WorkflowTrace,
@@ -239,8 +239,7 @@ class AttributionResult:
 
 def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
                          policy: AttributionPolicy,
-                         window: tuple[int, int] | None = None,
-                         assumed_duration_s: float = DEFAULT_SUB_RESOLUTION_S
+                         window: tuple[int, int] | None = None
                          ) -> AttributionResult:
     """Split a node's windowed energy among concurrently running tasks.
 
@@ -271,7 +270,6 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
         policy: Split rule plus optional idle baseline.
         window: Wall-ns accounting window; defaults to the log's sampled
             span.  Task windows are clipped to it.
-        assumed_duration_s: Window length assumed for sub-resolution tasks.
     """
     for task in tasks:
         if task.node_id != log.node_id:
@@ -291,15 +289,15 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
     starting: dict[int, list[int]] = {}
     ending: dict[int, list[int]] = {}
     for i, task in enumerate(tasks):
-        lo, hi = task.window(assumed_duration_s)
-        lo, hi = max(lo, win_lo), min(hi, win_hi)
+        task_lo, task_hi = task.window()
+        lo, hi = max(task_lo, win_lo), min(task_hi, win_hi)
         notes.append({NOTE_SUB_RESOLUTION} if task.sub_resolution else set())
         if lo >= hi:
             clipped.append((win_lo, win_lo))
             weights.append(0.0)
             notes[i].add(NOTE_CLIPPED_WINDOW)
             continue
-        if (lo, hi) != task.window(assumed_duration_s):
+        if (lo, hi) != (task_lo, task_hi):
             notes[i].add(NOTE_CLIPPED_WINDOW)
         clipped.append((lo, hi))
         starting.setdefault(lo, []).append(i)
@@ -438,10 +436,7 @@ class EnergyReport:
 def assemble_report(trace: WorkflowTrace,
                     logs: Mapping[str, NodeEnergyLog],
                     policy: AttributionPolicy,
-                    method: MeasurementMethod = MeasurementMethod.SIGNAL_WORKFLOW,
-                    coverage_fraction: float | None = None,
-                    status: str = "ok",
-                    assumed_duration_s: float = DEFAULT_SUB_RESOLUTION_S
+                    method: MeasurementMethod = MeasurementMethod.SIGNAL_WORKFLOW
                     ) -> EnergyReport:
     """Full accounting pipeline: trace plus node logs to an energy report.
 
@@ -483,8 +478,7 @@ def assemble_report(trace: WorkflowTrace,
             raise MissingNodeLogError(
                 f"log for node {node} does not cover the workflow window")
         result = attribute_concurrent(
-            groups.get(node, []), log, policy, window=(win_lo, win_hi),
-            assumed_duration_s=assumed_duration_s)
+            groups.get(node, []), log, policy, window=(win_lo, win_hi))
         per_node[node] = node_window_energy(log, win_lo, win_hi)
         unattributed += result.unattributed_joules
         all_tasks.extend(result.task_energies)
@@ -495,9 +489,7 @@ def assemble_report(trace: WorkflowTrace,
         workflow_id=trace.workflow_id, method=method,
         total_joules=countable_total(per_node),
         per_node=per_node, per_task=tuple(all_tasks),
-        coverage_fraction=coverage_fraction,
-        unattributed_joules=unattributed, status=status,
-        flags=frozenset(report_flags))
+        unattributed_joules=unattributed, flags=frozenset(report_flags))
 
 
 def report_to_obj(report: EnergyReport) -> dict[str, Any]:
@@ -576,9 +568,4 @@ def report_from_obj(obj: Any) -> EnergyReport:
 
 
 def load_report(path: str) -> EnergyReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolationError(f"not valid JSON: {exc}") from None
-    return report_from_obj(obj)
+    return report_from_obj(load_json(path))

@@ -18,7 +18,6 @@ synthetically in tests; ``run`` uses the real monotonic and wall clocks.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import select
@@ -40,6 +39,7 @@ from .errors import (
     InvalidArgumentError,
     SchemaViolationError,
     WattflowError,
+    load_json,
 )
 from .logfile import LogStatus, LogWriter, format_tick, log_filename
 from .signals import (
@@ -49,6 +49,7 @@ from .signals import (
     SessionStopped,
     SignalWatcher,
     WatcherFailed,
+    check_safe_id,
 )
 
 logger = logging.getLogger(__name__)
@@ -71,8 +72,7 @@ class SamplerConfig:
     max_runtime_s: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.node_id:
-            raise InvalidArgumentError("node_id must be non-empty")
+        check_safe_id("node_id", self.node_id)
         if self.interval_ms <= 0:
             raise InvalidArgumentError(
                 f"interval_ms must be > 0, got {self.interval_ms}")
@@ -93,7 +93,8 @@ def build_backend(spec: CounterSpec, obj: Any,
 
     ``kind`` selects the backend: ``mock`` takes ``segments`` (pairs of
     duration seconds and watts); ``powercap`` takes ``zone_dir`` or
-    discovers the zone under ``base_path``; ``msr`` takes ``device_path``.
+    discovers the zone under ``base_path``, and needs a 1e-6 J unit
+    because the zone counts microjoules; ``msr`` takes ``device_path``.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaViolationError(
@@ -107,6 +108,11 @@ def build_backend(spec: CounterSpec, obj: Any,
             profile = MockProfile(segments=segments, spec=spec)
             return MockBackend(profile, start_ns=start_ns)
         if kind == "powercap":
+            if spec.energy_unit_joules != 1e-6:
+                raise SchemaViolationError(
+                    f"powercap reports microjoules; domain {spec.domain} "
+                    f"declares unit_j {spec.energy_unit_joules}",
+                    json_path="$.backend")
             if "zone_dir" in obj:
                 return PowercapBackend(obj["zone_dir"])
             return PowercapBackend.discover(
@@ -161,12 +167,7 @@ def config_from_obj(doc: Any, start_ns: int = 0
 
 def load_config(path: str, start_ns: int = 0
                 ) -> tuple[SamplerConfig, dict[RaplDomain, CounterBackend]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolationError(f"not valid JSON: {exc}") from None
-    return config_from_obj(doc, start_ns=start_ns)
+    return config_from_obj(load_json(path), start_ns=start_ns)
 
 
 class SamplerAgent:

@@ -2,8 +2,8 @@
 
 Hardware energy counters are unsigned registers that count fixed-size energy
 units and silently roll over to zero when they exceed their bit width.  This
-module turns sequences of raw readings into joules: single-wrap deltas, unit
-conversion, and windowed integration of a timestamped sample series.
+module turns sequences of raw readings into joules: single-wrap deltas and
+windowed integration of a timestamped sample series.
 
 A :class:`SampleSeries` is columnar: its timestamps are one ``array('q')``
 and its raw readings one ``array('Q')``, so a day-long log costs 16 bytes
@@ -27,8 +27,8 @@ from array import array
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, islice, repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import accumulate, islice
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DegenerateSeriesError,
@@ -45,8 +45,6 @@ __all__ = [
     "SampleSeries",
     "EnergyQuantity",
     "raw_delta",
-    "wrap_delta",
-    "to_joules",
     "integrate_window",
     "series_total",
     "wrap_horizon_s",
@@ -143,17 +141,8 @@ class EnergyQuantity:
         return self.joules
 
 
-# Builds a RawSample from a (t_ns, raw) pair without a Python-level call.
-_new_sample = tuple.__new__
-
-
 class SampleView(SequenceABC):
-    """Read-only sequence of :class:`RawSample` over a series' columns.
-
-    Indexing builds one ``RawSample``; slicing returns a view of the
-    sliced columns.  A view equals another view, or a tuple, holding the
-    same samples in the same order.
-    """
+    """Read-only sequence of :class:`RawSample` over a series' columns."""
 
     __slots__ = ("_times", "_raws")
 
@@ -164,25 +153,9 @@ class SampleView(SequenceABC):
     def __len__(self) -> int:
         return len(self._times)
 
-    def __getitem__(self, index):
-        if index.__class__ is slice:
-            return SampleView(self._times[index], self._raws[index])
-        return _new_sample(RawSample, (self._times[index], self._raws[index]))
-
-    def __iter__(self) -> Iterator[RawSample]:
-        return map(_new_sample, repeat(RawSample),
-                   zip(self._times, self._raws))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SampleView):
-            return self._times == other._times and self._raws == other._raws
-        if isinstance(other, tuple):
-            return len(other) == len(self) and \
-                all(map(operator.eq, self, other))
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"SampleView({tuple(self)!r})"
+    def __getitem__(self, index: int) -> RawSample:
+        index = operator.index(index)  # a slice is refused, not mis-paired
+        return RawSample(self._times[index], self._raws[index])
 
 
 def _first_offender(times: Sequence[int], raws: Sequence[int],
@@ -316,32 +289,11 @@ def raw_delta(prev: int, curr: int, bit_width: int) -> int:
     """
     if not 1 <= bit_width <= 64:
         raise InvalidArgumentError(f"bit_width must be in [1, 64], got {bit_width}")
-    return wrap_delta(prev, curr, 1 << bit_width)
-
-
-def wrap_delta(prev: int, curr: int, modulus: int) -> int:
-    """Single-wrap counter delta for an arbitrary wrap modulus."""
-    if prev < 0 or curr < 0 or prev >= modulus or curr >= modulus:
+    modulus = 1 << bit_width
+    if not (0 <= prev < modulus and 0 <= curr < modulus):
         raise InvalidArgumentError(
             f"raw values must lie in [0, {modulus}), got prev={prev} curr={curr}")
     return (curr - prev) % modulus
-
-
-def to_joules(delta: int, spec: CounterSpec) -> EnergyQuantity:
-    """Convert a raw counter delta to joules using the spec's energy unit.
-
-    Raises:
-        InvalidArgumentError: If ``delta`` is negative.
-        OverflowComputationError: If the product is not a finite real.
-    """
-    if delta < 0:
-        raise InvalidArgumentError(f"raw delta must be >= 0, got {delta}")
-    joules = delta * spec.energy_unit_joules
-    if not math.isfinite(joules):
-        raise OverflowComputationError(
-            f"{delta} counts x {spec.energy_unit_joules} J/count is not "
-            f"representable as a finite real")
-    return EnergyQuantity(joules)
 
 
 def _cumulative_counts_at(series: SampleSeries, t_ns: int) -> float:
@@ -363,8 +315,12 @@ def integrate_window(series: SampleSeries, window_start_ns: int,
                      window_end_ns: int) -> EnergyQuantity:
     """Energy accumulated by the counter inside a time window.
 
-    Sums wrap-aware deltas between consecutive samples fully inside the
-    window and adds linearly interpolated partial deltas at both boundaries.
+    The unwrapped count at each window edge comes from the series'
+    wrap-count prefix, linearly interpolated between the two samples
+    around the edge; the energy is the difference of the two counts times
+    the counter's energy unit.  ``series_total`` is this over the whole
+    sampled span, so every report, resume and simulation shares one path
+    from raw counts to joules.
 
     Args:
         series: Sample series with at least two samples.
@@ -380,14 +336,10 @@ def integrate_window(series: SampleSeries, window_start_ns: int,
         WindowOutOfRangeError: Window extends beyond the sampled span
             (code ``window-head-out-of-range`` / ``window-tail-out-of-range``).
     """
-    if len(series) < 2:
-        raise DegenerateSeriesError(
-            f"series for {series.node_id}/{series.spec.domain} has "
-            f"{len(series)} sample(s); need >= 2")
+    first, last = series.span_ns
     if window_start_ns >= window_end_ns:
         raise InvalidArgumentError(
             f"window start {window_start_ns} must precede end {window_end_ns}")
-    first, last = series.span_ns
     if window_start_ns < first:
         raise WindowOutOfRangeError(
             f"window starts {first - window_start_ns} ns before first sample",
@@ -402,12 +354,8 @@ def integrate_window(series: SampleSeries, window_start_ns: int,
 
 
 def series_total(series: SampleSeries) -> EnergyQuantity:
-    """Energy over the full sampled span (all wrap-aware deltas)."""
-    if len(series) < 2:
-        raise DegenerateSeriesError(
-            f"series for {series.node_id}/{series.spec.domain} has "
-            f"{len(series)} sample(s); need >= 2")
-    return to_joules(series._count_at(len(series) - 1), series.spec)
+    """Energy over the full sampled span."""
+    return integrate_window(series, *series.span_ns)
 
 
 def wrap_horizon_s(spec: CounterSpec, max_power_watts: float) -> float:

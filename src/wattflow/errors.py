@@ -6,6 +6,9 @@ match on failure kind without parsing messages.
 
 from __future__ import annotations
 
+import json
+from typing import Any
+
 
 class WattflowError(Exception):
     """Base class for all wattflow errors."""
@@ -100,6 +103,19 @@ class SchemaViolationError(ParseError):
     def __init__(self, message: str, *, json_path: str = "$"):
         super().__init__(f"{json_path}: {message}")
         self.json_path = json_path
+
+
+def load_json(path: str) -> Any:
+    """The JSON document in a UTF-8 file.
+
+    Raises:
+        SchemaViolationError: The file is not valid JSON.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaViolationError(f"not valid JSON: {exc}") from None
 
 
 class MissingNodeLogError(WattflowError):

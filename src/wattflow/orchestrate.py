@@ -34,6 +34,7 @@ from .errors import (
     InvalidArgumentError,
     ParseError,
     SchemaViolationError,
+    load_json,
 )
 from .logfile import (
     LogStatus,
@@ -150,12 +151,7 @@ def run_config_from_obj(doc: Any, *, workflow_cmd: str | None = None,
 
 
 def load_run_config(path: str, **overrides: str | None) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolationError(f"not valid JSON: {exc}") from None
-    return run_config_from_obj(doc, **overrides)
+    return run_config_from_obj(load_json(path), **overrides)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,20 @@ MARKER_PREFIX = "start_"
 MARKER_SUFFIX = ".txt"
 DEFAULT_STALE_TIMEOUT_S = 24 * 3600.0
 
-_SESSION_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+_SAFE_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+
+
+def check_safe_id(kind: str, value: str) -> None:
+    """Refuse an id that cannot appear in a file name or a log header.
+
+    Session and node ids are embedded in marker and log file names and in
+    the ``key=value`` log header, so they are limited to ASCII letters,
+    digits, ``.``, ``_`` and ``-``, and start with a letter or digit.
+    """
+    if not _SAFE_ID_RE.fullmatch(value):
+        raise InvalidArgumentError(
+            f"{kind} {value!r} is not filesystem-safe "
+            f"(want [A-Za-z0-9][A-Za-z0-9._-]*)")
 
 
 class SessionScope(Enum):
@@ -56,10 +69,7 @@ class SessionMarker:
     task_id: str | None = None
 
     def __post_init__(self) -> None:
-        if not _SESSION_ID_RE.match(self.session_id):
-            raise InvalidArgumentError(
-                f"session_id {self.session_id!r} is not filesystem-safe "
-                f"(want [A-Za-z0-9][A-Za-z0-9._-]*)")
+        check_safe_id("session_id", self.session_id)
         if self.scope is SessionScope.TASK and not self.task_id:
             raise InvalidArgumentError("task scope requires task_id")
         if self.scope is SessionScope.WORKFLOW and self.task_id is not None:
@@ -81,7 +91,7 @@ def marker_filename(session_id: str) -> str:
 def session_id_from_marker_name(name: str) -> str | None:
     if name.startswith(MARKER_PREFIX) and name.endswith(MARKER_SUFFIX):
         sid = name[len(MARKER_PREFIX):-len(MARKER_SUFFIX)]
-        if _SESSION_ID_RE.match(sid):
+        if _SAFE_ID_RE.fullmatch(sid):
             return sid
     return None
 

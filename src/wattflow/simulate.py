@@ -18,7 +18,6 @@ deterministic, so identical scenarios yield bit-identical logs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -35,7 +34,7 @@ from .counter import CounterSpec, RaplDomain, SampleSeries
 from .errors import (
     InvalidArgumentError,
     SchemaViolationError,
-    WindowOutOfRangeError,
+    load_json,
 )
 from .logfile import LogStatus, LogWriter, log_filename
 from .trace import TaskRecord, TaskStatus, WorkflowTrace
@@ -68,13 +67,12 @@ class PowerProfile:
 
     Instantaneous power at time t is ``idle_watts`` plus the sum of watts of
     loads whose [start, end) interval contains t.  Idle extends indefinitely
-    in both directions unless ``duration_s`` bounds the modeled span.
+    in both directions.
     """
 
     node_id: str
     idle_watts: float
     task_loads: tuple[TaskLoad, ...] = ()
-    duration_s: float | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.idle_watts) and self.idle_watts >= 0):
@@ -96,17 +94,11 @@ def analytic_energy(profile: PowerProfile,
     there is no sampling involved and no sampling error.
 
     Raises:
-        WindowOutOfRangeError: Window outside the profile's bounded span.
         InvalidArgumentError: Inverted window.
     """
     start, end = window
     if end < start:
         raise InvalidArgumentError(f"inverted window {window}")
-    if profile.duration_s is not None and \
-            (start < 0 or end > profile.duration_s):
-        raise WindowOutOfRangeError(
-            f"window {window} outside profile span "
-            f"[0, {profile.duration_s}]")
     if end == start:
         return 0.0
     energy = profile.idle_watts * (end - start)
@@ -524,9 +516,4 @@ def scenario_from_obj(doc: Any) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolationError(f"not valid JSON: {exc}") from None
-    return scenario_from_obj(doc)
+    return scenario_from_obj(load_json(path))

@@ -24,6 +24,7 @@ from .errors import (
     MissingColumnError,
     RowParseError,
     SchemaViolationError,
+    load_json,
 )
 
 FLAG_SUB_RESOLUTION = "sub_resolution"
@@ -31,7 +32,7 @@ FLAG_UNKNOWN_NODE = "unknown_node"
 FLAG_CPU_TIME_FALLBACK = "cpu_time_fallback"
 FLAG_OUTSIDE_WINDOW = "outside_workflow_window"
 
-DEFAULT_SUB_RESOLUTION_S = 0.5
+SUB_RESOLUTION_S = 0.5
 
 
 class TaskStatus(Enum):
@@ -79,8 +80,7 @@ class TaskRecord:
     def sub_resolution(self) -> bool:
         return FLAG_SUB_RESOLUTION in self.flags
 
-    def window(self, assumed_duration_s: float = DEFAULT_SUB_RESOLUTION_S
-               ) -> tuple[int, int]:
+    def window(self) -> tuple[int, int]:
         """Wall-time window for accounting.
 
         Sub-resolution tasks get an assumed duration centered on the logged
@@ -88,7 +88,7 @@ class TaskRecord:
         """
         if not self.sub_resolution:
             return self.start_wall_ns, self.end_wall_ns
-        half = int(assumed_duration_s * 5e8)
+        half = int(SUB_RESOLUTION_S * 5e8)
         return self.start_wall_ns - half, self.start_wall_ns + half
 
 
@@ -280,12 +280,7 @@ def parse_generic_trace(path: str) -> WorkflowTrace:
     Raises:
         SchemaViolationError: Structural problem, named by JSON path.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolationError(f"not valid JSON: {exc}") from None
-    return trace_from_obj(doc)
+    return trace_from_obj(load_json(path))
 
 
 def trace_from_obj(doc: Any) -> WorkflowTrace:

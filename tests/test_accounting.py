@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -41,7 +42,6 @@ from wattflow.errors import (
     SchemaViolationError,
 )
 from wattflow.trace import (
-    DEFAULT_SUB_RESOLUTION_S,
     TaskRecord,
     TaskStatus,
     WorkflowTrace,
@@ -271,8 +271,7 @@ class TestAttributeConcurrent:
         assert by_id["late"].joules_by_domain[PKG] == 0.0
 
 
-def scan_attribution(tasks, log, policy, window=None,
-                     assumed_duration_s=DEFAULT_SUB_RESOLUTION_S):
+def scan_attribution(tasks, log, policy, window=None):
     """Reference attribution: scans every task for each segment.
 
     This is the O(segments x tasks) form the event sweep replaced, kept
@@ -283,7 +282,7 @@ def scan_attribution(tasks, log, policy, window=None,
     win_lo, win_hi = window
     clipped, weights, notes = {}, {}, {}
     for t in tasks:
-        lo, hi = t.window(assumed_duration_s)
+        lo, hi = t.window()
         lo, hi = max(lo, win_lo), min(hi, win_hi)
         notes[t.task_id] = set(
             {NOTE_SUB_RESOLUTION} if t.sub_resolution else set())
@@ -292,7 +291,7 @@ def scan_attribution(tasks, log, policy, window=None,
             weights[t.task_id] = 0.0
             notes[t.task_id].add(NOTE_CLIPPED_WINDOW)
             continue
-        if (lo, hi) != t.window(assumed_duration_s):
+        if (lo, hi) != t.window():
             notes[t.task_id].add(NOTE_CLIPPED_WINDOW)
         clipped[t.task_id] = (lo, hi)
         if policy.kind is PolicyKind.CPU_TIME_SHARE:
@@ -422,8 +421,7 @@ def attribution_cases(draw):
     if kind is not PolicyKind.EXCLUSIVE_ONLY and draw(st.booleans()):
         baseline = draw(st.floats(0.0, 200.0, allow_nan=False))
     policy = AttributionPolicy(kind=kind, idle_baseline_watts=baseline)
-    assumed = draw(st.sampled_from([DEFAULT_SUB_RESOLUTION_S, 1.3]))
-    return tasks, log, policy, window, assumed
+    return tasks, log, policy, window
 
 
 class TestSweepMatchesScan:
@@ -432,11 +430,9 @@ class TestSweepMatchesScan:
     @settings(max_examples=300, deadline=None)
     @given(attribution_cases())
     def test_sweep_equals_scan(self, case):
-        tasks, log, policy, window, assumed = case
-        got = attribute_concurrent(tasks, log, policy, window=window,
-                                   assumed_duration_s=assumed)
-        want = scan_attribution(tasks, log, policy, window=window,
-                                assumed_duration_s=assumed)
+        tasks, log, policy, window = case
+        got = attribute_concurrent(tasks, log, policy, window=window)
+        want = scan_attribution(tasks, log, policy, window=window)
         assert [(te.task_id, te.joules_by_domain, te.notes)
                 for te in got.task_energies] \
             == [(te.task_id, te.joules_by_domain, te.notes)
@@ -597,9 +593,10 @@ class TestAssembleReport:
 class TestReportSerialization:
     def test_json_round_trip(self):
         trace, logs = fixture_trace_and_logs()
-        report = assemble_report(trace, logs, cpu_policy(),
-                                 method=MeasurementMethod.SHELL_WRAP,
-                                 coverage_fraction=1.0)
+        report = dataclasses.replace(
+            assemble_report(trace, logs, cpu_policy(),
+                            method=MeasurementMethod.SHELL_WRAP),
+            coverage_fraction=1.0)
         obj = json.loads(report_to_json(report))
         assert obj["report_version"] == 1
         assert obj["method"] == "shell-wrap"

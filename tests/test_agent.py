@@ -207,8 +207,8 @@ class TestEnergyAccuracy:
         agent.tick_once(clock.mono)
         a = parse_log(log_path(tmp_path, "alpha"))
         b = parse_log(log_path(tmp_path, "beta"))
-        assert a.series[RaplDomain.PACKAGE].samples == \
-            b.series[RaplDomain.PACKAGE].samples
+        assert tuple(a.series[RaplDomain.PACKAGE].samples) == \
+            tuple(b.series[RaplDomain.PACKAGE].samples)
 
 
 class TestFailureModes:

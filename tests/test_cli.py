@@ -377,6 +377,42 @@ class TestUsage:
         assert main(["agent", "--config",
                      str(tmp_path / "none.json")]) == 2
 
+    def agent_config(self, tmp_path, node_id: str, backend: dict,
+                     unit_j: float = 1e-6) -> str:
+        (tmp_path / "logs").mkdir(exist_ok=True)
+        path = tmp_path / "agent.json"
+        path.write_text(json.dumps({
+            "node_id": node_id, "log_dir": str(tmp_path / "logs"),
+            "signal_dir": str(tmp_path / "signals"),
+            "domains": [{"domain": "package", "bit_width": 32,
+                         "unit_j": unit_j, "backend": backend}]}),
+            encoding="utf-8")
+        return str(path)
+
+    def test_powercap_unit_other_than_microjoules_refused(self, tmp_path,
+                                                          capsys):
+        # Every read of the zone would be refused: the session log would
+        # hold only gap markers, so the config is refused at start.
+        zone = tmp_path / "zone"
+        zone.mkdir()
+        (zone / "energy_uj").write_text("5\n")
+        (zone / "max_energy_range_uj").write_text(f"{2**32 - 1}\n")
+        backend = {"kind": "powercap", "zone_dir": str(zone)}
+        assert main(["agent", "--config", self.agent_config(
+            tmp_path, "n1", backend, unit_j=1e-3)]) == 2
+        assert "unit_j 0.001" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "logs") == []
+
+    @pytest.mark.parametrize("node_id", ["n\u0153ud", "my node"])
+    def test_node_id_the_log_cannot_carry_refused(self, tmp_path, capsys,
+                                                  node_id):
+        # Outside ASCII the log header cannot be encoded; a space splits
+        # the header's key=value tokens.
+        backend = {"kind": "mock", "segments": [[60.0, 100.0]]}
+        assert main(["agent", "--config", self.agent_config(
+            tmp_path, node_id, backend)]) == 2
+        assert "not filesystem-safe" in capsys.readouterr().err
+
 
 class TestUnknownNode:
     def test_hostname_less_trace_is_flagged_not_fatal(self, tmp_path,

@@ -64,7 +64,7 @@ class TestRoundTrip:
         assert parsed.epoch_wall_ns == 1_000
         assert parsed.status is LogStatus.CLOSED
         series = parsed.series[RaplDomain.PACKAGE]
-        assert series.samples == (RawSample(10, 100), RawSample(20, 200))
+        assert tuple(series.samples) == (RawSample(10, 100), RawSample(20, 200))
         assert series.spec == PKG_SPEC
 
     def test_interleaved_domains(self, tmp_path):
@@ -102,7 +102,7 @@ class TestRoundTrip:
             expected.append(RawSample(t, raw))
         w.close()
         series = parse_log(path).series[RaplDomain.PACKAGE]
-        assert series.samples == tuple(expected)
+        assert tuple(series.samples) == tuple(expected)
         assert series.spec.energy_unit_joules == unit
 
     def test_series_equal_after_round_trip(self, tmp_path):
@@ -261,7 +261,7 @@ class TestParserErrors:
         p.write_bytes((head + "1,package,5\r\n2,package,6\r"
                        f"{END_PREFIX}status=closed\r\n").encode())
         parsed = parse_log(str(p))
-        assert parsed.series[RaplDomain.PACKAGE].samples == \
+        assert tuple(parsed.series[RaplDomain.PACKAGE].samples) == \
             (RawSample(1, 5), RawSample(2, 6))
         assert parsed.status is LogStatus.CLOSED
         p.write_bytes((head + "1,package,5\r\n2,pack\rage,6\n").encode())

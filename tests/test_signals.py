@@ -54,7 +54,7 @@ class TestMarker:
             SessionMarker(session_id="x", created_wall_ns=0, task_id="t")
 
     def test_rejects_unsafe_session_ids(self):
-        for bad in ("", "../etc", "a/b", ".hidden", "-flag", "a b"):
+        for bad in ("", "../etc", "a/b", ".hidden", "-flag", "a b", "s1\n"):
             with pytest.raises(InvalidArgumentError):
                 SessionMarker(session_id=bad, created_wall_ns=0)
 

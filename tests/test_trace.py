@@ -280,8 +280,6 @@ class TestTaskRecord:
         lo, hi = t.window()
         assert hi - lo == 500_000_000
         assert (lo + hi) // 2 == 10**9
-        lo2, hi2 = t.window(assumed_duration_s=2.0)
-        assert hi2 - lo2 == 2_000_000_000
 
     def test_normal_window_is_logged_interval(self):
         t = TaskRecord(task_id="t", name="n", node_id="x",
