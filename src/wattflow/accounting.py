@@ -30,7 +30,7 @@ from .errors import (
     SchemaViolationError,
     load_json,
 )
-from .logfile import ParsedLog
+from .logfile import LogStatus, ParsedLog
 from .trace import (
     FLAG_UNKNOWN_NODE,
     TaskRecord,
@@ -42,10 +42,17 @@ REPORT_VERSION = 1
 
 NOTE_SUB_RESOLUTION = "sub_resolution"
 NOTE_SHARED_WINDOW = "shared_window"
-NOTE_UNSAFE_GAP = "unsafe_gap"
 NOTE_EQUAL_SPLIT = "equal_split_zero_weight"
 NOTE_IDLE_CLAMPED = "idle_clamped"
-NOTE_CLIPPED_WINDOW = "clipped_window"
+
+# Report-level flags are this module's FLAG_* names, FLAG_UNKNOWN_NODE
+# among them: a report carrying one is partial.  The first two are also
+# task notes.
+FLAG_CLIPPED_WINDOW = "clipped_window"
+FLAG_UNSAFE_GAP = "unsafe_gap"
+FLAG_FLAGGED_LOG = "flagged_log"
+FLAG_MISSING_LOG = "missing_log"
+FLAG_RESUMED = "resumed"
 
 
 class MeasurementMethod(Enum):
@@ -89,10 +96,11 @@ class AttributionPolicy:
 
 @dataclass(frozen=True)
 class NodeEnergyLog:
-    """All recorded domains of one node for one session."""
+    """A node's recorded domains for one session and its log's status."""
 
     node_id: str
     series_by_domain: Mapping[RaplDomain, SampleSeries]
+    status: LogStatus = LogStatus.CLOSED
 
     def __post_init__(self) -> None:
         if not self.series_by_domain:
@@ -114,7 +122,8 @@ class NodeEnergyLog:
 
     @classmethod
     def from_parsed(cls, parsed: ParsedLog) -> "NodeEnergyLog":
-        return cls(node_id=parsed.node_id, series_by_domain=parsed.series)
+        return cls(node_id=parsed.node_id, series_by_domain=parsed.series,
+                   status=parsed.status)
 
     def wall_span(self) -> tuple[int, int]:
         """Intersection of all domains' sampled spans, in wall time."""
@@ -134,6 +143,19 @@ class NodeEnergyLog:
             series.has_unsafe_gap(start_wall_ns - series.epoch_wall_ns,
                                   end_wall_ns - series.epoch_wall_ns)
             for series in self.series_by_domain.values())
+
+
+def log_flags(log: NodeEnergyLog) -> set[str]:
+    """The report flags one node's log raises: ``flagged_log:<node>``
+    unless it ended with a ``closed`` trailer, and ``unsafe_gap`` when it
+    holds a gap marker, a failed reading the counter may have wrapped in.
+    """
+    flags = set()
+    if log.status is not LogStatus.CLOSED:
+        flags.add(f"{FLAG_FLAGGED_LOG}:{log.node_id}")
+    if any(s.gap_markers for s in log.series_by_domain.values()):
+        flags.add(FLAG_UNSAFE_GAP)
+    return flags
 
 
 def node_window_energy(log: NodeEnergyLog, start_wall_ns: int,
@@ -295,10 +317,10 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
         if lo >= hi:
             clipped.append((win_lo, win_lo))
             weights.append(0.0)
-            notes[i].add(NOTE_CLIPPED_WINDOW)
+            notes[i].add(FLAG_CLIPPED_WINDOW)
             continue
         if (lo, hi) != (task_lo, task_hi):
-            notes[i].add(NOTE_CLIPPED_WINDOW)
+            notes[i].add(FLAG_CLIPPED_WINDOW)
         clipped.append((lo, hi))
         starting.setdefault(lo, []).append(i)
         ending.setdefault(hi, []).append(i)
@@ -361,7 +383,7 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
     for i, task in enumerate(tasks):
         lo, hi = clipped[i]
         if lo < hi and log.has_unsafe_gap(lo, hi):
-            notes[i].add(NOTE_UNSAFE_GAP)
+            notes[i].add(FLAG_UNSAFE_GAP)
         energies.append(TaskEnergy(
             task_id=task.task_id,
             joules_by_domain=dict(zip(domains, task_joules[i])),
@@ -448,7 +470,7 @@ def assemble_report(trace: WorkflowTrace,
 
     Tasks flagged ``unknown_node`` ran on no known node: they are listed
     with no energy and that note, their energy stays unattributed, and the
-    report carries the flag.
+    report carries the flag.  Each log adds its :func:`log_flags`.
 
     Raises:
         MissingNodeLogError: The trace places tasks on a node with no log.
@@ -473,7 +495,7 @@ def assemble_report(trace: WorkflowTrace,
         win_hi = min(trace.finished_wall_ns, span_hi)
         if (win_lo, win_hi) != (trace.submitted_wall_ns,
                                 trace.finished_wall_ns):
-            report_flags.add(NOTE_CLIPPED_WINDOW)
+            report_flags.add(FLAG_CLIPPED_WINDOW)
         if win_lo >= win_hi:
             raise MissingNodeLogError(
                 f"log for node {node} does not cover the workflow window")
@@ -482,8 +504,7 @@ def assemble_report(trace: WorkflowTrace,
         per_node[node] = node_window_energy(log, win_lo, win_hi)
         unattributed += result.unattributed_joules
         all_tasks.extend(result.task_energies)
-        if any(s.gap_markers for s in log.series_by_domain.values()):
-            report_flags.add(NOTE_UNSAFE_GAP)
+        report_flags |= log_flags(log)
     all_tasks.sort(key=lambda te: te.task_id)
     return EnergyReport(
         workflow_id=trace.workflow_id, method=method,

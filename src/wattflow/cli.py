@@ -11,7 +11,7 @@ Exit codes: 0 success; 2 usage, malformed input documents, or an input
 or output path that cannot be read or written; 3 runtime failure (agent
 start, missing node log, workflow mismatch, nonzero workflow exit, an OS
 error while an agent, a run, or a resume is under way); 4 report
-produced but from partial or flagged data.
+written with flags (``run --resume``: only for a node without a usable log).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import time
 from typing import Sequence
 
 from .accounting import (
+    FLAG_MISSING_LOG,
     AttributionPolicy,
     MeasurementMethod,
     NodeEnergyLog,
@@ -49,7 +50,6 @@ from .simulate import (
     write_log_files,
 )
 from .trace import (
-    FLAG_UNKNOWN_NODE,
     parse_generic_trace,
     parse_nextflow_trace,
     write_generic_trace,
@@ -68,6 +68,15 @@ _USAGE_ERRORS = (SchemaViolationError, InvalidArgumentError, ParseError)
 def _fail(message: str, code: int) -> int:
     print(f"wattflow: error: {message}", file=sys.stderr)
     return code
+
+
+def _flags_exit(flags: frozenset[str]) -> int:
+    """Exit 4, with one warning naming them, when a report has flags."""
+    if not flags:
+        return EXIT_OK
+    print(f"wattflow: warning: report computed from partial data, flags: "
+          f"{', '.join(sorted(flags))}", file=sys.stderr)
+    return EXIT_PARTIAL
 
 
 def cmd_agent(args: argparse.Namespace) -> int:
@@ -100,31 +109,27 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (WattflowError, OSError) as exc:
         return _fail(str(exc), EXIT_RUNTIME)
     print(result.report_path)
-    missing = [flag for flag in result.report.flags
-               if flag.startswith("missing_log")]
     if args.resume:
-        return EXIT_PARTIAL if missing else EXIT_OK
-    if result.workflow_exit_code != 0:
+        # Salvaging is what resume is for: only a lost node makes it partial.
+        if not any(flag.startswith(FLAG_MISSING_LOG)
+                   for flag in result.report.flags):
+            return EXIT_OK
+    elif result.workflow_exit_code != 0:
         return _fail(
             f"workflow exited {result.workflow_exit_code}; "
             f"report written to {result.report_path}", EXIT_RUNTIME)
-    if missing:
-        return _fail(f"logs missing: {', '.join(sorted(missing))}",
-                     EXIT_PARTIAL)
-    return EXIT_OK
+    return _flags_exit(result.report.flags)
 
 
 def _load_logs(logs_dir: str, session: str | None
-               ) -> tuple[dict[str, NodeEnergyLog], bool]:
+               ) -> dict[str, NodeEnergyLog]:
     """Parse every session log in a directory into per-node logs.
 
-    Returns the logs plus whether any of them carried gap, truncation, or
-    reap flags.  Multiple sessions in one directory need ``--session``.
+    Multiple sessions in one directory need ``--session``.
     """
-    parsed_logs = []
-    for name in sorted(os.listdir(logs_dir)):
-        if name.startswith("rapl_") and name.endswith(".csv"):
-            parsed_logs.append(parse_log(os.path.join(logs_dir, name)))
+    parsed_logs = [parse_log(os.path.join(logs_dir, name))
+                   for name in sorted(os.listdir(logs_dir))
+                   if name.startswith("rapl_") and name.endswith(".csv")]
     if session is not None:
         parsed_logs = [p for p in parsed_logs if p.session_id == session]
     sessions = {p.session_id for p in parsed_logs}
@@ -136,7 +141,6 @@ def _load_logs(logs_dir: str, session: str | None
         raise InvalidArgumentError(
             f"multiple sessions in {logs_dir}: "
             f"{', '.join(sorted(sessions))}; pick one with --session")
-    flagged = any(p.flagged for p in parsed_logs)
     logs: dict[str, NodeEnergyLog] = {}
     for p in parsed_logs:
         if p.node_id in logs:
@@ -144,12 +148,12 @@ def _load_logs(logs_dir: str, session: str | None
                 f"two logs for node {p.node_id} in session "
                 f"{p.session_id}")
         logs[p.node_id] = NodeEnergyLog.from_parsed(p)
-    return logs, flagged
+    return logs
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     try:
-        logs, logs_flagged = _load_logs(args.logs, args.session)
+        logs = _load_logs(args.logs, args.session)
         if args.trace.endswith(".json"):
             trace = parse_generic_trace(args.trace)
         else:
@@ -172,11 +176,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(args.out)
     else:
         sys.stdout.write(payload)
-    if logs_flagged or FLAG_UNKNOWN_NODE in report.flags:
-        print("wattflow: warning: report computed from partial data",
-              file=sys.stderr)
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _flags_exit(report.flags)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -232,21 +232,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         result = evaluate_methods(scenario, logs)
     except WattflowError as exc:
         return _fail(str(exc), EXIT_RUNTIME)
-    for method, report in result.reports.items():
-        name = f"report_{scenario.scenario_id}_{method.value}.json"
-        with open(os.path.join(args.out, name), "w",
-                  encoding="utf-8") as fh:
-            fh.write(report_to_json(report))
+    sid = scenario.scenario_id
     table_text = result.table.format_text()
-    with open(os.path.join(args.out,
-                           f"coverage_{scenario.scenario_id}.json"),
-              "w", encoding="utf-8") as fh:
-        json.dump(result.table.to_obj(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(args.out,
-                           f"coverage_{scenario.scenario_id}.txt"),
-              "w", encoding="utf-8") as fh:
-        fh.write(table_text)
+    outputs = {f"report_{sid}_{method.value}.json": report_to_json(report)
+               for method, report in result.reports.items()}
+    outputs[f"coverage_{sid}.json"] = json.dumps(
+        result.table.to_obj(), indent=2, sort_keys=True) + "\n"
+    outputs[f"coverage_{sid}.txt"] = table_text
+    for name, text in outputs.items():
+        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
     sys.stdout.write(table_text)
     return EXIT_OK
 

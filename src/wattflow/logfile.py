@@ -284,18 +284,10 @@ class LogWriter:
 class ParsedLog:
     """One session log read back into per-domain sample series."""
 
-    path: str
     node_id: str
     session_id: str
-    epoch_wall_ns: int
     status: LogStatus
     series: Mapping[RaplDomain, SampleSeries]
-
-    @property
-    def flagged(self) -> bool:
-        """True when the log needs attention before its numbers are trusted."""
-        return (self.status is not LogStatus.CLOSED
-                or any(s.gap_markers for s in self.series.values()))
 
 
 def _parse_kv(body: str, path: str,
@@ -500,10 +492,9 @@ def parse_log(path: str) -> ParsedLog:
                              gap_markers=tuple(gaps[domain]))
         for domain, (_, times, raws) in columns.items()
     }
-    return ParsedLog(path=path, node_id=node_id,
+    return ParsedLog(node_id=node_id,
                      session_id=session_from_filename(path, node_id),
-                     epoch_wall_ns=epoch_wall_ns, status=status,
-                     series=series)
+                     status=status, series=series)
 
 
 def has_record(path: str) -> bool:

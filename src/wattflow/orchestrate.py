@@ -22,15 +22,19 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from .accounting import (
+    FLAG_MISSING_LOG,
+    FLAG_RESUMED,
     EnergyReport,
     MeasurementMethod,
     NodeEnergyLog,
     countable_total,
+    log_flags,
     node_window_energy,
     report_to_json,
 )
 from .errors import (
     AgentStartError,
+    DegenerateSeriesError,
     InvalidArgumentError,
     ParseError,
     SchemaViolationError,
@@ -38,7 +42,6 @@ from .errors import (
 )
 from .logfile import (
     LogStatus,
-    ParsedLog,
     has_record,
     log_filename,
     parse_log,
@@ -55,9 +58,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_STARTUP_TIMEOUT_S = 30.0
 DEFAULT_STOP_TIMEOUT_S = 30.0
-
-FLAG_MISSING_LOG = "missing_log"
-FLAG_RESUMED = "resumed"
 
 
 @dataclass(frozen=True)
@@ -168,13 +168,6 @@ def _session_log_path(endpoint: AgentEndpoint, session_id: str) -> str:
            f"{log_filename(endpoint.node_id, session_id)}"
 
 
-def _try_parse(path: str) -> ParsedLog | None:
-    try:
-        return parse_log(path)
-    except (OSError, ParseError):
-        return None
-
-
 def _await_logs(config: RunConfig, ready: Callable[[str], bool],
                 timeout_s: float,
                 sleep: Callable[[float], None]) -> list[str]:
@@ -247,19 +240,25 @@ def _build_run_report(config: RunConfig,
                       log_paths: Mapping[str, str | None],
                       status: str, extra_flags: tuple[str, ...] = ()
                       ) -> EnergyReport:
-    """Whole-session totals per node; the shell method covers the run."""
+    """Whole-session totals per node; the shell method covers the run.
+
+    A node whose log is absent, unreadable, or has no sampled span (too
+    few records) is left out and flagged ``missing_log:<node>``.
+    """
     per_node: dict[str, dict[Any, float]] = {}
-    flags = list(extra_flags)
-    for node_id in sorted(log_paths):
-        path = log_paths[node_id]
-        parsed = _try_parse(path) if path else None
-        if parsed is None:
-            flags.append(f"{FLAG_MISSING_LOG}:{node_id}")
+    flags = set(extra_flags)
+    for node_id, path in sorted(log_paths.items()):
+        try:
+            if path is None:
+                raise FileNotFoundError(f"no log collected for {node_id}")
+            log = NodeEnergyLog.from_parsed(parse_log(path))
+            span = log.wall_span()
+        except (OSError, ParseError, DegenerateSeriesError,
+                InvalidArgumentError):
+            flags.add(f"{FLAG_MISSING_LOG}:{node_id}")
             continue
-        if parsed.flagged:
-            flags.append(f"flagged_log:{node_id}")
-        log = NodeEnergyLog.from_parsed(parsed)
-        per_node[node_id] = node_window_energy(log, *log.wall_span())
+        flags |= log_flags(log)
+        per_node[node_id] = node_window_energy(log, *span)
     return EnergyReport(
         workflow_id=config.session_id,
         method=MeasurementMethod.SHELL_WRAP,
@@ -267,7 +266,7 @@ def _build_run_report(config: RunConfig,
         per_node=per_node,
         coverage_fraction=1.0,
         status=status,
-        flags=tuple(flags))
+        flags=flags)
 
 
 def _write_outputs(config: RunConfig, report: EnergyReport,
@@ -276,6 +275,9 @@ def _write_outputs(config: RunConfig, report: EnergyReport,
     report_path = f"{config.output_dir}/report_{config.session_id}.json"
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(report_to_json(report))
+    meta = {"session_id": config.session_id,
+            "workflow_cmd": config.workflow_cmd,
+            "nodes": [a.node_id for a in config.agents], **meta}
     meta_path = f"{config.output_dir}/run_{config.session_id}.json"
     with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -349,12 +351,9 @@ def run_wrapped(config: RunConfig,
     status = "ok" if exit_code == 0 else "failed"
     report = _build_run_report(config, log_paths, status)
     meta = {
-        "session_id": config.session_id,
-        "workflow_cmd": config.workflow_cmd,
         "workflow_exit_code": exit_code,
         "workflow_started_wall_ns": workflow_started_wall_ns,
         "workflow_finished_wall_ns": workflow_finished_wall_ns,
-        "nodes": [a.node_id for a in config.agents],
     }
     return _write_outputs(config, report, meta, log_paths)
 
@@ -372,11 +371,5 @@ def resume(config: RunConfig,
     log_paths = _collect_logs(config)
     report = _build_run_report(config, log_paths, status="failed",
                                extra_flags=(FLAG_RESUMED,))
-    meta = {
-        "session_id": config.session_id,
-        "workflow_cmd": config.workflow_cmd,
-        "workflow_exit_code": None,
-        "resumed": True,
-        "nodes": [a.node_id for a in config.agents],
-    }
+    meta = {"workflow_exit_code": None, "resumed": True}
     return _write_outputs(config, report, meta, log_paths)

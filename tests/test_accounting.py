@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wattflow.accounting import (
-    NOTE_CLIPPED_WINDOW,
+    FLAG_CLIPPED_WINDOW,
+    FLAG_UNSAFE_GAP,
     NOTE_EQUAL_SPLIT,
     NOTE_IDLE_CLAMPED,
     NOTE_SHARED_WINDOW,
     NOTE_SUB_RESOLUTION,
-    NOTE_UNSAFE_GAP,
     AttributionPolicy,
     AttributionResult,
     EnergyReport,
@@ -289,10 +289,10 @@ def scan_attribution(tasks, log, policy, window=None):
         if lo >= hi:
             clipped[t.task_id] = (win_lo, win_lo)
             weights[t.task_id] = 0.0
-            notes[t.task_id].add(NOTE_CLIPPED_WINDOW)
+            notes[t.task_id].add(FLAG_CLIPPED_WINDOW)
             continue
         if (lo, hi) != t.window():
-            notes[t.task_id].add(NOTE_CLIPPED_WINDOW)
+            notes[t.task_id].add(FLAG_CLIPPED_WINDOW)
         clipped[t.task_id] = (lo, hi)
         if policy.kind is PolicyKind.CPU_TIME_SHARE:
             weights[t.task_id] = t.cpu_time_s / ((hi - lo) / 1e9)
@@ -346,7 +346,7 @@ def scan_attribution(tasks, log, policy, window=None):
     for t in tasks:
         if log.has_unsafe_gap(*clipped[t.task_id]) \
                 and clipped[t.task_id][0] < clipped[t.task_id][1]:
-            notes[t.task_id].add(NOTE_UNSAFE_GAP)
+            notes[t.task_id].add(FLAG_UNSAFE_GAP)
         joules = task_joules[t.task_id]
         for domain in log.series_by_domain:
             joules.setdefault(domain, 0.0)
@@ -452,7 +452,7 @@ class TestSweepMatchesScan:
             want = scan_attribution(tasks, log, policy)
             assert got == want
             by_id = {te.task_id: te for te in got.task_energies}
-            assert NOTE_CLIPPED_WINDOW in by_id["f"].notes
+            assert FLAG_CLIPPED_WINDOW in by_id["f"].notes
             assert NOTE_SUB_RESOLUTION in by_id["e"].notes
 
     def test_node_without_tasks_leaves_all_unattributed(self):

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wattflow import signals
+from wattflow.accounting import NodeEnergyLog, log_flags
 from wattflow.agent import (
     SamplerAgent,
     SamplerConfig,
@@ -239,7 +240,7 @@ class TestFailureModes:
         series = parsed.series[RaplDomain.PACKAGE]
         assert len(series.gap_markers) == 1
         assert series.gap_markers[0] == round(0.5 * S)
-        assert parsed.flagged
+        assert log_flags(NodeEnergyLog.from_parsed(parsed)) == {"unsafe_gap"}
         assert len(series.samples) == 5  # one tick recorded no sample
 
     def test_sink_failure_closes_log_truncated(self, tmp_path):
@@ -259,7 +260,8 @@ class TestFailureModes:
         assert agent.active_sessions == ()
         parsed = parse_log(log_path(tmp_path))
         assert parsed.status is LogStatus.TRUNCATED
-        assert parsed.flagged
+        assert log_flags(NodeEnergyLog.from_parsed(parsed)) == \
+            {"flagged_log:n1"}
         clock.advance(0.5)
         agent.tick_once(clock.mono)      # dropped session stays dropped
         assert agent.active_sessions == ()
@@ -291,7 +293,8 @@ class TestFailureModes:
         agent.tick_once(clock.mono)
         parsed = parse_log(log_path(tmp_path))
         assert parsed.status is LogStatus.REAPED
-        assert parsed.flagged
+        assert log_flags(NodeEnergyLog.from_parsed(parsed)) == \
+            {"flagged_log:n1"}
         assert agent.active_sessions == ()
 
     def test_existing_log_file_skips_session(self, tmp_path, caplog):

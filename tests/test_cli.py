@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import re
 
 import pytest
 
+from wattflow import accounting
 from wattflow.accounting import (
     EnergyReport,
     MeasurementMethod,
@@ -22,8 +25,14 @@ from wattflow.trace import (
     write_generic_trace,
 )
 
-from test_orchestrate import make_run_config, write_agent_config
+from test_orchestrate import (
+    closed_logs_config,
+    make_run_config,
+    prewritten_run_config,
+    write_agent_config,
+)
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 S = 1_000_000_000
 ORIGIN = 1_700_000_000_000_000_000
 
@@ -65,6 +74,33 @@ def run_simulate(tmp_path, out_name: str = "sim") -> str:
                  "--out", str(out)])
     assert code == 0
     return str(out)
+
+
+def warnings_in(err: str) -> list[str]:
+    return [line for line in err.splitlines()
+            if line.startswith("wattflow: warning:")]
+
+
+def partial_warning(*flags: str) -> list[str]:
+    """The one warning line an exit 4 prints for a report's flags."""
+    return ["wattflow: warning: report computed from partial data, "
+            f"flags: {', '.join(flags)}"]
+
+
+def write_run_config(tmp_path, config) -> str:
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dataclasses.asdict(config)),
+                    encoding="utf-8")
+    return str(path)
+
+
+def read_json(path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+CLOSED = "#wattflow-end status=closed\n"
+GAP_THEN_CLOSED = "#wattflow-gap t_ns=1500000000 domain=package\n" + CLOSED
 
 
 class TestSimulateCommand:
@@ -112,7 +148,10 @@ class TestReportCommand:
                      "--trace", os.path.join(out, "trace_demo.json"),
                      "--policy", "cputime"])
         assert code == 0
-        report = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        assert warnings_in(captured.err) == []
+        report = json.loads(captured.out)
+        assert "flags" not in report
         assert report["workflow_id"] == "wf-demo"
         assert {t["task_id"] for t in report["per_task"]} == {"t1", "t2"}
         # 60 s window: 40 W idle + 100 W * 30 s + 70 W * 30 s.
@@ -492,3 +531,137 @@ class TestOsErrors:
         assert "Traceback" not in err
         assert [line for line in err.splitlines()
                 if line.startswith("wattflow: error:")]
+
+
+class TestPartialDataExit:
+    """``report`` and ``run`` exit 4 exactly when the report has flags."""
+
+    def test_shifted_trace_clips_window(self, tmp_path, capsys):
+        # The log covers 62 % of the shifted workflow window.
+        out = tmp_path / "sim"
+        assert main(["simulate", "--scenario",
+                     os.path.join(ROOT, "scenarios", "rnaseq_like.json"),
+                     "--out", str(out)]) == 0
+        trace = read_json(out / "trace_rnaseq_like.json")
+        for key in ("submitted_wall_ns", "finished_wall_ns"):
+            trace[key] += 600 * S
+        for task in trace["tasks"]:
+            task["start_wall_ns"] += 600 * S
+            task["end_wall_ns"] += 600 * S
+        shifted = tmp_path / "shifted.json"
+        shifted.write_text(json.dumps(trace), encoding="utf-8")
+        target = tmp_path / "report.json"
+        capsys.readouterr()
+        code = main(["report", "--logs", str(out), "--trace", str(shifted),
+                     "--out", str(target)])
+        assert code == 4
+        assert warnings_in(capsys.readouterr().err) == \
+            partial_warning("clipped_window")
+        report = read_json(target)
+        assert report["flags"] == ["clipped_window"]
+        assert report["total_joules"] == pytest.approx(135_155.0)
+
+    def test_truncated_log_names_its_node(self, tmp_path, capsys):
+        logs_dir = tmp_path / "logs"
+        logs_dir.mkdir()
+        spec = CounterSpec(domain=RaplDomain.PACKAGE, bit_width=32,
+                           energy_unit_joules=1e-6)
+        writer = LogWriter(str(logs_dir / "rapl_alpha_sess.csv"), "alpha",
+                           {RaplDomain.PACKAGE: spec},
+                           epoch_wall_ns=ORIGIN)
+        for k in range(11):
+            writer.record(k * S, RaplDomain.PACKAGE, k * 50_000_000)
+        writer.close(LogStatus.TRUNCATED)
+        trace = WorkflowTrace(
+            workflow_id="wf-t", submitted_wall_ns=ORIGIN,
+            finished_wall_ns=ORIGIN + 10 * S,
+            tasks=(TaskRecord(
+                task_id="t", name="t", node_id="alpha",
+                start_wall_ns=ORIGIN, end_wall_ns=ORIGIN + 10 * S,
+                cpu_time_s=10.0, status=TaskStatus.COMPLETED),))
+        trace_path = str(tmp_path / "trace.json")
+        write_generic_trace(trace, trace_path)
+        code = main(["report", "--logs", str(logs_dir),
+                     "--trace", trace_path])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert warnings_in(captured.err) == \
+            partial_warning("flagged_log:alpha")
+        report = json.loads(captured.out)
+        assert report["flags"] == ["flagged_log:alpha"]
+        assert report["total_joules"] == pytest.approx(500.0)
+
+    @pytest.mark.parametrize("tail, flag", [
+        ("#wattflow-end status=truncated\n", "flagged_log:n1"),
+        (GAP_THEN_CLOSED, "unsafe_gap")], ids=["truncated", "gap"])
+    def test_run_over_flagged_log(self, tmp_path, capsys, tail, flag):
+        config = prewritten_run_config(tmp_path, {"n1": tail, "n2": CLOSED})
+        capsys.readouterr()
+        code = main(["run", "--config", write_run_config(tmp_path, config)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert warnings_in(captured.err) == partial_warning(flag)
+        report = read_json(captured.out.strip().splitlines()[-1])
+        assert report["flags"] == [flag]
+        assert report["total_joules"] == pytest.approx(200.0)
+
+    def test_failed_workflow_exit_wins_over_flags(self, tmp_path, capsys):
+        config = dataclasses.replace(
+            prewritten_run_config(tmp_path, {
+                "n1": "#wattflow-end status=truncated\n", "n2": CLOSED}),
+            workflow_cmd="false")
+        capsys.readouterr()
+        code = main(["run", "--config", write_run_config(tmp_path, config)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "workflow exited 1" in captured.err
+        report = read_json(captured.out.strip().splitlines()[-1])
+        assert report["flags"] == ["flagged_log:n1"]
+
+    def test_resume_over_gap_marked_closed_logs_exits_0(self, tmp_path,
+                                                        capsys):
+        # Every resumed report is flagged; a salvage with a usable log
+        # from every node still succeeds.
+        config = closed_logs_config(
+            tmp_path, {"n1": GAP_THEN_CLOSED, "n2": GAP_THEN_CLOSED})
+        capsys.readouterr()
+        code = main(["run", "--config", write_run_config(tmp_path, config),
+                     "--resume", "rs"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert warnings_in(captured.err) == []
+        report = read_json(captured.out.strip().splitlines()[-1])
+        assert report["flags"] == ["resumed", "unsafe_gap"]
+
+    @pytest.mark.parametrize("resume", [True, False])
+    def test_short_log_is_missing_and_report_written(self, tmp_path, capsys,
+                                                     resume):
+        # n2's agent died after one record: too few to integrate.
+        config = prewritten_run_config(
+            tmp_path, {"n1": CLOSED, "n2": CLOSED}, stop_timeout_s=0.0)
+        short = tmp_path / "agent_logs" / "rapl_n2_rs.csv"
+        header = short.read_text().splitlines()[0]
+        short.write_text(f"{header}\n0,package,0\n")
+        argv = ["run", "--config", write_run_config(tmp_path, config)]
+        capsys.readouterr()
+        code = main(argv + ["--resume", "rs"] if resume else argv)
+        captured = capsys.readouterr()
+        assert code == 4
+        report = read_json(tmp_path / "out" / "report_rs.json")
+        flags = ["missing_log:n2"] + (["resumed"] if resume else [])
+        assert report["flags"] == flags
+        assert warnings_in(captured.err) == partial_warning(*flags)
+        assert sorted(report["per_node"]) == ["n1"]
+        assert report["total_joules"] == pytest.approx(100.0)
+
+
+def test_readme_lists_exactly_the_report_flags():
+    """README's "Report flags" table and the code's FLAG_* names agree."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("\n## Report flags\n", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `([a-z_]+)(?::<node>)?` \|", section,
+                            flags=re.MULTILINE)
+    constants = [value for name, value in vars(accounting).items()
+                 if name.startswith("FLAG_")]
+    assert sorted(documented) == sorted(constants)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 _UNIQUE = itertools.count()
 
+from wattflow.accounting import NodeEnergyLog, log_flags
 from wattflow.counter import (
     CounterSpec,
     RaplDomain,
@@ -55,15 +56,20 @@ def write_simple_log(tmp_path, records, node="n1", session="s1",
     return path
 
 
+def flags_of(parsed: ParsedLog) -> set[str]:
+    """The report flags a parsed log raises."""
+    return log_flags(NodeEnergyLog.from_parsed(parsed))
+
+
 class TestRoundTrip:
     def test_simple_round_trip(self, tmp_path):
         recs = [(10, RaplDomain.PACKAGE, 100), (20, RaplDomain.PACKAGE, 200)]
         parsed = parse_log(write_simple_log(tmp_path, recs))
         assert parsed.node_id == "n1"
         assert parsed.session_id == "s1"
-        assert parsed.epoch_wall_ns == 1_000
         assert parsed.status is LogStatus.CLOSED
         series = parsed.series[RaplDomain.PACKAGE]
+        assert series.epoch_wall_ns == 1_000
         assert tuple(series.samples) == (RawSample(10, 100), RawSample(20, 200))
         assert series.spec == PKG_SPEC
 
@@ -292,18 +298,18 @@ class TestGapAndStatus:
         series = parsed.series[RaplDomain.PACKAGE]
         assert series.gap_markers == (15,)
         assert series.has_unsafe_gap(10, 20)
-        assert parsed.flagged
+        assert flags_of(parsed) == {"unsafe_gap"}
 
     def test_clean_log_not_flagged(self, tmp_path):
         parsed = parse_log(write_simple_log(
             tmp_path, [(1, RaplDomain.PACKAGE, 0)]))
-        assert not parsed.flagged
+        assert flags_of(parsed) == set()
 
     def test_reaped_status_round_trips(self, tmp_path):
         parsed = parse_log(write_simple_log(
             tmp_path, [(1, RaplDomain.PACKAGE, 0)], status=LogStatus.REAPED))
         assert parsed.status is LogStatus.REAPED
-        assert parsed.flagged
+        assert flags_of(parsed) == {"flagged_log:n1"}
 
     def test_missing_trailer_reads_as_open(self, tmp_path):
         path = str(tmp_path / log_filename("n1", "g2"))
@@ -312,7 +318,7 @@ class TestGapAndStatus:
         w.abandon()
         parsed = parse_log(path)
         assert parsed.status is LogStatus.OPEN
-        assert parsed.flagged
+        assert flags_of(parsed) == {"flagged_log:n1"}
 
     def test_torn_final_line_dropped_and_truncated(self, tmp_path):
         path = write_simple_log(tmp_path, [(1, RaplDomain.PACKAGE, 0),
@@ -572,10 +578,9 @@ def reference_parse_log(path: str) -> ParsedLog:
                              gap_markers=gaps[domain])
         for domain in specs
     }
-    return ParsedLog(path=path, node_id=node_id,
+    return ParsedLog(node_id=node_id,
                      session_id=session_from_filename(path, node_id),
-                     epoch_wall_ns=epoch_wall_ns, status=status,
-                     series=series)
+                     status=status, series=series)
 
 
 PKG, DRAM = RaplDomain.PACKAGE, RaplDomain.DRAM

@@ -348,16 +348,19 @@ class TestResumeTrailerWait:
         assert not [r for r in caplog.records if "trailer" in r.message]
 
 
-def prewritten_run_config(tmp_path, **kwargs) -> RunConfig:
+def prewritten_run_config(tmp_path, tails: dict[str, str | None] | None
+                          = None, **kwargs) -> RunConfig:
     """A run over logs that already hold records and trailers.
 
     The agents exit at once, so the orchestrator's waits see only the
-    hand-written logs.
+    hand-written logs.  ``tails`` is as for :func:`closed_logs_config`;
+    by default n1 and n2 both close cleanly.
     """
     (tmp_path / "signals").mkdir()
     config = closed_logs_config(
-        tmp_path, {"n1": "#wattflow-end status=closed\n",
-                   "n2": "#wattflow-end status=closed\n"}, **kwargs)
+        tmp_path, tails or {"n1": "#wattflow-end status=closed\n",
+                            "n2": "#wattflow-end status=closed\n"},
+        **kwargs)
     return dataclasses.replace(config, agents=tuple(
         dataclasses.replace(a, agent_cmd="true") for a in config.agents))
 

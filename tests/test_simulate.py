@@ -9,7 +9,12 @@ from dataclasses import replace
 
 import pytest
 
-from wattflow.accounting import MeasurementMethod, NodeEnergyLog, report_to_json
+from wattflow.accounting import (
+    MeasurementMethod,
+    NodeEnergyLog,
+    log_flags,
+    report_to_json,
+)
 from wattflow.counter import (
     CounterSpec,
     RaplDomain,
@@ -253,7 +258,7 @@ class TestSynthesis:
         logs = synthesize_counters(scenario)
         (path,) = write_log_files(scenario, logs, str(tmp_path))
         parsed = parse_log(path)
-        assert not parsed.flagged
+        assert not log_flags(NodeEnergyLog.from_parsed(parsed))
         original = logs["n1"].series_by_domain[RaplDomain.PACKAGE]
         recovered = parsed.series[RaplDomain.PACKAGE]
         assert tuple(recovered.samples) == tuple(original.samples)
