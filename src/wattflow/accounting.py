@@ -24,6 +24,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .counter import EnergyQuantity, RaplDomain, SampleSeries, integrate_window
 from .errors import (
+    DegenerateSeriesError,
     InvalidArgumentError,
     MissingNodeLogError,
     NoPointsInWindowError,
@@ -148,12 +149,13 @@ class NodeEnergyLog:
 def log_flags(log: NodeEnergyLog) -> set[str]:
     """The report flags one node's log raises: ``flagged_log:<node>``
     unless it ended with a ``closed`` trailer, and ``unsafe_gap`` when it
-    holds a gap marker, a failed reading the counter may have wrapped in.
+    holds an unsafe gap (see :meth:`SampleSeries.unsafe_gaps`), a span
+    the counter may have wrapped in unseen.
     """
     flags = set()
     if log.status is not LogStatus.CLOSED:
         flags.add(f"{FLAG_FLAGGED_LOG}:{log.node_id}")
-    if any(s.gap_markers for s in log.series_by_domain.values()):
+    if any(s.unsafe_gaps() for s in log.series_by_domain.values()):
         flags.add(FLAG_UNSAFE_GAP)
     return flags
 
@@ -178,6 +180,46 @@ def node_window_energy(log: NodeEnergyLog, start_wall_ns: int,
         mono_end = end_wall_ns - series.epoch_wall_ns
         out[domain] = integrate_window(series, mono_start, mono_end).joules
     return out
+
+
+def node_energies(logs: Mapping[str, NodeEnergyLog],
+                  window: tuple[int, int] | None = None
+                  ) -> tuple[dict[str, dict[RaplDomain, float]],
+                             dict[str, tuple[int, int]], set[str]]:
+    """Per-node energy over a wall-time window, and the flags that raises.
+
+    Each node's window is ``window`` clipped to its log's sampled span
+    (the whole span when ``window`` is None); a clip flags
+    ``clipped_window``.  A log with no sampled span, or that covers none
+    of the window, is left out and flagged ``missing_log:<node>``; each
+    log used adds its :func:`log_flags`.  A window clipping leaves
+    unchanged is used as is, even when it has zero length.
+
+    Returns:
+        Joules by domain per node, in sorted node order; each node's
+        clipped window; the flags.
+    """
+    per_node: dict[str, dict[RaplDomain, float]] = {}
+    windows: dict[str, tuple[int, int]] = {}
+    flags: set[str] = set()
+    for node in sorted(logs):
+        log = logs[node]
+        try:
+            lo, hi = log.wall_span()
+        except (DegenerateSeriesError, InvalidArgumentError):
+            flags.add(f"{FLAG_MISSING_LOG}:{node}")
+            continue
+        if window is not None:
+            lo, hi = max(window[0], lo), min(window[1], hi)
+            if (lo, hi) != window:
+                if lo >= hi:
+                    flags.add(f"{FLAG_MISSING_LOG}:{node}")
+                    continue
+                flags.add(FLAG_CLIPPED_WINDOW)
+        flags |= log_flags(log)
+        per_node[node] = node_window_energy(log, lo, hi)
+        windows[node] = (lo, hi)
+    return per_node, windows, flags
 
 
 def countable_domains(domains: Iterable[RaplDomain]) -> frozenset[RaplDomain]:
@@ -463,48 +505,38 @@ def assemble_report(trace: WorkflowTrace,
     """Full accounting pipeline: trace plus node logs to an energy report.
 
     The accounting window is the workflow's submit-to-finish interval,
-    clipped per node to what that node's log actually covers (clipping is
-    flagged).  Per-task energy comes from concurrent attribution on each
-    node; the report total is the sum of per-node countable energy, so the
-    conservation invariant links totals, tasks, and unattributed energy.
+    clipped per node by :func:`node_energies`, which also gives the
+    per-node energy and the log flags.  Per-task energy comes from
+    concurrent attribution on each node; the report total is the sum of
+    per-node countable energy, so the conservation invariant links totals,
+    tasks, and unattributed energy.
 
     Tasks flagged ``unknown_node`` ran on no known node: they are listed
     with no energy and that note, their energy stays unattributed, and the
-    report carries the flag.  Each log adds its :func:`log_flags`.
+    report carries the flag.
 
     Raises:
-        MissingNodeLogError: The trace places tasks on a node with no log.
+        MissingNodeLogError: The trace places tasks on a node with no
+            usable log.
     """
     groups = tasks_by_node(trace)
-    missing = sorted(set(groups) - set(logs))
+    per_node, windows, report_flags = node_energies(
+        logs, (trace.submitted_wall_ns, trace.finished_wall_ns))
+    missing = sorted(set(groups) - set(per_node))
     if missing:
         raise MissingNodeLogError(
-            f"no sample log for node(s): {', '.join(missing)}")
-    report_flags: set[str] = set()
-    per_node: dict[str, Mapping[RaplDomain, float]] = {}
+            f"no usable sample log for node(s): {', '.join(missing)}")
     all_tasks = [TaskEnergy(task_id=t.task_id, joules_by_domain={},
                             estimated=True, notes={FLAG_UNKNOWN_NODE})
                  for t in trace.tasks if FLAG_UNKNOWN_NODE in t.flags]
     if all_tasks:
         report_flags.add(FLAG_UNKNOWN_NODE)
     unattributed = 0.0
-    for node in sorted(logs):
-        log = logs[node]
-        span_lo, span_hi = log.wall_span()
-        win_lo = max(trace.submitted_wall_ns, span_lo)
-        win_hi = min(trace.finished_wall_ns, span_hi)
-        if (win_lo, win_hi) != (trace.submitted_wall_ns,
-                                trace.finished_wall_ns):
-            report_flags.add(FLAG_CLIPPED_WINDOW)
-        if win_lo >= win_hi:
-            raise MissingNodeLogError(
-                f"log for node {node} does not cover the workflow window")
+    for node, window in windows.items():
         result = attribute_concurrent(
-            groups.get(node, []), log, policy, window=(win_lo, win_hi))
-        per_node[node] = node_window_energy(log, win_lo, win_hi)
+            groups.get(node, []), logs[node], policy, window=window)
         unattributed += result.unattributed_joules
         all_tasks.extend(result.task_energies)
-        report_flags |= log_flags(log)
     all_tasks.sort(key=lambda te: te.task_id)
     return EnergyReport(
         workflow_id=trace.workflow_id, method=method,

@@ -9,9 +9,10 @@ Subcommands:
 
 Exit codes: 0 success; 2 usage, malformed input documents, or an input
 or output path that cannot be read or written; 3 runtime failure (agent
-start, missing node log, workflow mismatch, nonzero workflow exit, an OS
-error while an agent, a run, or a resume is under way); 4 report
-written with flags (``run --resume``: only for a node without a usable log).
+start, tasks on a node with no usable log, workflow mismatch, nonzero
+workflow exit, an OS error while an agent, a run, or a resume is under
+way); 4 report written with flags, among them ``missing_log:<node>`` for
+a node without a usable log (``run --resume``: only for that flag).
 """
 
 from __future__ import annotations

@@ -333,8 +333,7 @@ def integrate_window(series: SampleSeries, window_start_ns: int,
     Raises:
         DegenerateSeriesError: Fewer than two samples.
         InvalidArgumentError: Empty or inverted window.
-        WindowOutOfRangeError: Window extends beyond the sampled span
-            (code ``window-head-out-of-range`` / ``window-tail-out-of-range``).
+        WindowOutOfRangeError: Window extends beyond the sampled span.
     """
     first, last = series.span_ns
     if window_start_ns >= window_end_ns:
@@ -342,12 +341,10 @@ def integrate_window(series: SampleSeries, window_start_ns: int,
             f"window start {window_start_ns} must precede end {window_end_ns}")
     if window_start_ns < first:
         raise WindowOutOfRangeError(
-            f"window starts {first - window_start_ns} ns before first sample",
-            code="window-head-out-of-range")
+            f"window starts {first - window_start_ns} ns before first sample")
     if window_end_ns > last:
         raise WindowOutOfRangeError(
-            f"window ends {window_end_ns - last} ns after last sample",
-            code="window-tail-out-of-range")
+            f"window ends {window_end_ns - last} ns after last sample")
     counts = (_cumulative_counts_at(series, window_end_ns)
               - _cumulative_counts_at(series, window_start_ns))
     return EnergyQuantity(max(counts, 0.0) * series.spec.energy_unit_joules)

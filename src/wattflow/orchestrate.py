@@ -28,13 +28,13 @@ from .accounting import (
     MeasurementMethod,
     NodeEnergyLog,
     countable_total,
-    log_flags,
-    node_window_energy,
+    node_energies,
+    # Not called here; the benchmark's resume hook wraps this name.
+    node_window_energy,  # noqa: F401
     report_to_json,
 )
 from .errors import (
     AgentStartError,
-    DegenerateSeriesError,
     InvalidArgumentError,
     ParseError,
     SchemaViolationError,
@@ -242,23 +242,21 @@ def _build_run_report(config: RunConfig,
                       ) -> EnergyReport:
     """Whole-session totals per node; the shell method covers the run.
 
-    A node whose log is absent, unreadable, or has no sampled span (too
-    few records) is left out and flagged ``missing_log:<node>``.
+    A node whose log is absent or cannot be parsed is left out and
+    flagged ``missing_log:<node>``; :func:`node_energies` does the same
+    for a log with no sampled span (too few records) and adds each used
+    log's flags.  ``run`` and ``resume`` both build their report here.
     """
-    per_node: dict[str, dict[Any, float]] = {}
+    logs: dict[str, NodeEnergyLog] = {}
     flags = set(extra_flags)
     for node_id, path in sorted(log_paths.items()):
         try:
             if path is None:
                 raise FileNotFoundError(f"no log collected for {node_id}")
-            log = NodeEnergyLog.from_parsed(parse_log(path))
-            span = log.wall_span()
-        except (OSError, ParseError, DegenerateSeriesError,
-                InvalidArgumentError):
+            logs[node_id] = NodeEnergyLog.from_parsed(parse_log(path))
+        except (OSError, ParseError):
             flags.add(f"{FLAG_MISSING_LOG}:{node_id}")
-            continue
-        flags |= log_flags(log)
-        per_node[node_id] = node_window_energy(log, *span)
+    per_node, _, node_flags = node_energies(logs)
     return EnergyReport(
         workflow_id=config.session_id,
         method=MeasurementMethod.SHELL_WRAP,
@@ -266,7 +264,7 @@ def _build_run_report(config: RunConfig,
         per_node=per_node,
         coverage_fraction=1.0,
         status=status,
-        flags=flags)
+        flags=flags | node_flags)
 
 
 def _write_outputs(config: RunConfig, report: EnergyReport,

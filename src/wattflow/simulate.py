@@ -28,7 +28,7 @@ from .accounting import (
     NodeEnergyLog,
     countable_total,
     interval_estimate,
-    node_window_energy,
+    node_energies,
 )
 from .counter import CounterSpec, RaplDomain, SampleSeries
 from .errors import (
@@ -367,8 +367,10 @@ def evaluate_methods(scenario: Scenario,
     lead, the plugin and in-workflow methods start late by their delays,
     and interval scraping estimates from average-power points.  A counter
     method's total counts each node's countable domains only, so a node
-    that logs package and psys is not counted twice.  Coverage is reported
-    against both analytic ground truth and the shell measurement.
+    that logs package and psys is not counted twice, and its report
+    carries the flags :func:`node_energies` raises over its window.
+    Coverage is reported against both analytic ground truth and the shell
+    measurement.
     """
     if logs is None:
         logs = synthesize_counters(scenario)
@@ -392,11 +394,12 @@ def evaluate_methods(scenario: Scenario,
     measured: dict[MeasurementMethod, float] = {}
     per_node_by_method: dict[MeasurementMethod,
                              dict[str, dict[RaplDomain, float]]] = {}
-    for method, (lo, hi) in windows.items():
-        per_node = {node: node_window_energy(logs[node], lo, hi)
-                    for node in sorted(logs)}
+    flags_by_method: dict[MeasurementMethod, set[str]] = {}
+    for method, window in windows.items():
+        per_node, _, flags = node_energies(logs, window)
         measured[method] = countable_total(per_node)
         per_node_by_method[method] = per_node
+        flags_by_method[method] = flags
 
     scrape_total = 0.0
     scrape_per_node: dict[str, dict[RaplDomain, float]] = {}
@@ -429,7 +432,8 @@ def evaluate_methods(scenario: Scenario,
         reports[method] = EnergyReport(
             workflow_id=scenario.trace.workflow_id, method=method,
             total_joules=total, per_node=per_node_by_method[method],
-            coverage_fraction=coverage)
+            coverage_fraction=coverage,
+            flags=flags_by_method.get(method, frozenset()))
         rows.append(CoverageRow(
             method=method, measured_joules=total,
             vs_truth=total / truth.total_joules if truth.total_joules > 0

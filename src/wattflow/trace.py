@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from typing import Any, Mapping
@@ -30,7 +30,6 @@ from .errors import (
 FLAG_SUB_RESOLUTION = "sub_resolution"
 FLAG_UNKNOWN_NODE = "unknown_node"
 FLAG_CPU_TIME_FALLBACK = "cpu_time_fallback"
-FLAG_OUTSIDE_WINDOW = "outside_workflow_window"
 
 SUB_RESOLUTION_S = 0.5
 
@@ -114,14 +113,6 @@ class WorkflowTrace:
                     f"workflow {self.workflow_id}: duplicate task_id "
                     f"{t.task_id!r}")
             seen.add(t.task_id)
-        flagged = tuple(
-            replace(t, flags=t.flags | {FLAG_OUTSIDE_WINDOW})
-            if (t.start_wall_ns < self.submitted_wall_ns
-                or t.end_wall_ns > self.finished_wall_ns)
-            and FLAG_OUTSIDE_WINDOW not in t.flags
-            else t
-            for t in self.tasks)
-        object.__setattr__(self, "tasks", flagged)
 
 
 _NF_STATUS = {

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from wattflow.accounting import (
     FLAG_CLIPPED_WINDOW,
+    FLAG_MISSING_LOG,
     FLAG_UNSAFE_GAP,
     NOTE_EQUAL_SPLIT,
     NOTE_IDLE_CLAMPED,
@@ -29,6 +30,8 @@ from wattflow.accounting import (
     countable_domains,
     countable_total,
     interval_estimate,
+    log_flags,
+    node_energies,
     node_window_energy,
     report_from_obj,
     report_to_json,
@@ -36,11 +39,13 @@ from wattflow.accounting import (
 )
 from wattflow.counter import CounterSpec, RaplDomain, RawSample, build_series
 from wattflow.errors import (
+    DegenerateSeriesError,
     InvalidArgumentError,
     MissingNodeLogError,
     NoPointsInWindowError,
     SchemaViolationError,
 )
+from wattflow.logfile import LogStatus
 from wattflow.trace import (
     TaskRecord,
     TaskStatus,
@@ -463,6 +468,125 @@ class TestSweepMatchesScan:
             == scan_attribution([], log, cpu_policy()).unattributed_by_domain
 
 
+@st.composite
+def energies_log(draw, node):
+    """One node's log, and the nominal wall span its samples were drawn
+    on: plain, short (a domain with one record), multi-domain with
+    disjoint spans, gap-marked, or truncated."""
+    kind = draw(st.sampled_from(
+        ["plain", "short", "disjoint", "gapped", "truncated"]))
+    start = draw(st.integers(0, 16)) * TICK
+    count = draw(st.integers(2, 16))
+    domains = (PKG, DRAM) if kind == "disjoint" \
+        else draw(st.sampled_from([(PKG,), (PKG, DRAM)]))
+    series = {}
+    for n, domain in enumerate(domains):
+        first, samples_in = start, count
+        if kind == "disjoint" and n == 1:
+            first = start + (count + draw(st.integers(0, 4))) * TICK
+        if kind == "short" and n == len(domains) - 1:
+            samples_in = 1
+        times = [first + k * TICK for k in range(samples_in)]
+        raw = draw(st.integers(0, 2**32 - 1))
+        samples = []
+        for t in times:
+            samples.append(RawSample(t, raw))
+            raw = (raw + draw(st.integers(0, 90_000_000))) % 2**32
+        markers = [draw(st.sampled_from(times))] if kind == "gapped" else []
+        series[domain] = build_series(
+            node, CounterSpec(domain=domain, bit_width=32,
+                              energy_unit_joules=1e-6),
+            samples, epoch_wall_ns=EPOCH, gap_markers=markers)
+    status = LogStatus.TRUNCATED if kind == "truncated" else LogStatus.CLOSED
+    log = NodeEnergyLog(node_id=node, series_by_domain=series, status=status)
+    return log, (EPOCH + start, EPOCH + start + (count - 1) * TICK)
+
+
+@st.composite
+def energies_cases(draw):
+    """Logs for one to three nodes and a window placed against the first
+    node's nominal span: inside it, across its head or tail, outside it,
+    of zero length, or None."""
+    nodes = [f"n{i}" for i in range(draw(st.integers(1, 3)))]
+    drawn = [draw(energies_log(node)) for node in nodes]
+    lo, hi = drawn[0][1]
+    at = st.integers
+    kind = draw(st.sampled_from(
+        ["inside", "head", "tail", "outside", "zero", "none"]))
+    if kind == "inside":
+        a, b = sorted(draw(st.lists(at(lo, hi), min_size=2, max_size=2,
+                                    unique=True)))
+        window = (a, b)
+    elif kind == "head":
+        window = (draw(at(lo - 8 * TICK, lo - 1)), draw(at(lo + 1, hi)))
+    elif kind == "tail":
+        window = (draw(at(lo, hi - 1)), draw(at(hi + 1, hi + 8 * TICK)))
+    elif kind == "outside":
+        length = draw(at(1, 4 * TICK))
+        if draw(st.booleans()):
+            end = draw(at(lo - 8 * TICK, lo))
+            window = (end - length, end)
+        else:
+            start = draw(at(hi, hi + 8 * TICK))
+            window = (start, start + length)
+    elif kind == "zero":
+        a = draw(at(lo - 4 * TICK, hi + 4 * TICK))
+        window = (a, a)
+    else:
+        window = None
+    return {node: log for node, (log, _) in zip(nodes, drawn)}, window
+
+
+def _span_or_none(log):
+    try:
+        return log.wall_span()
+    except (DegenerateSeriesError, InvalidArgumentError):
+        return None
+
+
+class TestNodeEnergies:
+    """``node_energies`` is the one place that windows logs per node."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(energies_cases())
+    def test_each_node_measured_or_missing(self, case):
+        logs, window = case
+        per_node, windows, flags = node_energies(logs, window)
+        assert list(per_node) == sorted(per_node)
+        assert set(windows) == set(per_node)
+        want_flags = set()
+        for node, log in logs.items():
+            missing = f"{FLAG_MISSING_LOG}:{node}" in flags
+            assert (node in per_node) != missing
+            span = _span_or_none(log)
+            if span is None:
+                assert missing
+                continue
+            want = span if window is None else \
+                (max(window[0], span[0]), min(window[1], span[1]))
+            covers = window is None or want[0] < want[1] or want == window
+            assert missing == (not covers)
+            if missing:
+                continue
+            assert windows[node] == want
+            assert per_node[node] == node_window_energy(log, *windows[node])
+            want_flags |= log_flags(log)
+            if window is not None and want != window:
+                want_flags.add(FLAG_CLIPPED_WINDOW)
+        want_flags |= {f"{FLAG_MISSING_LOG}:{node}" for node in logs
+                       if node not in per_node}
+        assert flags == want_flags
+
+    def test_no_window_takes_each_whole_span(self):
+        logs = {"n1": constant_log("n1", watts=10, duration_s=20),
+                "n2": constant_log("n2", watts=30, duration_s=10)}
+        per_node, windows, flags = node_energies(logs)
+        assert windows == {"n1": (EPOCH, EPOCH + 20 * S),
+                           "n2": (EPOCH, EPOCH + 10 * S)}
+        assert per_node["n2"][PKG] == pytest.approx(300.0)
+        assert flags == set()
+
+
 class TestWorkflowTotal:
     WINDOW = (EPOCH, EPOCH + 60 * S)
 
@@ -576,6 +700,24 @@ class TestAssembleReport:
         del logs["n2"]
         with pytest.raises(MissingNodeLogError, match="n2"):
             assemble_report(trace, logs, cpu_policy())
+
+    def test_horizon_gap_flags_report_and_task(self):
+        # No gap marker: a 3 s hole between samples is over half the 4 s
+        # wrap horizon, so a wrap could hide in it.
+        spec = CounterSpec(domain=PKG, bit_width=64, energy_unit_joules=1e-6)
+        times = [k * S // 2 for k in range(21)] + \
+            [k * S // 2 for k in range(27, 41)]
+        series = build_series("n1", spec,
+                              [RawSample(t, t // 10) for t in times],
+                              epoch_wall_ns=EPOCH, wrap_horizon_ns=4 * S)
+        log = NodeEnergyLog(node_id="n1", series_by_domain={PKG: series})
+        trace = WorkflowTrace(workflow_id="wf-h", submitted_wall_ns=EPOCH,
+                              finished_wall_ns=EPOCH + 20 * S,
+                              tasks=(task("t1", 5, 15),))
+        report = assemble_report(trace, {"n1": log}, cpu_policy())
+        assert report.flags == {FLAG_UNSAFE_GAP}
+        assert FLAG_UNSAFE_GAP in report.per_task[0].notes
+        assert report.total_joules == pytest.approx(2000.0)
 
     def test_policy_neutral_on_exclusive_trace(self):
         trace, logs = fixture_trace_and_logs()

@@ -591,6 +591,64 @@ class TestPartialDataExit:
         assert report["flags"] == ["flagged_log:alpha"]
         assert report["total_joules"] == pytest.approx(500.0)
 
+    @staticmethod
+    def rnaseq_with_n9_log(tmp_path, epoch_wall_ns: int,
+                           record_times_s: tuple[int, ...]):
+        """``rnaseq_like`` simulated, plus a closed log from node n9."""
+        out = tmp_path / "sim"
+        assert main(["simulate", "--scenario",
+                     os.path.join(ROOT, "scenarios", "rnaseq_like.json"),
+                     "--out", str(out)]) == 0
+        spec = CounterSpec(domain=RaplDomain.PACKAGE, bit_width=32,
+                           energy_unit_joules=1e-6)
+        writer = LogWriter(str(out / "rapl_n9_rnaseq_like.csv"), "n9",
+                           {RaplDomain.PACKAGE: spec},
+                           epoch_wall_ns=epoch_wall_ns)
+        for k, t_s in enumerate(record_times_s):
+            writer.record(t_s * S, RaplDomain.PACKAGE, k * 1_000_000)
+        writer.close(LogStatus.CLOSED)
+        return out, out / "trace_rnaseq_like.json"
+
+    def test_one_record_log_on_idle_node_is_missing(self, tmp_path,
+                                                     capsys):
+        out, trace = self.rnaseq_with_n9_log(tmp_path, ORIGIN, (0,))
+        target = tmp_path / "report.json"
+        capsys.readouterr()
+        code = main(["report", "--logs", str(out), "--trace", str(trace),
+                     "--out", str(target)])
+        assert code == 4
+        assert warnings_in(capsys.readouterr().err) == \
+            partial_warning("missing_log:n9")
+        report = read_json(target)
+        assert report["flags"] == ["missing_log:n9"]
+        assert sorted(report["per_node"]) == ["n1"]
+        assert report["total_joules"] == pytest.approx(225_000.0)
+
+    def test_log_ending_before_the_workflow_is_missing(self, tmp_path,
+                                                       capsys):
+        out, trace = self.rnaseq_with_n9_log(tmp_path, ORIGIN - 100 * S,
+                                             (0, 10))
+        target = tmp_path / "report.json"
+        code = main(["report", "--logs", str(out), "--trace", str(trace),
+                     "--out", str(target)])
+        assert code == 4
+        report = read_json(target)
+        assert "missing_log:n9" in report["flags"]
+        assert sorted(report["per_node"]) == ["n1"]
+
+    def test_tasks_on_node_with_one_record_log_exit_3(self, tmp_path,
+                                                      capsys):
+        out, trace_path = self.rnaseq_with_n9_log(tmp_path, ORIGIN, (0,))
+        trace = read_json(trace_path)
+        trace["tasks"].append(dict(trace["tasks"][0], task_id="on-n9",
+                                   node_id="n9"))
+        moved = tmp_path / "moved.json"
+        moved.write_text(json.dumps(trace), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["report", "--logs", str(out), "--trace", str(moved)])
+        assert code == 3
+        assert "n9" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tail, flag", [
         ("#wattflow-end status=truncated\n", "flagged_log:n1"),
         (GAP_THEN_CLOSED, "unsafe_gap")], ids=["truncated", "gap"])

@@ -218,15 +218,15 @@ class TestIntegrateWindow:
 
     def test_window_before_first_sample(self):
         series = ramp_series()
-        with pytest.raises(WindowOutOfRangeError) as exc:
+        with pytest.raises(WindowOutOfRangeError,
+                           match="before first sample"):
             integrate_window(series, -1, 1_000_000_000)
-        assert exc.value.code == "window-head-out-of-range"
 
     def test_window_after_last_sample(self):
         series = ramp_series()
-        with pytest.raises(WindowOutOfRangeError) as exc:
+        with pytest.raises(WindowOutOfRangeError,
+                           match="after last sample"):
             integrate_window(series, 0, 10_000_000_001)
-        assert exc.value.code == "window-tail-out-of-range"
 
     def test_empty_window_rejected(self):
         series = ramp_series()

@@ -345,6 +345,9 @@ class TestEvaluateMethods:
         plugin = result.reports[MeasurementMethod.SIGNAL_PLUGIN]
         assert plugin.total_joules == pytest.approx(0.0, abs=1e-9)
         assert plugin.coverage_fraction == pytest.approx(0.0, abs=1e-9)
+        # The zero-length window still measures every node, unflagged.
+        assert plugin.per_node == {"n1": {RaplDomain.PACKAGE: 0.0}}
+        assert plugin.flags == frozenset()
 
     def test_deterministic_reports_bit_identical(self):
         scenario = make_scenario()

@@ -15,7 +15,6 @@ from wattflow.errors import (
 )
 from wattflow.trace import (
     FLAG_CPU_TIME_FALLBACK,
-    FLAG_OUTSIDE_WINDOW,
     FLAG_SUB_RESOLUTION,
     FLAG_UNKNOWN_NODE,
     TaskRecord,
@@ -205,11 +204,10 @@ class TestGenericTrace:
         write_generic_trace(trace, str(out))
         assert json.loads(out.read_text()) == doc
 
-    def test_task_outside_bounds_flagged_not_dropped(self):
+    def test_task_outside_bounds_not_dropped(self):
         doc = generic_doc(submitted_wall_ns=3_000_000_000)
         trace = trace_from_obj(doc)
         assert len(trace.tasks) == 1
-        assert FLAG_OUTSIDE_WINDOW in trace.tasks[0].flags
 
     def test_schema_violations_name_json_path(self):
         doc = generic_doc()
