@@ -16,7 +16,6 @@ Everything here is pure computation over immutable inputs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,22 +28,25 @@ from .errors import (
     MissingNodeLogError,
     NoPointsInWindowError,
     SchemaViolationError,
+    json_text,
     load_json,
 )
 from .logfile import LogStatus, ParsedLog
 from .trace import (
+    FLAG_SUB_RESOLUTION as _SUB_RESOLUTION,  # a task note, no report flag
     FLAG_UNKNOWN_NODE,
     TaskRecord,
+    TaskStatus,
     WorkflowTrace,
     tasks_by_node,
 )
 
 REPORT_VERSION = 1
 
-NOTE_SUB_RESOLUTION = "sub_resolution"
 NOTE_SHARED_WINDOW = "shared_window"
 NOTE_EQUAL_SPLIT = "equal_split_zero_weight"
 NOTE_IDLE_CLAMPED = "idle_clamped"
+NOTE_CACHED = "cached"
 
 # Report-level flags are this module's FLAG_* names, FLAG_UNKNOWN_NODE
 # among them: a report carrying one is partial.  The first two are also
@@ -355,7 +357,7 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
     for i, task in enumerate(tasks):
         task_lo, task_hi = task.window()
         lo, hi = max(task_lo, win_lo), min(task_hi, win_hi)
-        notes.append({NOTE_SUB_RESOLUTION} if task.sub_resolution else set())
+        notes.append({_SUB_RESOLUTION} if task.sub_resolution else set())
         if lo >= hi:
             clipped.append((win_lo, win_lo))
             weights.append(0.0)
@@ -513,7 +515,9 @@ def assemble_report(trace: WorkflowTrace,
 
     Tasks flagged ``unknown_node`` ran on no known node: they are listed
     with no energy and that note, their energy stays unattributed, and the
-    report carries the flag.
+    report carries the flag.  ``cached`` tasks did not run in this
+    session: they are listed with no energy and the ``cached`` note, and
+    take no share of any segment.
 
     Raises:
         MissingNodeLogError: The trace places tasks on a node with no
@@ -526,11 +530,17 @@ def assemble_report(trace: WorkflowTrace,
     if missing:
         raise MissingNodeLogError(
             f"no usable sample log for node(s): {', '.join(missing)}")
-    all_tasks = [TaskEnergy(task_id=t.task_id, joules_by_domain={},
-                            estimated=True, notes={FLAG_UNKNOWN_NODE})
-                 for t in trace.tasks if FLAG_UNKNOWN_NODE in t.flags]
-    if all_tasks:
-        report_flags.add(FLAG_UNKNOWN_NODE)
+    all_tasks = []
+    for t in trace.tasks:
+        if t.status is TaskStatus.CACHED:
+            note = NOTE_CACHED
+        elif FLAG_UNKNOWN_NODE in t.flags:
+            note = FLAG_UNKNOWN_NODE
+            report_flags.add(FLAG_UNKNOWN_NODE)
+        else:
+            continue
+        all_tasks.append(TaskEnergy(task_id=t.task_id, joules_by_domain={},
+                                    estimated=True, notes={note}))
     unattributed = 0.0
     for node, window in windows.items():
         result = attribute_concurrent(
@@ -553,19 +563,13 @@ def report_to_obj(report: EnergyReport) -> dict[str, Any]:
         "status": report.status,
         "total_joules": report.total_joules,
         "unattributed_joules": report.unattributed_joules,
-        "per_node": {
-            node: {domain.value: joules
-                   for domain, joules in sorted(
-                       domains.items(), key=lambda kv: kv[0].value)}
-            for node, domains in sorted(report.per_node.items())},
+        "per_node": {node: {d.value: j for d, j in domains.items()}
+                     for node, domains in report.per_node.items()},
         "per_task": [
             {
                 "task_id": te.task_id,
-                "joules_by_domain": {
-                    domain.value: joules
-                    for domain, joules in sorted(
-                        te.joules_by_domain.items(),
-                        key=lambda kv: kv[0].value)},
+                "joules_by_domain": {d.value: j for d, j in
+                                     te.joules_by_domain.items()},
                 "estimated": te.estimated,
                 "notes": sorted(te.notes),
             }
@@ -580,7 +584,7 @@ def report_to_obj(report: EnergyReport) -> dict[str, Any]:
 
 def report_to_json(report: EnergyReport) -> str:
     """Deterministic serialization: fixed key order, no volatile fields."""
-    return json.dumps(report_to_obj(report), indent=2, sort_keys=True) + "\n"
+    return json_text(report_to_obj(report))
 
 
 def report_from_obj(obj: Any) -> EnergyReport:

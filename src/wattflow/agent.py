@@ -29,7 +29,6 @@ from typing import Any, Callable, Mapping
 from .backends import (
     CounterBackend,
     MockBackend,
-    MockProfile,
     MsrBackend,
     PowercapBackend,
 )
@@ -40,6 +39,7 @@ from .errors import (
     SchemaViolationError,
     WattflowError,
     load_json,
+    present_keys,
 )
 from .logfile import LogStatus, LogWriter, format_tick, log_filename
 from .signals import (
@@ -54,9 +54,6 @@ from .signals import (
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_INTERVAL_MS = 500
-DEFAULT_MAX_POWER_WATTS = 250.0
-
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -66,8 +63,8 @@ class SamplerConfig:
     domains: tuple[CounterSpec, ...]
     log_dir: str
     signal_dir: str
-    interval_ms: int = DEFAULT_INTERVAL_MS
-    max_power_watts: float = DEFAULT_MAX_POWER_WATTS
+    interval_ms: int = 500
+    max_power_watts: float = 250.0
     stale_timeout_s: float = DEFAULT_STALE_TIMEOUT_S
     max_runtime_s: float | None = None
 
@@ -103,10 +100,7 @@ def build_backend(spec: CounterSpec, obj: Any,
     kind = obj["kind"]
     try:
         if kind == "mock":
-            segments = tuple((float(d), float(w))
-                             for d, w in obj["segments"])
-            profile = MockProfile(segments=segments, spec=spec)
-            return MockBackend(profile, start_ns=start_ns)
+            return MockBackend(obj["segments"], start_ns=start_ns)
         if kind == "powercap":
             if spec.energy_unit_joules != 1e-6:
                 raise SchemaViolationError(
@@ -116,10 +110,9 @@ def build_backend(spec: CounterSpec, obj: Any,
             if "zone_dir" in obj:
                 return PowercapBackend(obj["zone_dir"])
             return PowercapBackend.discover(
-                spec.domain,
-                base_path=obj.get("base_path", "/sys/class/powercap"))
+                spec.domain, **present_keys(obj, base_path=os.fspath))
         if kind == "msr":
-            return MsrBackend(obj.get("device_path", "/dev/cpu/0/msr"))
+            return MsrBackend(**present_keys(obj, device_path=os.fspath))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolationError(
             f"bad backend config: {exc}", json_path="$.backend") from None
@@ -136,27 +129,18 @@ def config_from_obj(doc: Any, start_ns: int = 0
     try:
         specs = []
         backends: dict[RaplDomain, CounterBackend] = {}
-        for i, entry in enumerate(doc["domains"]):
-            spec = CounterSpec(
-                domain=RaplDomain.parse(entry.get("domain", "package")),
-                bit_width=int(entry.get("bit_width", 32)),
-                energy_unit_joules=float(entry.get("unit_j", 1e-6)))
+        for entry in doc["domains"]:
+            spec = CounterSpec.from_obj(entry)
             specs.append(spec)
             backends[spec.domain] = build_backend(
                 spec, entry["backend"], start_ns=start_ns)
         config = SamplerConfig(
-            node_id=doc["node_id"],
-            domains=tuple(specs),
-            log_dir=doc["log_dir"],
-            signal_dir=doc["signal_dir"],
-            interval_ms=int(doc.get("interval_ms", DEFAULT_INTERVAL_MS)),
-            max_power_watts=float(
-                doc.get("max_power_watts", DEFAULT_MAX_POWER_WATTS)),
-            stale_timeout_s=float(
-                doc.get("stale_timeout_s", DEFAULT_STALE_TIMEOUT_S)),
-            max_runtime_s=(float(doc["max_runtime_s"])
-                           if doc.get("max_runtime_s") is not None
-                           else None))
+            node_id=doc["node_id"], domains=tuple(specs),
+            log_dir=doc["log_dir"], signal_dir=doc["signal_dir"],
+            **present_keys(doc, interval_ms=int, max_power_watts=float,
+                           stale_timeout_s=float,
+                           max_runtime_s=lambda v: None if v is None
+                           else float(v)))
         return config, backends
     except SchemaViolationError:
         raise

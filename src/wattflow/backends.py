@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from typing import Iterable
 
 from .counter import CounterSpec, RaplDomain, RawSample
 from .errors import (
@@ -31,57 +31,11 @@ from .errors import (
 )
 
 __all__ = [
-    "MockProfile",
     "CounterBackend",
     "MockBackend",
     "PowercapBackend",
     "MsrBackend",
 ]
-
-
-@dataclass(frozen=True)
-class MockProfile:
-    """Piecewise-constant power profile driving a synthetic counter.
-
-    Attributes:
-        segments: (duration_s, power_watts) pairs played back in order.
-            After the last segment the power holds at the final level, so an
-            agent that outlives the profile keeps producing plausible counts.
-        spec: Counter geometry the synthetic counter emulates.  The
-            counter is exact cumulative energy reduced by the wrap modulus.
-    """
-
-    segments: tuple[tuple[float, float], ...]
-    spec: CounterSpec
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "segments",
-                           tuple((float(d), float(p))
-                                 for d, p in self.segments))
-        if not self.segments:
-            raise InvalidArgumentError("profile needs at least one segment")
-        for d, p in self.segments:
-            if not d > 0:
-                raise InvalidArgumentError(
-                    f"segment duration must be > 0, got {d}")
-            if not p >= 0:
-                raise InvalidArgumentError(
-                    f"segment power must be >= 0, got {p}")
-
-    def cumulative_joules(self, elapsed_s: float) -> float:
-        """Energy accumulated from profile start to ``elapsed_s``."""
-        if elapsed_s < 0:
-            raise InvalidArgumentError(f"elapsed_s must be >= 0, got {elapsed_s}")
-        joules, remaining = 0.0, elapsed_s
-        for duration, power in self.segments:
-            if remaining <= 0:
-                break
-            took = min(remaining, duration)
-            joules += took * power
-            remaining -= took
-        if remaining > 0:
-            joules += remaining * self.segments[-1][1]
-        return joules
 
 
 class CounterBackend:
@@ -99,23 +53,39 @@ class CounterBackend:
 
 
 class MockBackend(CounterBackend):
-    """Synthetic counter: cumulative profile energy reduced by the modulus.
+    """Synthetic counter: a power profile's cumulative energy in the
+    spec's units, reduced by its modulus.
 
-    ``start_ns`` anchors profile time zero on the caller's monotonic clock.
+    ``segments`` are (duration_s, power_watts) pairs played back from
+    ``start_ns`` on the caller's clock; past the last one the power holds
+    at its final level, so an agent outliving the profile keeps counting.
     """
 
-    def __init__(self, profile: MockProfile, start_ns: int = 0) -> None:
-        self.profile = profile
+    def __init__(self, segments: Iterable[tuple[float, float]],
+                 start_ns: int = 0) -> None:
+        self.segments = tuple((float(d), float(w)) for d, w in segments)
+        if not (self.segments and all(d > 0 and w >= 0
+                                      for d, w in self.segments)):
+            raise InvalidArgumentError(
+                f"segments must be one or more (duration_s > 0, watts >= 0) "
+                f"pairs, got {self.segments}")
         self.start_ns = start_ns
 
     def read(self, spec: CounterSpec, now_ns: int) -> RawSample:
-        if spec.domain is not self.profile.spec.domain:
+        remaining = (now_ns - self.start_ns) / 1e9
+        if remaining < 0:
             raise InvalidArgumentError(
-                f"mock profile is for {self.profile.spec.domain}, "
-                f"asked for {spec.domain}")
-        elapsed_s = (now_ns - self.start_ns) / 1e9
-        counts = round(self.profile.cumulative_joules(elapsed_s)
-                       / spec.energy_unit_joules)
+                f"read {-remaining} s before the profile starts")
+        joules = 0.0
+        for duration, watts in self.segments:
+            if remaining <= 0:
+                break
+            took = min(remaining, duration)
+            joules += took * watts
+            remaining -= took
+        if remaining > 0:
+            joules += remaining * self.segments[-1][1]
+        counts = round(joules / spec.energy_unit_joules)
         return RawSample(t_ns=now_ns, raw=counts % spec.modulus)
 
 

@@ -18,7 +18,6 @@ a node without a usable log (``run --resume``: only for that flag).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -41,6 +40,7 @@ from .errors import (
     ParseError,
     SchemaViolationError,
     WattflowError,
+    json_text,
 )
 from .logfile import parse_log
 from .orchestrate import load_run_config, resume, run_wrapped
@@ -211,10 +211,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
               f"{row['percent_of_reference']:>14.2f}%")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"workflow_id": reference.workflow_id,
-                       "reference": args.reports[0],
-                       "rows": rows}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json_text({"workflow_id": reference.workflow_id,
+                                "reference": args.reports[0],
+                                "rows": rows}))
     return EXIT_OK
 
 
@@ -237,8 +236,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     table_text = result.table.format_text()
     outputs = {f"report_{sid}_{method.value}.json": report_to_json(report)
                for method, report in result.reports.items()}
-    outputs[f"coverage_{sid}.json"] = json.dumps(
-        result.table.to_obj(), indent=2, sort_keys=True) + "\n"
+    outputs[f"coverage_{sid}.json"] = json_text(result.table.to_obj())
     outputs[f"coverage_{sid}.txt"] = table_text
     for name, text in outputs.items():
         with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:

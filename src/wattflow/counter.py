@@ -28,7 +28,7 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, islice
-from typing import Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .errors import (
     DegenerateSeriesError,
@@ -105,6 +105,17 @@ class CounterSpec:
                 raise InvalidArgumentError(
                     f"wrap_modulus {self.wrap_modulus} outside "
                     f"(0, 2**{self.bit_width}]")
+
+    @classmethod
+    def from_obj(cls, obj: Any) -> "CounterSpec":
+        """The spec a config document spells as ``domain``, ``bit_width``
+        and ``unit_j``; an absent key means ``package``, 32 or 1e-6."""
+        if not isinstance(obj, dict):
+            raise InvalidArgumentError(
+                f"counter spec must be an object, got {obj!r}")
+        return cls(domain=RaplDomain.parse(obj.get("domain", "package")),
+                   bit_width=int(obj.get("bit_width", 32)),
+                   energy_unit_joules=float(obj.get("unit_j", 1e-6)))
 
     @property
     def modulus(self) -> int:
@@ -210,6 +221,8 @@ class SampleSeries:
     samples: SampleView = field(init=False, repr=False, compare=False)
     _wraps: array | None = field(default=None, init=False, repr=False,
                                  compare=False)
+    _unsafe: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self) -> None:
         modulus = self.spec.modulus
@@ -249,6 +262,22 @@ class SampleSeries:
             object.__setattr__(self, "_wraps", wraps)
         return self.raws[i] - self.raws[0] + self.spec.modulus * wraps[i]
 
+    def _unsafe_index(self) -> tuple[list[tuple[int, int]], list[int]]:
+        """The sorted unsafe spans and the running max of their ends,
+        computed on first use, like the wrap-count prefix."""
+        if self._unsafe is None:
+            gaps = {(t, t) for t in self.gap_markers}
+            if self.wrap_horizon_ns is not None:
+                limit = self.wrap_horizon_ns // 2
+                times = self.times
+                gaps.update((a, b) for a, b in
+                            zip(times, islice(times, 1, None))
+                            if b - a > limit)
+            spans = sorted(gaps)
+            object.__setattr__(self, "_unsafe", (spans, list(accumulate(
+                (g1 for _, g1 in spans), max))))
+        return self._unsafe
+
     def unsafe_gaps(self) -> list[tuple[int, int]]:
         """Sample gaps wide enough that an undetected wrap was possible.
 
@@ -256,20 +285,14 @@ class SampleSeries:
         time the counter could take to wrap at the configured maximum power).
         Explicit gap markers recorded by the agent are always unsafe.
         """
-        gaps: list[tuple[int, int]] = []
-        if self.wrap_horizon_ns is not None:
-            limit = self.wrap_horizon_ns // 2
-            times = self.times
-            for a, b in zip(times, islice(times, 1, None)):
-                if b - a > limit:
-                    gaps.append((a, b))
-        for t in self.gap_markers:
-            gaps.append((t, t))
-        return sorted(set(gaps))
+        return list(self._unsafe_index()[0])
 
     def has_unsafe_gap(self, start_ns: int, end_ns: int) -> bool:
-        return any(g0 <= end_ns and g1 >= start_ns
-                   for g0, g1 in self.unsafe_gaps())
+        """Whether an unsafe gap touches ``[start_ns, end_ns]``: some span
+        starting by ``end_ns`` ends at or after ``start_ns``."""
+        spans, max_ends = self._unsafe_index()
+        k = bisect.bisect_right(spans, end_ns, key=operator.itemgetter(0))
+        return k > 0 and max_ends[k - 1] >= start_ns
 
 
 def raw_delta(prev: int, curr: int, bit_width: int) -> int:

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all wattflow modules.
+"""Exception hierarchy and JSON document helpers shared by all modules.
 
 Callers tell failure kinds apart by class; messages are for people.
 """
@@ -6,7 +6,7 @@ Callers tell failure kinds apart by class; messages are for people.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable
 
 
 class WattflowError(Exception):
@@ -78,6 +78,18 @@ class SchemaViolationError(ParseError):
     def __init__(self, message: str, *, json_path: str = "$"):
         super().__init__(f"{json_path}: {message}")
         self.json_path = json_path
+
+
+def present_keys(doc: Any, **kinds: Callable[[Any], Any]) -> dict[str, Any]:
+    """The keys of ``kinds`` that ``doc`` holds, each read through its
+    kind: as keyword arguments they leave omitted keys to the defaults."""
+    return {key: kind(doc[key]) for key, kind in kinds.items() if key in doc}
+
+
+def json_text(obj: Any) -> str:
+    """The text of every JSON document wattflow writes: two-space indent,
+    sorted keys and a final newline, so equal documents are equal bytes."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def load_json(path: str) -> Any:

@@ -12,7 +12,6 @@ whole-run report is emitted.  A crashed orchestrator can be recovered with
 
 from __future__ import annotations
 
-import json
 import logging
 import shlex
 import shutil
@@ -38,7 +37,9 @@ from .errors import (
     InvalidArgumentError,
     ParseError,
     SchemaViolationError,
+    json_text,
     load_json,
+    present_keys,
 )
 from .logfile import (
     LogStatus,
@@ -50,14 +51,12 @@ from .logfile import (
 from .signals import (
     SessionMarker,
     SessionScope,
+    check_safe_id,
     signal_start,
     signal_stop,
 )
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_STARTUP_TIMEOUT_S = 30.0
-DEFAULT_STOP_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -100,8 +99,8 @@ class RunConfig:
     agents: tuple[AgentEndpoint, ...]
     session_id: str
     output_dir: str
-    startup_timeout_s: float = DEFAULT_STARTUP_TIMEOUT_S
-    stop_timeout_s: float = DEFAULT_STOP_TIMEOUT_S
+    startup_timeout_s: float = 30.0
+    stop_timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
         if not self.workflow_cmd:
@@ -112,9 +111,8 @@ class RunConfig:
         nodes = [a.node_id for a in self.agents]
         if len(set(nodes)) != len(nodes):
             raise InvalidArgumentError("duplicate agent node_id")
-        # Reuse the marker naming rules so a bad id fails before any
-        # process is launched.
-        SessionMarker(session_id=self.session_id, created_wall_ns=0)
+        # A bad id fails before any process is launched.
+        check_safe_id("session_id", self.session_id)
 
 
 def run_config_from_obj(doc: Any, *, workflow_cmd: str | None = None,
@@ -142,10 +140,8 @@ def run_config_from_obj(doc: Any, *, workflow_cmd: str | None = None,
             session_id=session_id or doc.get(
                 "session_id", f"wf-{time.strftime('%Y%m%d-%H%M%S')}"),
             output_dir=output_dir or doc["output_dir"],
-            startup_timeout_s=float(
-                doc.get("startup_timeout_s", DEFAULT_STARTUP_TIMEOUT_S)),
-            stop_timeout_s=float(
-                doc.get("stop_timeout_s", DEFAULT_STOP_TIMEOUT_S)))
+            **present_keys(doc, startup_timeout_s=float,
+                           stop_timeout_s=float))
     except (KeyError, TypeError, ValueError, InvalidArgumentError) as exc:
         raise SchemaViolationError(f"bad run config: {exc}") from None
 
@@ -278,8 +274,7 @@ def _write_outputs(config: RunConfig, report: EnergyReport,
             "nodes": [a.node_id for a in config.agents], **meta}
     meta_path = f"{config.output_dir}/run_{config.session_id}.json"
     with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(meta))
     return RunResult(report=report, report_path=report_path,
                      meta_path=meta_path,
                      workflow_exit_code=meta.get("workflow_exit_code"),

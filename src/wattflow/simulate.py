@@ -35,12 +35,12 @@ from .errors import (
     InvalidArgumentError,
     SchemaViolationError,
     load_json,
+    present_keys,
 )
 from .logfile import LogStatus, LogWriter, log_filename
 from .trace import TaskRecord, TaskStatus, WorkflowTrace
 
 DEFAULT_WALL_ORIGIN_NS = 1_700_000_000_000_000_000
-DEFAULT_SAMPLE_INTERVAL_MS = 500
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ class Scenario:
     trace: WorkflowTrace
     specs: Mapping[str, CounterSpec]
     timing: MethodTiming = field(default_factory=MethodTiming)
-    sample_interval_ms: int = DEFAULT_SAMPLE_INTERVAL_MS
+    sample_interval_ms: int = 500
     wall_origin_ns: int = DEFAULT_WALL_ORIGIN_NS
 
     def __post_init__(self) -> None:
@@ -462,24 +462,16 @@ def scenario_from_obj(doc: Any) -> Scenario:
         wf_start = float(workflow["start_s"])
         wf_end = float(workflow["end_s"])
         origin = int(doc.get("wall_origin_ns", DEFAULT_WALL_ORIGIN_NS))
-        timing_obj = doc.get("method_timing", {})
-        timing = MethodTiming(
-            shell_lead_s=float(timing_obj.get("shell_lead_s", 0.0)),
-            plugin_delay_s=float(timing_obj.get("plugin_delay_s", 0.0)),
-            taskmethod_delay_s=float(
-                timing_obj.get("taskmethod_delay_s", 0.0)),
-            scrape_interval_s=float(
-                timing_obj.get("scrape_interval_s", 30.0)))
+        timing = MethodTiming(**present_keys(
+            doc.get("method_timing", {}), shell_lead_s=float,
+            plugin_delay_s=float, taskmethod_delay_s=float,
+            scrape_interval_s=float))
         profiles = []
         specs: dict[str, CounterSpec] = {}
         tasks: list[TaskRecord] = []
         for node in doc["nodes"]:
             node_id = node["node_id"]
-            spec_obj = node.get("spec", {})
-            specs[node_id] = CounterSpec(
-                domain=RaplDomain.parse(spec_obj.get("domain", "package")),
-                bit_width=int(spec_obj.get("bit_width", 32)),
-                energy_unit_joules=float(spec_obj.get("unit_j", 1e-6)))
+            specs[node_id] = CounterSpec.from_obj(node.get("spec", {}))
             loads = []
             for load_obj in node.get("tasks", []):
                 load = TaskLoad(task_id=load_obj["task_id"],
@@ -509,10 +501,8 @@ def scenario_from_obj(doc: Any) -> Scenario:
                                                      t.task_id))))
         return Scenario(
             scenario_id=scenario_id, profiles=tuple(profiles), trace=trace,
-            specs=specs, timing=timing,
-            sample_interval_ms=int(
-                doc.get("sample_interval_ms", DEFAULT_SAMPLE_INTERVAL_MS)),
-            wall_origin_ns=origin)
+            specs=specs, timing=timing, wall_origin_ns=origin,
+            **present_keys(doc, sample_interval_ms=int))
     except SchemaViolationError:
         raise
     except (KeyError, TypeError, ValueError, InvalidArgumentError) as exc:

@@ -10,7 +10,6 @@ missing CPU time) become flags on the record instead of errors.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ from .errors import (
     MissingColumnError,
     RowParseError,
     SchemaViolationError,
+    json_text,
     load_json,
 )
 
@@ -358,19 +358,19 @@ def trace_to_obj(trace: WorkflowTrace) -> dict[str, Any]:
 
 def write_generic_trace(trace: WorkflowTrace, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trace_to_obj(trace), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(trace_to_obj(trace)))
 
 
 def tasks_by_node(trace: WorkflowTrace) -> dict[str, list[TaskRecord]]:
     """Tasks grouped by node, each group in start order.
 
-    Tasks flagged ``unknown_node`` ran on no node the trace names, so
-    they are left out.
+    Tasks flagged ``unknown_node`` ran on no node the trace names, and
+    ``cached`` tasks did not run in this session, so both are left out.
     """
     out: dict[str, list[TaskRecord]] = {}
     for t in trace.tasks:
-        if FLAG_UNKNOWN_NODE not in t.flags:
+        if FLAG_UNKNOWN_NODE not in t.flags \
+                and t.status is not TaskStatus.CACHED:
             out.setdefault(t.node_id, []).append(t)
     for records in out.values():
         records.sort(key=lambda t: (t.start_wall_ns, t.end_wall_ns, t.task_id))

@@ -17,7 +17,6 @@ from wattflow.accounting import (
     NOTE_EQUAL_SPLIT,
     NOTE_IDLE_CLAMPED,
     NOTE_SHARED_WINDOW,
-    NOTE_SUB_RESOLUTION,
     AttributionPolicy,
     AttributionResult,
     EnergyReport,
@@ -47,6 +46,7 @@ from wattflow.errors import (
 )
 from wattflow.logfile import LogStatus
 from wattflow.trace import (
+    FLAG_SUB_RESOLUTION,
     TaskRecord,
     TaskStatus,
     WorkflowTrace,
@@ -139,7 +139,7 @@ class TestExclusiveTaskEnergy:
         te, = result.task_energies
         assert te.joules_by_domain[PKG] == pytest.approx(75.0, rel=1e-9)
         assert te.estimated is True
-        assert NOTE_SUB_RESOLUTION in te.notes
+        assert FLAG_SUB_RESOLUTION in te.notes
 
     def test_task_window_equal_to_session_window(self):
         log = constant_log(watts=100, duration_s=60)
@@ -290,7 +290,7 @@ def scan_attribution(tasks, log, policy, window=None):
         lo, hi = t.window()
         lo, hi = max(lo, win_lo), min(hi, win_hi)
         notes[t.task_id] = set(
-            {NOTE_SUB_RESOLUTION} if t.sub_resolution else set())
+            {FLAG_SUB_RESOLUTION} if t.sub_resolution else set())
         if lo >= hi:
             clipped[t.task_id] = (win_lo, win_lo)
             weights[t.task_id] = 0.0
@@ -429,6 +429,38 @@ def attribution_cases(draw):
     return tasks, log, policy, window
 
 
+def scanned_unsafe_spans(log: NodeEnergyLog) -> list[tuple[int, int]]:
+    """Every unsafe span of a log in wall time, by a scan of each series:
+    each gap marker, and each step longer than half the wrap horizon."""
+    spans = []
+    for series in log.series_by_domain.values():
+        steps = []
+        if series.wrap_horizon_ns is not None:
+            times = list(series.times)
+            steps = [(a, b) for a, b in zip(times, times[1:])
+                     if b - a > series.wrap_horizon_ns // 2]
+        spans += [(series.epoch_wall_ns + a, series.epoch_wall_ns + b)
+                  for a, b in steps + [(t, t) for t in series.gap_markers]]
+    return spans
+
+
+class TestUnsafeGapsMatchScan:
+    @settings(max_examples=300, deadline=None)
+    @given(attribution_cases())
+    def test_notes_and_flags_equal_a_scan(self, case):
+        tasks, log, policy, window = case
+        spans = scanned_unsafe_spans(log)
+        got = attribute_concurrent(tasks, log, policy, window=window)
+        win_lo, win_hi = window or log.wall_span()
+        for task, te in zip(tasks, got.task_energies):
+            lo = max(task.window()[0], win_lo)
+            hi = min(task.window()[1], win_hi)
+            want = lo < hi and any(g0 <= hi and g1 >= lo for g0, g1 in spans)
+            assert (FLAG_UNSAFE_GAP in te.notes) == want, te.task_id
+        flags = node_energies({"n1": log}, window)[2]
+        assert (FLAG_UNSAFE_GAP in flags) == bool(spans)
+
+
 class TestSweepMatchesScan:
     """The event sweep equals the per-segment scan exactly (``==``)."""
 
@@ -458,7 +490,7 @@ class TestSweepMatchesScan:
             assert got == want
             by_id = {te.task_id: te for te in got.task_energies}
             assert FLAG_CLIPPED_WINDOW in by_id["f"].notes
-            assert NOTE_SUB_RESOLUTION in by_id["e"].notes
+            assert FLAG_SUB_RESOLUTION in by_id["e"].notes
 
     def test_node_without_tasks_leaves_all_unattributed(self):
         log = constant_log(watts=25, duration_s=10)

@@ -29,9 +29,9 @@ from wattflow.agent import (
 from wattflow.backends import (
     CounterBackend,
     MockBackend,
-    MockProfile,
     PowercapBackend,
 )
+from wattflow.cli import main
 from wattflow.counter import (
     CounterSpec,
     RaplDomain,
@@ -99,8 +99,7 @@ class FlakyBackend(CounterBackend):
 
 
 def constant_backend(watts: float = 100.0) -> MockBackend:
-    profile = MockProfile(segments=((3600.0, watts),), spec=SPEC)
-    return MockBackend(profile, start_ns=0)
+    return MockBackend(((3600.0, watts),), start_ns=0)
 
 
 def make_agent(tmp_path, clock: FakeClock, backend=None,
@@ -363,9 +362,9 @@ class TestStartupChecks:
         clock = FakeClock()
         fast_wrap = CounterSpec(domain=RaplDomain.PACKAGE, bit_width=20,
                                 energy_unit_joules=1e-6)
-        profile = MockProfile(segments=((3600.0, 100.0),), spec=fast_wrap)
         with caplog.at_level(logging.WARNING, logger="wattflow.agent"):
-            make_agent(tmp_path, clock, backend=MockBackend(profile),
+            make_agent(tmp_path, clock,
+                       backend=MockBackend(((3600.0, 100.0),)),
                        spec=fast_wrap)
         assert any("wrap horizon" in r.message for r in caplog.records)
 
@@ -550,6 +549,50 @@ class TestConfigDocument:
             config_from_obj(doc)
         with pytest.raises(SchemaViolationError):
             config_from_obj([])
+
+    @pytest.mark.parametrize("segments", [
+        [], [[0.0, 10.0]], [[-1.0, 10.0]], [[60.0, -5.0]], [[60.0, "hot"]],
+        [[60.0, None]]])
+    def test_bad_mock_segments_exit_2_at_load(self, tmp_path, capsys,
+                                              segments):
+        doc = self.make_doc(tmp_path)
+        doc["domains"][1]["backend"]["segments"] = segments
+        path = tmp_path / "agent.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["agent", "--config", str(path)]) == 2
+        assert "wattflow: error:" in capsys.readouterr().err
+
+    def test_domain_entry_must_be_an_object(self, tmp_path):
+        doc = self.make_doc(tmp_path)
+        doc["domains"][1] = "dram"
+        with pytest.raises(SchemaViolationError, match="object"):
+            config_from_obj(doc)
+
+    def test_absent_keys_take_the_dataclass_defaults(self, tmp_path):
+        doc = self.make_doc(tmp_path)
+        del doc["interval_ms"], doc["max_power_watts"]
+        doc["max_runtime_s"] = None
+        config, _ = config_from_obj(doc)
+        assert config == SamplerConfig(
+            node_id="n1", domains=config.domains, log_dir=doc["log_dir"],
+            signal_dir=doc["signal_dir"])
+
+    def test_backend_paths_default_in_the_backends(self, tmp_path):
+        assert build_backend(SPEC, {"kind": "msr"}).device_path \
+            == "/dev/cpu/0/msr"
+        assert build_backend(SPEC, {"kind": "msr", "device_path": "/x"}
+                             ).device_path == "/x"
+        zone = tmp_path / "intel-rapl:0"
+        zone.mkdir()
+        (zone / "name").write_text("package-0\n")
+        (zone / "energy_uj").write_text("0\n")
+        (zone / "max_energy_range_uj").write_text(f"{2**32 - 1}\n")
+        backend = build_backend(
+            SPEC, {"kind": "powercap", "base_path": str(tmp_path)})
+        assert backend.zone_dir == str(zone)
+        for kind, key in (("msr", "device_path"), ("powercap", "base_path")):
+            with pytest.raises(SchemaViolationError):
+                build_backend(SPEC, {"kind": kind, key: 5})
 
     def test_build_backend_requires_kind(self):
         with pytest.raises(SchemaViolationError):
@@ -754,8 +797,7 @@ class TestTickCost:
             signal_dir=str(tmp_path / "signals"))
         agent = SamplerAgent(
             config, {SPEC.domain: PowercapBackend(str(zone)),
-                     dram.domain: MockBackend(MockProfile(
-                         segments=((3600.0, 10.0),), spec=dram))},
+                     dram.domain: MockBackend(((3600.0, 10.0),))},
             mono_ns=clock.mono_ns, wall_ns=clock.wall_ns)
         return agent, clock
 

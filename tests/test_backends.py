@@ -11,7 +11,6 @@ import pytest
 from wattflow import backends
 from wattflow.backends import (
     MockBackend,
-    MockProfile,
     MsrBackend,
     PowercapBackend,
 )
@@ -34,61 +33,55 @@ class TestMockBackend:
     def test_read_at_midpoint(self):
         # 100 W for 10 s at 1e-6 J/count: t=5 s -> 5e8 counts exactly.
         spec = mock_spec()
-        backend = MockBackend(MockProfile(((10.0, 100.0),), spec))
+        backend = MockBackend(((10.0, 100.0),))
         sample = backend.read(spec, 5_000_000_000)
         assert sample.raw == 500_000_000
         assert sample.t_ns == 5_000_000_000
 
     def test_read_at_zero(self):
         spec = mock_spec()
-        backend = MockBackend(MockProfile(((10.0, 100.0),), spec))
+        backend = MockBackend(((10.0, 100.0),))
         assert backend.read(spec, 0).raw == 0
 
     def test_wrap_at_bit_width(self):
         # Cumulative counts 2**20 + 7 reduce to raw 7 on a 20-bit counter.
         spec = mock_spec(bit_width=20)
-        backend = MockBackend(MockProfile(((100.0, 100.0),), spec))
+        backend = MockBackend(((100.0, 100.0),))
         sample = backend.read(spec, 10_485_830)
         assert sample.raw == 7
 
     def test_segment_boundaries_accumulate(self):
         # [(2 s, 50 W), (3 s, 200 W)] at t=4 s: 100 + 400 = 500 J.
         spec = mock_spec(unit=1.0, bit_width=64)
-        backend = MockBackend(MockProfile(((2.0, 50.0), (3.0, 200.0)), spec))
+        backend = MockBackend(((2.0, 50.0), (3.0, 200.0)))
         assert backend.read(spec, 4_000_000_000).raw == 500
 
     def test_power_holds_past_profile_end(self):
         # Past the 5 s profile the last level (200 W) continues: at t=7 s,
         # 100 + 600 + 400 = 1100 J.
         spec = mock_spec(unit=1.0, bit_width=64)
-        backend = MockBackend(MockProfile(((2.0, 50.0), (3.0, 200.0)), spec))
+        backend = MockBackend(((2.0, 50.0), (3.0, 200.0)))
         assert backend.read(spec, 7_000_000_000).raw == 1100
 
     def test_start_anchor_offsets_profile_time(self):
         spec = mock_spec()
-        backend = MockBackend(MockProfile(((10.0, 100.0),), spec),
-                              start_ns=2_000_000_000)
+        backend = MockBackend(((10.0, 100.0),), start_ns=2_000_000_000)
         assert backend.read(spec, 7_000_000_000).raw == 500_000_000
 
-    def test_domain_mismatch_rejected(self):
-        pkg = mock_spec()
-        dram = mock_spec(domain=RaplDomain.DRAM)
-        backend = MockBackend(MockProfile(((1.0, 1.0),), pkg))
-        with pytest.raises(InvalidArgumentError):
-            backend.read(dram, 0)
-
     def test_profile_validation(self):
-        spec = mock_spec()
+        for segments in ((), ((0.0, 10.0),), ((1.0, -5.0),),
+                         ((1.0, float("nan")),)):
+            with pytest.raises(InvalidArgumentError):
+                MockBackend(segments)
+
+    def test_read_before_start_rejected(self):
+        backend = MockBackend(((10.0, 100.0),), start_ns=1_000)
         with pytest.raises(InvalidArgumentError):
-            MockProfile((), spec)
-        with pytest.raises(InvalidArgumentError):
-            MockProfile(((0.0, 10.0),), spec)
-        with pytest.raises(InvalidArgumentError):
-            MockProfile(((1.0, -5.0),), spec)
+            backend.read(mock_spec(), 999)
 
     def test_monotone_counts_before_wrap(self):
         spec = mock_spec(bit_width=64)
-        backend = MockBackend(MockProfile(((10.0, 37.5),), spec))
+        backend = MockBackend(((10.0, 37.5),))
         reads = [backend.read(spec, t * 10**8).raw for t in range(100)]
         assert reads == sorted(reads)
 

@@ -484,6 +484,40 @@ class TestUnknownNode:
             40.0 * 60 + 100.0 * 30 + 70.0 * 30, rel=1e-3)
 
 
+class TestCachedTask:
+    def test_cached_row_takes_no_energy(self, tmp_path, capsys):
+        # rnaseq_like's one task covers the run; a cached task inside it
+        # did not run in this session and must not take a share.
+        out = str(tmp_path / "sim")
+        assert main(["simulate", "--scenario",
+                     os.path.join(ROOT, "scenarios", "rnaseq_like.json"),
+                     "--out", out]) == 0
+        plain = os.path.join(out, "trace_rnaseq_like.json")
+        doc = read_json(plain)
+        doc["tasks"].append({
+            "task_id": "c1", "name": "cached-step", "node_id": "n1",
+            "start_wall_ns": doc["submitted_wall_ns"] + 300 * S,
+            "end_wall_ns": doc["submitted_wall_ns"] + 900 * S,
+            "cpu_time_s": 600.0, "status": "cached"})
+        cached = tmp_path / "trace_cached.json"
+        cached.write_text(json.dumps(doc), encoding="utf-8")
+        reports = []
+        for trace_path in (plain, str(cached)):
+            target = str(tmp_path / "report.json")
+            capsys.readouterr()
+            assert main(["report", "--logs", out, "--trace", trace_path,
+                         "--out", target]) == 0
+            assert warnings_in(capsys.readouterr().err) == []
+            reports.append(read_json(target))
+        without, with_cached = reports
+        assert [t for t in with_cached["per_task"] if t["task_id"] == "c1"] \
+            == [{"task_id": "c1", "joules_by_domain": {}, "estimated": True,
+                 "notes": ["cached"]}]
+        with_cached["per_task"] = [t for t in with_cached["per_task"]
+                                   if t["task_id"] != "c1"]
+        assert with_cached == without
+
+
 def _os_error_case(tmp_path, case: str) -> list[str]:
     """Arguments for one subcommand that meets an OS error."""
     blocker = tmp_path / "a-file"

@@ -143,6 +143,21 @@ class TestCounterSpec:
         with pytest.raises(InvalidArgumentError):
             spec(bit_width=20, wrap_modulus=2**20 + 1)
 
+    def test_from_obj_fills_absent_keys_with_the_defaults(self):
+        assert CounterSpec.from_obj({}) == CounterSpec(
+            domain=RaplDomain.PACKAGE, bit_width=32, energy_unit_joules=1e-6)
+        assert CounterSpec.from_obj(
+            {"domain": "DRAM", "bit_width": 20, "unit_j": 0.5}) == \
+            CounterSpec(domain=RaplDomain.DRAM, bit_width=20,
+                        energy_unit_joules=0.5)
+
+    @pytest.mark.parametrize("obj", [
+        "package", [], {"domain": "gpu"}, {"bit_width": 65},
+        {"unit_j": 0}])
+    def test_from_obj_refuses_what_is_no_counter(self, obj):
+        with pytest.raises(InvalidArgumentError):
+            CounterSpec.from_obj(obj)
+
 
 def ramp_series(power_watts: float = 100.0, seconds: int = 10,
                 unit: float = 1e-6) -> SampleSeries:

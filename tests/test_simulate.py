@@ -437,6 +437,14 @@ class TestScenarioDocument:
         with pytest.raises(SchemaViolationError):
             scenario_from_obj("not an object")
 
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        doc = scenario_doc()
+        doc["method_timing"] = {"plugin_delay_s": 3.0, "unknown_s": 1.0}
+        del doc["nodes"][1]["spec"]
+        scenario = scenario_from_obj(doc)
+        assert scenario.timing == MethodTiming(plugin_delay_s=3.0)
+        assert scenario.specs["beta"] == CounterSpec.from_obj({})
+
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope", encoding="utf-8")
