@@ -167,8 +167,9 @@ class PowercapBackend(CounterBackend):
     """Reads `energy_uj` from one powercap zone directory.
 
     Values are already microjoules, so the counter spec must declare a 1e-6
-    energy unit.  The zone advertises its own wrap range; that range is read
-    once at construction and becomes the wrap modulus for the domain.
+    energy unit (``agent.build_backend`` refuses any other).  The zone
+    advertises its own wrap range; that range is read once at construction
+    and becomes the wrap modulus for the domain.
     """
 
     def __init__(self, zone_dir: str) -> None:
@@ -214,10 +215,6 @@ class PowercapBackend(CounterBackend):
         return min(self._max_range + 1, 1 << spec.bit_width)
 
     def read(self, spec: CounterSpec, now_ns: int) -> RawSample:
-        if spec.energy_unit_joules != 1e-6:
-            raise InvalidArgumentError(
-                f"powercap reports microjoules; spec declares unit "
-                f"{spec.energy_unit_joules}")
         return RawSample(t_ns=now_ns, raw=_read_int(self._energy))
 
     def close(self) -> None:

@@ -34,13 +34,14 @@ from .accounting import (
     load_report,
     report_to_json,
 )
-from .agent import SamplerAgent, load_config
+from .agent import SamplerAgent, config_from_obj
 from .errors import (
     InvalidArgumentError,
     ParseError,
     SchemaViolationError,
     WattflowError,
     json_text,
+    load_json,
 )
 from .logfile import parse_log
 from .orchestrate import load_run_config, resume, run_wrapped
@@ -81,11 +82,18 @@ def _flags_exit(flags: frozenset[str]) -> int:
 
 
 def cmd_agent(args: argparse.Namespace) -> int:
+    # An unreadable config file is an input path error, which main reports.
     try:
-        config, backends = load_config(args.config,
-                                       start_ns=time.monotonic_ns())
+        doc = load_json(args.config)
+    except SchemaViolationError as exc:
+        return _fail(str(exc), EXIT_USAGE)
+    try:
+        config, backends = config_from_obj(doc, start_ns=time.monotonic_ns())
     except _USAGE_ERRORS as exc:
         return _fail(str(exc), EXIT_USAGE)
+    except (WattflowError, OSError) as exc:
+        # A backend that cannot be built: the agent cannot start.
+        return _fail(str(exc), EXIT_RUNTIME)
     agent = SamplerAgent(config, backends)
     agent.install_signal_handlers()
     logger.info("agent for node %s sampling every %d ms",

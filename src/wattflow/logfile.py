@@ -14,13 +14,17 @@ Line grammar::
     #wattflow-end status=<closed|truncated|reaped>
 
 Record lines make up nearly all of a long log, so :func:`parse_log` reads
-the file line by line, tests for records first and handles each in one
-pass: one split, one dict lookup of the domain by the spelling its header
-used, and two appends to that domain's columns, an ``array('q')`` of
+the file in blocks of about 32 KiB and handles each run of record lines
+between two directive lines in one block step: a few passes at C speed
+check the whole run's shape (every line ``<digits>,<spelling>,<digits>``
+with a spelling some header used), convert its numbers with one split
+and one ``map(int)``, split them by domain, check each domain's range and
+order, and only then extend that domain's columns, an ``array('q')`` of
 times and an ``array('Q')`` of raw counts, which become the
-:class:`SampleSeries` as they are.  Any other spelling, and any line that
-fails a check, takes a slow path that checks it in full and names the
-first failure.  Nothing but the columns grows with the log.
+:class:`SampleSeries` as they are.  A run that fails any check appends
+nothing and is read again line by line on the checked path, which names
+the first failing line and its number; directive lines are always read
+one at a time.  Nothing but the columns grows with the log.
 :func:`read_status` answers "has this log closed?" from the file's tail
 alone, and :func:`has_record` answers "has this log a record yet?" from
 its head, for callers that poll a growing log.
@@ -34,12 +38,14 @@ each log's own timestamp check and appends the block in one write.
 from __future__ import annotations
 
 import logging
+import operator
 import os
 import re
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from itertools import islice
+from typing import Mapping, Sequence
 
 from .counter import CounterSpec, RaplDomain, RawSample, SampleSeries
 from .errors import (
@@ -61,6 +67,17 @@ _FILENAME_RE = re.compile(r"^rapl_(?P<rest>.+)\.csv$")
 
 # One domain's columns while a log is read: modulus, times, raw counts.
 _Column = tuple[int, array, array]
+
+# parse_log reads a log in blocks of this many characters.
+_PARSE_BLOCK = 32 * 1024
+_DIGITS = b"0123456789"
+_T_END = 2 ** 63
+# The block step's stand-in for the i-th header's ``,<spelling>,`` is byte
+# _MARKER_0 + i, which no ASCII text holds.
+_MARKER_0 = 0x80
+_MARKERS = tuple(bytes((_MARKER_0 + i,)) for i in range(len(RaplDomain)))
+_MARKER_SET = b"".join(_MARKERS)
+_MARKERS_TO_SPACE = bytes.maketrans(_MARKER_SET, b" " * len(_MARKERS))
 
 
 class LogStatus(Enum):
@@ -333,9 +350,9 @@ def _append_record(line: str, lineno: int, path: str,
                    columns: Mapping[RaplDomain, _Column]) -> None:
     """Check one record line in full and append it to its domain's columns.
 
-    The slow path of :func:`parse_log`: it runs for a record the fast path
-    did not take (another domain spelling, or a line that fails a check)
-    and reports the first failing check in the parser's fixed order.
+    The checked path of :func:`parse_log`: it runs, line by line, for a
+    run of records the block step did not take, and reports the first
+    failing check in the parser's fixed order.
     """
     error = _non_ascii(line, path, lineno)
     if error is not None:
@@ -373,6 +390,67 @@ def _append_record(line: str, lineno: int, path: str,
     raws.append(raw)
 
 
+def _take_run(run: str, fields: Sequence[tuple[bytes, _Column]]) -> bool:
+    """Append a run of record lines to their columns in one block step.
+
+    ``run`` is whole lines, each ending in ``\\n``; ``fields`` pairs each
+    header's ``,<spelling>,`` with its domain's columns, in header order.
+    The step is all or nothing: it appends only when every line is
+    ``<digits>,<header spelling>,<digits>``, the lines cycle through their
+    domains in one order, and each domain's raw counts lie inside its
+    modulus and its timestamps increase from its column's last one and
+    stay inside the signed 64-bit range; otherwise it appends nothing and
+    returns False.
+
+    Each spelling becomes a marker byte that no ASCII text holds, so with
+    its digits deleted a passing run reads marker, newline, marker,
+    newline, and its markers give each line's domain.
+    """
+    try:
+        data = run.encode("ascii")
+    except UnicodeEncodeError:
+        return False
+    for marker, (field, _) in zip(_MARKERS, fields):
+        data = data.replace(field, marker)
+    # With its digits deleted, each line must be one marker and its
+    # newline: n markers at even offsets leave the n newlines the odd ones.
+    n = run.count("\n")
+    skeleton = data.translate(None, _DIGITS)
+    order = skeleton[::2]
+    if len(skeleton) != 2 * n or order.translate(None, _MARKER_SET):
+        return False
+    try:
+        values = list(map(int, data.translate(_MARKERS_TO_SPACE).split()))
+    except ValueError:
+        # More digits than int() converts: the checked path names the line.
+        return False
+    if len(values) != 2 * n:
+        return False
+
+    # A LogWriter log cycles through its domains in one order, so each
+    # domain's values are a stride slice.  A run in any other order is
+    # left to the checked path.
+    width = 1
+    while width < n and order[width] not in order[:width]:
+        width += 1
+    cycle = order[:width]
+    if order != cycle * (n // width) + cycle[:n % width]:
+        return False
+    parts = [(fields[marker - _MARKER_0][1], values[2 * j::2 * width],
+              values[2 * j + 1::2 * width])
+             for j, marker in enumerate(cycle)]
+
+    for (modulus, column_times, _), times, raws in parts:
+        if max(raws) >= modulus or times[-1] >= _T_END or \
+                (column_times and times[0] <= column_times[-1]) or \
+                not all(map(operator.lt, times, islice(times, 1, None))):
+            return False
+    for (_, column_times, column_raws), times, raws in parts:
+        column_times.fromlist(times)
+        column_raws.fromlist(raws)
+    return True
+
+
 def parse_log(path: str) -> ParsedLog:
     """Read a session log back into immutable sample series.
 
@@ -380,11 +458,17 @@ def parse_log(path: str) -> ParsedLog:
     and raw counts are preserved bit for bit, the energy unit through its
     shortest decimal representation.
 
-    The file is read line by line with universal newlines, so ``\\r`` and
-    ``\\r\\n`` end a line as ``\\n`` does.  Each record is appended
-    straight to its domain's two columns.  A final line without a
-    terminating newline is treated as torn by a crashed writer: it is
-    dropped and the log is marked truncated.
+    The file is read in text mode with universal newlines, so ``\\r`` and
+    ``\\r\\n`` end a line as ``\\n`` does, in blocks of about 32 KiB, each
+    cut after its last line break; the rest carries over to the next
+    block.  Each ``#`` directive line is handled on its own.  Each run of
+    record lines between directives goes to its domains' columns in one
+    block step that checks the whole run at C speed and appends all of it
+    or nothing; a run it refuses, including one whose lines do not cycle
+    through their domains in one order, is read again line by line, which
+    appends what is valid and names the first failing line.  A final line
+    without a terminating newline is treated as torn by a crashed writer:
+    it is dropped and the log is marked truncated.
 
     Raises:
         ParseError: Malformed line, unknown domain, non-monotonic timestamp,
@@ -398,92 +482,112 @@ def parse_log(path: str) -> ParsedLog:
     specs: dict[RaplDomain, CounterSpec] = {}
     gaps: dict[RaplDomain, list[int]] = {}
     # Per domain: (modulus, times, raws), also reachable by the domain's
-    # header spelling so a record line costs one dict lookup.
+    # header spelling for the checked path, and as ``,<spelling>,`` in
+    # header order for the block step.
     columns: dict[RaplDomain, _Column] = {}
     by_spelling: dict[str, _Column] = {}
+    fields: list[tuple[bytes, _Column]] = []
     status = LogStatus.OPEN
-    saw_trailer = torn_tail = False
+    saw_trailer = False
+    lineno = 0
+    # The text after the last line break read so far, in pieces: a long
+    # line is joined once, when its line break arrives or at the end.
+    pieces: list[str] = []
 
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line[-1] != "\n":
-                log.warning("%s: dropping unterminated final line %r",
-                            path, line)
-                torn_tail = True
-                break
-            if saw_trailer:
-                raise ParseError("content after end trailer", path=path,
-                                 line=lineno)
-            if line[0] != "#":
-                # Fast path: the header's spelling, valid ints, in range
-                # and in order.  ``int`` ignores the raw field's newline.
-                try:
-                    t_text, domain_text, raw_text = line.split(",")
-                    modulus, times, raws = by_spelling[domain_text]
-                    t_ns = int(t_text)
-                    raw = int(raw_text)
-                    if 0 <= raw < modulus and \
-                            (not times or t_ns > times[-1]):
-                        times.append(t_ns)
-                        raws.append(raw)
-                        continue
-                except (ValueError, KeyError, OverflowError):
-                    pass
-                _append_record(line[:-1], lineno, path, by_spelling, columns)
+        while block := fh.read(_PARSE_BLOCK):
+            pieces.append(block)
+            block_cut = block.rfind("\n") + 1
+            if not block_cut:
                 continue
-            line = line[:-1]
-            error = _non_ascii(line, path, lineno)
-            if error is not None:
-                raise error
-            if line.startswith(HEADER_PREFIX):
-                kv = _parse_kv(line[len(HEADER_PREFIX):], path, lineno)
-                try:
-                    domain = RaplDomain.parse(kv["domain"])
-                    spec = CounterSpec(domain=domain,
-                                       bit_width=int(kv["bit_width"]),
-                                       energy_unit_joules=float(kv["unit_j"]))
-                    node = kv["node"]
-                    epoch = int(kv["epoch_wall_ns"])
-                except (KeyError, ValueError, InvalidArgumentError) as exc:
-                    raise ParseError(f"bad header: {exc}", path=path,
-                                     line=lineno) from None
-                if node_id is None:
-                    node_id, epoch_wall_ns = node, epoch
-                elif node != node_id or epoch != epoch_wall_ns:
-                    raise HeaderMismatchError(
-                        f"{path}:{lineno}: header disagrees with earlier "
-                        f"header (node {node!r} vs {node_id!r})")
-                if domain in specs:
-                    raise ParseError(f"duplicate header for domain {domain}",
+            text = "".join(pieces)
+            cut = len(text) - len(block) + block_cut
+            tail = text[cut:]
+            pieces = [tail] if tail else []
+            # One copy of the block is enough while it is parsed; the
+            # report's peak memory counts every other.
+            del block
+            start = 0
+            while start < cut:
+                if saw_trailer:
+                    raise ParseError("content after end trailer", path=path,
+                                     line=lineno + 1)
+                if text[start] != "#":
+                    # The run ends where a line starts with "#", or at the
+                    # block's cut.
+                    stop = text.find("\n#", start, cut) + 1 or cut
+                    run = text[start:stop]
+                    if not _take_run(run, fields):
+                        for i, line in enumerate(run[:-1].split("\n"),
+                                                 start=lineno + 1):
+                            _append_record(line, i, path, by_spelling,
+                                           columns)
+                    lineno += run.count("\n")
+                    start = stop
+                    continue
+                stop = text.index("\n", start) + 1
+                line = text[start:stop - 1]
+                start = stop
+                lineno += 1
+                error = _non_ascii(line, path, lineno)
+                if error is not None:
+                    raise error
+                if line.startswith(HEADER_PREFIX):
+                    kv = _parse_kv(line[len(HEADER_PREFIX):], path, lineno)
+                    try:
+                        domain = RaplDomain.parse(kv["domain"])
+                        spec = CounterSpec(
+                            domain=domain, bit_width=int(kv["bit_width"]),
+                            energy_unit_joules=float(kv["unit_j"]))
+                        node = kv["node"]
+                        epoch = int(kv["epoch_wall_ns"])
+                    except (KeyError, ValueError,
+                            InvalidArgumentError) as exc:
+                        raise ParseError(f"bad header: {exc}", path=path,
+                                         line=lineno) from None
+                    if node_id is None:
+                        node_id, epoch_wall_ns = node, epoch
+                    elif node != node_id or epoch != epoch_wall_ns:
+                        raise HeaderMismatchError(
+                            f"{path}:{lineno}: header disagrees with earlier "
+                            f"header (node {node!r} vs {node_id!r})")
+                    if domain in specs:
+                        raise ParseError(
+                            f"duplicate header for domain {domain}",
+                            path=path, line=lineno)
+                    specs[domain] = spec
+                    gaps[domain] = []
+                    column = (spec.modulus, array("q"), array("Q"))
+                    columns[domain] = by_spelling[kv["domain"]] = column
+                    fields.append(
+                        (f",{kv['domain']},".encode("ascii"), column))
+                elif line.startswith(GAP_PREFIX):
+                    kv = _parse_kv(line[len(GAP_PREFIX):], path, lineno)
+                    try:
+                        domain = RaplDomain.parse(kv["domain"])
+                        t_ns = int(kv["t_ns"])
+                    except (KeyError, ValueError,
+                            InvalidArgumentError) as exc:
+                        raise ParseError(f"bad gap marker: {exc}", path=path,
+                                         line=lineno) from None
+                    if domain not in specs:
+                        raise HeaderMismatchError(
+                            f"{path}:{lineno}: gap for {domain} before its "
+                            f"header")
+                    gaps[domain].append(t_ns)
+                elif line.startswith(END_PREFIX):
+                    status = _parse_trailer(line, path, lineno)
+                    saw_trailer = True
+                else:
+                    raise ParseError(f"unknown directive {line.split()[0]!r}",
                                      path=path, line=lineno)
-                specs[domain] = spec
-                gaps[domain] = []
-                column = (spec.modulus, array("q"), array("Q"))
-                columns[domain] = by_spelling[kv["domain"]] = column
-            elif line.startswith(GAP_PREFIX):
-                kv = _parse_kv(line[len(GAP_PREFIX):], path, lineno)
-                try:
-                    domain = RaplDomain.parse(kv["domain"])
-                    t_ns = int(kv["t_ns"])
-                except (KeyError, ValueError, InvalidArgumentError) as exc:
-                    raise ParseError(f"bad gap marker: {exc}", path=path,
-                                     line=lineno) from None
-                if domain not in specs:
-                    raise HeaderMismatchError(
-                        f"{path}:{lineno}: gap for {domain} before its "
-                        f"header")
-                gaps[domain].append(t_ns)
-            elif line.startswith(END_PREFIX):
-                status = _parse_trailer(line, path, lineno)
-                saw_trailer = True
-            else:
-                raise ParseError(f"unknown directive {line.split()[0]!r}",
-                                 path=path, line=lineno)
 
+    tail = "".join(pieces)
+    if tail:
+        log.warning("%s: dropping unterminated final line %r", path, tail)
+        status = LogStatus.TRUNCATED
     if node_id is None or epoch_wall_ns is None:
         raise HeaderMismatchError(f"{path}: no header line found")
-    if torn_tail:
-        status = LogStatus.TRUNCATED
 
     series = {
         domain: SampleSeries(node_id=node_id, spec=specs[domain],

@@ -442,6 +442,23 @@ class TestUsage:
         assert "unit_j 0.001" in capsys.readouterr().err
         assert os.listdir(tmp_path / "logs") == []
 
+    @pytest.mark.parametrize("backend, needle", [
+        ({"kind": "powercap", "base_path": "absent"},
+         "powercap tree absent"),
+        ({"kind": "powercap", "zone_dir": "absent"},
+         "no such counter file"),
+    ])
+    def test_backend_that_cannot_be_built_fails_start(self, tmp_path, capsys,
+                                                      backend, needle):
+        backend = {k: str(tmp_path / v) if k != "kind" else v
+                   for k, v in backend.items()}
+        assert main(["agent", "--config", self.agent_config(
+            tmp_path, "n1", backend)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("wattflow: error: ") and needle in err[0]
+        assert os.listdir(tmp_path / "logs") == []
+
     @pytest.mark.parametrize("node_id", ["n\u0153ud", "my node"])
     def test_node_id_the_log_cannot_carry_refused(self, tmp_path, capsys,
                                                   node_id):

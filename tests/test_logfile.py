@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 _UNIQUE = itertools.count()
 
+from wattflow import logfile
 from wattflow.accounting import NodeEnergyLog, log_flags
 from wattflow.counter import (
     CounterSpec,
@@ -330,6 +332,32 @@ class TestGapAndStatus:
         parsed = parse_log(str(p))
         assert parsed.status is LogStatus.TRUNCATED
         assert len(parsed.series[RaplDomain.PACKAGE].samples) == 2
+
+
+class TestParseMemory:
+    def test_peak_is_the_columns_plus_a_few_blocks(self, tmp_path):
+        # A log of about 80 blocks: what parse_log holds beyond the series
+        # it returns must not grow with the log, only with the block.
+        rng = random.Random(3)
+        lines = [f"{HEADER_PREFIX}node=n1 domain={d} bit_width=32 "
+                 f"unit_j=1e-06 epoch_wall_ns=7" for d in ("package", "dram")]
+        for k in range(40_000):
+            t = 10**12 + k * 500_000_000
+            lines.append(f"{t},package,{rng.randrange(2**32)}")
+            lines.append(f"{t},dram,{rng.randrange(2**32)}")
+        lines.append(f"{END_PREFIX}status=closed")
+        path = tmp_path / log_filename("n1", "mem")
+        path.write_text("".join(line + "\n" for line in lines),
+                        encoding="ascii")
+        assert path.stat().st_size > 64 * logfile._PARSE_BLOCK
+        tracemalloc.start()
+        try:
+            parsed = parse_log(str(path))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(parsed.series[DRAM]) == 40_000
+        assert peak - held <= 16 * logfile._PARSE_BLOCK
 
 
 class TestNaming:
@@ -703,6 +731,10 @@ def _outcome(parse, path: str):
         return ("raised", type(exc), str(exc), exc.line)
 
 
+# Block sizes for parse_log: one character, a few, a few lines, default.
+BLOCK_SIZES = (1, 7, 64, logfile._PARSE_BLOCK)
+
+
 _HEAD = (f"{HEADER_PREFIX}node=n1 domain=package bit_width=32 "
          f"unit_j=1e-06 epoch_wall_ns=7\n")
 # Lines that break two neighbouring checks at once, so swapping any two
@@ -717,6 +749,16 @@ TWO_FAULT_LOGS = (
     _HEAD + f"10,package,1\n5,package,{2**32}\n",  # range, monotonic
     _HEAD + "10,package,1\n10,PACKAGE,2\n",      # monotonic, other spelling
 )
+# One run per check of the block step, each failing only that check.
+BLOCK_STEP_LOGS = (
+    _HEAD + "10,package,1\n20 5\n",              # markers only
+    _HEAD + "10,package,1\n20,package,\n",       # two integers a line
+    _HEAD + f"10,package,1\n20,package,{2**32}\n",  # range
+    _HEAD + "10,package,1\n10,package,2\n",      # order within the run
+    _HEAD + f"10,package,1\n{GAP_PREFIX}t_ns=12 domain=package\n"
+    "5,package,2\n",                             # order after the column
+    _HEAD + "10,package,1\n" + "9" * 5000 + ",package,2\n",  # int() limit
+)
 
 
 class TestDifferentialParse:
@@ -729,14 +771,57 @@ class TestDifferentialParse:
     @example(log=(TWO_FAULT_LOGS[5], False))
     @example(log=(TWO_FAULT_LOGS[6], False))
     @example(log=(TWO_FAULT_LOGS[7], False))
+    @example(log=(BLOCK_STEP_LOGS[0], False))
+    @example(log=(BLOCK_STEP_LOGS[1], False))
+    @example(log=(BLOCK_STEP_LOGS[2], False))
+    @example(log=(BLOCK_STEP_LOGS[3], False))
+    @example(log=(BLOCK_STEP_LOGS[4], False))
+    @example(log=(BLOCK_STEP_LOGS[5], False))
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_parse_matches_reference(self, tmp_path, log):
+    def test_parse_matches_reference(self, tmp_path, monkeypatch, log):
+        # At every block size, so that block cuts land inside runs of
+        # records, next to directives and on the torn tail.
         text, _ = log
         path = tmp_path / log_filename("n1", f"d{next(_UNIQUE)}")
         path.write_text(text, encoding="ascii")
-        assert _outcome(parse_log, str(path)) == \
-            _outcome(reference_parse_log, str(path))
+        expected = _outcome(reference_parse_log, str(path))
+        for size in BLOCK_SIZES:
+            monkeypatch.setattr(logfile, "_PARSE_BLOCK", size)
+            assert _outcome(parse_log, str(path)) == expected, size
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    def test_timestamp_past_signed_64_bits(self, tmp_path, monkeypatch,
+                                           size):
+        # Not differential: the reference finds this only when it builds
+        # the series, without a line number.
+        monkeypatch.setattr(logfile, "_PARSE_BLOCK", size)
+        path = tmp_path / log_filename("n1", f"t64{size}")
+        path.write_text(_HEAD + f"10,package,1\n{2**63 - 1},package,2\n",
+                        encoding="ascii")
+        assert list(parse_log(str(path)).series[PKG].times) == [10, 2**63 - 1]
+        path.write_text(_HEAD + f"10,package,1\n{2**63},package,2\n",
+                        encoding="ascii")
+        with pytest.raises(ParseError) as exc:
+            parse_log(str(path))
+        assert exc.value.line == 3
+        assert str(exc.value).endswith(
+            f"timestamp {2**63} outside the signed 64-bit range")
+
+    def test_irregular_multi_block_log(self, tmp_path, monkeypatch):
+        # A clean log over many blocks whose lines do not cycle through
+        # the domains in one order: gap markers, a domain skipping a tick,
+        # ticks in another order.  The block step leaves such runs to the
+        # checked path.
+        path = tmp_path / log_filename("n1", "irregular")
+        path.write_text(irregular_log(random.Random(12), ticks=3000),
+                        encoding="ascii")
+        expected = _outcome(reference_parse_log, str(path))
+        assert expected[0] == "parsed"
+        assert len(expected[1].series[DRAM].gap_markers) > 0
+        for size in (64, 1000, logfile._PARSE_BLOCK):
+            monkeypatch.setattr(logfile, "_PARSE_BLOCK", size)
+            assert _outcome(parse_log, str(path)) == expected, size
 
     def test_generator_reaches_each_outcome(self, tmp_path):
         # The property above is only as strong as the cases it sees: valid
@@ -765,6 +850,31 @@ class TestDifferentialParse:
         collect()
         assert seen == set(NEEDLES) | {"parsed", "parsed-torn",
                                        "parsed-other-spelling"}
+
+
+def irregular_log(rng: random.Random, ticks: int) -> str:
+    """A valid three-domain log in which about one reading in eleven is
+    missing, one in a hundred is a gap marker instead, and one tick in ten
+    lists its domains in a shuffled order."""
+    domains = [PKG, DRAM, RaplDomain.CORE]
+    lines = [f"{HEADER_PREFIX}node=n1 domain={d.value} bit_width=32 "
+             f"unit_j=1e-06 epoch_wall_ns=7" for d in domains]
+    t = 0
+    raws = dict.fromkeys(domains, 0)
+    for _ in range(ticks):
+        t += rng.randint(1, 10**9)
+        order = list(domains)
+        if rng.random() < 0.1:
+            rng.shuffle(order)
+        for d in order:
+            roll = rng.random()
+            if roll < 0.01:
+                lines.append(f"{GAP_PREFIX}t_ns={t} domain={d.value}")
+            elif roll > 0.1:
+                raws[d] = (raws[d] + rng.randint(0, 10**6)) % 2**32
+                lines.append(f"{t},{d.value},{raws[d]}")
+    lines.append(f"{END_PREFIX}status=closed")
+    return "".join(line + "\n" for line in lines)
 
 
 NEEDLES = ("expected t_ns,domain,raw", "invalid literal",
