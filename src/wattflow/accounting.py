@@ -16,19 +16,27 @@ Everything here is pure computation over immutable inputs.
 
 from __future__ import annotations
 
+import json
 import math
+from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Mapping, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .counter import EnergyQuantity, RaplDomain, SampleSeries, integrate_window
+from .counter import (
+    EnergyQuantity,
+    RaplDomain,
+    SampleSeries,
+    counts_at,
+    integrate_window,
+)
 from .errors import (
     DegenerateSeriesError,
     InvalidArgumentError,
     MissingNodeLogError,
     NoPointsInWindowError,
     SchemaViolationError,
-    json_text,
     load_json,
 )
 from .logfile import LogStatus, ParsedLog
@@ -109,8 +117,8 @@ class NodeEnergyLog:
         if not self.series_by_domain:
             raise InvalidArgumentError(
                 f"node {self.node_id}: no recorded domains")
-        # Kept in domain-name order: node_window_energy, called once per
-        # attribution segment, returns domains in this order unsorted.
+        # Kept in domain-name order, the order node_window_energy and
+        # attribute_concurrent return domains in.
         object.__setattr__(self, "series_by_domain", dict(sorted(
             self.series_by_domain.items(), key=lambda kv: kv[0].value)))
         for domain, series in self.series_by_domain.items():
@@ -310,7 +318,11 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
     """Split a node's windowed energy among concurrently running tasks.
 
     The timeline is cut at every task start and end inside the accounting
-    window.  Within one segment the per-domain energy, after optional idle
+    window.  Each domain's unwrapped count is taken once at every boundary,
+    in one forward walk of its series (:func:`counts_at`), and a segment's
+    energy is the difference of its two boundary counts times the energy
+    unit: the same float :func:`integrate_window` gives for that segment.
+    Within one segment the per-domain energy, after optional idle
     baseline removal on the package domain, is divided proportionally to
     task weights (mean CPU rate, equal shares, or solo-only depending on
     the policy).  Energy no task receives, including all idle time and the
@@ -322,13 +334,12 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
 
     The active tasks of each segment come from a sweep over the sorted
     segment boundaries: at each boundary the tasks whose clipped window
-    ends there leave the live set, then those starting there join it.
-    That costs O((tasks + segments) log tasks) plus the active tasks of
-    each segment, instead of a scan of every task per segment.  Each
-    segment's active list is taken in input task order, so every float
-    sum (total weight, shares, leftover, and each task's accumulation
-    over segments) adds its terms in a fixed order and reports stay
-    byte-stable.
+    ends there leave the live list, then those starting there join it.
+    That costs the active tasks of each segment, instead of a scan of
+    every task per segment.  The live list is kept in input task order,
+    so every float sum (total weight, shares, leftover, and each task's
+    accumulation over segments) adds its terms in a fixed order and
+    reports stay byte-stable.
 
     Args:
         tasks: Task records placed on this log's node.
@@ -374,38 +385,42 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
             weights.append(1.0)
 
     boundaries = sorted({win_lo, win_hi} | starting.keys() | ending.keys())
-    # Joules per task and unattributed, by position in ``domains`` (the
-    # order node_window_energy returns them in); dicts are built once.
+    # Joules per task and unattributed, by position in ``domains``; dicts
+    # are built once.  Each domain's entry carries its count at every
+    # boundary and its energy unit.
     domains = list(log.series_by_domain)
     package = domains.index(RaplDomain.PACKAGE) \
         if RaplDomain.PACKAGE in domains else None
-    task_joules = [[0.0] * len(domains) for _ in tasks]
+    task_joules = [[0.0] * len(tasks) for _ in domains]
     unattributed = [0.0] * len(domains)
+    per_domain = [
+        (d, counts_at(series, [b - series.epoch_wall_ns for b in boundaries]),
+         series.spec.energy_unit_joules, task_joules[d])
+        for d, series in enumerate(log.series_by_domain.values())]
     exclusive = policy.kind is PolicyKind.EXCLUSIVE_ONLY
     baseline_w = policy.idle_baseline_watts
-    live: set[int] = set()
+    live: list[int] = []
+    shared: set[int] = set()
 
-    for seg_lo, seg_hi in zip(boundaries, boundaries[1:]):
-        live.difference_update(ending.get(seg_lo, ()))
-        live.update(starting.get(seg_lo, ()))
-        seg_energy = node_window_energy(log, seg_lo, seg_hi)
-        active = sorted(live)
-        shared = len(active) > 1
-        if shared:
-            for i in active:
-                notes[i].add(NOTE_SHARED_WINDOW)
+    for k, (seg_lo, seg_hi) in enumerate(zip(boundaries, boundaries[1:])):
+        for i in ending.get(seg_lo, ()):
+            live.remove(i)
+        for i in starting.get(seg_lo, ()):
+            insort(live, i)
+        active = live
+        if len(active) > 1:
+            shared.update(active)
             if exclusive:
                 active = []
-        fractions: list[float] | None = None
         if active:
-            total_weight = sum(weights[i] for i in active)
-            if total_weight > 0:
-                fractions = [weights[i] / total_weight for i in active]
-            else:
+            seg_weights = [weights[i] for i in active]
+            total_weight = sum(seg_weights)
+            if not total_weight > 0:
                 for i in active:
                     notes[i].add(NOTE_EQUAL_SPLIT)
         dur_s = (seg_hi - seg_lo) / 1e9
-        for d, joules in enumerate(seg_energy.values()):
+        for d, domain_counts, unit, joules_of in per_domain:
+            joules = max(domain_counts[k + 1] - domain_counts[k], 0.0) * unit
             shares: list[float] = []
             if active:
                 available = joules
@@ -415,14 +430,17 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
                         for i in active:
                             notes[i].add(NOTE_IDLE_CLAMPED)
                     available = max(available - baseline_j, 0.0)
-                if fractions is not None:
-                    shares = [available * f for f in fractions]
+                if total_weight > 0:
+                    shares = [available * (w / total_weight)
+                              for w in seg_weights]
                 else:
                     shares = [available / len(active)] * len(active)
                 for i, share in zip(active, shares):
-                    task_joules[i][d] += share
+                    joules_of[i] += share
             unattributed[d] += joules - sum(shares)
 
+    for i in shared:
+        notes[i].add(NOTE_SHARED_WINDOW)
     energies = []
     for i, task in enumerate(tasks):
         lo, hi = clipped[i]
@@ -430,7 +448,8 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
             notes[i].add(FLAG_UNSAFE_GAP)
         energies.append(TaskEnergy(
             task_id=task.task_id,
-            joules_by_domain=dict(zip(domains, task_joules[i])),
+            joules_by_domain={domain: joules_of[i] for domain, joules_of
+                              in zip(domains, task_joules)},
             estimated=True, notes=frozenset(notes[i])))
     return AttributionResult(task_energies=tuple(energies),
                              unattributed_by_domain=dict(zip(domains,
@@ -582,9 +601,87 @@ def report_to_obj(report: EnergyReport) -> dict[str, Any]:
     return obj
 
 
+def _scalar_text(value: Any, _pad: str = "") -> str:
+    """One JSON scalar as ``json.dumps`` writes it.
+
+    Strings go through json's own ASCII escaper, finite floats through
+    ``float.__repr__`` (what json's encoder writes them with) and booleans
+    become json's ``true``/``false``; any other value goes through
+    ``json.dumps`` itself.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    return json.dumps(value)
+
+
+def _object_text(obj: Mapping[str, Any], pad: str,
+                 value_text: Callable[[Any, str], str]) -> str:
+    """An object at indent ``pad`` as :func:`json_text` writes it, each
+    value written by ``value_text(value, indent of its key)``."""
+    if not obj:
+        return "{}"
+    inner = pad + "  "
+    return "{\n" + ",\n".join(
+        f"{inner}{encode_basestring_ascii(key)}: {value_text(value, inner)}"
+        for key, value in sorted(obj.items())) + f"\n{pad}}}"
+
+
+def _strings_text(items: Sequence[str], pad: str) -> str:
+    """A list of strings at indent ``pad`` as :func:`json_text` writes it."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + ",\n".join(
+        inner + _scalar_text(item) for item in items) + f"\n{pad}]"
+
+
+def _domains_text(joules_by_domain: Mapping[str, float], pad: str) -> str:
+    return _object_text(joules_by_domain, pad, _scalar_text)
+
+
+def _tasks_text(tasks: Sequence[Mapping[str, Any]], pad: str) -> str:
+    """``per_task``: one fixed template per entry of :func:`report_to_obj`."""
+    if not tasks:
+        return "[]"
+    inner, field = pad + "  ", pad + "    "
+    return "[\n" + ",\n".join(
+        f"{inner}{{\n"
+        f'{field}"estimated": {_scalar_text(task["estimated"])},\n'
+        f'{field}"joules_by_domain": '
+        f'{_domains_text(task["joules_by_domain"], field)},\n'
+        f'{field}"notes": {_strings_text(task["notes"], field)},\n'
+        f'{field}"task_id": {_scalar_text(task["task_id"])}\n'
+        f"{inner}}}" for task in tasks) + f"\n{pad}]"
+
+
+# The report's values that are not scalars, by top-level key.
+_REPORT_VALUE_TEXT: dict[str, Callable[[Any, str], str]] = {
+    "per_node": lambda per_node, pad: _object_text(per_node, pad,
+                                                    _domains_text),
+    "per_task": _tasks_text,
+    "flags": _strings_text,
+}
+
+
 def report_to_json(report: EnergyReport) -> str:
-    """Deterministic serialization: fixed key order, no volatile fields."""
-    return json_text(report_to_obj(report))
+    """Deterministic serialization: fixed key order, no volatile fields.
+
+    The text is ``json_text(report_to_obj(report))``, byte for byte, but
+    written by the report's fixed shape: the top-level keys in sorted
+    order, ``per_node``, and one template per ``per_task`` entry, each
+    leaf encoded as :mod:`json` encodes it.  This skips the pure-Python
+    encoder that ``json.dumps`` falls back to under ``indent``.
+    """
+    obj = report_to_obj(report)
+    return "{\n" + ",\n".join(
+        f"  {encode_basestring_ascii(key)}: "
+        f"{_REPORT_VALUE_TEXT.get(key, _scalar_text)(obj[key], '  ')}"
+        for key in sorted(obj)) + "\n}\n"
 
 
 def report_from_obj(obj: Any) -> EnergyReport:

@@ -45,6 +45,7 @@ __all__ = [
     "SampleSeries",
     "EnergyQuantity",
     "raw_delta",
+    "counts_at",
     "integrate_window",
     "series_total",
     "wrap_horizon_s",
@@ -252,15 +253,16 @@ class SampleSeries:
                 f"{len(self.times)} sample(s); need >= 2")
         return self.times[0], self.times[-1]
 
-    def _count_at(self, i: int) -> int:
-        """Unwrapped counts from the first sample to sample ``i``."""
+    def _wrap_prefix(self) -> array:
+        """``wraps[i]``: the readings up to ``i`` that fell below their
+        predecessor, computed on first use."""
         wraps = self._wraps
         if wraps is None:
             raws = self.raws
             wraps = array("q", accumulate(
                 map(operator.lt, islice(raws, 1, None), raws), initial=0))
             object.__setattr__(self, "_wraps", wraps)
-        return self.raws[i] - self.raws[0] + self.spec.modulus * wraps[i]
+        return wraps
 
     def _unsafe_index(self) -> tuple[list[tuple[int, int]], list[int]]:
         """The sorted unsafe spans and the running max of their ends,
@@ -319,31 +321,80 @@ def raw_delta(prev: int, curr: int, bit_width: int) -> int:
     return (curr - prev) % modulus
 
 
-def _cumulative_counts_at(series: SampleSeries, t_ns: int) -> float:
-    """Unwrapped cumulative counts at ``t_ns``, linearly interpolated.
+def counts_at(series: SampleSeries, edges_ns: Sequence[int]) -> list[float]:
+    """Unwrapped cumulative counts at each of increasing window edges.
 
     Counters refresh far more often than they are sampled, so cumulative
-    energy is modeled as linear between consecutive samples.
+    energy is modeled as linear between consecutive samples: the count at
+    an edge is interpolated between the two samples around it (the count
+    at the last sample is that sample's).  One forward walk serves all the
+    edges, each edge bisecting only the samples after the previous one's.
+    The energy between two edges is ``max(c_hi - c_lo, 0.0)`` times the
+    counter's energy unit, exactly what :func:`integrate_window` gives for
+    that window.
+
+    Args:
+        series: Sample series with at least two samples.
+        edges_ns: Two or more strictly increasing monotonic nanosecond
+            times inside the sampled span.
+
+    Returns:
+        One count per edge, as a float.
+
+    Raises:
+        DegenerateSeriesError: Fewer than two samples.
+        InvalidArgumentError: Fewer than two edges, or edges that do not
+            increase.
+        WindowOutOfRangeError: An edge beyond the sampled span.
+        OverflowComputationError: The energy between the first and last
+            edge is not a finite real.
     """
-    times = series.times
-    i = bisect.bisect_right(times, t_ns) - 1
-    if i == len(times) - 1:
-        return float(series._count_at(i))
-    t0, t1 = times[i], times[i + 1]
-    c0, c1 = series._count_at(i), series._count_at(i + 1)
-    return c0 + (c1 - c0) * ((t_ns - t0) / (t1 - t0))
+    first, last = series.span_ns
+    if len(edges_ns) < 2:
+        raise InvalidArgumentError(
+            f"need two or more window edges, got {len(edges_ns)}")
+    if not all(map(operator.lt, edges_ns, islice(edges_ns, 1, None))):
+        lo, hi = next((a, b) for a, b in zip(edges_ns, edges_ns[1:])
+                      if a >= b)
+        raise InvalidArgumentError(f"window start {lo} must precede end {hi}")
+    if edges_ns[0] < first:
+        raise WindowOutOfRangeError(
+            f"window starts {first - edges_ns[0]} ns before first sample")
+    if edges_ns[-1] > last:
+        raise WindowOutOfRangeError(
+            f"window ends {edges_ns[-1] - last} ns after last sample")
+    times, raws, wraps = series.times, series.raws, series._wrap_prefix()
+    raw0, modulus, final = raws[0], series.spec.modulus, len(times) - 1
+    counts: list[float] = []
+    append, bisect_right = counts.append, bisect.bisect_right
+    i = 0
+    for t_ns in edges_ns:
+        i = bisect_right(times, t_ns, i) - 1
+        c0 = raws[i] - raw0 + modulus * wraps[i]
+        if i == final:
+            append(float(c0))
+            continue
+        t0 = times[i]
+        c1 = raws[i + 1] - raw0 + modulus * wraps[i + 1]
+        append(c0 + (c1 - c0) * ((t_ns - t0) / (times[i + 1] - t0)))
+    if not math.isfinite((counts[-1] - counts[0])
+                         * series.spec.energy_unit_joules):
+        raise OverflowComputationError(
+            f"energy over [{edges_ns[0]}, {edges_ns[-1]}] is not a finite "
+            f"real")
+    return counts
 
 
 def integrate_window(series: SampleSeries, window_start_ns: int,
                      window_end_ns: int) -> EnergyQuantity:
     """Energy accumulated by the counter inside a time window.
 
-    The unwrapped count at each window edge comes from the series'
-    wrap-count prefix, linearly interpolated between the two samples
-    around the edge; the energy is the difference of the two counts times
-    the counter's energy unit.  ``series_total`` is this over the whole
-    sampled span, so every report, resume and simulation shares one path
-    from raw counts to joules.
+    The two-edge case of :func:`counts_at`: the unwrapped count at each
+    window edge comes from the series' wrap-count prefix, linearly
+    interpolated between the two samples around the edge; the energy is
+    the difference of the two counts times the counter's energy unit.
+    ``series_total`` is this over the whole sampled span, so every report,
+    resume and simulation shares one path from raw counts to joules.
 
     Args:
         series: Sample series with at least two samples.
@@ -357,20 +408,11 @@ def integrate_window(series: SampleSeries, window_start_ns: int,
         DegenerateSeriesError: Fewer than two samples.
         InvalidArgumentError: Empty or inverted window.
         WindowOutOfRangeError: Window extends beyond the sampled span.
+        OverflowComputationError: The energy is not a finite real.
     """
-    first, last = series.span_ns
-    if window_start_ns >= window_end_ns:
-        raise InvalidArgumentError(
-            f"window start {window_start_ns} must precede end {window_end_ns}")
-    if window_start_ns < first:
-        raise WindowOutOfRangeError(
-            f"window starts {first - window_start_ns} ns before first sample")
-    if window_end_ns > last:
-        raise WindowOutOfRangeError(
-            f"window ends {window_end_ns - last} ns after last sample")
-    counts = (_cumulative_counts_at(series, window_end_ns)
-              - _cumulative_counts_at(series, window_start_ns))
-    return EnergyQuantity(max(counts, 0.0) * series.spec.energy_unit_joules)
+    c_lo, c_hi = counts_at(series, (window_start_ns, window_end_ns))
+    return EnergyQuantity(max(c_hi - c_lo, 0.0)
+                          * series.spec.energy_unit_joules)
 
 
 def series_total(series: SampleSeries) -> EnergyQuantity:

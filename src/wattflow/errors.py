@@ -88,7 +88,9 @@ def present_keys(doc: Any, **kinds: Callable[[Any], Any]) -> dict[str, Any]:
 
 def json_text(obj: Any) -> str:
     """The text of every JSON document wattflow writes: two-space indent,
-    sorted keys and a final newline, so equal documents are equal bytes."""
+    sorted keys and a final newline, so equal documents are equal bytes.
+    ``accounting.report_to_json`` writes this same text for reports from
+    their fixed shape."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 

@@ -43,6 +43,7 @@ from wattflow.errors import (
     MissingNodeLogError,
     NoPointsInWindowError,
     SchemaViolationError,
+    json_text,
 )
 from wattflow.logfile import LogStatus
 from wattflow.trace import (
@@ -802,6 +803,72 @@ class TestReportSerialization:
         obj = report_to_obj(report)
         assert "coverage_fraction" not in obj
         assert report_from_obj(obj).coverage_fraction is None
+
+
+# Ids mix ASCII, non-ASCII, control characters and lone surrogates, all of
+# which json escapes; the floats include the values whose text is easiest
+# to get wrong.
+ids = st.text(st.characters(exclude_categories=()), max_size=6)
+EDGE_FLOATS = (0.0, -0.0, 5e-324, 1e300, 3.0, 1.0, 0.1)
+joules = st.one_of(st.sampled_from(EDGE_FLOATS),
+                   st.floats(0.0, allow_infinity=False))
+any_float = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+domain_joules = st.dictionaries(st.sampled_from(list(RaplDomain)), joules,
+                                max_size=3)
+
+
+@st.composite
+def energy_reports(draw):
+    notes = st.frozensets(st.one_of(
+        st.sampled_from([NOTE_SHARED_WINDOW, NOTE_EQUAL_SPLIT,
+                         FLAG_CLIPPED_WINDOW, "cached", "unknown_node"]),
+        ids), max_size=3)
+    tasks = draw(st.lists(st.builds(
+        TaskEnergy, task_id=ids, joules_by_domain=domain_joules,
+        estimated=st.booleans(), notes=notes), max_size=5))
+    return EnergyReport(
+        workflow_id=draw(ids),
+        method=draw(st.sampled_from(list(MeasurementMethod))),
+        total_joules=draw(any_float),
+        per_node=draw(st.dictionaries(ids, domain_joules, max_size=3)),
+        per_task=tuple(tasks),
+        coverage_fraction=draw(st.one_of(
+            st.none(), st.sampled_from([0.0, -0.0, 5e-324, 1.0]),
+            st.floats(0.0, 1.0))),
+        unattributed_joules=draw(any_float),
+        status=draw(st.sampled_from(["ok", "failed"])),
+        flags=draw(st.frozensets(ids, max_size=3)))
+
+
+class TestReportWriter:
+    """``report_to_json`` writes the bytes ``json_text`` writes for
+    ``report_to_obj``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(energy_reports())
+    def test_equals_json_text_of_report_to_obj(self, report):
+        assert report_to_json(report) == json_text(report_to_obj(report))
+
+    def test_every_edge_at_once(self):
+        report = EnergyReport(
+            workflow_id="wf-\u00e9\u4e2d\x00\n\"\\\ud800",
+            method=MeasurementMethod.SIGNAL_PLUGIN,
+            total_joules=1e300,
+            per_node={"n\u00e9": {PKG: 3.0, DRAM: -0.0,
+                                  RaplDomain.PSYS: 5e-324},
+                      "n0": {}, "n1\t": {PKG: 0.0}},
+            per_task=(
+                TaskEnergy("t\u2603", {DRAM: 0.1, PKG: 2.5}, True,
+                           {NOTE_SHARED_WINDOW, NOTE_EQUAL_SPLIT}),
+                TaskEnergy("cached\x7f", {}, True, {"cached"}),
+                TaskEnergy("solo", {PKG: 7.0}, False, ())),
+            coverage_fraction=0.0,
+            unattributed_joules=float("nan"),
+            flags={FLAG_UNSAFE_GAP, "flagged_log:n\u00e9"})
+        assert report_to_json(report) == json_text(report_to_obj(report))
+        empty = dataclasses.replace(report, per_node={}, per_task=(),
+                                    coverage_fraction=None, flags=())
+        assert report_to_json(empty) == json_text(report_to_obj(empty))
 
 
 class TestCountableDomains:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from wattflow.counter import (
     SampleSeries,
     SampleView,
     build_series,
+    counts_at,
     integrate_window,
     raw_delta,
     series_total,
@@ -25,6 +27,7 @@ from wattflow.counter import (
 from wattflow.errors import (
     DegenerateSeriesError,
     InvalidArgumentError,
+    WattflowError,
     WindowOutOfRangeError,
 )
 
@@ -522,6 +525,88 @@ class TestColumnarMatchesTupleSeries:
                            match="outside the signed 64-bit range"):
             build_series("n1", spec(), [RawSample(0, 0),
                                         RawSample(2**63, 1)])
+
+
+
+def _error_type(call):
+    try:
+        call()
+    except WattflowError as exc:
+        return type(exc)
+    return None
+
+
+class TestCountsAt:
+    """One forward walk over sorted edges gives, for every pair of
+    consecutive edges, exactly the joules ``integrate_window`` gives."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_segment_joules_equal_integrate_window(self, data):
+        s = data.draw(series_specs())
+        samples = data.draw(series_samples(s.modulus, faults=False))
+        series = build_series("n1", s, samples)
+        reference = TupleSeries(s, tuple(samples))
+        first, last = series.span_ns
+        inner = data.draw(st.lists(
+            st.one_of(st.sampled_from([t for t, _ in samples]),
+                      st.integers(first, last)), max_size=40))
+        ends = [first, last] if data.draw(st.booleans()) else []
+        edges = sorted({*ends, *inner})
+        if len(edges) < 2:
+            edges = [first, last]
+        counts = counts_at(series, edges)
+        assert len(counts) == len(edges)
+        for (a, b), (c_lo, c_hi) in zip(pairwise(edges), pairwise(counts)):
+            joules = max(c_hi - c_lo, 0.0) * s.energy_unit_joules
+            assert joules == integrate_window(series, a, b).joules \
+                == reference.integrate(a, b)
+
+    def test_non_power_of_two_modulus_wrapping_every_sample(self):
+        # powercap's max_energy_range_uj + 1, wrapped at every other step.
+        s = spec(bit_width=64, wrap_modulus=262143328851)
+        raws = [262143328851 - 10**8, 10**8, 262143328851 - 5, 7, 3 * 10**8,
+                262143328850, 0]
+        samples = [RawSample(k * 10**9, r) for k, r in enumerate(raws)]
+        series = build_series("n1", s, samples)
+        reference = TupleSeries(s, tuple(samples))
+        edges = [0, 10**9, 15 * 10**8, 2 * 10**9 + 1, 4 * 10**9,
+                 5 * 10**9 + 7, 6 * 10**9]
+        counts = counts_at(series, edges)
+        assert counts[-1] == float(reference.cumulative()[1][-1])
+        for (a, b), (c_lo, c_hi) in zip(pairwise(edges), pairwise(counts)):
+            assert max(c_hi - c_lo, 0.0) * 1e-6 \
+                == integrate_window(series, a, b).joules \
+                == reference.integrate(a, b)
+
+    @pytest.mark.parametrize("edges, error", [
+        ([-1, 10**9, 2 * 10**9], WindowOutOfRangeError),
+        ([0, 10**9, 10**10 + 1], WindowOutOfRangeError),
+        ([0, 10**9, 10**9, 2 * 10**9], InvalidArgumentError),
+        ([0, 2 * 10**9, 10**9, 3 * 10**9], InvalidArgumentError),
+        ([5 * 10**9, 10**9], InvalidArgumentError),
+    ])
+    def test_bad_edges_raise_what_integrate_window_raises(self, edges,
+                                                          error):
+        series = ramp_series()
+        assert _error_type(lambda: counts_at(series, edges)) is error
+        assert error in {
+            _error_type(lambda: integrate_window(series, a, b))
+            for a, b in pairwise(edges)}
+
+    @given(a=st.integers(-2 * 10**9, 12 * 10**9),
+           b=st.integers(-2 * 10**9, 12 * 10**9))
+    def test_two_edges_raise_as_integrate_window(self, a, b):
+        series = ramp_series()
+        assert _error_type(lambda: counts_at(series, [a, b])) \
+            is _error_type(lambda: integrate_window(series, a, b))
+
+    def test_degenerate_series_and_too_few_edges(self):
+        single = build_series("n1", spec(), [RawSample(0, 0)])
+        with pytest.raises(DegenerateSeriesError):
+            counts_at(single, [0, 1])
+        with pytest.raises(InvalidArgumentError):
+            counts_at(ramp_series(), [10**9])
 
 
 class TestSampleView:

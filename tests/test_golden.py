@@ -12,11 +12,19 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 from pathlib import Path
 
 import pytest
 
 from wattflow.cli import main
+from wattflow.trace import (
+    TaskRecord,
+    TaskStatus,
+    WorkflowTrace,
+    parse_generic_trace,
+    write_generic_trace,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -114,3 +122,79 @@ def test_reports_over_simulated_logs_are_byte_identical(tmp_path,
         assert main(argv) == 0, (policy, idle)
         assert sha256(target) == REPORT_DIGESTS[scenario_id][idle], \
             (policy, idle)
+
+
+# The bundled scenarios never share a segment, so a second pin runs the
+# five reports over ``rnaseq_like``'s logs (which wrap about every 28 s)
+# with an overlapping trace: 64 tasks in 16 lanes, so at most 16 run at
+# once.  It holds zero-CPU tasks (equal split), a sub-resolution task,
+# one task clipped at each edge of the workflow window and a cached one.
+# Edges fall both on sample times and between them.
+CONCURRENT_DIGESTS = {
+    ("cputime", ""):
+        "850cf4a11c727f0e7af678e2b3a31fa52dc9f755fea3a1b70972809a189c3021",
+    ("walltime", ""):
+        "232325ba4182bc5beee1c0a9b99be6bff5dc366a643d3b66637da4db7f61a1c1",
+    ("exclusive", ""):
+        "b75aa8966d27e498025ed288c245f487007464c9121a6e0d6db7e98e52f771d5",
+    ("cputime", "5"):
+        "a35a786bbb3af8d697cfe277ff577d9cc79919cd93cb262e6ab79f08fbae9a6e",
+    ("walltime", "5"):
+        "f7d3a86c620e8ac16993726a2b4249373cf62ad3f2ca8aabc75631d6f3bf7688",
+}
+
+SAMPLE_NS = 500_000_000
+
+
+def concurrent_trace(simulated: WorkflowTrace) -> WorkflowTrace:
+    rng = random.Random(13)
+    lo, hi = simulated.submitted_wall_ns, simulated.finished_wall_ns
+    tasks = []
+
+    def add(start, end, cpu_time_s, status=TaskStatus.COMPLETED):
+        tasks.append(TaskRecord(
+            task_id=f"c{len(tasks):02d}", name="overlap", node_id="n1",
+            start_wall_ns=start, end_wall_ns=end, cpu_time_s=cpu_time_s,
+            status=status))
+
+    lane_s = (hi - lo) // 4
+    for lane in range(16):
+        for k in range(4):
+            start = lo + k * lane_s + rng.randrange(lane_s // 3)
+            end = start + rng.randrange(lane_s // 3, lane_s * 2 // 3)
+            if rng.random() < 0.5:  # both edges on sample times
+                start -= start % SAMPLE_NS
+                end -= end % SAMPLE_NS
+            cpu = 0.0 if rng.random() < 0.15 else \
+                round(rng.uniform(0.1, 4.0) * (end - start) / 1e9, 3)
+            slot = lane * 4 + k
+            if slot == 0:
+                start = lo - 7 * SAMPLE_NS  # clipped at the window start
+            elif slot == 63:
+                end = hi + 3 * SAMPLE_NS + 1234  # clipped at the end
+            elif slot == 17:
+                end = start  # sub-resolution
+            add(start, end, cpu,
+                TaskStatus.CACHED if slot == 42 else TaskStatus.COMPLETED)
+    return WorkflowTrace(workflow_id="rnaseq-overlap",
+                         submitted_wall_ns=lo, finished_wall_ns=hi,
+                         tasks=tuple(tasks))
+
+
+def test_concurrent_split_reports_are_byte_identical(tmp_path):
+    out = simulate(tmp_path, "rnaseq_like")
+    trace_path = os.path.join(out, "trace_rnaseq_like.json")
+    trace = concurrent_trace(parse_generic_trace(trace_path))
+    overlap = str(tmp_path / "overlap.json")
+    write_generic_trace(trace, overlap)
+    os.remove(trace_path)
+    digests = {}
+    for policy, idle in REPORT_RUNS:
+        target = str(tmp_path / f"report_{policy}_{idle}.json")
+        argv = ["report", "--logs", out, "--trace", overlap,
+                "--policy", policy, "--out", target]
+        if idle:
+            argv += ["--idle-baseline-watts", idle]
+        assert main(argv) == 0, (policy, idle)
+        digests[policy, idle] = sha256(target)
+    assert digests == CONCURRENT_DIGESTS
