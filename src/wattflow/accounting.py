@@ -22,7 +22,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .counter import (
     EnergyQuantity,
@@ -247,9 +247,11 @@ def countable_domains(domains: Iterable[RaplDomain]) -> frozenset[RaplDomain]:
 
 
 def _countable_sum(joules_by_domain: Mapping[RaplDomain, float]) -> float:
-    counted = countable_domains(joules_by_domain.keys())
-    return sum(joules_by_domain[d]
-               for d in sorted(counted, key=lambda d: d.value))
+    total = 0.0
+    for d in sorted(countable_domains(joules_by_domain.keys()),
+                    key=lambda d: d.value):
+        total += joules_by_domain[d]
+    return total
 
 
 def countable_total(per_node: Mapping[str, Mapping[RaplDomain, float]]
@@ -258,8 +260,9 @@ def countable_total(per_node: Mapping[str, Mapping[RaplDomain, float]]
 
     Each node contributes the sum of its countable domains, taken in
     domain-name order; nodes are added in sorted node-id order.  The fixed
-    order makes the float result, and so every report that carries it,
-    identical in every process.
+    order, and plain left folds rather than ``sum()`` (which Python 3.12
+    made compensated), make the float result, and so every report that
+    carries it, identical in every process and on every Python version.
     """
     total = 0.0
     for node in sorted(per_node):
@@ -271,9 +274,11 @@ def countable_total(per_node: Mapping[str, Mapping[RaplDomain, float]]
 class TaskEnergy:
     """Energy attributed to one task, with how trustworthy it is.
 
-    ``estimated`` is set whenever any modeling assumption stands between
-    the counters and this number (shared windows, assumed sub-resolution
-    duration); ``notes`` say which ones.
+    Every entry wattflow computes has ``estimated`` set: a task's joules
+    are always apportioned from node counters by its time window, never
+    read from a counter of its own.  ``notes`` name the further
+    assumptions that apply (shared windows, assumed sub-resolution
+    duration, clipping) and why an entry holds no joules.
     """
 
     task_id: str
@@ -338,8 +343,8 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
     That costs the active tasks of each segment, instead of a scan of
     every task per segment.  The live list is kept in input task order,
     so every float sum (total weight, shares, leftover, and each task's
-    accumulation over segments) adds its terms in a fixed order and
-    reports stay byte-stable.
+    accumulation over segments) is a left fold over its terms in a fixed
+    order, and reports stay byte-stable.
 
     Args:
         tasks: Task records placed on this log's node.
@@ -414,14 +419,16 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
                 active = []
         if active:
             seg_weights = [weights[i] for i in active]
-            total_weight = sum(seg_weights)
+            total_weight = 0.0
+            for w in seg_weights:
+                total_weight += w
             if not total_weight > 0:
                 for i in active:
                     notes[i].add(NOTE_EQUAL_SPLIT)
         dur_s = (seg_hi - seg_lo) / 1e9
         for d, domain_counts, unit, joules_of in per_domain:
             joules = max(domain_counts[k + 1] - domain_counts[k], 0.0) * unit
-            shares: list[float] = []
+            attributed = 0.0
             if active:
                 available = joules
                 if baseline_w is not None and d == package:
@@ -437,7 +444,8 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
                     shares = [available / len(active)] * len(active)
                 for i, share in zip(active, shares):
                     joules_of[i] += share
-            unattributed[d] += joules - sum(shares)
+                    attributed += share
+            unattributed[d] += joules - attributed
 
     for i in shared:
         notes[i].add(NOTE_SHARED_WINDOW)
@@ -486,7 +494,10 @@ def interval_estimate(avg_watt_points: Sequence[tuple[int, float]],
     if not inside:
         raise NoPointsInWindowError(
             f"no average-watt points in ({start}, {end}]")
-    return EnergyQuantity(sum(w for _, w in inside) * scrape_interval_s)
+    watts = 0.0
+    for _, w in inside:
+        watts += w
+    return EnergyQuantity(watts * scrape_interval_s)
 
 
 @dataclass(frozen=True)
@@ -574,34 +585,7 @@ def assemble_report(trace: WorkflowTrace,
         unattributed_joules=unattributed, flags=frozenset(report_flags))
 
 
-def report_to_obj(report: EnergyReport) -> dict[str, Any]:
-    obj: dict[str, Any] = {
-        "report_version": REPORT_VERSION,
-        "workflow_id": report.workflow_id,
-        "method": report.method.value,
-        "status": report.status,
-        "total_joules": report.total_joules,
-        "unattributed_joules": report.unattributed_joules,
-        "per_node": {node: {d.value: j for d, j in domains.items()}
-                     for node, domains in report.per_node.items()},
-        "per_task": [
-            {
-                "task_id": te.task_id,
-                "joules_by_domain": {d.value: j for d, j in
-                                     te.joules_by_domain.items()},
-                "estimated": te.estimated,
-                "notes": sorted(te.notes),
-            }
-            for te in report.per_task],
-    }
-    if report.coverage_fraction is not None:
-        obj["coverage_fraction"] = report.coverage_fraction
-    if report.flags:
-        obj["flags"] = sorted(report.flags)
-    return obj
-
-
-def _scalar_text(value: Any, _pad: str = "") -> str:
+def _scalar_text(value: Any) -> str:
     """One JSON scalar as ``json.dumps`` writes it.
 
     Strings go through json's own ASCII escaper, finite floats through
@@ -619,69 +603,78 @@ def _scalar_text(value: Any, _pad: str = "") -> str:
     return json.dumps(value)
 
 
-def _object_text(obj: Mapping[str, Any], pad: str,
-                 value_text: Callable[[Any, str], str]) -> str:
-    """An object at indent ``pad`` as :func:`json_text` writes it, each
-    value written by ``value_text(value, indent of its key)``."""
-    if not obj:
-        return "{}"
-    inner = pad + "  "
-    return "{\n" + ",\n".join(
-        f"{inner}{encode_basestring_ascii(key)}: {value_text(value, inner)}"
-        for key, value in sorted(obj.items())) + f"\n{pad}}}"
+def _container_text(entries: Sequence[str], pad: str, brackets: str) -> str:
+    """Written entries as a JSON list (``brackets`` is ``"[]"``) or object
+    (``"{}"``) at indent ``pad``, one entry a line, as
+    :func:`~wattflow.errors.json_text` writes it."""
+    if not entries:
+        return brackets
+    inner = "\n" + pad + "  "
+    return brackets[0] + inner + ("," + inner).join(entries) \
+        + "\n" + pad + brackets[1]
 
 
-def _strings_text(items: Sequence[str], pad: str) -> str:
-    """A list of strings at indent ``pad`` as :func:`json_text` writes it."""
-    if not items:
-        return "[]"
-    inner = pad + "  "
-    return "[\n" + ",\n".join(
-        inner + _scalar_text(item) for item in items) + f"\n{pad}]"
+def _strings_text(strings: Iterable[str], pad: str) -> str:
+    return _container_text([_scalar_text(s) for s in sorted(strings)], pad,
+                           "[]")
 
 
-def _domains_text(joules_by_domain: Mapping[str, float], pad: str) -> str:
-    return _object_text(joules_by_domain, pad, _scalar_text)
+def _domains_text(joules_by_domain: Mapping[RaplDomain, float],
+                  pad: str) -> str:
+    return _container_text(
+        [f'"{name}": {_scalar_text(joules)}' for name, joules
+         in sorted((d.value, j) for d, j in joules_by_domain.items())],
+        pad, "{}")
 
 
-def _tasks_text(tasks: Sequence[Mapping[str, Any]], pad: str) -> str:
-    """``per_task``: one fixed template per entry of :func:`report_to_obj`."""
-    if not tasks:
-        return "[]"
-    inner, field = pad + "  ", pad + "    "
-    return "[\n" + ",\n".join(
-        f"{inner}{{\n"
-        f'{field}"estimated": {_scalar_text(task["estimated"])},\n'
-        f'{field}"joules_by_domain": '
-        f'{_domains_text(task["joules_by_domain"], field)},\n'
-        f'{field}"notes": {_strings_text(task["notes"], field)},\n'
-        f'{field}"task_id": {_scalar_text(task["task_id"])}\n'
-        f"{inner}}}" for task in tasks) + f"\n{pad}]"
-
-
-# The report's values that are not scalars, by top-level key.
-_REPORT_VALUE_TEXT: dict[str, Callable[[Any, str], str]] = {
-    "per_node": lambda per_node, pad: _object_text(per_node, pad,
-                                                    _domains_text),
-    "per_task": _tasks_text,
-    "flags": _strings_text,
-}
+def _task_text(te: TaskEnergy) -> str:
+    """One ``per_task`` entry, by a fixed template."""
+    return (
+        "{\n"
+        f'      "estimated": {_scalar_text(te.estimated)},\n'
+        f'      "joules_by_domain": '
+        f'{_domains_text(te.joules_by_domain, "      ")},\n'
+        f'      "notes": {_strings_text(te.notes, "      ")},\n'
+        f'      "task_id": {_scalar_text(te.task_id)}\n'
+        "    }")
 
 
 def report_to_json(report: EnergyReport) -> str:
     """Deterministic serialization: fixed key order, no volatile fields.
 
-    The text is ``json_text(report_to_obj(report))``, byte for byte, but
-    written by the report's fixed shape: the top-level keys in sorted
-    order, ``per_node``, and one template per ``per_task`` entry, each
-    leaf encoded as :mod:`json` encodes it.  This skips the pure-Python
-    encoder that ``json.dumps`` falls back to under ``indent``.
+    The text is the one :func:`~wattflow.errors.json_text` writes for the
+    report's JSON document, written straight from the report's fields:
+    ``per_node`` holds the sorted nodes, each with its domains by name;
+    each ``per_task`` entry is one template; the top-level values are
+    written first and joined in sorted key order.  Each leaf is encoded
+    as :mod:`json` encodes it, which skips the pure-Python encoder that
+    ``json.dumps`` falls back to under ``indent``.  :func:`report_from_obj`
+    reads the document back.
     """
-    obj = report_to_obj(report)
-    return "{\n" + ",\n".join(
-        f"  {encode_basestring_ascii(key)}: "
-        f"{_REPORT_VALUE_TEXT.get(key, _scalar_text)(obj[key], '  ')}"
-        for key in sorted(obj)) + "\n}\n"
+    values = {
+        "method": _scalar_text(report.method.value),
+        "per_node": _container_text(
+            [f"{encode_basestring_ascii(node)}: "
+             f"{_domains_text(report.per_node[node], '    ')}"
+             for node in sorted(report.per_node)], "  ", "{}"),
+        "per_task": _container_text(
+            [_task_text(te) for te in report.per_task], "  ", "[]"),
+        "report_version": _scalar_text(REPORT_VERSION),
+        "status": _scalar_text(report.status),
+        "total_joules": _scalar_text(report.total_joules),
+        "unattributed_joules": _scalar_text(report.unattributed_joules),
+        "workflow_id": _scalar_text(report.workflow_id),
+    }
+    if report.coverage_fraction is not None:
+        values["coverage_fraction"] = _scalar_text(report.coverage_fraction)
+    if report.flags:
+        values["flags"] = _strings_text(report.flags, "  ")
+    # One join, so the long per-task text is copied only into the result.
+    pieces = ["{\n"]
+    for key in sorted(values):
+        pieces += (f'  "{key}": ', values[key], ",\n")
+    pieces[-1] = "\n}\n"
+    return "".join(pieces)
 
 
 def report_from_obj(obj: Any) -> EnergyReport:

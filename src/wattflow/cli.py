@@ -134,11 +134,13 @@ def _load_logs(logs_dir: str, session: str | None
                ) -> dict[str, NodeEnergyLog]:
     """Parse every session log in a directory into per-node logs.
 
-    Multiple sessions in one directory need ``--session``.
+    Multiple sessions in one directory need ``--session``; with it, only
+    the logs whose names end in ``_<session>.csv`` are parsed.
     """
+    suffix = ".csv" if session is None else f"_{session}.csv"
     parsed_logs = [parse_log(os.path.join(logs_dir, name))
                    for name in sorted(os.listdir(logs_dir))
-                   if name.startswith("rapl_") and name.endswith(".csv")]
+                   if name.startswith("rapl_") and name.endswith(suffix)]
     if session is not None:
         parsed_logs = [p for p in parsed_logs if p.session_id == session]
     sessions = {p.session_id for p in parsed_logs}

@@ -460,15 +460,16 @@ def parse_log(path: str) -> ParsedLog:
 
     The file is read in text mode with universal newlines, so ``\\r`` and
     ``\\r\\n`` end a line as ``\\n`` does, in blocks of about 32 KiB, each
-    cut after its last line break; the rest carries over to the next
-    block.  Each ``#`` directive line is handled on its own.  Each run of
-    record lines between directives goes to its domains' columns in one
-    block step that checks the whole run at C speed and appends all of it
-    or nothing; a run it refuses, including one whose lines do not cycle
-    through their domains in one order, is read again line by line, which
-    appends what is valid and names the first failing line.  A final line
-    without a terminating newline is treated as torn by a crashed writer:
-    it is dropped and the log is marked truncated.
+    finished with one ``readline`` so that it ends on a line break; only a
+    torn tail at the end of the file does not.  Each ``#`` directive line
+    is handled on its own.  Each run of record lines between directives
+    goes to its domains' columns in one block step that checks the whole
+    run at C speed and appends all of it or nothing; a run it refuses,
+    including one whose lines do not cycle through their domains in one
+    order, is read again line by line, which appends what is valid and
+    names the first failing line.  A final line without a terminating
+    newline is treated as torn by a crashed writer: it is dropped and the
+    log is marked truncated.
 
     Raises:
         ParseError: Malformed line, unknown domain, non-monotonic timestamp,
@@ -490,23 +491,14 @@ def parse_log(path: str) -> ParsedLog:
     status = LogStatus.OPEN
     saw_trailer = False
     lineno = 0
-    # The text after the last line break read so far, in pieces: a long
-    # line is joined once, when its line break arrives or at the end.
-    pieces: list[str] = []
+    tail = ""
 
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        while block := fh.read(_PARSE_BLOCK):
-            pieces.append(block)
-            block_cut = block.rfind("\n") + 1
-            if not block_cut:
-                continue
-            text = "".join(pieces)
-            cut = len(text) - len(block) + block_cut
+        while text := fh.read(_PARSE_BLOCK):
+            if text[-1] != "\n":
+                text += fh.readline()
+            cut = text.rfind("\n") + 1
             tail = text[cut:]
-            pieces = [tail] if tail else []
-            # One copy of the block is enough while it is parsed; the
-            # report's peak memory counts every other.
-            del block
             start = 0
             while start < cut:
                 if saw_trailer:
@@ -582,7 +574,6 @@ def parse_log(path: str) -> ParsedLog:
                     raise ParseError(f"unknown directive {line.split()[0]!r}",
                                      path=path, line=lineno)
 
-    tail = "".join(pieces)
     if tail:
         log.warning("%s: dropping unterminated final line %r", path, tail)
         status = LogStatus.TRUNCATED

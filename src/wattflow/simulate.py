@@ -220,9 +220,11 @@ def ground_truth(scenario: Scenario) -> GroundTruth:
         for load in profile.task_loads:
             per_task[load.task_id] = \
                 load.watts * (load.end_s - load.start_s)
-    return GroundTruth(
-        total_joules=sum(per_node[n] for n in sorted(per_node)),
-        per_node_joules=per_node, per_task_joules=per_task)
+    total = 0.0
+    for node in sorted(per_node):
+        total += per_node[node]
+    return GroundTruth(total_joules=total, per_node_joules=per_node,
+                       per_task_joules=per_task)
 
 
 def synthesize_counters(scenario: Scenario) -> dict[str, NodeEnergyLog]:

@@ -267,6 +267,23 @@ class TestReportCommand:
             f"wattflow: error: {log}:4: non-ASCII byte 0xe9\n"
         assert captured.out == ""
 
+    def test_session_reads_only_its_own_logs(self, tmp_path, capsys):
+        # Another session's log that does not parse sits beside the
+        # simulated one: --session never opens it.
+        out = run_simulate(tmp_path)
+        trace = os.path.join(out, "trace_demo.json")
+        clean = str(tmp_path / "clean.json")
+        assert main(["report", "--logs", out, "--trace", trace,
+                     "--out", clean]) == 0
+        with open(os.path.join(out, "rapl_alpha_other.csv"), "w") as fh:
+            fh.write("not a log\n")
+        target = str(tmp_path / "report.json")
+        assert main(["report", "--logs", out, "--trace", trace,
+                     "--session", "demo", "--out", target]) == 0
+        with open(clean, "rb") as fa, open(target, "rb") as fb:
+            assert fa.read() == fb.read()
+        assert main(["report", "--logs", out, "--trace", trace]) == 2
+
     def test_empty_logs_dir_is_usage_error(self, tmp_path):
         (tmp_path / "empty").mkdir()
         code = main(["report", "--logs", str(tmp_path / "empty"),

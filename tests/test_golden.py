@@ -5,7 +5,8 @@ Every artifact ``wattflow simulate`` writes for each bundled scenario, and
 ``cputime``/``walltime`` with an idle baseline), must hash to the recorded
 SHA-256.  A refactor that changes any byte of a log, trace, report or
 coverage table fails here; a deliberate format change updates the digest
-in the same change and says why.
+in the same change and says why.  The same digests hold on every other
+CPython >= 3.10 found on the machine, run without pytest.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,7 +30,8 @@ from wattflow.trace import (
     write_generic_trace,
 )
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 SIMULATE_DIGESTS = {
     "quantms_like": {
@@ -93,6 +98,11 @@ def sha256(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def digests_in(folder) -> dict[str, str]:
+    return {name: sha256(os.path.join(folder, name))
+            for name in sorted(os.listdir(folder))}
+
+
 def simulate(tmp_path, scenario_id: str) -> str:
     out = str(tmp_path / scenario_id)
     assert main(["simulate", "--scenario",
@@ -100,12 +110,26 @@ def simulate(tmp_path, scenario_id: str) -> str:
     return out
 
 
+def report_digests(run, logs: str, trace: str, tmp_path) -> dict:
+    """The digest of each of ``REPORT_RUNS``' reports over ``logs`` and
+    ``trace``, each written by ``run(argv)``, which returns the exit code.
+    """
+    digests = {}
+    for policy, idle in REPORT_RUNS:
+        target = str(tmp_path / f"report_{policy}_{idle}.json")
+        argv = ["report", "--logs", logs, "--trace", trace,
+                "--policy", policy, "--out", target]
+        if idle:
+            argv += ["--idle-baseline-watts", idle]
+        assert run(argv) == 0, (policy, idle)
+        digests[policy, idle] = sha256(target)
+    return digests
+
+
 @pytest.mark.parametrize("scenario_id", sorted(SIMULATE_DIGESTS))
 def test_simulate_artifacts_are_byte_identical(tmp_path, scenario_id):
     out = simulate(tmp_path, scenario_id)
-    assert {name: sha256(os.path.join(out, name))
-            for name in sorted(os.listdir(out))} == \
-        SIMULATE_DIGESTS[scenario_id]
+    assert digests_in(out) == SIMULATE_DIGESTS[scenario_id]
 
 
 @pytest.mark.parametrize("scenario_id", sorted(REPORT_DIGESTS))
@@ -113,15 +137,9 @@ def test_reports_over_simulated_logs_are_byte_identical(tmp_path,
                                                         scenario_id):
     out = simulate(tmp_path, scenario_id)
     trace = os.path.join(out, f"trace_{scenario_id}.json")
-    for policy, idle in REPORT_RUNS:
-        target = str(tmp_path / f"report_{policy}_{idle}.json")
-        argv = ["report", "--logs", out, "--trace", trace,
-                "--policy", policy, "--out", target]
-        if idle:
-            argv += ["--idle-baseline-watts", idle]
-        assert main(argv) == 0, (policy, idle)
-        assert sha256(target) == REPORT_DIGESTS[scenario_id][idle], \
-            (policy, idle)
+    assert report_digests(main, out, trace, tmp_path) == {
+        (policy, idle): REPORT_DIGESTS[scenario_id][idle]
+        for policy, idle in REPORT_RUNS}
 
 
 # The bundled scenarios never share a segment, so a second pin runs the
@@ -188,13 +206,76 @@ def test_concurrent_split_reports_are_byte_identical(tmp_path):
     overlap = str(tmp_path / "overlap.json")
     write_generic_trace(trace, overlap)
     os.remove(trace_path)
-    digests = {}
-    for policy, idle in REPORT_RUNS:
-        target = str(tmp_path / f"report_{policy}_{idle}.json")
-        argv = ["report", "--logs", out, "--trace", overlap,
-                "--policy", policy, "--out", target]
-        if idle:
-            argv += ["--idle-baseline-watts", idle]
-        assert main(argv) == 0, (policy, idle)
-        digests[policy, idle] = sha256(target)
-    assert digests == CONCURRENT_DIGESTS
+    assert report_digests(main, out, overlap, tmp_path) == \
+        CONCURRENT_DIGESTS
+
+
+def other_interpreters() -> list[str]:
+    """Every other CPython >= 3.10 here that starts, one per build.
+
+    Candidates are each ``python3.N`` in every ``PATH`` folder and each
+    ``$(pyenv root)/versions/3.*/bin/python``; a candidate that fails to
+    start (such as a pyenv shim for a version not installed) is skipped,
+    and so is one with this interpreter's ``sys.version``.
+    """
+    candidates = []
+    for folder in os.environ.get("PATH", "").split(os.pathsep):
+        if os.path.isdir(folder):
+            candidates += [os.path.join(folder, name)
+                           for name in sorted(os.listdir(folder))
+                           if re.fullmatch(r"python3\.\d+", name)]
+    try:
+        pyenv_root = subprocess.run(["pyenv", "root"], capture_output=True,
+                                    text=True, timeout=30).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        pyenv_root = ""
+    if pyenv_root and os.path.isdir(os.path.join(pyenv_root, "versions")):
+        versions = os.path.join(pyenv_root, "versions")
+        candidates += [os.path.join(versions, name, "bin", "python")
+                       for name in sorted(os.listdir(versions))
+                       if name.startswith("3.")]
+    seen, found = {sys.version}, []
+    for exe in candidates:
+        try:
+            probe = subprocess.run(
+                [exe, "-c", "import sys; print(sys.version_info >= (3, 10), "
+                 "sys.version, sep='\\n')"],
+                capture_output=True, text=True, timeout=30)
+        except (OSError, subprocess.SubprocessError):
+            continue
+        new, _, version = probe.stdout.rstrip("\n").partition("\n")
+        if probe.returncode == 0 and new == "True" \
+                and version not in seen:
+            seen.add(version)
+            found.append(exe)
+    return found
+
+
+def test_digests_hold_on_other_interpreters(tmp_path):
+    # Float sums must not depend on the Python version (3.12 made sum()
+    # compensated), so each other interpreter runs the CLI itself and
+    # must write the pinned bytes.
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython >= 3.10 found")
+    trace = concurrent_trace(parse_generic_trace(os.path.join(
+        simulate(tmp_path, "rnaseq_like"), "trace_rnaseq_like.json")))
+    overlap = str(tmp_path / "overlap.json")
+    write_generic_trace(trace, overlap)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for n, exe in enumerate(interpreters):
+        def cli(argv):
+            done = subprocess.run([exe, "-m", "wattflow.cli", *argv],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=300)
+            assert done.returncode == 0, (exe, argv, done.stderr)
+            return done.returncode
+
+        work = tmp_path / f"py{n}"
+        for scenario_id in sorted(SIMULATE_DIGESTS):
+            out = str(work / scenario_id)
+            cli(["simulate", "--scenario",
+                 str(SCENARIOS / f"{scenario_id}.json"), "--out", out])
+            assert digests_in(out) == SIMULATE_DIGESTS[scenario_id], exe
+        assert report_digests(cli, str(work / "rnaseq_like"), overlap,
+                              work) == CONCURRENT_DIGESTS, exe

@@ -759,6 +759,16 @@ BLOCK_STEP_LOGS = (
     "5,package,2\n",                             # order after the column
     _HEAD + "10,package,1\n" + "9" * 5000 + ",package,2\n",  # int() limit
 )
+# Block edges at each block size: a record whose "\r\n" straddles the
+# edge of a 64-character block (the block starts with that record), a
+# lone "\r" there, and a torn last line longer than the default block.
+_EDGE_RECORD = "0" * 51 + "10,package,1"
+EDGE_LOGS = (
+    _HEAD + _EDGE_RECORD + "\r\n20,package,2\r\n"
+    + f"{END_PREFIX}status=closed\r\n",
+    _HEAD + _EDGE_RECORD + "\r20,package,2\r",
+    _HEAD + "10,package,1\n" + "2" * (logfile._PARSE_BLOCK + 5),
+)
 
 
 class TestDifferentialParse:
@@ -777,6 +787,9 @@ class TestDifferentialParse:
     @example(log=(BLOCK_STEP_LOGS[3], False))
     @example(log=(BLOCK_STEP_LOGS[4], False))
     @example(log=(BLOCK_STEP_LOGS[5], False))
+    @example(log=(EDGE_LOGS[0], False))
+    @example(log=(EDGE_LOGS[1], False))
+    @example(log=(EDGE_LOGS[2], True))
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_parse_matches_reference(self, tmp_path, monkeypatch, log):
