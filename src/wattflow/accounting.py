@@ -34,9 +34,8 @@ from .counter import (
 from .errors import (
     DegenerateSeriesError,
     InvalidArgumentError,
-    MissingNodeLogError,
-    NoPointsInWindowError,
     SchemaViolationError,
+    WattflowError,
     load_json,
 )
 from .logfile import LogStatus, ParsedLog
@@ -46,7 +45,6 @@ from .trace import (
     TaskRecord,
     TaskStatus,
     WorkflowTrace,
-    tasks_by_node,
 )
 
 REPORT_VERSION = 1
@@ -299,10 +297,6 @@ class TaskEnergy:
         object.__setattr__(self, "joules_by_domain", cleaned)
         object.__setattr__(self, "notes", frozenset(self.notes))
 
-    @property
-    def total_joules(self) -> float:
-        return _countable_sum(self.joules_by_domain)
-
 
 @dataclass(frozen=True)
 class AttributionResult:
@@ -482,7 +476,7 @@ def interval_estimate(avg_watt_points: Sequence[tuple[int, float]],
         scrape_interval_s: Spacing the points were stored at.
 
     Raises:
-        NoPointsInWindowError: No point lies inside the window.
+        WattflowError: No point lies inside the window.
     """
     if scrape_interval_s <= 0:
         raise InvalidArgumentError(
@@ -492,7 +486,7 @@ def interval_estimate(avg_watt_points: Sequence[tuple[int, float]],
         raise InvalidArgumentError(f"empty estimation window {window}")
     inside = sorted((t, w) for t, w in avg_watt_points if start < t <= end)
     if not inside:
-        raise NoPointsInWindowError(
+        raise WattflowError(
             f"no average-watt points in ({start}, {end}]")
     watts = 0.0
     for _, w in inside:
@@ -543,23 +537,21 @@ def assemble_report(trace: WorkflowTrace,
     per-node countable energy, so the conservation invariant links totals,
     tasks, and unattributed energy.
 
+    ``cached`` tasks did not run in this session: they are listed with no
+    energy and the ``cached`` note, and take no share of any segment.
     Tasks flagged ``unknown_node`` ran on no known node: they are listed
     with no energy and that note, their energy stays unattributed, and the
-    report carries the flag.  ``cached`` tasks did not run in this
-    session: they are listed with no energy and the ``cached`` note, and
-    take no share of any segment.
+    report carries the flag.  Every other task joins its node's group,
+    ordered by ``(start, end, task_id)`` so that the order of the trace's
+    rows never reaches the report.
 
     Raises:
-        MissingNodeLogError: The trace places tasks on a node with no
-            usable log.
+        WattflowError: The trace places tasks on a node with no usable
+            log.
     """
-    groups = tasks_by_node(trace)
     per_node, windows, report_flags = node_energies(
         logs, (trace.submitted_wall_ns, trace.finished_wall_ns))
-    missing = sorted(set(groups) - set(per_node))
-    if missing:
-        raise MissingNodeLogError(
-            f"no usable sample log for node(s): {', '.join(missing)}")
+    groups: dict[str, list[TaskRecord]] = {}
     all_tasks = []
     for t in trace.tasks:
         if t.status is TaskStatus.CACHED:
@@ -568,13 +560,20 @@ def assemble_report(trace: WorkflowTrace,
             note = FLAG_UNKNOWN_NODE
             report_flags.add(FLAG_UNKNOWN_NODE)
         else:
+            groups.setdefault(t.node_id, []).append(t)
             continue
         all_tasks.append(TaskEnergy(task_id=t.task_id, joules_by_domain={},
                                     estimated=True, notes={note}))
+    missing = sorted(set(groups) - set(per_node))
+    if missing:
+        raise WattflowError(
+            f"no usable sample log for node(s): {', '.join(missing)}")
     unattributed = 0.0
     for node, window in windows.items():
-        result = attribute_concurrent(
-            groups.get(node, []), logs[node], policy, window=window)
+        tasks = groups.get(node, [])
+        tasks.sort(key=lambda t: (t.start_wall_ns, t.end_wall_ns, t.task_id))
+        result = attribute_concurrent(tasks, logs[node], policy,
+                                      window=window)
         unattributed += result.unattributed_joules
         all_tasks.extend(result.task_energies)
     all_tasks.sort(key=lambda te: te.task_id)

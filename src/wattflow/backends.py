@@ -23,12 +23,7 @@ import struct
 from typing import Iterable
 
 from .counter import CounterSpec, RaplDomain, RawSample
-from .errors import (
-    DeviceAbsentError,
-    InvalidArgumentError,
-    ParseError,
-    PermissionDeniedError,
-)
+from .errors import InvalidArgumentError, ParseError, WattflowError
 
 __all__ = [
     "CounterBackend",
@@ -109,7 +104,7 @@ class _KeptFile:
     handle holds (unlinked, replaced with ``os.replace`` or moved away), the
     path is opened again, so a read always sees what the path names now, as
     an open per read did.  A failed read closes the handle and raises
-    :class:`DeviceAbsentError`, so a retry reopens.
+    :class:`WattflowError`, so a retry reopens.
     """
 
     def __init__(self, path: str, absent: str, denied: str) -> None:
@@ -132,13 +127,13 @@ class _KeptFile:
             return os.pread(self._fd, size, offset)
         except FileNotFoundError:
             self.close()
-            raise DeviceAbsentError(self._absent) from None
+            raise WattflowError(self._absent) from None
         except PermissionError:
             self.close()
-            raise PermissionDeniedError(self._denied) from None
+            raise WattflowError(self._denied) from None
         except OSError as exc:
             self.close()
-            raise DeviceAbsentError(
+            raise WattflowError(
                 f"cannot read {self.path}: {exc}") from None
 
     def close(self) -> None:
@@ -192,10 +187,10 @@ class PowercapBackend(CounterBackend):
         try:
             entries = sorted(os.listdir(base_path))
         except FileNotFoundError:
-            raise DeviceAbsentError(
+            raise WattflowError(
                 f"powercap tree absent at {base_path}") from None
         except PermissionError:
-            raise PermissionDeniedError(f"cannot list {base_path}") from None
+            raise WattflowError(f"cannot list {base_path}") from None
         for entry in entries:
             zone = os.path.join(base_path, entry)
             name_path = os.path.join(zone, "name")
@@ -208,7 +203,7 @@ class PowercapBackend(CounterBackend):
                 continue
             if name in wanted:
                 return cls(zone)
-        raise DeviceAbsentError(
+        raise WattflowError(
             f"no powercap zone named {' or '.join(wanted)} under {base_path}")
 
     def wrap_modulus(self, spec: CounterSpec) -> int:

@@ -13,6 +13,12 @@ start, tasks on a node with no usable log, workflow mismatch, nonzero
 workflow exit, an OS error while an agent, a run, or a resume is under
 way); 4 report written with flags, among them ``missing_log:<node>`` for
 a node without a usable log (``run --resume``: only for that flag).
+
+By class: while a command reads its inputs, ``InvalidArgumentError`` and
+``ParseError`` (``SchemaViolationError`` included) give exit 2 and any
+other ``WattflowError`` gives exit 3; once the work is under way, every
+``WattflowError`` gives exit 3.  An ``OSError`` gives exit 3 while an
+agent, a run or a resume is under way, and exit 2 anywhere else.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 EXIT_PARTIAL = 4
 
-_USAGE_ERRORS = (SchemaViolationError, InvalidArgumentError, ParseError)
+_USAGE_ERRORS = (InvalidArgumentError, ParseError)
 
 
 def _fail(message: str, code: int) -> int:
@@ -135,23 +141,36 @@ def _load_logs(logs_dir: str, session: str | None
     """Parse every session log in a directory into per-node logs.
 
     Multiple sessions in one directory need ``--session``; with it, only
-    the logs whose names end in ``_<session>.csv`` are parsed.
+    the logs whose names end in ``_<session>.csv`` are parsed.  A log that
+    does not parse counts as another session when the parsed logs name
+    one session and its file name does not end in ``_<that session>.csv``;
+    otherwise its parse error is raised.
     """
     suffix = ".csv" if session is None else f"_{session}.csv"
-    parsed_logs = [parse_log(os.path.join(logs_dir, name))
-                   for name in sorted(os.listdir(logs_dir))
-                   if name.startswith("rapl_") and name.endswith(suffix)]
+    parsed_logs = []
+    unparsed: list[tuple[str, ParseError]] = []
+    for name in sorted(os.listdir(logs_dir)):
+        if name.startswith("rapl_") and name.endswith(suffix):
+            try:
+                parsed_logs.append(parse_log(os.path.join(logs_dir, name)))
+            except ParseError as exc:
+                unparsed.append((name, exc))
     if session is not None:
         parsed_logs = [p for p in parsed_logs if p.session_id == session]
-    sessions = {p.session_id for p in parsed_logs}
+    sessions = sorted({p.session_id for p in parsed_logs})
+    others = [f"{name} (does not parse)" for name, _ in unparsed
+              if len(sessions) == 1
+              and not name.endswith(f"_{sessions[0]}.csv")]
+    if len(sessions) > 1 or others:
+        raise InvalidArgumentError(
+            f"multiple sessions in {logs_dir}: "
+            f"{', '.join(sessions + others)}; pick one with --session")
+    if unparsed:
+        raise unparsed[0][1]
     if not parsed_logs:
         raise InvalidArgumentError(
             f"no session logs found in {logs_dir}"
             + (f" for session {session}" if session else ""))
-    if len(sessions) > 1:
-        raise InvalidArgumentError(
-            f"multiple sessions in {logs_dir}: "
-            f"{', '.join(sorted(sessions))}; pick one with --session")
     logs: dict[str, NodeEnergyLog] = {}
     for p in parsed_logs:
         if p.node_id in logs:

@@ -33,8 +33,7 @@ from typing import Any, Iterable, NamedTuple, Sequence
 from .errors import (
     DegenerateSeriesError,
     InvalidArgumentError,
-    OverflowComputationError,
-    WindowOutOfRangeError,
+    WattflowError,
 )
 
 __all__ = [
@@ -144,7 +143,7 @@ class EnergyQuantity:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.joules):
-            raise OverflowComputationError(
+            raise WattflowError(
                 f"energy is not a finite real: {self.joules}")
         if self.joules < 0:
             raise InvalidArgumentError(f"energy must be >= 0, got {self.joules}")
@@ -345,9 +344,8 @@ def counts_at(series: SampleSeries, edges_ns: Sequence[int]) -> list[float]:
         DegenerateSeriesError: Fewer than two samples.
         InvalidArgumentError: Fewer than two edges, or edges that do not
             increase.
-        WindowOutOfRangeError: An edge beyond the sampled span.
-        OverflowComputationError: The energy between the first and last
-            edge is not a finite real.
+        WattflowError: An edge beyond the sampled span, or energy between
+            the first and last edge that is not a finite real.
     """
     first, last = series.span_ns
     if len(edges_ns) < 2:
@@ -358,10 +356,10 @@ def counts_at(series: SampleSeries, edges_ns: Sequence[int]) -> list[float]:
                       if a >= b)
         raise InvalidArgumentError(f"window start {lo} must precede end {hi}")
     if edges_ns[0] < first:
-        raise WindowOutOfRangeError(
+        raise WattflowError(
             f"window starts {first - edges_ns[0]} ns before first sample")
     if edges_ns[-1] > last:
-        raise WindowOutOfRangeError(
+        raise WattflowError(
             f"window ends {edges_ns[-1] - last} ns after last sample")
     times, raws, wraps = series.times, series.raws, series._wrap_prefix()
     raw0, modulus, final = raws[0], series.spec.modulus, len(times) - 1
@@ -379,7 +377,7 @@ def counts_at(series: SampleSeries, edges_ns: Sequence[int]) -> list[float]:
         append(c0 + (c1 - c0) * ((t_ns - t0) / (times[i + 1] - t0)))
     if not math.isfinite((counts[-1] - counts[0])
                          * series.spec.energy_unit_joules):
-        raise OverflowComputationError(
+        raise WattflowError(
             f"energy over [{edges_ns[0]}, {edges_ns[-1]}] is not a finite "
             f"real")
     return counts
@@ -407,8 +405,8 @@ def integrate_window(series: SampleSeries, window_start_ns: int,
     Raises:
         DegenerateSeriesError: Fewer than two samples.
         InvalidArgumentError: Empty or inverted window.
-        WindowOutOfRangeError: Window extends beyond the sampled span.
-        OverflowComputationError: The energy is not a finite real.
+        WattflowError: Window extends beyond the sampled span, or the
+            energy is not a finite real.
     """
     c_lo, c_hi = counts_at(series, (window_start_ns, window_end_ns))
     return EnergyQuantity(max(c_hi - c_lo, 0.0)

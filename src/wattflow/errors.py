@@ -1,6 +1,13 @@
 """Exception hierarchy and JSON document helpers shared by all modules.
 
-Callers tell failure kinds apart by class; messages are for people.
+Callers tell failure kinds apart by class; messages are for people. A
+class exists only where some caller tells it apart: ``cli`` exits 2 on
+:class:`InvalidArgumentError` and :class:`ParseError` (its
+:class:`SchemaViolationError` included) and 3 on any other
+:class:`WattflowError`; ``accounting.node_energies`` leaves a log out on
+:class:`DegenerateSeriesError`; the agent keeps a session already open on
+:class:`AlreadyActiveError`. Every other failure raises its base class,
+and its message says what went wrong.
 """
 
 from __future__ import annotations
@@ -17,16 +24,8 @@ class InvalidArgumentError(WattflowError):
     pass
 
 
-class OverflowComputationError(WattflowError):
-    """Raised when a counter-to-joules product is not a finite real."""
-
-
 class DegenerateSeriesError(WattflowError):
     """Series has fewer than two samples, so no delta exists."""
-
-
-class WindowOutOfRangeError(WattflowError):
-    """Requested window extends beyond the sampled span."""
 
 
 class ParseError(WattflowError):
@@ -44,31 +43,7 @@ class ParseError(WattflowError):
         self.line = line
 
 
-class HeaderMismatchError(ParseError):
-    pass
-
-
-class PermissionDeniedError(WattflowError):
-    """Counter source exists but requires elevated privileges."""
-
-
-class DeviceAbsentError(WattflowError):
-    pass
-
-
 class AlreadyActiveError(WattflowError):
-    pass
-
-
-class MissingColumnError(ParseError):
-    pass
-
-
-class RowParseError(ParseError):
-    pass
-
-
-class EmptyTraceError(ParseError):
     pass
 
 
@@ -105,15 +80,3 @@ def load_json(path: str) -> Any:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaViolationError(f"not valid JSON: {exc}") from None
-
-
-class MissingNodeLogError(WattflowError):
-    """Tasks ran on a node with no usable log (undercount)."""
-
-
-class NoPointsInWindowError(WattflowError):
-    pass
-
-
-class AgentStartError(WattflowError):
-    pass

@@ -50,7 +50,6 @@ from typing import Mapping, Sequence
 from .counter import CounterSpec, RaplDomain, RawSample, SampleSeries
 from .errors import (
     AlreadyActiveError,
-    HeaderMismatchError,
     InvalidArgumentError,
     ParseError,
 )
@@ -287,15 +286,6 @@ class LogWriter:
             raise InvalidArgumentError(
                 f"domain {domain} has no header in this log") from None
 
-    def __enter__(self) -> "LogWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close(LogStatus.CLOSED)
-        else:
-            self.close(LogStatus.TRUNCATED)
-
 
 @dataclass(frozen=True)
 class ParsedLog:
@@ -373,7 +363,7 @@ def _append_record(line: str, lineno: int, path: str,
     if column is None:
         column = columns.get(domain)
         if column is None:
-            raise HeaderMismatchError(
+            raise ParseError(
                 f"{path}:{lineno}: record for {domain} before its header")
     modulus, times, raws = column
     if not 0 <= raw < modulus:
@@ -473,10 +463,10 @@ def parse_log(path: str) -> ParsedLog:
 
     Raises:
         ParseError: Malformed line, unknown domain, non-monotonic timestamp,
-            out-of-range raw value, or a byte outside ASCII (message carries
-            path and line number).
-        HeaderMismatchError: Record or gap before its domain header, no
-            header at all, or headers disagreeing on node or epoch.
+            out-of-range raw value, a byte outside ASCII (message carries
+            path and line number), a record or gap before its domain
+            header, no header at all, or headers disagreeing on node or
+            epoch.
     """
     node_id: str | None = None
     epoch_wall_ns: int | None = None
@@ -540,7 +530,7 @@ def parse_log(path: str) -> ParsedLog:
                     if node_id is None:
                         node_id, epoch_wall_ns = node, epoch
                     elif node != node_id or epoch != epoch_wall_ns:
-                        raise HeaderMismatchError(
+                        raise ParseError(
                             f"{path}:{lineno}: header disagrees with earlier "
                             f"header (node {node!r} vs {node_id!r})")
                     if domain in specs:
@@ -563,7 +553,7 @@ def parse_log(path: str) -> ParsedLog:
                         raise ParseError(f"bad gap marker: {exc}", path=path,
                                          line=lineno) from None
                     if domain not in specs:
-                        raise HeaderMismatchError(
+                        raise ParseError(
                             f"{path}:{lineno}: gap for {domain} before its "
                             f"header")
                     gaps[domain].append(t_ns)
@@ -578,7 +568,7 @@ def parse_log(path: str) -> ParsedLog:
         log.warning("%s: dropping unterminated final line %r", path, tail)
         status = LogStatus.TRUNCATED
     if node_id is None or epoch_wall_ns is None:
-        raise HeaderMismatchError(f"{path}: no header line found")
+        raise ParseError(f"{path}: no header line found")
 
     series = {
         domain: SampleSeries(node_id=node_id, spec=specs[domain],

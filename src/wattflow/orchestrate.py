@@ -33,10 +33,10 @@ from .accounting import (
     report_to_json,
 )
 from .errors import (
-    AgentStartError,
     InvalidArgumentError,
     ParseError,
     SchemaViolationError,
+    WattflowError,
     json_text,
     load_json,
     present_keys,
@@ -291,7 +291,7 @@ def run_wrapped(config: RunConfig,
     the report status but never skips measurement teardown.
 
     Raises:
-        AgentStartError: An agent could not be launched or produced no
+        WattflowError: An agent could not be launched or produced no
             records within the startup timeout.  The workflow was not
             started.
     """
@@ -304,7 +304,7 @@ def run_wrapped(config: RunConfig,
                     stdout=subprocess.DEVNULL,
                     stderr=subprocess.DEVNULL))
             except OSError as exc:
-                raise AgentStartError(
+                raise WattflowError(
                     f"cannot launch agent for {agent.node_id}: "
                     f"{exc}") from None
         for signal_dir in _signal_dirs(config):
@@ -316,7 +316,7 @@ def run_wrapped(config: RunConfig,
                              config.startup_timeout_s, sleep)
         if silent:
             _stop_everywhere(config)
-            raise AgentStartError(
+            raise WattflowError(
                 f"no measurement records from {silent} within "
                 f"{config.startup_timeout_s}s")
 

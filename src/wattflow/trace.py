@@ -18,10 +18,8 @@ from enum import Enum
 from typing import Any, Mapping
 
 from .errors import (
-    EmptyTraceError,
     InvalidArgumentError,
-    MissingColumnError,
-    RowParseError,
+    ParseError,
     SchemaViolationError,
     json_text,
     load_json,
@@ -177,21 +175,20 @@ def parse_nextflow_trace(path: str) -> WorkflowTrace:
     base name without extension.
 
     Raises:
-        MissingColumnError: A required column is absent from the header.
-        RowParseError: A row's field cannot be interpreted (carries the
-            row number).
-        EmptyTraceError: No task rows.
+        ParseError: No task rows, a required column absent from the
+            header, or a row's field that cannot be interpreted (carries
+            the row number).
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or not lines[0].strip():
-        raise EmptyTraceError("trace file has no header row", path=path)
+        raise ParseError("trace file has no header row", path=path)
     header = lines[0].split("\t")
     index: dict[str, int] = {}
     for column in ("task_id", "name", "status", "start", "complete",
                    "realtime", "%cpu"):
         if column not in header:
-            raise MissingColumnError(
+            raise ParseError(
                 f"required column {column!r} not in header", path=path)
         index[column] = header.index(column)
     host_col = header.index("hostname") if "hostname" in header else None
@@ -202,7 +199,7 @@ def parse_nextflow_trace(path: str) -> WorkflowTrace:
             continue
         fields = line.split("\t")
         if len(fields) < len(header):
-            raise RowParseError(
+            raise ParseError(
                 f"expected {len(header)} fields, got {len(fields)}",
                 path=path, line=rownum)
         try:
@@ -229,10 +226,10 @@ def parse_nextflow_trace(path: str) -> WorkflowTrace:
                 status=_NF_STATUS[status_text],
                 flags=frozenset(flags))
         except (ValueError, InvalidArgumentError) as exc:
-            raise RowParseError(str(exc), path=path, line=rownum) from None
+            raise ParseError(str(exc), path=path, line=rownum) from None
         tasks.append(record)
     if not tasks:
-        raise EmptyTraceError("trace file has no task rows", path=path)
+        raise ParseError("trace file has no task rows", path=path)
     return WorkflowTrace(
         workflow_id=_stem(path),
         submitted_wall_ns=min(t.start_wall_ns for t in tasks),
@@ -359,19 +356,3 @@ def trace_to_obj(trace: WorkflowTrace) -> dict[str, Any]:
 def write_generic_trace(trace: WorkflowTrace, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json_text(trace_to_obj(trace)))
-
-
-def tasks_by_node(trace: WorkflowTrace) -> dict[str, list[TaskRecord]]:
-    """Tasks grouped by node, each group in start order.
-
-    Tasks flagged ``unknown_node`` ran on no node the trace names, and
-    ``cached`` tasks did not run in this session, so both are left out.
-    """
-    out: dict[str, list[TaskRecord]] = {}
-    for t in trace.tasks:
-        if FLAG_UNKNOWN_NODE not in t.flags \
-                and t.status is not TaskStatus.CACHED:
-            out.setdefault(t.node_id, []).append(t)
-    for records in out.values():
-        records.sort(key=lambda t: (t.start_wall_ns, t.end_wall_ns, t.task_id))
-    return out

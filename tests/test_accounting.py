@@ -39,14 +39,14 @@ from wattflow.counter import CounterSpec, RaplDomain, RawSample, build_series
 from wattflow.errors import (
     DegenerateSeriesError,
     InvalidArgumentError,
-    MissingNodeLogError,
-    NoPointsInWindowError,
     SchemaViolationError,
+    WattflowError,
     json_text,
 )
 from wattflow.logfile import LogStatus
 from wattflow.trace import (
     FLAG_SUB_RESOLUTION,
+    FLAG_UNKNOWN_NODE,
     TaskRecord,
     TaskStatus,
     WorkflowTrace,
@@ -688,8 +688,10 @@ class TestIntervalEstimate:
 
     def test_no_points_in_window(self):
         window = (self.END - 10 * S, self.END - 5 * S)
-        with pytest.raises(NoPointsInWindowError):
+        with pytest.raises(WattflowError,
+                           match="no average-watt points in") as exc:
             interval_estimate(self.grid(), window, 30.0)
+        assert type(exc.value) is WattflowError
 
     def test_short_window_boundary_absorption_overestimates(self):
         # Query evaluated at a scrape instant over a short 130 s window in
@@ -725,7 +727,10 @@ class TestAssembleReport:
     def test_conservation_links_total_tasks_unattributed(self):
         trace, logs = fixture_trace_and_logs()
         report = assemble_report(trace, logs, cpu_policy())
-        attributed = sum(te.total_joules for te in report.per_task)
+        attributed = sum(
+            joules for te in report.per_task
+            for domain, joules in te.joules_by_domain.items()
+            if domain in countable_domains(te.joules_by_domain))
         assert attributed + report.unattributed_joules \
             == pytest.approx(report.total_joules, rel=1e-9)
         assert report.total_joules == pytest.approx(80 * 50 + 40 * 50,
@@ -733,11 +738,47 @@ class TestAssembleReport:
         assert len(report.per_task) == 3
         assert [te.task_id for te in report.per_task] == ["t1", "t2", "t3"]
 
+    def test_shuffled_trace_rows_give_identical_report(self):
+        # Overlapping tasks with uneven weights, ties on start and on
+        # (start, end), a cached and an unknown-node row: each node's
+        # group is ordered by (start, end, task_id), never by row order.
+        tasks = [task("k", 2, 33, cpu_time_s=9.7),
+                 task("a", 5, 20, cpu_time_s=6.9),
+                 task("b", 5, 20, cpu_time_s=11.9),
+                 task("c", 5, 31, cpu_time_s=3.7),
+                 task("d", 12, 44, cpu_time_s=5.1),
+                 task("e", 17, 29, cpu_time_s=0.7),
+                 task("f", 3, 40, cpu_time_s=2.9, node="n2"),
+                 task("g", 3, 22, cpu_time_s=13.1, node="n2"),
+                 task("h", 9, 22, cpu_time_s=1.3, node="n2"),
+                 dataclasses.replace(task("i", 6, 9),
+                                     status=TaskStatus.CACHED),
+                 dataclasses.replace(task("j", 6, 9, node="unknown"),
+                                     flags=frozenset({FLAG_UNKNOWN_NODE}))]
+        logs = {"n1": constant_log("n1", watts=97, duration_s=50),
+                "n2": constant_log("n2", watts=41, duration_s=50)}
+        rng = random.Random(7)
+        for kind in PolicyKind:
+            policy = AttributionPolicy(kind=kind)
+            texts = set()
+            for _ in range(8):
+                rng.shuffle(tasks)
+                trace = WorkflowTrace(workflow_id="wf1",
+                                      submitted_wall_ns=EPOCH,
+                                      finished_wall_ns=EPOCH + 50 * S,
+                                      tasks=tuple(tasks))
+                texts.add(report_to_json(
+                    assemble_report(trace, logs, policy)))
+            assert len(texts) == 1, kind
+
     def test_missing_node_named(self):
         trace, logs = fixture_trace_and_logs()
         del logs["n2"]
-        with pytest.raises(MissingNodeLogError, match="n2"):
+        with pytest.raises(WattflowError,
+                           match="no usable sample log for node.*: n2$"
+                           ) as exc:
             assemble_report(trace, logs, cpu_policy())
+        assert type(exc.value) is WattflowError
 
     def test_horizon_gap_flags_report_and_task(self):
         # No gap marker: a 3 s hole between samples is over half the 4 s

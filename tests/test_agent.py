@@ -39,7 +39,6 @@ from wattflow.counter import (
     series_total,
 )
 from wattflow.errors import (
-    DeviceAbsentError,
     InvalidArgumentError,
     SchemaViolationError,
     WattflowError,
@@ -91,7 +90,7 @@ class FlakyBackend(CounterBackend):
         self.calls += 1
         fail = self.plan.pop(0) if self.plan else False
         if fail:
-            raise DeviceAbsentError("scripted failure")
+            raise WattflowError("scripted failure")
         return self.inner.read(spec, now_ns)
 
     def wrap_modulus(self, spec: CounterSpec) -> int:
@@ -635,7 +634,7 @@ class ScriptedBackend(CounterBackend):
         kind, raw = self.outcome
         self.calls += 1
         if kind == "gap" or (kind == "retry" and self.calls == 1):
-            raise DeviceAbsentError("scripted failure")
+            raise WattflowError("scripted failure")
         return RawSample(t_ns=now_ns, raw=raw)
 
 

@@ -15,11 +15,7 @@ from wattflow.backends import (
     PowercapBackend,
 )
 from wattflow.counter import CounterSpec, RaplDomain
-from wattflow.errors import (
-    DeviceAbsentError,
-    InvalidArgumentError,
-    ParseError,
-)
+from wattflow.errors import InvalidArgumentError, ParseError, WattflowError
 
 UNIT_UJ = 1e-6
 
@@ -112,13 +108,17 @@ class TestPowercapBackend:
 
     def test_discover_missing_domain(self, tmp_path):
         make_powercap_zone(tmp_path)
-        with pytest.raises(DeviceAbsentError):
+        with pytest.raises(WattflowError,
+                           match="no powercap zone named dram") as exc:
             PowercapBackend.discover(RaplDomain.DRAM, str(tmp_path))
+        assert type(exc.value) is WattflowError
 
     def test_discover_missing_tree(self, tmp_path):
-        with pytest.raises(DeviceAbsentError):
+        with pytest.raises(WattflowError,
+                           match="powercap tree absent at") as exc:
             PowercapBackend.discover(RaplDomain.PACKAGE,
                                      str(tmp_path / "nothere"))
+        assert type(exc.value) is WattflowError
 
     def test_advertised_range_becomes_modulus(self, tmp_path):
         zone = make_powercap_zone(tmp_path, max_range=999)
@@ -141,8 +141,10 @@ class TestPowercapBackend:
         zone = make_powercap_zone(tmp_path)
         backend = PowercapBackend(str(zone))
         os.unlink(zone / "energy_uj")
-        with pytest.raises(DeviceAbsentError):
+        with pytest.raises(WattflowError,
+                           match="no such counter file") as exc:
             backend.read(mock_spec(), 0)
+        assert type(exc.value) is WattflowError
 
 
 def counting_opens(monkeypatch, suffix: str) -> list[str]:
@@ -195,8 +197,10 @@ class TestKeptHandles:
         backend = PowercapBackend(str(zone))
         backend.read(mock_spec(), 0)
         os.unlink(zone / "energy_uj")
-        with pytest.raises(DeviceAbsentError, match="no such counter file"):
+        with pytest.raises(WattflowError,
+                           match="no such counter file") as exc:
             backend.read(mock_spec(), 0)
+        assert type(exc.value) is WattflowError
 
     def test_failed_read_reopens_on_retry(self, tmp_path, monkeypatch):
         zone = make_powercap_zone(tmp_path, energy=5)
@@ -212,8 +216,10 @@ class TestKeptHandles:
             return real_pread(fd, size, offset)
 
         monkeypatch.setattr(backends.os, "pread", pread)
-        with pytest.raises(DeviceAbsentError, match="Input/output error"):
+        with pytest.raises(WattflowError,
+                           match="Input/output error") as exc:
             backend.read(mock_spec(), 0)
+        assert type(exc.value) is WattflowError
         assert backend.read(mock_spec(), 0).raw == 5
         assert len(opened) == 2
 
@@ -274,8 +280,9 @@ class TestMsrBackend:
 
     def test_missing_device(self, tmp_path):
         backend = MsrBackend(str(tmp_path / "nodev"))
-        with pytest.raises(DeviceAbsentError):
+        with pytest.raises(WattflowError, match="no MSR device at") as exc:
             backend.read(mock_spec(), 0)
+        assert type(exc.value) is WattflowError
 
     def test_short_read(self, tmp_path):
         dev = tmp_path / "short"

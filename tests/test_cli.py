@@ -284,6 +284,23 @@ class TestReportCommand:
             assert fa.read() == fb.read()
         assert main(["report", "--logs", out, "--trace", trace]) == 2
 
+    def test_unparseable_log_of_another_session_asks_for_session(
+            self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--scenario",
+                     os.path.join(ROOT, "scenarios", "rnaseq_like.json"),
+                     "--out", str(out)]) == 0
+        (out / "rapl_n1_other.csv").write_text("not a log\n")
+        capsys.readouterr()
+        code = main(["report", "--logs", str(out),
+                     "--trace", str(out / "trace_rnaseq_like.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            f"wattflow: error: multiple sessions in {out}: rnaseq_like, "
+            f"rapl_n1_other.csv (does not parse); pick one with --session\n")
+        assert captured.out == ""
+
     def test_empty_logs_dir_is_usage_error(self, tmp_path):
         (tmp_path / "empty").mkdir()
         code = main(["report", "--logs", str(tmp_path / "empty"),

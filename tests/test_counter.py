@@ -28,7 +28,6 @@ from wattflow.errors import (
     DegenerateSeriesError,
     InvalidArgumentError,
     WattflowError,
-    WindowOutOfRangeError,
 )
 
 PKG = RaplDomain.PACKAGE
@@ -236,15 +235,17 @@ class TestIntegrateWindow:
 
     def test_window_before_first_sample(self):
         series = ramp_series()
-        with pytest.raises(WindowOutOfRangeError,
-                           match="before first sample"):
+        with pytest.raises(WattflowError,
+                           match="before first sample") as exc:
             integrate_window(series, -1, 1_000_000_000)
+        assert type(exc.value) is WattflowError
 
     def test_window_after_last_sample(self):
         series = ramp_series()
-        with pytest.raises(WindowOutOfRangeError,
-                           match="after last sample"):
+        with pytest.raises(WattflowError,
+                           match="after last sample") as exc:
             integrate_window(series, 0, 10_000_000_001)
+        assert type(exc.value) is WattflowError
 
     def test_empty_window_rejected(self):
         series = ramp_series()
@@ -580,8 +581,8 @@ class TestCountsAt:
                 == reference.integrate(a, b)
 
     @pytest.mark.parametrize("edges, error", [
-        ([-1, 10**9, 2 * 10**9], WindowOutOfRangeError),
-        ([0, 10**9, 10**10 + 1], WindowOutOfRangeError),
+        ([-1, 10**9, 2 * 10**9], WattflowError),
+        ([0, 10**9, 10**10 + 1], WattflowError),
         ([0, 10**9, 10**9, 2 * 10**9], InvalidArgumentError),
         ([0, 2 * 10**9, 10**9, 3 * 10**9], InvalidArgumentError),
         ([5 * 10**9, 10**9], InvalidArgumentError),

@@ -15,9 +15,9 @@ import pytest
 
 from wattflow.counter import CounterSpec, RaplDomain
 from wattflow.errors import (
-    AgentStartError,
     InvalidArgumentError,
     SchemaViolationError,
+    WattflowError,
 )
 from wattflow.logfile import LogStatus, LogWriter, log_filename, parse_log
 from wattflow import orchestrate
@@ -122,8 +122,11 @@ class TestRunWrapped:
             session_id="it-abort",
             agent_cmds={"n1": "false"},
             startup_timeout_s=1.0)
-        with pytest.raises(AgentStartError):
+        with pytest.raises(WattflowError,
+                           match=r"no measurement records from \['n1'\]"
+                           ) as exc:
             run_wrapped(config)
+        assert type(exc.value) is WattflowError
         assert not sentinel.exists()
         assert list((tmp_path / "signals").iterdir()) == []
 
@@ -385,5 +388,8 @@ class TestFirstRecordWait:
         path = tmp_path / "agent_logs" / log_filename("n2", "rs")
         header = path.read_text().splitlines()[0]
         path.write_text(header + "\n")
-        with pytest.raises(AgentStartError, match=r"\['n2'\]"):
+        with pytest.raises(WattflowError,
+                           match=r"no measurement records from \['n2'\]"
+                           ) as exc:
             run_wrapped(config, sleep=_never_sleep)
+        assert type(exc.value) is WattflowError
