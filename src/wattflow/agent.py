@@ -19,11 +19,13 @@ synthetically in tests; ``run`` uses the real monotonic and wall clocks.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import select
 import signal as _signal
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Callable, Mapping
 
 from .backends import (
@@ -31,6 +33,8 @@ from .backends import (
     MockBackend,
     MsrBackend,
     PowercapBackend,
+    PowerProfile,
+    TaskLoad,
 )
 from .counter import CounterSpec, RaplDomain, RawSample, wrap_horizon_s
 from .errors import (
@@ -79,9 +83,26 @@ class SamplerConfig:
         seen = [spec.domain for spec in self.domains]
         if len(set(seen)) != len(seen):
             raise InvalidArgumentError("duplicate domain in config")
-        if self.max_power_watts <= 0:
-            raise InvalidArgumentError(
-                f"max_power_watts must be > 0, got {self.max_power_watts}")
+        for name in ("max_power_watts", "stale_timeout_s", "max_runtime_s"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value)
+                                          and value > 0):
+                raise InvalidArgumentError(
+                    f"{name} must be finite and > 0, got {value}")
+
+
+def _segments_profile(segments: Any) -> PowerProfile:
+    """The mock's ``segments``, (duration_s, watts) pairs, as consecutive
+    loads from time 0; the last never ends, so its power holds."""
+    pairs = [(float(d), float(w)) for d, w in segments]
+    if not (pairs and all(math.isfinite(d) and d > 0 for d, _ in pairs)):
+        raise InvalidArgumentError(
+            f"segments must be one or more (duration_s > 0, watts) pairs, "
+            f"got {pairs}")
+    bounds = [0.0, *accumulate(d for d, _ in pairs[:-1]), math.inf]
+    return PowerProfile("mock", 0.0, tuple(
+        TaskLoad(f"segment-{i}", bounds[i], bounds[i + 1], watts)
+        for i, (_, watts) in enumerate(pairs)))
 
 
 def build_backend(spec: CounterSpec, obj: Any,
@@ -89,7 +110,8 @@ def build_backend(spec: CounterSpec, obj: Any,
     """Construct a counter backend from its config document.
 
     ``kind`` selects the backend: ``mock`` takes ``segments`` (pairs of
-    duration seconds and watts); ``powercap`` takes ``zone_dir`` or
+    duration seconds and watts, played from ``start_ns`` with the last
+    level held); ``powercap`` takes ``zone_dir`` or
     discovers the zone under ``base_path``, and needs a 1e-6 J unit
     because the zone counts microjoules; ``msr`` takes ``device_path``.
     """
@@ -100,7 +122,8 @@ def build_backend(spec: CounterSpec, obj: Any,
     kind = obj["kind"]
     try:
         if kind == "mock":
-            return MockBackend(obj["segments"], start_ns=start_ns)
+            return MockBackend(_segments_profile(obj["segments"]),
+                               start_ns=start_ns)
         if kind == "powercap":
             if spec.energy_unit_joules != 1e-6:
                 raise SchemaViolationError(
@@ -144,7 +167,8 @@ def config_from_obj(doc: Any, start_ns: int = 0
         return config, backends
     except SchemaViolationError:
         raise
-    except (KeyError, TypeError, ValueError, InvalidArgumentError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            InvalidArgumentError) as exc:
         raise SchemaViolationError(
             f"bad agent config: {exc}") from None
 

@@ -5,8 +5,10 @@ right now?  Timestamps are supplied by the caller so backends stay clock-free
 and the mock stays exactly reproducible.
 
 The real backends need elevated access (powercap files and /dev/cpu/*/msr are
-root-readable); the mock needs nothing and synthesizes a counter from a
-piecewise-constant power profile.
+root-readable); the mock needs nothing and counts the floor of a
+:class:`PowerProfile`'s exact energy, :func:`analytic_energy`, in counter
+units: the one model of watts into counts, shared by mock agents and the
+simulator.
 
 The real backends open their file on the first read and keep it open: each
 later read is a ``stat`` of the path and one ``pread``, which a sysfs
@@ -18,9 +20,10 @@ drops the handle, so the caller's retry opens the file again.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
-from typing import Iterable
+from dataclasses import dataclass
 
 from .counter import CounterSpec, RaplDomain, RawSample
 from .errors import InvalidArgumentError, ParseError, WattflowError
@@ -30,6 +33,9 @@ __all__ = [
     "MockBackend",
     "PowercapBackend",
     "MsrBackend",
+    "PowerProfile",
+    "TaskLoad",
+    "analytic_energy",
 ]
 
 
@@ -47,40 +53,93 @@ class CounterBackend:
         """Release what the backend keeps open between reads, if anything."""
 
 
-class MockBackend(CounterBackend):
-    """Synthetic counter: a power profile's cumulative energy in the
-    spec's units, reduced by its modulus.
+@dataclass(frozen=True)
+class TaskLoad:
+    """One task's constant power contribution while it runs."""
 
-    ``segments`` are (duration_s, power_watts) pairs played back from
-    ``start_ns`` on the caller's clock; past the last one the power holds
-    at its final level, so an agent outliving the profile keeps counting.
+    task_id: str
+    start_s: float
+    end_s: float
+    watts: float
+
+    def __post_init__(self) -> None:
+        if self.end_s < self.start_s:
+            raise InvalidArgumentError(
+                f"load {self.task_id}: end before start")
+        if not (math.isfinite(self.watts) and self.watts >= 0):
+            raise InvalidArgumentError(
+                f"load {self.task_id}: watts must be >= 0, got {self.watts}")
+
+
+@dataclass(frozen=True)
+class PowerProfile:
+    """A node's power over time: idle draw plus active task loads.
+
+    Instantaneous power at time t is ``idle_watts`` plus the sum of watts of
+    loads whose [start, end) interval contains t.  Idle extends indefinitely
+    in both directions.
     """
 
-    def __init__(self, segments: Iterable[tuple[float, float]],
-                 start_ns: int = 0) -> None:
-        self.segments = tuple((float(d), float(w)) for d, w in segments)
-        if not (self.segments and all(d > 0 and w >= 0
-                                      for d, w in self.segments)):
+    node_id: str
+    idle_watts: float
+    task_loads: tuple[TaskLoad, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.idle_watts) and self.idle_watts >= 0):
             raise InvalidArgumentError(
-                f"segments must be one or more (duration_s > 0, watts >= 0) "
-                f"pairs, got {self.segments}")
+                f"idle_watts must be >= 0, got {self.idle_watts}")
+        object.__setattr__(self, "task_loads", tuple(self.task_loads))
+
+    def power_at(self, t_s: float) -> float:
+        return self.idle_watts + sum(
+            load.watts for load in self.task_loads
+            if load.start_s <= t_s < load.end_s)
+
+
+def analytic_energy(profile: PowerProfile,
+                    window: tuple[float, float]) -> float:
+    """Exact integral of the profile over a window, in joules.
+
+    Piecewise-constant power integrates segment by segment in closed form;
+    there is no sampling involved and no sampling error.
+
+    Raises:
+        InvalidArgumentError: Inverted window.
+    """
+    start, end = window
+    if end < start:
+        raise InvalidArgumentError(f"inverted window {window}")
+    if end == start:
+        return 0.0
+    energy = profile.idle_watts * (end - start)
+    for load in profile.task_loads:
+        overlap = min(end, load.end_s) - max(start, load.start_s)
+        if overlap > 0:
+            energy += load.watts * overlap
+    return energy
+
+
+class MockBackend(CounterBackend):
+    """Synthetic counter playing a power profile.
+
+    The counter reads zero at ``start_ns`` on the caller's clock, which is
+    time ``start_s`` of the profile.  Later it reads the floor of the
+    profile's exact energy since then, :func:`analytic_energy`, in the
+    spec's units, reduced by the spec's modulus.
+    """
+
+    def __init__(self, profile: PowerProfile, start_ns: int = 0,
+                 start_s: float = 0.0) -> None:
+        self.profile = profile
         self.start_ns = start_ns
+        self.start_s = start_s
 
     def read(self, spec: CounterSpec, now_ns: int) -> RawSample:
-        remaining = (now_ns - self.start_ns) / 1e9
-        if remaining < 0:
-            raise InvalidArgumentError(
-                f"read {-remaining} s before the profile starts")
-        joules = 0.0
-        for duration, watts in self.segments:
-            if remaining <= 0:
-                break
-            took = min(remaining, duration)
-            joules += took * watts
-            remaining -= took
-        if remaining > 0:
-            joules += remaining * self.segments[-1][1]
-        counts = round(joules / spec.energy_unit_joules)
+        # A read before start_ns is an inverted window, which raises.
+        elapsed_s = (now_ns - self.start_ns) / 1e9
+        joules = analytic_energy(self.profile,
+                                 (self.start_s, self.start_s + elapsed_s))
+        counts = math.floor(joules / spec.energy_unit_joules)
         return RawSample(t_ns=now_ns, raw=counts % spec.modulus)
 
 

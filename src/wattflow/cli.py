@@ -12,7 +12,8 @@ or output path that cannot be read or written; 3 runtime failure (agent
 start, tasks on a node with no usable log, workflow mismatch, nonzero
 workflow exit, an OS error while an agent, a run, or a resume is under
 way); 4 report written with flags, among them ``missing_log:<node>`` for
-a node without a usable log (``run --resume``: only for that flag).
+a node without a usable log (``run --resume``: only for that flag), or
+``compare`` given a report that carries flags.
 
 By class: while a command reads its inputs, ``InvalidArgumentError`` and
 ``ParseError`` (``SchemaViolationError`` included) give exit 2 and any
@@ -51,12 +52,7 @@ from .errors import (
 )
 from .logfile import parse_log
 from .orchestrate import load_run_config, resume, run_wrapped
-from .simulate import (
-    evaluate_methods,
-    load_scenario,
-    synthesize_counters,
-    write_log_files,
-)
+from .simulate import evaluate_methods, load_scenario, write_log_files
 from .trace import (
     parse_generic_trace,
     parse_nextflow_trace,
@@ -243,7 +239,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
             fh.write(json_text({"workflow_id": reference.workflow_id,
                                 "reference": args.reports[0],
                                 "rows": rows}))
-    return EXIT_OK
+    flagged = [(path, report.flags)
+               for path, report in zip(args.reports, reports) if report.flags]
+    for path, flags in flagged:
+        print(f"wattflow: warning: {path} carries flags: "
+              f"{', '.join(sorted(flags))}", file=sys.stderr)
+    return EXIT_PARTIAL if flagged else EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -253,8 +254,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_USAGE)
     os.makedirs(args.out, exist_ok=True)
     try:
-        logs = synthesize_counters(scenario)
-        write_log_files(scenario, logs, args.out)
+        logs = {p.node_id: NodeEnergyLog.from_parsed(p)
+                for p in map(parse_log, write_log_files(scenario, args.out))}
         write_generic_trace(
             scenario.trace,
             os.path.join(args.out, f"trace_{scenario.scenario_id}.json"))

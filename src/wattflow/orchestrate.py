@@ -13,6 +13,7 @@ whole-run report is emitted.  A crashed orchestrator can be recovered with
 from __future__ import annotations
 
 import logging
+import math
 import shlex
 import shutil
 import subprocess
@@ -113,6 +114,11 @@ class RunConfig:
             raise InvalidArgumentError("duplicate agent node_id")
         # A bad id fails before any process is launched.
         check_safe_id("session_id", self.session_id)
+        for name in ("startup_timeout_s", "stop_timeout_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidArgumentError(
+                    f"{name} must be finite and >= 0, got {value}")
 
 
 def run_config_from_obj(doc: Any, *, workflow_cmd: str | None = None,

@@ -2,9 +2,10 @@
 
 A scenario describes per-node power as idle draw plus piecewise-constant
 task loads, the workflow trace those tasks imply, counter geometry, and the
-timing parameters of the four measurement methods.  From that this module
-synthesizes wrap-accurate counter logs, computes closed-form ground truth,
-and evaluates how much of the true energy each method captures:
+timing of the four measurement methods.  Each node's log is recorded by the
+sampling agent over a mock backend playing the node's profile, and parsed
+back as ``wattflow report`` reads it; against closed-form ground truth this
+module evaluates how much of the true energy each method captures:
 
 * shell-wrap brackets the workflow with a lead on both sides,
 * the scheduler-plugin and in-workflow signal methods start late by their
@@ -12,13 +13,14 @@ and evaluates how much of the true energy each method captures:
 * interval scraping applies the average-power query arithmetic to
   true interval means of the profile.
 
-Piecewise-constant power keeps every oracle closed-form; synthesis is
+Piecewise-constant power keeps every oracle closed-form; recording is
 deterministic, so identical scenarios yield bit-identical logs.
 """
 
 from __future__ import annotations
 
 import math
+import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -30,83 +32,21 @@ from .accounting import (
     interval_estimate,
     node_energies,
 )
-from .counter import CounterSpec, RaplDomain, SampleSeries
+from .agent import SamplerAgent, SamplerConfig
+from .backends import MockBackend, PowerProfile, TaskLoad, analytic_energy
+from .counter import CounterSpec, RaplDomain
 from .errors import (
     InvalidArgumentError,
     SchemaViolationError,
+    WattflowError,
     load_json,
     present_keys,
 )
-from .logfile import LogStatus, LogWriter, log_filename
+from .logfile import LogStatus, log_filename, parse_log, read_status
+from .signals import SessionMarker, check_safe_id, signal_start, signal_stop
 from .trace import TaskRecord, TaskStatus, WorkflowTrace
 
 DEFAULT_WALL_ORIGIN_NS = 1_700_000_000_000_000_000
-
-
-@dataclass(frozen=True)
-class TaskLoad:
-    """One task's constant power contribution while it runs."""
-
-    task_id: str
-    start_s: float
-    end_s: float
-    watts: float
-
-    def __post_init__(self) -> None:
-        if self.end_s < self.start_s:
-            raise InvalidArgumentError(
-                f"load {self.task_id}: end before start")
-        if not (math.isfinite(self.watts) and self.watts >= 0):
-            raise InvalidArgumentError(
-                f"load {self.task_id}: watts must be >= 0, got {self.watts}")
-
-
-@dataclass(frozen=True)
-class PowerProfile:
-    """A node's power over time: idle draw plus active task loads.
-
-    Instantaneous power at time t is ``idle_watts`` plus the sum of watts of
-    loads whose [start, end) interval contains t.  Idle extends indefinitely
-    in both directions.
-    """
-
-    node_id: str
-    idle_watts: float
-    task_loads: tuple[TaskLoad, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.idle_watts) and self.idle_watts >= 0):
-            raise InvalidArgumentError(
-                f"idle_watts must be >= 0, got {self.idle_watts}")
-        object.__setattr__(self, "task_loads", tuple(self.task_loads))
-
-    def power_at(self, t_s: float) -> float:
-        return self.idle_watts + sum(
-            load.watts for load in self.task_loads
-            if load.start_s <= t_s < load.end_s)
-
-
-def analytic_energy(profile: PowerProfile,
-                    window: tuple[float, float]) -> float:
-    """Exact integral of the profile over a window, in joules.
-
-    Piecewise-constant power integrates segment by segment in closed form;
-    there is no sampling involved and no sampling error.
-
-    Raises:
-        InvalidArgumentError: Inverted window.
-    """
-    start, end = window
-    if end < start:
-        raise InvalidArgumentError(f"inverted window {window}")
-    if end == start:
-        return 0.0
-    energy = profile.idle_watts * (end - start)
-    for load in profile.task_loads:
-        overlap = min(end, load.end_s) - max(start, load.start_s)
-        if overlap > 0:
-            energy += load.watts * overlap
-    return energy
 
 
 @dataclass(frozen=True)
@@ -123,7 +63,8 @@ class MethodTiming:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise InvalidArgumentError(f"{name} must be >= 0, got {value}")
-        if not self.scrape_interval_s > 0:
+        if not (math.isfinite(self.scrape_interval_s)
+                and self.scrape_interval_s > 0):
             raise InvalidArgumentError(
                 f"scrape_interval_s must be > 0, "
                 f"got {self.scrape_interval_s}")
@@ -142,6 +83,7 @@ class Scenario:
     wall_origin_ns: int = DEFAULT_WALL_ORIGIN_NS
 
     def __post_init__(self) -> None:
+        check_safe_id("scenario_id", self.scenario_id)
         if not self.profiles:
             raise InvalidArgumentError("scenario needs at least one profile")
         if self.sample_interval_ms <= 0:
@@ -154,6 +96,7 @@ class Scenario:
         if len(set(nodes)) != len(nodes):
             raise InvalidArgumentError("duplicate node profiles")
         for node in nodes:
+            check_safe_id("node_id", node)
             if node not in self.specs:
                 raise InvalidArgumentError(f"no counter spec for node {node}")
         tasks_by_id = {t.task_id: t for t in self.trace.tasks}
@@ -227,56 +170,62 @@ def ground_truth(scenario: Scenario) -> GroundTruth:
                        per_task_joules=per_task)
 
 
-def synthesize_counters(scenario: Scenario) -> dict[str, NodeEnergyLog]:
-    """Deterministic wrap-accurate counter logs for every node.
+def write_log_files(scenario: Scenario, out_dir: str) -> list[str]:
+    """Record each node's session log into ``out_dir``, with one
+    in-process :class:`SamplerAgent` per node sampling a
+    :class:`MockBackend` that plays the node's profile on a virtual clock
+    from the synthesis window's start; the paths, in node order.
 
-    The counter starts at zero at the beginning of the synthesis window and
-    accumulates the exact profile integral; each sample is the floor of
-    cumulative energy in counter units, reduced by the wrap modulus.  The
-    sample log's wall anchor is set so trace timestamps line up.
+    Raises:
+        WattflowError: The agent skipped a session, or a log did not end
+            closed.
     """
     synth_start_s, synth_end_s = scenario.synthesis_window_s
     interval_ns = scenario.sample_interval_ms * 1_000_000
     ticks = math.ceil(_ns(synth_end_s - synth_start_s) / interval_ns)
-    logs: dict[str, NodeEnergyLog] = {}
-    for profile in scenario.profiles:
-        spec = scenario.specs[profile.node_id]
-        modulus = spec.modulus
-        unit = spec.energy_unit_joules
-        raws = []
-        for k in range(ticks + 1):
-            t_s = synth_start_s + k * interval_ns / 1e9
-            joules = analytic_energy(profile, (synth_start_s, t_s))
-            raws.append(math.floor(joules / unit) % modulus)
-        series = SampleSeries(
-            node_id=profile.node_id, spec=spec,
-            times=range(0, (ticks + 1) * interval_ns, interval_ns),
-            raws=raws,
-            epoch_wall_ns=scenario.wall_origin_ns + _ns(synth_start_s))
-        logs[profile.node_id] = NodeEnergyLog(
-            node_id=profile.node_id,
-            series_by_domain={spec.domain: series})
-    return logs
-
-
-def write_log_files(scenario: Scenario, logs: Mapping[str, NodeEnergyLog],
-                    out_dir: str) -> list[str]:
-    """Persist synthesized logs in the standard session log format."""
+    epoch_wall_ns = scenario.wall_origin_ns + _ns(synth_start_s)
+    sid = scenario.scenario_id
     paths = []
-    for node in sorted(logs):
-        log = logs[node]
-        series = next(iter(log.series_by_domain.values()))
-        path = f"{out_dir}/{log_filename(node, scenario.scenario_id)}"
-        writer = LogWriter(path, node,
-                           {d: s.spec for d, s in
-                            log.series_by_domain.items()},
-                           epoch_wall_ns=series.epoch_wall_ns)
-        for domain, s in log.series_by_domain.items():
-            for t_ns, raw in zip(s.times, s.raws):
-                writer.record(t_ns, domain, raw)
-        writer.close(LogStatus.CLOSED)
+    for profile in sorted(scenario.profiles, key=lambda p: p.node_id):
+        spec = scenario.specs[profile.node_id]
+        path = f"{out_dir}/{log_filename(profile.node_id, sid)}"
+        now_ns = 0
+        with tempfile.TemporaryDirectory() as signal_dir:
+            agent = SamplerAgent(
+                SamplerConfig(profile.node_id, (spec,), out_dir, signal_dir,
+                              interval_ms=scenario.sample_interval_ms,
+                              # Outlasts the session, so no reaping ends it.
+                              stale_timeout_s=(ticks + 1) * interval_ns / 1e9),
+                {spec.domain: MockBackend(profile, start_s=synth_start_s)},
+                mono_ns=lambda: now_ns,
+                wall_ns=lambda: epoch_wall_ns + now_ns)
+            # Removed before the last tick, which is the final record.
+            signal_start(signal_dir, SessionMarker(sid, epoch_wall_ns))
+            try:
+                for k in range(ticks + 1):
+                    now_ns = k * interval_ns
+                    if k == 1 and sid not in agent.active_sessions:
+                        raise WattflowError(
+                            f"the agent skipped session {sid}: its log "
+                            f"{path} already exists or cannot be created")
+                    if k == ticks:
+                        signal_stop(signal_dir, sid)
+                    agent.tick_once(now_ns)
+            finally:
+                agent.shutdown()
+        status = read_status(path)
+        if status is not LogStatus.CLOSED:
+            raise WattflowError(f"session log {path} ended {status.value}")
         paths.append(path)
     return paths
+
+
+def synthesize_counters(scenario: Scenario) -> dict[str, NodeEnergyLog]:
+    """Every node's log as :func:`write_log_files` records it, parsed
+    back from a temporary directory."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        return {p.node_id: NodeEnergyLog.from_parsed(p)
+                for p in map(parse_log, write_log_files(scenario, out_dir))}
 
 
 def scrape_points(profile: PowerProfile, scenario: Scenario
@@ -507,7 +456,8 @@ def scenario_from_obj(doc: Any) -> Scenario:
             **present_keys(doc, sample_interval_ms=int))
     except SchemaViolationError:
         raise
-    except (KeyError, TypeError, ValueError, InvalidArgumentError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            InvalidArgumentError) as exc:
         raise SchemaViolationError(f"bad scenario document: {exc}") from None
 
 

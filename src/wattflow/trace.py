@@ -171,7 +171,9 @@ def parse_nextflow_trace(path: str) -> WorkflowTrace:
     CPU time is reconstructed as ``realtime x (%cpu / 100)``: the engine
     reports task wall runtime and average CPU utilization, not CPU seconds.
     Node placement comes from the hostname column when present; rows without
-    one get node ``unknown`` plus a flag.  The workflow id is the file's
+    one get node ``unknown`` plus a flag.  The workflow window runs from
+    the earliest start to the latest completion of the rows that are not
+    ``CACHED`` (of every row when all are).  The workflow id is the file's
     base name without extension.
 
     Raises:
@@ -230,10 +232,11 @@ def parse_nextflow_trace(path: str) -> WorkflowTrace:
         tasks.append(record)
     if not tasks:
         raise ParseError("trace file has no task rows", path=path)
+    ran = [t for t in tasks if t.status is not TaskStatus.CACHED] or tasks
     return WorkflowTrace(
         workflow_id=_stem(path),
-        submitted_wall_ns=min(t.start_wall_ns for t in tasks),
-        finished_wall_ns=max(t.end_wall_ns for t in tasks),
+        submitted_wall_ns=min(t.start_wall_ns for t in ran),
+        finished_wall_ns=max(t.end_wall_ns for t in ran),
         tasks=tuple(tasks))
 
 

@@ -30,6 +30,7 @@ from wattflow.backends import (
     CounterBackend,
     MockBackend,
     PowercapBackend,
+    PowerProfile,
 )
 from wattflow.cli import main
 from wattflow.counter import (
@@ -98,7 +99,7 @@ class FlakyBackend(CounterBackend):
 
 
 def constant_backend(watts: float = 100.0) -> MockBackend:
-    return MockBackend(((3600.0, watts),), start_ns=0)
+    return MockBackend(PowerProfile("n1", watts))
 
 
 def make_agent(tmp_path, clock: FakeClock, backend=None,
@@ -362,9 +363,7 @@ class TestStartupChecks:
         fast_wrap = CounterSpec(domain=RaplDomain.PACKAGE, bit_width=20,
                                 energy_unit_joules=1e-6)
         with caplog.at_level(logging.WARNING, logger="wattflow.agent"):
-            make_agent(tmp_path, clock,
-                       backend=MockBackend(((3600.0, 100.0),)),
-                       spec=fast_wrap)
+            make_agent(tmp_path, clock, spec=fast_wrap)
         assert any("wrap horizon" in r.message for r in caplog.records)
 
     def test_comfortable_interval_does_not_warn(self, tmp_path, caplog):
@@ -551,7 +550,8 @@ class TestConfigDocument:
 
     @pytest.mark.parametrize("segments", [
         [], [[0.0, 10.0]], [[-1.0, 10.0]], [[60.0, -5.0]], [[60.0, "hot"]],
-        [[60.0, None]]])
+        [[60.0, None]], [[60.0, float("inf")]], [[60.0, float("nan")]],
+        [[float("inf"), 10.0]], [[float("nan"), 10.0]]])
     def test_bad_mock_segments_exit_2_at_load(self, tmp_path, capsys,
                                               segments):
         doc = self.make_doc(tmp_path)
@@ -560,6 +560,24 @@ class TestConfigDocument:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["agent", "--config", str(path)]) == 2
         assert "wattflow: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, text", [
+        ("max_power_watts", "NaN"), ("max_power_watts", "1e400"),
+        ("stale_timeout_s", "1e400"), ("stale_timeout_s", "NaN"),
+        ("max_runtime_s", "NaN"), ("interval_ms", "1e400")])
+    def test_non_finite_config_value_exits_2_at_load(self, tmp_path, capsys,
+                                                     key, text):
+        # 1e400 reads as infinity.  Each exits 2 with one error line, not
+        # a traceback from the agent's constructor or its first poll.
+        doc = self.make_doc(tmp_path)
+        doc[key] = "VALUE"
+        path = tmp_path / "agent.json"
+        path.write_text(json.dumps(doc).replace('"VALUE"', text),
+                        encoding="utf-8")
+        assert main(["agent", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("wattflow: error:")
 
     def test_domain_entry_must_be_an_object(self, tmp_path):
         doc = self.make_doc(tmp_path)
@@ -796,7 +814,7 @@ class TestTickCost:
             signal_dir=str(tmp_path / "signals"))
         agent = SamplerAgent(
             config, {SPEC.domain: PowercapBackend(str(zone)),
-                     dram.domain: MockBackend(((3600.0, 10.0),))},
+                     dram.domain: constant_backend(10.0)},
             mono_ns=clock.mono_ns, wall_ns=clock.wall_ns)
         return agent, clock
 

@@ -9,14 +9,18 @@ import struct
 import pytest
 
 from wattflow import backends
+from wattflow.agent import build_backend
 from wattflow.backends import (
     MockBackend,
     MsrBackend,
     PowercapBackend,
+    PowerProfile,
+    TaskLoad,
 )
 from wattflow.counter import CounterSpec, RaplDomain
 from wattflow.errors import InvalidArgumentError, ParseError, WattflowError
 
+S = 1_000_000_000
 UNIT_UJ = 1e-6
 
 
@@ -25,59 +29,76 @@ def mock_spec(bit_width=32, unit=UNIT_UJ, domain=RaplDomain.PACKAGE):
                        energy_unit_joules=unit)
 
 
+def segments_backend(segments, start_ns=0):
+    """A mock backend as an agent config's ``segments`` build it."""
+    return build_backend(mock_spec(), {"kind": "mock", "segments": segments},
+                         start_ns=start_ns)
+
+
 class TestMockBackend:
     def test_read_at_midpoint(self):
         # 100 W for 10 s at 1e-6 J/count: t=5 s -> 5e8 counts exactly.
         spec = mock_spec()
-        backend = MockBackend(((10.0, 100.0),))
+        backend = segments_backend(((10.0, 100.0),))
         sample = backend.read(spec, 5_000_000_000)
         assert sample.raw == 500_000_000
         assert sample.t_ns == 5_000_000_000
 
     def test_read_at_zero(self):
         spec = mock_spec()
-        backend = MockBackend(((10.0, 100.0),))
+        backend = segments_backend(((10.0, 100.0),))
         assert backend.read(spec, 0).raw == 0
 
     def test_wrap_at_bit_width(self):
         # Cumulative counts 2**20 + 7 reduce to raw 7 on a 20-bit counter.
         spec = mock_spec(bit_width=20)
-        backend = MockBackend(((100.0, 100.0),))
+        backend = segments_backend(((100.0, 100.0),))
         sample = backend.read(spec, 10_485_830)
         assert sample.raw == 7
 
     def test_segment_boundaries_accumulate(self):
         # [(2 s, 50 W), (3 s, 200 W)] at t=4 s: 100 + 400 = 500 J.
         spec = mock_spec(unit=1.0, bit_width=64)
-        backend = MockBackend(((2.0, 50.0), (3.0, 200.0)))
+        backend = segments_backend(((2.0, 50.0), (3.0, 200.0)))
         assert backend.read(spec, 4_000_000_000).raw == 500
 
     def test_power_holds_past_profile_end(self):
         # Past the 5 s profile the last level (200 W) continues: at t=7 s,
         # 100 + 600 + 400 = 1100 J.
         spec = mock_spec(unit=1.0, bit_width=64)
-        backend = MockBackend(((2.0, 50.0), (3.0, 200.0)))
+        backend = segments_backend(((2.0, 50.0), (3.0, 200.0)))
         assert backend.read(spec, 7_000_000_000).raw == 1100
 
     def test_start_anchor_offsets_profile_time(self):
         spec = mock_spec()
-        backend = MockBackend(((10.0, 100.0),), start_ns=2_000_000_000)
+        backend = segments_backend(((10.0, 100.0),), start_ns=2_000_000_000)
         assert backend.read(spec, 7_000_000_000).raw == 500_000_000
+
+    def test_counts_are_the_floor_of_profile_energy(self):
+        # 1 W for 2.7 s is 2.7 J: the counter holds 2 whole joules.  With
+        # start_s the count runs from that profile time at start_ns: over
+        # profile time 9-11 s, 2 J of idle plus 4 J of the load.
+        spec = mock_spec(unit=1.0, bit_width=64)
+        profile = PowerProfile("n1", 1.0, (TaskLoad("t", 10.0, 20.0, 4.0),))
+        assert MockBackend(profile).read(spec, 2_700_000_000).raw == 2
+        backend = MockBackend(profile, start_ns=S, start_s=9.0)
+        assert backend.read(spec, 3 * S).raw == 6
 
     def test_profile_validation(self):
         for segments in ((), ((0.0, 10.0),), ((1.0, -5.0),),
-                         ((1.0, float("nan")),)):
+                         ((1.0, float("nan")),), ((float("inf"), 1.0),),
+                         ((1.0, float("inf")),)):
             with pytest.raises(InvalidArgumentError):
-                MockBackend(segments)
+                segments_backend(segments)
 
     def test_read_before_start_rejected(self):
-        backend = MockBackend(((10.0, 100.0),), start_ns=1_000)
+        backend = segments_backend(((10.0, 100.0),), start_ns=1_000)
         with pytest.raises(InvalidArgumentError):
             backend.read(mock_spec(), 999)
 
     def test_monotone_counts_before_wrap(self):
         spec = mock_spec(bit_width=64)
-        backend = MockBackend(((10.0, 37.5),))
+        backend = segments_backend(((10.0, 37.5),))
         reads = [backend.read(spec, t * 10**8).raw for t in range(100)]
         assert reads == sorted(reads)
 

@@ -139,6 +139,36 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "out")])
         assert code == 2
 
+    def test_second_run_into_one_directory_names_the_existing_log(
+            self, tmp_path, capsys):
+        # The agent skips a session whose log exists; simulate must not
+        # evaluate the earlier run's file instead.
+        out = run_simulate(tmp_path)
+        capsys.readouterr()
+        code = main(["simulate", "--scenario", write_scenario(tmp_path),
+                     "--out", out])
+        assert code == 3
+        log = os.path.join(out, "rapl_alpha_demo.csv")
+        assert capsys.readouterr().err == (
+            f"wattflow: error: the agent skipped session demo: its log "
+            f"{log} already exists or cannot be created\n")
+
+    @pytest.mark.parametrize("key, bad", [("node_id", "n 1"),
+                                          ("scenario_id", "demo/x")])
+    def test_id_a_log_cannot_carry_exits_2_at_load(self, tmp_path, capsys,
+                                                   key, bad):
+        doc = scenario_doc()
+        if key == "node_id":
+            doc["nodes"][0]["node_id"] = bad
+        else:
+            doc["scenario_id"] = bad
+        out = tmp_path / "out"
+        code = main(["simulate", "--scenario", write_scenario(tmp_path, doc),
+                     "--out", str(out)])
+        assert code == 2
+        assert "not filesystem-safe" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReportCommand:
     def test_report_from_simulated_logs(self, tmp_path, capsys):
@@ -376,6 +406,26 @@ class TestCompareCommand:
         bad.write_text("{}", encoding="utf-8")
         assert main(["compare", str(bad)]) == 2
 
+    @pytest.mark.parametrize("flagged_first", [True, False])
+    def test_flagged_input_is_named_and_exits_4(self, tmp_path, capsys,
+                                                flagged_first):
+        clean = write_report(str(tmp_path / "clean.json"), "wf",
+                             MeasurementMethod.SHELL_WRAP, 100.0)
+        flagged = str(tmp_path / "flagged.json")
+        with open(flagged, "w", encoding="utf-8") as fh:
+            fh.write(report_to_json(EnergyReport(
+                workflow_id="wf", method=MeasurementMethod.SIGNAL_PLUGIN,
+                total_joules=90.0,
+                per_node={"n1": {RaplDomain.PACKAGE: 90.0}},
+                flags=frozenset({"clipped_window", "unsafe_gap"}))))
+        paths = [flagged, clean] if flagged_first else [clean, flagged]
+        assert main(["compare", *paths]) == 4
+        captured = capsys.readouterr()
+        assert captured.out.count("%") == 2
+        assert warnings_in(captured.err) == [
+            f"wattflow: warning: {flagged} carries flags: "
+            f"clipped_window, unsafe_gap"]
+
 
 class TestRunCommand:
     def test_wrapped_run_via_cli(self, tmp_path, capsys):
@@ -430,6 +480,23 @@ class TestRunCommand:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["run", "--config",
                      str(tmp_path / "none.json")]) == 2
+
+    @pytest.mark.parametrize("key, text", [
+        ("startup_timeout_s", "NaN"), ("startup_timeout_s", "1e400"),
+        ("stop_timeout_s", "NaN"), ("stop_timeout_s", "1e400")])
+    def test_non_finite_timeout_exits_2_at_load(self, tmp_path, capsys,
+                                                key, text):
+        # A NaN deadline never passes, so it would wait forever.
+        doc = {"workflow_cmd": "true", "session_id": "s1",
+               "output_dir": str(tmp_path / "out"), key: "VALUE",
+               "agents": [{"node_id": "n1", "agent_cmd": "true",
+                           "signal_dir": str(tmp_path),
+                           "log_dir": str(tmp_path)}]}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(doc).replace('"VALUE"', text),
+                            encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
 
 
 class TestUsage:
@@ -567,6 +634,44 @@ class TestCachedTask:
         with_cached["per_task"] = [t for t in with_cached["per_task"]
                                    if t["task_id"] != "c1"]
         assert with_cached == without
+
+
+    def test_cached_row_does_not_widen_the_window(self, tmp_path, capsys):
+        # A resumed run lists cached tasks with the times of the earlier
+        # run that computed them; one dated a day earlier must not stretch
+        # the workflow window past the logs.
+        out = str(tmp_path / "sim")
+        assert main(["simulate", "--scenario",
+                     os.path.join(ROOT, "scenarios", "rnaseq_like.json"),
+                     "--out", out]) == 0
+        ms = ORIGIN // 1_000_000
+        day_ms = 86_400_000
+        header = "task_id\tname\tstatus\tstart\tcomplete\trealtime" \
+                 "\t%cpu\thostname"
+        ran = "\t".join(["t1", "uniform-load", "COMPLETED", str(ms),
+                         str(ms + 1_500_000), "1500s", "200%", "n1"])
+        cached = "\t".join(["c1", "cached-step", "CACHED",
+                            str(ms - day_ms), str(ms - day_ms + 600_000),
+                            "600s", "100%", "n1"])
+        reports = []
+        for name, rows in (("plain.txt", [ran]),
+                           ("cached.txt", [cached, ran])):
+            trace_path = tmp_path / name
+            trace_path.write_text("\n".join([header] + rows) + "\n",
+                                  encoding="utf-8")
+            target = str(tmp_path / f"{name}.json")
+            capsys.readouterr()
+            assert main(["report", "--logs", out, "--trace",
+                         str(trace_path), "--out", target]) == 0
+            assert warnings_in(capsys.readouterr().err) == []
+            reports.append(read_json(target))
+        without, with_cached = reports
+        assert with_cached["total_joules"] == without["total_joules"]
+        assert without["total_joules"] == pytest.approx(225_000.0,
+                                                        rel=1e-6)
+        assert [t for t in with_cached["per_task"] if t["task_id"] == "c1"] \
+            == [{"task_id": "c1", "joules_by_domain": {}, "estimated": True,
+                 "notes": ["cached"]}]
 
 
 def _os_error_case(tmp_path, case: str) -> list[str]:

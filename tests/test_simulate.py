@@ -21,12 +21,13 @@ from wattflow.counter import (
     RawSample,
     build_series,
     integrate_window,
+    series_total,
 )
 from wattflow.errors import (
     InvalidArgumentError,
     SchemaViolationError,
 )
-from wattflow.logfile import parse_log
+from wattflow.logfile import LogStatus, parse_log
 from wattflow.simulate import (
     GroundTruth,
     MethodTiming,
@@ -237,6 +238,22 @@ class TestSynthesis:
         naive = (by_t[end_mono] - by_t[start_mono]) * 2.0 ** -14
         assert abs(truth - naive) >= 0.99 * capacity
 
+    def test_session_longer_than_a_day_closes_with_exact_total(
+            self, tmp_path):
+        # Longer than the agent's default 24 h stale timeout: the session
+        # must still end closed, not reaped, and hold the whole energy.
+        watts = 100.0
+        scenario = idle_only_scenario(watts, 25 * 3600.0, 32, 2.0 ** -14,
+                                      sample_interval_ms=60_000)
+        (path,) = write_log_files(scenario, str(tmp_path))
+        parsed = parse_log(path)
+        assert parsed.status is LogStatus.CLOSED
+        series = parsed.series[RaplDomain.PACKAGE]
+        span_s = (series.samples[-1].t_ns - series.samples[0].t_ns) / 1e9
+        assert span_s > 25 * 3600.0
+        assert series_total(series).joules == pytest.approx(
+            watts * span_s, rel=1e-9)
+
     def test_deterministic_bit_identical_logs(self, tmp_path):
         scenario = make_scenario()
         logs_a = synthesize_counters(scenario)
@@ -248,15 +265,15 @@ class TestSynthesis:
         dir_b = tmp_path / "b"
         dir_a.mkdir()
         dir_b.mkdir()
-        (path_a,) = write_log_files(scenario, logs_a, str(dir_a))
-        (path_b,) = write_log_files(scenario, logs_b, str(dir_b))
+        (path_a,) = write_log_files(scenario, str(dir_a))
+        (path_b,) = write_log_files(scenario, str(dir_b))
         with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
             assert fa.read() == fb.read()
 
     def test_written_logs_parse_back_to_same_series(self, tmp_path):
         scenario = make_scenario()
         logs = synthesize_counters(scenario)
-        (path,) = write_log_files(scenario, logs, str(tmp_path))
+        (path,) = write_log_files(scenario, str(tmp_path))
         parsed = parse_log(path)
         assert not log_flags(NodeEnergyLog.from_parsed(parsed))
         original = logs["n1"].series_by_domain[RaplDomain.PACKAGE]
