@@ -10,7 +10,12 @@ whose marker goes stale are closed as reaped; a log that fails a write or
 refuses a reading is closed as truncated rather than killing the agent, and
 a session whose log cannot be created is skipped while the others keep
 sampling.
-A stop signal wakes the wait between ticks, so the agent exits at once.
+Between ticks the agent polls the signal directory every
+``MARKER_POLL_S`` and acts on a new marker at once, as a tick would: a start
+opens its log with a reading, a stop takes the final reading and writes the
+trailer.  That reading goes to every open log, and the tick schedule does
+not move.  A stop signal wakes the wait between ticks, so the agent exits
+at once.
 
 Clocks are injectable so the whole tick schedule can be driven
 synthetically in tests; ``run`` uses the real monotonic and wall clocks.
@@ -48,6 +53,7 @@ from .errors import (
 from .logfile import LogStatus, LogWriter, format_tick, log_filename
 from .signals import (
     DEFAULT_STALE_TIMEOUT_S,
+    SessionEvent,
     SessionReaped,
     SessionStarted,
     SessionStopped,
@@ -57,6 +63,9 @@ from .signals import (
 )
 
 logger = logging.getLogger(__name__)
+
+# Seconds between signal-directory polls while the agent waits for a tick.
+MARKER_POLL_S = 0.020
 
 
 @dataclass(frozen=True)
@@ -188,6 +197,12 @@ class SamplerAgent:
     beyond the counter's declared width) is closed as truncated and its
     session dropped; a session whose log cannot be created (say, a missing
     log directory) is logged and skipped.
+
+    ``run`` ticks on a fixed grid and, between ticks, polls the signal
+    directory every ``MARKER_POLL_S``: a marker that appears or goes away
+    is acted on at once with a reading off the grid, which every open log
+    takes, so a session's first and final records are never a whole
+    interval late.
     """
 
     def __init__(self, config: SamplerConfig,
@@ -301,12 +316,30 @@ class SamplerAgent:
         """
         if now_ns is None:
             now_ns = self._mono_ns()
+        self._act(self._watcher.poll_once(), now_ns, scheduled=True)
+
+    def _poll_between_ticks(self) -> None:
+        """Act on marker changes now instead of at the next tick."""
         events = self._watcher.poll_once()
+        if events:
+            self._act(events, self._mono_ns(), scheduled=False)
+
+    def _act(self, events: list[SessionEvent], now_ns: int,
+             scheduled: bool) -> None:
+        """Apply one poll's events and take the reading they call for.
+
+        A scheduled tick reads whenever a log is open.  Between ticks the
+        agent reads only when a log was just opened or a session with an
+        open log stopped; the reading goes to every open log all the same,
+        so concurrent sessions keep identical readings.
+        """
+        started: list[str] = []
         stopped: list[str] = []
         reaped: list[str] = []
         for event in events:
             if isinstance(event, SessionStarted):
                 self._open_writer(event.marker.session_id)
+                started.append(event.marker.session_id)
             elif isinstance(event, SessionStopped):
                 stopped.append(event.session_id)
             elif isinstance(event, SessionReaped):
@@ -319,7 +352,9 @@ class SamplerAgent:
                 return
         for session_id in reaped:
             self._close_writer(session_id, LogStatus.REAPED)
-        if self._writers:
+        writers = self._writers
+        if writers and (scheduled or any(
+                sid in writers for sid in started + stopped)):
             readings = self._read_all(now_ns)
             self._record_all(readings, gap_t_ns=now_ns)
         for session_id in stopped:
@@ -334,15 +369,26 @@ class SamplerAgent:
             backend.close()
 
     def _sleep(self, seconds: float) -> None:
-        """Sleep until the next tick, or until a stop signal arrives.
+        """Wait until the next tick, acting on markers as they appear.
 
-        The signal handler writes to a pipe, so a stop that lands before
-        or during the wait ends it at once.
+        The signal directory is polled every ``MARKER_POLL_S``, except
+        when the tick itself is due within that time.  The signal handler
+        writes to a pipe, so a stop that lands before or during the wait
+        ends it at once.
         """
-        if self._wake_fd is None:
-            time.sleep(seconds)
-        else:
-            select.select([self._wake_fd], [], [], seconds)
+        deadline = time.monotonic() + seconds
+        while not self._stopping:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return
+            nap = min(MARKER_POLL_S, remaining)
+            if self._wake_fd is None:
+                time.sleep(nap)
+            else:
+                select.select([self._wake_fd], [], [], nap)
+            if self._stopping or remaining <= MARKER_POLL_S:
+                return
+            self._poll_between_ticks()
 
     def run(self, sleep: Callable[[float], None] | None = None) -> None:
         """Tick at the configured interval until told to stop.
@@ -351,7 +397,8 @@ class SamplerAgent:
         clock, so a slow tick shortens the following sleep instead of
         shifting the whole schedule.  Open logs are closed as truncated
         however the loop ends, an exception included.  ``sleep`` replaces
-        the wait between ticks, which a stop signal otherwise cuts short.
+        the wait between ticks, which otherwise acts on markers as they
+        appear and is cut short by a stop signal.
         """
         sleep = sleep or self._sleep
         interval_ns = self.config.interval_ms * 1_000_000

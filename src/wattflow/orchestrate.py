@@ -6,8 +6,10 @@ signals a measurement session, and only starts the workflow process after
 every node's log shows its first record; no part of the run is unmeasured.
 After the workflow exits the session is stopped, agents are given time to
 write their trailers, logs are collected into the output directory, and a
-whole-run report is emitted.  A crashed orchestrator can be recovered with
-``resume``, which salvages whatever the agents recorded.
+whole-run report is emitted.  ``run_<session>.json`` records, per node, how
+long the agent took from launch to its first record and from the stop to
+its trailer.  A crashed orchestrator can be recovered with ``resume``, which
+salvages whatever the agents recorded.
 """
 
 from __future__ import annotations
@@ -58,6 +60,9 @@ from .signals import (
 )
 
 logger = logging.getLogger(__name__)
+
+# Seconds between checks of the agents' logs while the run waits on them.
+LOG_POLL_S = 0.010
 
 
 @dataclass(frozen=True)
@@ -172,37 +177,54 @@ def _session_log_path(endpoint: AgentEndpoint, session_id: str) -> str:
 
 def _await_logs(config: RunConfig, ready: Callable[[str], bool],
                 timeout_s: float,
-                sleep: Callable[[float], None]) -> list[str]:
+                sleep: Callable[[float], None]) -> dict[str, float | None]:
     """Poll every node's log until ``ready`` holds for each, or timeout.
 
     Each log is checked at least once, even with a zero timeout; a log
-    that cannot be read or parsed yet stays pending.  Returns the nodes
-    still pending, sorted.
+    that cannot be read or parsed yet stays pending.  Returns, per node,
+    the ``time.monotonic()`` at which ``ready`` was first seen to hold,
+    or None for a node still pending at the timeout.
     """
     deadline = time.monotonic() + timeout_s
     pending = {a.node_id: _session_log_path(a, config.session_id)
                for a in config.agents}
+    seen: dict[str, float | None] = dict.fromkeys(pending)
     while True:
         for node_id in list(pending):
             try:
                 if ready(pending[node_id]):
+                    seen[node_id] = time.monotonic()
                     del pending[node_id]
             except (OSError, ParseError):
                 pass
         if not pending or time.monotonic() >= deadline:
-            return sorted(pending)
-        sleep(0.05)
+            return seen
+        sleep(LOG_POLL_S)
 
 
-def _await_trailers(config: RunConfig,
-                    sleep: Callable[[float], None]) -> None:
-    """Wait until every node's log has ended, reading only each tail."""
-    late = _await_logs(
+def _stop_and_await_trailers(config: RunConfig,
+                             sleep: Callable[[float], None]
+                             ) -> dict[str, float | None]:
+    """Stop the session everywhere and wait until every node's log has
+    ended, reading only each tail.
+
+    Returns, per node, the seconds from the markers' removal until its
+    trailer was seen, or None for a node with no trailer in time.
+    """
+    _stop_everywhere(config)
+    stopped = time.monotonic()
+    seen = _await_logs(
         config, lambda path: read_status(path) is not LogStatus.OPEN,
         config.stop_timeout_s, sleep)
+    late = sorted(node for node, t in seen.items() if t is None)
     if late:
         logger.warning("no trailer from %s within %.0fs",
                        late, config.stop_timeout_s)
+    return {node: _since(stopped, t) for node, t in seen.items()}
+
+
+def _since(origin: float, t: float | None) -> float | None:
+    return None if t is None else round(t - origin, 6)
 
 
 def _signal_dirs(config: RunConfig) -> list[str]:
@@ -302,8 +324,10 @@ def run_wrapped(config: RunConfig,
             started.
     """
     processes: list[subprocess.Popen] = []
+    launched: dict[str, float] = {}
     try:
         for agent in config.agents:
+            launched[agent.node_id] = time.monotonic()
             try:
                 processes.append(subprocess.Popen(
                     agent.launch_argv(),
@@ -318,8 +342,9 @@ def run_wrapped(config: RunConfig,
                 session_id=config.session_id,
                 created_wall_ns=time.time_ns(),
                 scope=SessionScope.WORKFLOW))
-        silent = _await_logs(config, has_record,
-                             config.startup_timeout_s, sleep)
+        first_seen = _await_logs(config, has_record,
+                                 config.startup_timeout_s, sleep)
+        silent = sorted(node for node, t in first_seen.items() if t is None)
         if silent:
             _stop_everywhere(config)
             raise WattflowError(
@@ -334,8 +359,7 @@ def run_wrapped(config: RunConfig,
         workflow_finished_wall_ns = time.time_ns()
         exit_code = workflow.returncode
 
-        _stop_everywhere(config)
-        _await_trailers(config, sleep)
+        stop_to_trailer = _stop_and_await_trailers(config, sleep)
     finally:
         for proc in processes:
             if proc.poll() is None:
@@ -353,6 +377,10 @@ def run_wrapped(config: RunConfig,
         "workflow_exit_code": exit_code,
         "workflow_started_wall_ns": workflow_started_wall_ns,
         "workflow_finished_wall_ns": workflow_finished_wall_ns,
+        "node_timing": {
+            node: {"first_record_s": _since(launched[node], first_seen[node]),
+                   "stop_to_trailer_s": stop_to_trailer[node]}
+            for node in launched},
     }
     return _write_outputs(config, report, meta, log_paths)
 
@@ -365,10 +393,11 @@ def resume(config: RunConfig,
     collects whatever exists.  The workflow outcome is unknown, so the
     report is marked failed and flagged as resumed.
     """
-    _stop_everywhere(config)
-    _await_trailers(config, sleep)
+    stop_to_trailer = _stop_and_await_trailers(config, sleep)
     log_paths = _collect_logs(config)
     report = _build_run_report(config, log_paths, status="failed",
                                extra_flags=(FLAG_RESUMED,))
-    meta = {"workflow_exit_code": None, "resumed": True}
+    meta = {"workflow_exit_code": None, "resumed": True,
+            "node_timing": {node: {"stop_to_trailer_s": seconds}
+                            for node, seconds in stop_to_trailer.items()}}
     return _write_outputs(config, report, meta, log_paths)

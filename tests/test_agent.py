@@ -11,6 +11,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -496,6 +497,184 @@ class TestPromptStop:
         parsed = parse_log(log_path(tmp_path))
         assert parsed.status is LogStatus.TRUNCATED
         assert len(parsed.series[RaplDomain.PACKAGE].samples) == 3
+
+
+def spawn_agent(tmp_path, interval_ms: int) -> subprocess.Popen:
+    """An agent process on a constant 100 W mock, logging under
+    ``tmp_path/logs`` and watching ``tmp_path/signals``."""
+    config = tmp_path / "agent.json"
+    config.write_text(json.dumps({
+        "node_id": "n1", "interval_ms": interval_ms,
+        "log_dir": str(tmp_path / "logs"),
+        "signal_dir": str(tmp_path / "signals"),
+        "max_runtime_s": 60.0,
+        "domains": [{"domain": "package", "bit_width": 32, "unit_j": 1e-6,
+                     "backend": {"kind": "mock",
+                                 "segments": [[3600.0, 100.0]]}}],
+    }), encoding="utf-8")
+    return subprocess.Popen(
+        [sys.executable, "-m", "wattflow.cli", "agent",
+         "--config", str(config)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+
+def wait_until(condition, timeout_s: float, what: str) -> float:
+    """Poll ``condition`` every 5 ms; return the seconds it took."""
+    started = time.monotonic()
+    while not condition():
+        assert time.monotonic() - started < timeout_s, what
+        time.sleep(0.005)
+    return time.monotonic() - started
+
+
+def recorded(path: str) -> bool:
+    return os.path.exists(path) and has_record(path)
+
+
+class TestBetweenTicks:
+    """Markers are acted on between ticks; the tick grid does not move."""
+
+    def test_removed_marker_closes_the_log_mid_interval(self, tmp_path):
+        # A 5 s interval: acting only at ticks, the trailer would come
+        # about 5 s after the removal.
+        (tmp_path / "logs").mkdir()
+        sigs = tmp_path / "signals"
+        sigs.mkdir()
+        signal_start(str(sigs), SessionMarker(
+            session_id="s1", created_wall_ns=time.time_ns()))
+        proc = spawn_agent(tmp_path, interval_ms=5000)
+        path = log_path(tmp_path)
+        try:
+            wait_until(lambda: recorded(path), 10.0, "agent never recorded")
+            time.sleep(0.2)
+            removed_ns = time.monotonic_ns()
+            signal_stop(str(sigs), "s1")
+            waited = wait_until(
+                lambda: read_status(path) is not LogStatus.OPEN, 10.0,
+                "no trailer")
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10.0)
+        assert waited < 1.0
+        parsed = parse_log(path)
+        assert parsed.status is LogStatus.CLOSED
+        samples = parsed.series[RaplDomain.PACKAGE].samples
+        # The agent's timestamps are on the same monotonic clock.
+        assert len(samples) == 2
+        assert samples[-1].t_ns > removed_ns
+
+    def test_dropped_marker_records_mid_interval(self, tmp_path):
+        (tmp_path / "logs").mkdir()
+        sigs = tmp_path / "signals"
+        sigs.mkdir()
+        signal_start(str(sigs), SessionMarker(
+            session_id="warm", created_wall_ns=time.time_ns()))
+        proc = spawn_agent(tmp_path, interval_ms=5000)
+        path = log_path(tmp_path)
+        try:
+            wait_until(lambda: recorded(log_path(tmp_path, "warm")), 10.0,
+                       "agent never recorded")
+            time.sleep(0.2)
+            dropped_ns = time.monotonic_ns()
+            signal_start(str(sigs), SessionMarker(
+                session_id="s1", created_wall_ns=time.time_ns()))
+            waited = wait_until(lambda: recorded(path), 10.0,
+                                "no first record")
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10.0)
+        assert waited < 1.0
+        first = parse_log(path).series[RaplDomain.PACKAGE].samples[0]
+        assert first.t_ns > dropped_ns
+
+    def test_off_schedule_reading_reaches_every_open_log(self, tmp_path):
+        clock = FakeClock()
+        (tmp_path / "logs").mkdir()
+        (tmp_path / "signals").mkdir()
+        config = SamplerConfig(
+            node_id="n1", domains=(SPEC,), log_dir=str(tmp_path / "logs"),
+            signal_dir=str(tmp_path / "signals"), interval_ms=500,
+            max_runtime_s=1.0)
+        agent = SamplerAgent(config, {SPEC.domain: constant_backend()},
+                             mono_ns=clock.mono_ns, wall_ns=clock.wall_ns)
+        start_session(tmp_path, clock, "a")
+        start_session(tmp_path, clock, "b")
+        naps: list[float] = []
+
+        def nap(seconds: float) -> None:
+            # The first wait sees a task session start at 0.2 s and stop
+            # at 0.3 s, each acted on at once.
+            naps.append(seconds)
+            if len(naps) == 1:
+                clock.advance(0.2)
+                start_session(tmp_path, clock, "task")
+                agent._poll_between_ticks()
+                clock.advance(0.1)
+                signal_stop(str(tmp_path / "signals"), "task")
+                agent._poll_between_ticks()
+                seconds -= 0.3
+            clock.advance(seconds)
+
+        agent.run(sleep=nap)
+        assert naps == [0.5, 0.5]
+        times = [round(t * S) for t in (0.0, 0.2, 0.3, 0.5, 1.0)]
+        logs = {sid: parse_log(log_path(tmp_path, sid))
+                for sid in ("a", "b", "task")}
+        for sid in ("a", "b"):
+            samples = logs[sid].series[RaplDomain.PACKAGE].samples
+            assert [s.t_ns for s in samples] == times
+        assert tuple(logs["a"].series[RaplDomain.PACKAGE].samples) == \
+            tuple(logs["b"].series[RaplDomain.PACKAGE].samples)
+        task = logs["task"]
+        assert task.status is LogStatus.CLOSED
+        assert [s.t_ns for s in task.series[RaplDomain.PACKAGE].samples] \
+            == times[1:3]
+
+    def test_reap_between_ticks_takes_no_reading(self, tmp_path):
+        clock = FakeClock()
+        agent = make_agent(tmp_path, clock, stale_timeout_s=1.0)
+        start_session(tmp_path, clock, "a")
+        agent.tick_once(clock.mono)
+        clock.advance(0.6)
+        start_session(tmp_path, clock, "b")
+        agent._poll_between_ticks()     # "b" opens with a reading
+        clock.advance(0.6)              # "a" is now stale, "b" is not
+        agent._poll_between_ticks()
+        assert agent.active_sessions == ("b",)
+        agent.shutdown()
+        a = parse_log(log_path(tmp_path, "a"))
+        assert a.status is LogStatus.REAPED
+        assert [s.t_ns for s in a.series[RaplDomain.PACKAGE].samples] == \
+            [0, round(0.6 * S)]
+        b = parse_log(log_path(tmp_path, "b"))
+        assert [s.t_ns for s in b.series[RaplDomain.PACKAGE].samples] == \
+            [round(0.6 * S)]
+
+    def test_watcher_failure_between_ticks_ends_run(self, tmp_path):
+        log_dir = tmp_path / "logs"
+        sigs = tmp_path / "signals"
+        log_dir.mkdir()
+        sigs.mkdir()
+        config = SamplerConfig(
+            node_id="n1", domains=(SPEC,), log_dir=str(log_dir),
+            signal_dir=str(sigs), interval_ms=5000, max_runtime_s=60.0)
+        agent = SamplerAgent(config, {SPEC.domain: constant_backend()})
+        for sid in ("a", "b"):
+            signal_start(str(sigs), SessionMarker(
+                session_id=sid, created_wall_ns=time.time_ns()))
+        remover = threading.Timer(0.2, shutil.rmtree, args=(str(sigs),))
+        remover.start()
+        started = time.monotonic()
+        try:
+            agent.run()
+        finally:
+            remover.join(timeout=10.0)
+        assert time.monotonic() - started < 2.0
+        assert agent.active_sessions == ()
+        for sid in ("a", "b"):
+            parsed = parse_log(log_path(tmp_path, sid))
+            assert parsed.status is LogStatus.TRUNCATED
+            assert len(parsed.series[RaplDomain.PACKAGE].samples) == 1
 
 
 class TestConfigDocument:

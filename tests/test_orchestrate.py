@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import os
 import shlex
 import subprocess
@@ -154,6 +155,30 @@ class TestRunWrapped:
         assert result.report.total_joules > 0
         parsed = parse_log(result.log_paths["n1"])
         assert parsed.status is LogStatus.CLOSED
+
+
+class TestNodeTiming:
+    def test_run_records_launch_and_stop_latency_per_node(self, tmp_path):
+        # A 5 s interval: acting on the stop only at the next tick, the
+        # trailer would take up to the whole interval.
+        interval_s = 5.0
+        cmds = {node: agent_cmd_for(write_agent_config(
+                    tmp_path, node, interval_ms=round(interval_s * 1000)))
+                for node in ("n1", "n2")}
+        config = make_run_config(tmp_path, workflow_cmd="sleep 0.3",
+                                 session_id="it-timing", agent_cmds=cmds)
+        result = run_wrapped(config)
+        with open(result.meta_path, encoding="utf-8") as fh:
+            timing = json.load(fh)["node_timing"]
+        assert sorted(timing) == ["n1", "n2"]
+        for node in ("n1", "n2"):
+            first, stop = (timing[node]["first_record_s"],
+                           timing[node]["stop_to_trailer_s"])
+            for seconds in (first, stop):
+                assert math.isfinite(seconds) and seconds >= 0
+            assert stop < interval_s / 5
+        with open(result.report_path, encoding="utf-8") as fh:
+            assert "node_timing" not in json.load(fh)
 
 
 class TestRunConfig:
@@ -340,6 +365,18 @@ class TestResumeTrailerWait:
         assert sleeps
         flagged = "missing_log:n2" in result.report.flags
         assert flagged is (tail != "")
+
+    def test_resume_records_stop_to_trailer_only(self, tmp_path):
+        config = closed_logs_config(
+            tmp_path, {"n1": "#wattflow-end status=closed\n", "n2": None},
+            stop_timeout_s=0.0)
+        result = resume(config, sleep=_never_sleep)
+        with open(result.meta_path, encoding="utf-8") as fh:
+            timing = json.load(fh)["node_timing"]
+        assert list(timing) == ["n1", "n2"]
+        assert list(timing["n1"]) == ["stop_to_trailer_s"]
+        assert 0 <= timing["n1"]["stop_to_trailer_s"] < 1.0
+        assert timing["n2"] == {"stop_to_trailer_s": None}
 
     def test_zero_timeout_still_checks_each_log(self, tmp_path, caplog):
         config = closed_logs_config(
