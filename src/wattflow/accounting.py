@@ -19,26 +19,28 @@ from __future__ import annotations
 import json
 import math
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .counter import (
     EnergyQuantity,
     RaplDomain,
     SampleSeries,
+    SeriesCounts,
     counts_at,
     integrate_window,
 )
 from .errors import (
     DegenerateSeriesError,
     InvalidArgumentError,
+    ParseError,
     SchemaViolationError,
     WattflowError,
     load_json,
 )
-from .logfile import LogStatus, ParsedLog
+from .logfile import LogStatus, ParsedLog, read_counts
 from .trace import (
     FLAG_SUB_RESOLUTION as _SUB_RESOLUTION,  # a task note, no report flag
     FLAG_UNKNOWN_NODE,
@@ -105,10 +107,15 @@ class AttributionPolicy:
 
 @dataclass(frozen=True)
 class NodeEnergyLog:
-    """A node's recorded domains for one session and its log's status."""
+    """A node's recorded domains for one session and its log's status.
+
+    Each domain is a :class:`SampleSeries`, or a :class:`SeriesCounts`
+    that :func:`read_log_counts` read at the edges a report needs; every
+    function here takes either.
+    """
 
     node_id: str
-    series_by_domain: Mapping[RaplDomain, SampleSeries]
+    series_by_domain: Mapping[RaplDomain, SampleSeries | SeriesCounts]
     status: LogStatus = LogStatus.CLOSED
 
     def __post_init__(self) -> None:
@@ -152,6 +159,62 @@ class NodeEnergyLog:
             series.has_unsafe_gap(start_wall_ns - series.epoch_wall_ns,
                                   end_wall_ns - series.epoch_wall_ns)
             for series in self.series_by_domain.values())
+
+
+# Edges a log is read at: ``edges(node_id, span)`` gives the wall-ns
+# edges for the log's node, with ``span`` None before the log is read and
+# the log's sampled wall span after.
+EdgePlan = Callable[[str, "tuple[int, int] | None"], Sequence[int]]
+
+
+def read_log_counts(path: str, edges: EdgePlan) -> ParsedLog:
+    """Read a log into the counts at the edges a report needs, keeping no
+    samples.
+
+    The log is read once with :func:`~wattflow.logfile.read_counts` at
+    ``edges(node_id, None)``.  When that read holds no count at one of
+    ``edges(node_id, span)``, with ``span`` the log's sampled wall span
+    (:meth:`NodeEnergyLog.wall_span`), it is read a second time at those
+    edges: the span clipped the planned window, or the domains' spans
+    differ.  Only the counts of the second read are kept; span, gaps and
+    status stay those of the first, so a log that grew between the reads
+    gives the counts of the log as first read.  A log with no usable span
+    is returned as first read, since no count of it is used.
+
+    Raises:
+        ParseError: As :func:`~wattflow.logfile.parse_log`, or the log's
+            node or domains changed between the two reads.
+    """
+    planned: list[Sequence[int]] = []
+
+    def first_edges(node_id: str) -> Sequence[int]:
+        planned.append(edges(node_id, None))
+        return planned[0]
+
+    parsed = read_counts(path, first_edges)
+    try:
+        span = NodeEnergyLog.from_parsed(parsed).wall_span()
+    except (DegenerateSeriesError, InvalidArgumentError):
+        return parsed
+    final = edges(parsed.node_id, span)
+    # Planned edges inside the span have counts in every domain.
+    if final == planned[0] or all(
+            s.has_counts([t - s.epoch_wall_ns for t in final])
+            for s in parsed.series.values()):
+        return parsed
+    again = read_counts(path, lambda _node: final)
+    if again.node_id != parsed.node_id or \
+            again.series.keys() != parsed.series.keys():
+        raise ParseError(f"{path}: log changed between reads")
+    return replace(parsed, series={
+        domain: replace(s, edges_ns=again.series[domain].edges_ns,
+                        counts=again.series[domain].counts)
+        for domain, s in parsed.series.items()})
+
+
+def _clip(window: tuple[int, int], span: tuple[int, int]
+          ) -> tuple[int, int]:
+    return max(window[0], span[0]), min(window[1], span[1])
 
 
 def log_flags(log: NodeEnergyLog) -> set[str]:
@@ -218,7 +281,7 @@ def node_energies(logs: Mapping[str, NodeEnergyLog],
             flags.add(f"{FLAG_MISSING_LOG}:{node}")
             continue
         if window is not None:
-            lo, hi = max(window[0], lo), min(window[1], hi)
+            lo, hi = _clip(window, (lo, hi))
             if (lo, hi) != window:
                 if lo >= hi:
                     flags.add(f"{FLAG_MISSING_LOG}:{node}")
@@ -297,6 +360,20 @@ class TaskEnergy:
         object.__setattr__(self, "joules_by_domain", cleaned)
         object.__setattr__(self, "notes", frozenset(self.notes))
 
+    @classmethod
+    def _of_sweep(cls, task_id: str,
+                  joules_by_domain: dict[RaplDomain, float],
+                  notes: frozenset[str]) -> "TaskEnergy":
+        """An estimated entry built without ``__post_init__``'s re-check
+        and copy: :func:`attribute_concurrent` checks its joules finite,
+        and they are sums of non-negative shares."""
+        entry = object.__new__(cls)
+        object.__setattr__(entry, "task_id", task_id)
+        object.__setattr__(entry, "joules_by_domain", joules_by_domain)
+        object.__setattr__(entry, "estimated", True)
+        object.__setattr__(entry, "notes", notes)
+        return entry
+
 
 @dataclass(frozen=True)
 class AttributionResult:
@@ -310,6 +387,25 @@ class AttributionResult:
         return _countable_sum(self.unattributed_by_domain)
 
 
+def _clip_tasks(tasks: Iterable[TaskRecord], window: tuple[int, int]
+                ) -> tuple[list[tuple[int, int] | None], list[int]]:
+    """Each task's window clipped to ``window``, None when nothing of it
+    is left, and the sorted segment boundaries: the window's ends and the
+    ends of every clipped task window."""
+    clipped: list[tuple[int, int] | None] = []
+    boundaries = set(window)
+    win_lo, win_hi = window
+    for task in tasks:
+        task_lo, task_hi = task.window()
+        lo, hi = max(task_lo, win_lo), min(task_hi, win_hi)
+        if lo < hi:
+            clipped.append((lo, hi))
+            boundaries.update((lo, hi))
+        else:
+            clipped.append(None)
+    return clipped, sorted(boundaries)
+
+
 def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
                          policy: AttributionPolicy,
                          window: tuple[int, int] | None = None
@@ -318,7 +414,8 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
 
     The timeline is cut at every task start and end inside the accounting
     window.  Each domain's unwrapped count is taken once at every boundary,
-    in one forward walk of its series (:func:`counts_at`), and a segment's
+    in one forward walk of its series or from the counts a streamed log
+    holds (:func:`counts_at`), and a segment's
     energy is the difference of its two boundary counts times the energy
     unit: the same float :func:`integrate_window` gives for that segment.
     Within one segment the per-domain energy, after optional idle
@@ -359,23 +456,20 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
         raise InvalidArgumentError(f"empty accounting window {window}")
 
     # Per task, by position in ``tasks``.
-    clipped: list[tuple[int, int]] = []
+    clipped, boundaries = _clip_tasks(tasks, window)
     weights: list[float] = []
     notes: list[set[str]] = []
     starting: dict[int, list[int]] = {}
     ending: dict[int, list[int]] = {}
-    for i, task in enumerate(tasks):
-        task_lo, task_hi = task.window()
-        lo, hi = max(task_lo, win_lo), min(task_hi, win_hi)
+    for i, (task, clip) in enumerate(zip(tasks, clipped)):
         notes.append({_SUB_RESOLUTION} if task.sub_resolution else set())
-        if lo >= hi:
-            clipped.append((win_lo, win_lo))
+        if clip is None:
             weights.append(0.0)
             notes[i].add(FLAG_CLIPPED_WINDOW)
             continue
-        if (lo, hi) != (task_lo, task_hi):
+        lo, hi = clip
+        if clip != task.window():
             notes[i].add(FLAG_CLIPPED_WINDOW)
-        clipped.append((lo, hi))
         starting.setdefault(lo, []).append(i)
         ending.setdefault(hi, []).append(i)
         if policy.kind is PolicyKind.CPU_TIME_SHARE:
@@ -383,7 +477,6 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
         else:
             weights.append(1.0)
 
-    boundaries = sorted({win_lo, win_hi} | starting.keys() | ending.keys())
     # Joules per task and unattributed, by position in ``domains``; dicts
     # are built once.  Each domain's entry carries its count at every
     # boundary and its energy unit.
@@ -441,18 +534,28 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
                     attributed += share
             unattributed[d] += joules - attributed
 
+    # Shares are >= 0, so only a weight that overflowed can spoil them.
+    if not all(all(map(math.isfinite, joules_of))
+               for joules_of in task_joules):
+        task, domain, joules = next(
+            (task, domain, joules_of[i]) for i, task in enumerate(tasks)
+            for domain, joules_of in zip(domains, task_joules)
+            if not math.isfinite(joules_of[i]))
+        raise InvalidArgumentError(
+            f"task {task.task_id}: {domain} energy must be >= 0, "
+            f"got {joules}")
     for i in shared:
         notes[i].add(NOTE_SHARED_WINDOW)
     energies = []
     for i, task in enumerate(tasks):
-        lo, hi = clipped[i]
-        if lo < hi and log.has_unsafe_gap(lo, hi):
+        clip = clipped[i]
+        if clip is not None and log.has_unsafe_gap(*clip):
             notes[i].add(FLAG_UNSAFE_GAP)
-        energies.append(TaskEnergy(
-            task_id=task.task_id,
-            joules_by_domain={domain: joules_of[i] for domain, joules_of
-                              in zip(domains, task_joules)},
-            estimated=True, notes=frozenset(notes[i])))
+        energies.append(TaskEnergy._of_sweep(
+            task.task_id,
+            {domain: joules_of[i] for domain, joules_of
+             in zip(domains, task_joules)},
+            frozenset(notes[i])))
     return AttributionResult(task_energies=tuple(energies),
                              unattributed_by_domain=dict(zip(domains,
                                                              unattributed)))
@@ -523,6 +626,44 @@ class EnergyReport:
         object.__setattr__(self, "flags", frozenset(self.flags))
 
 
+def _task_groups(trace: WorkflowTrace
+                 ) -> tuple[dict[str, list[TaskRecord]], list[TaskRecord]]:
+    """The trace's tasks by node, and, in trace order, the tasks placed
+    on no node: those ``cached`` and those flagged ``unknown_node``."""
+    groups: dict[str, list[TaskRecord]] = {}
+    unplaced = []
+    for t in trace.tasks:
+        if t.status is TaskStatus.CACHED or FLAG_UNKNOWN_NODE in t.flags:
+            unplaced.append(t)
+        else:
+            groups.setdefault(t.node_id, []).append(t)
+    return groups, unplaced
+
+
+def report_edges(trace: WorkflowTrace) -> EdgePlan:
+    """The edges :func:`assemble_report` takes each node's counts at, for
+    :func:`read_log_counts`.
+
+    For a node, the segment boundaries of its tasks over the workflow
+    window clipped to the log's span, or over the whole window while the
+    span is not known; none when the clipped window is empty, since the
+    node's log is then left out.
+    """
+    groups = _task_groups(trace)[0]
+    window = (trace.submitted_wall_ns, trace.finished_wall_ns)
+    planned: dict[tuple[str, int, int], list[int]] = {}
+
+    def edges(node_id: str, span: tuple[int, int] | None) -> list[int]:
+        lo, hi = window if span is None else _clip(window, span)
+        if lo >= hi:
+            return []
+        key = (node_id, lo, hi)
+        if key not in planned:
+            planned[key] = _clip_tasks(groups.get(node_id, ()), (lo, hi))[1]
+        return planned[key]
+    return edges
+
+
 def assemble_report(trace: WorkflowTrace,
                     logs: Mapping[str, NodeEnergyLog],
                     policy: AttributionPolicy,
@@ -551,17 +692,14 @@ def assemble_report(trace: WorkflowTrace,
     """
     per_node, windows, report_flags = node_energies(
         logs, (trace.submitted_wall_ns, trace.finished_wall_ns))
-    groups: dict[str, list[TaskRecord]] = {}
+    groups, unplaced = _task_groups(trace)
     all_tasks = []
-    for t in trace.tasks:
+    for t in unplaced:
         if t.status is TaskStatus.CACHED:
             note = NOTE_CACHED
-        elif FLAG_UNKNOWN_NODE in t.flags:
+        else:
             note = FLAG_UNKNOWN_NODE
             report_flags.add(FLAG_UNKNOWN_NODE)
-        else:
-            groups.setdefault(t.node_id, []).append(t)
-            continue
         all_tasks.append(TaskEnergy(task_id=t.task_id, joules_by_domain={},
                                     estimated=True, notes={note}))
     missing = sorted(set(groups) - set(per_node))

@@ -25,22 +25,13 @@ agent, a run or a resume is under way, and exit 2 anywhere else.
 from __future__ import annotations
 
 import argparse
+import importlib
 import logging
 import os
 import sys
 import time
-from typing import Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from .accounting import (
-    FLAG_MISSING_LOG,
-    AttributionPolicy,
-    MeasurementMethod,
-    NodeEnergyLog,
-    PolicyKind,
-    assemble_report,
-    load_report,
-    report_to_json,
-)
 from .agent import SamplerAgent, config_from_obj
 from .errors import (
     InvalidArgumentError,
@@ -51,15 +42,49 @@ from .errors import (
     load_json,
 )
 from .logfile import parse_log
-from .orchestrate import load_run_config, resume, run_wrapped
-from .simulate import evaluate_methods, load_scenario, write_log_files
-from .trace import (
-    parse_generic_trace,
-    parse_nextflow_trace,
-    write_generic_trace,
-)
+
+if TYPE_CHECKING:
+    from .accounting import EdgePlan, NodeEnergyLog
 
 logger = logging.getLogger(__name__)
+
+# Modules that only some commands use, so that ``wattflow agent`` starts
+# without them, and the names the commands take from each.
+_LAZY = {
+    "accounting": ("FLAG_MISSING_LOG", "AttributionPolicy",
+                   "MeasurementMethod", "NodeEnergyLog", "PolicyKind",
+                   "assemble_report", "load_report", "read_log_counts",
+                   "report_edges", "report_to_json"),
+    "orchestrate": ("load_run_config", "resume", "run_wrapped"),
+    "simulate": ("evaluate_methods", "load_scenario", "write_log_files"),
+    "trace": ("parse_generic_trace", "parse_nextflow_trace",
+              "write_generic_trace"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items()
+                for name in names}
+
+
+def __getattr__(name: str) -> Any:
+    """Import one of the commands' names from its module on first lookup
+    and keep it as this module's attribute."""
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+# This module.  The commands look each name above up on it when they run,
+# so a caller that replaced one (a test, a trace hook) sees its calls.
+_cli = sys.modules[__name__]
+
+# The report command's choices as accounting's PolicyKind and
+# MeasurementMethod spell them, so that parsing a command line imports
+# no accounting.
+_POLICIES = ("cputime", "walltime", "exclusive")
+_METHODS = ("shell-wrap", "signal-workflow", "signal-plugin",
+            "interval-scrape")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -109,20 +134,21 @@ def cmd_agent(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        config = load_run_config(args.config, workflow_cmd=args.cmd,
-                                 session_id=args.resume or args.session,
-                                 output_dir=args.out)
+        config = _cli.load_run_config(args.config, workflow_cmd=args.cmd,
+                                      session_id=args.resume or args.session,
+                                      output_dir=args.out)
     except _USAGE_ERRORS as exc:
         return _fail(str(exc), EXIT_USAGE)
     os.makedirs(config.output_dir, exist_ok=True)
     try:
-        result = resume(config) if args.resume else run_wrapped(config)
+        result = _cli.resume(config) if args.resume \
+            else _cli.run_wrapped(config)
     except (WattflowError, OSError) as exc:
         return _fail(str(exc), EXIT_RUNTIME)
     print(result.report_path)
     if args.resume:
         # Salvaging is what resume is for: only a lost node makes it partial.
-        if not any(flag.startswith(FLAG_MISSING_LOG)
+        if not any(flag.startswith(_cli.FLAG_MISSING_LOG)
                    for flag in result.report.flags):
             return EXIT_OK
     elif result.workflow_exit_code != 0:
@@ -132,12 +158,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     return _flags_exit(result.report.flags)
 
 
-def _load_logs(logs_dir: str, session: str | None
+def _load_logs(logs_dir: str, session: str | None, edges: EdgePlan
                ) -> dict[str, NodeEnergyLog]:
-    """Parse every session log in a directory into per-node logs.
+    """Read every session log in a directory into per-node logs, each at
+    the edges ``edges`` plans (see ``accounting.read_log_counts``).
 
     Multiple sessions in one directory need ``--session``; with it, only
-    the logs whose names end in ``_<session>.csv`` are parsed.  A log that
+    the logs whose names end in ``_<session>.csv`` are read.  A log that
     does not parse counts as another session when the parsed logs name
     one session and its file name does not end in ``_<that session>.csv``;
     otherwise its parse error is raised.
@@ -148,7 +175,8 @@ def _load_logs(logs_dir: str, session: str | None
     for name in sorted(os.listdir(logs_dir)):
         if name.startswith("rapl_") and name.endswith(suffix):
             try:
-                parsed_logs.append(parse_log(os.path.join(logs_dir, name)))
+                parsed_logs.append(_cli.read_log_counts(
+                    os.path.join(logs_dir, name), edges))
             except ParseError as exc:
                 unparsed.append((name, exc))
     if session is not None:
@@ -173,29 +201,37 @@ def _load_logs(logs_dir: str, session: str | None
             raise InvalidArgumentError(
                 f"two logs for node {p.node_id} in session "
                 f"{p.session_id}")
-        logs[p.node_id] = NodeEnergyLog.from_parsed(p)
+        logs[p.node_id] = _cli.NodeEnergyLog.from_parsed(p)
     return logs
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     try:
-        logs = _load_logs(args.logs, args.session)
-        if args.trace.endswith(".json"):
-            trace = parse_generic_trace(args.trace)
-        else:
-            trace = parse_nextflow_trace(args.trace)
-        policy = AttributionPolicy(
-            kind=PolicyKind(args.policy),
+        # The trace plans the edges each log is read at, but a bad log is
+        # still the error reported when the trace is bad too.
+        try:
+            trace = (_cli.parse_generic_trace if args.trace.endswith(".json")
+                     else _cli.parse_nextflow_trace)(args.trace)
+            trace_error = None
+        except (WattflowError, OSError) as exc:
+            trace, trace_error = None, exc
+        logs = _load_logs(args.logs, args.session,
+                          _cli.report_edges(trace) if trace_error is None
+                          else lambda _node, _span: ())
+        if trace_error is not None:
+            raise trace_error
+        policy = _cli.AttributionPolicy(
+            kind=_cli.PolicyKind(args.policy),
             idle_baseline_watts=args.idle_baseline_watts)
     except _USAGE_ERRORS as exc:
         return _fail(str(exc), EXIT_USAGE)
     try:
-        report = assemble_report(
+        report = _cli.assemble_report(
             trace, logs, policy,
-            method=MeasurementMethod(args.method))
+            method=_cli.MeasurementMethod(args.method))
     except WattflowError as exc:
         return _fail(str(exc), EXIT_RUNTIME)
-    payload = report_to_json(report)
+    payload = _cli.report_to_json(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -207,7 +243,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     try:
-        reports = [load_report(path) for path in args.reports]
+        reports = [_cli.load_report(path) for path in args.reports]
     except _USAGE_ERRORS as exc:
         return _fail(str(exc), EXIT_USAGE)
     reference = reports[0]
@@ -249,22 +285,24 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
-        scenario = load_scenario(args.scenario)
+        scenario = _cli.load_scenario(args.scenario)
     except _USAGE_ERRORS as exc:
         return _fail(str(exc), EXIT_USAGE)
     os.makedirs(args.out, exist_ok=True)
     try:
-        logs = {p.node_id: NodeEnergyLog.from_parsed(p)
-                for p in map(parse_log, write_log_files(scenario, args.out))}
-        write_generic_trace(
+        logs = {p.node_id: _cli.NodeEnergyLog.from_parsed(p)
+                for p in map(parse_log,
+                             _cli.write_log_files(scenario, args.out))}
+        _cli.write_generic_trace(
             scenario.trace,
             os.path.join(args.out, f"trace_{scenario.scenario_id}.json"))
-        result = evaluate_methods(scenario, logs)
+        result = _cli.evaluate_methods(scenario, logs)
     except WattflowError as exc:
         return _fail(str(exc), EXIT_RUNTIME)
     sid = scenario.scenario_id
     table_text = result.table.format_text()
-    outputs = {f"report_{sid}_{method.value}.json": report_to_json(report)
+    outputs = {f"report_{sid}_{method.value}.json":
+               _cli.report_to_json(report)
                for method, report in result.reports.items()}
     outputs[f"coverage_{sid}.json"] = json_text(result.table.to_obj())
     outputs[f"coverage_{sid}.txt"] = table_text
@@ -306,15 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
                           help="trace file (.json generic, else "
                                "scheduler TSV)")
     p_report.add_argument("--policy", default="cputime",
-                          choices=[k.value for k in PolicyKind])
+                          choices=_POLICIES)
     p_report.add_argument("--idle-baseline-watts", type=float,
                           default=None)
     p_report.add_argument("--session", default=None,
                           help="session id when the directory holds "
                                "several")
-    p_report.add_argument("--method",
-                          default=MeasurementMethod.SHELL_WRAP.value,
-                          choices=[m.value for m in MeasurementMethod],
+    p_report.add_argument("--method", default="shell-wrap",
+                          choices=_METHODS,
                           help="measurement method recorded in the report")
     p_report.add_argument("--out", help="write the report here instead "
                                         "of stdout")

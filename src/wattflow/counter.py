@@ -7,12 +7,15 @@ windowed integration of a timestamped sample series.
 
 A :class:`SampleSeries` is columnar: its timestamps are one ``array('q')``
 and its raw readings one ``array('Q')``, so a day-long log costs 16 bytes
-per sample and no tracked object.  Unwrapped cumulative counts are not
-stored; a wrap-count prefix is (``wraps[i]`` counts the readings up to
-``i`` that fell below their predecessor), and the count at sample ``i`` is
-``raws[i] - raws[0] + modulus * wraps[i]``, an exact Python int for any
-modulus.  :attr:`SampleSeries.samples` presents the columns as a read-only
-sequence of :class:`RawSample`.
+per sample and no tracked object.  :attr:`SampleSeries.samples` presents
+the columns as a read-only sequence of :class:`RawSample`.  Unwrapped
+cumulative counts are not stored: a :class:`CountWalker` is fed the
+samples in order, keeps the first raw reading, the number of readings
+that fell below their predecessor (wraps) and the last sample, and gives
+the count at each of a fixed list of edges, an exact Python int for any
+modulus before it is interpolated.  :func:`counts_at` feeds it a series'
+columns; a log reader feeds it blocks of samples as it reads them, and
+keeps only the counts, as a :class:`SeriesCounts`.
 
 All functions are pure and operate on immutable inputs; they are safe to call
 from any number of threads.
@@ -42,6 +45,8 @@ __all__ = [
     "RawSample",
     "SampleView",
     "SampleSeries",
+    "CountWalker",
+    "SeriesCounts",
     "EnergyQuantity",
     "raw_delta",
     "counts_at",
@@ -193,8 +198,130 @@ def _first_offender(times: Sequence[int], raws: Sequence[int],
         f"{len(times)} timestamps for {len(raws)} raw values")
 
 
+class CountWalker:
+    """Unwrapped counts of one counter at fixed edges, from its samples fed
+    in order.
+
+    ``edges_ns`` are strictly increasing monotonic times.  The walker keeps
+    the first raw reading, the wrap count (readings below their
+    predecessor so far) and the last sample, so its memory is the edges
+    and their counts however many samples it is fed.  The count at sample
+    ``i`` is ``raws[i] - raws[0] + modulus * wraps[i]``, an exact int.  An
+    edge between two samples takes the count interpolated between them,
+    ``c0 + (c1 - c0) * ((t - t0) / (t1 - t0))``; an edge at the last
+    sample takes ``float(c)`` of that sample's count.  An edge before the
+    first sample or after the last one gets no count.
+
+    A block of samples that holds edges builds its own wrap-count prefix,
+    so each of its edges costs one bisection; a block without edges only
+    adds its wraps to the count.
+    """
+
+    __slots__ = ("modulus", "edges", "counts", "first_t", "last_t",
+                 "samples", "first_edge", "_next", "_raw0", "_last_raw",
+                 "_wraps")
+
+    def __init__(self, modulus: int, edges_ns: Sequence[int]) -> None:
+        self.modulus = modulus
+        self.edges = edges_ns
+        # The counts of edges[first_edge:], one per edge resolved so far.
+        self.counts: list[float] = []
+        self.first_t: int | None = None
+        self.last_t: int | None = None
+        self.samples = 0
+        self.first_edge = 0
+        self._next = 0
+        self._raw0 = self._last_raw = self._wraps = 0
+
+    def feed(self, times: Sequence[int], raws: Sequence[int]) -> None:
+        """Take the next samples, already checked: at least one, times
+        increasing from :attr:`last_t`, raws inside ``[0, modulus)``."""
+        edges, k = self.edges, self._next
+        self.samples += len(times)
+        if self.last_t is None:
+            self.first_t, self._raw0 = times[0], raws[0]
+            k = self.first_edge = bisect.bisect_left(edges, times[0])
+        # Edges before this block's last sample are resolved now; one at
+        # that sample waits for the next sample, or for the end.
+        stop = bisect.bisect_left(edges, times[-1], k)
+        if stop > k:
+            if self.last_t is not None:
+                # An edge before the block's first sample lies after the
+                # previous block's last one.
+                times = [self.last_t, *times]
+                raws = [self._last_raw, *raws]
+            wraps = array("q", accumulate(
+                map(operator.lt, islice(raws, 1, None), raws),
+                initial=self._wraps))
+            raw0, modulus = self._raw0, self.modulus
+            append, bisect_right = self.counts.append, bisect.bisect_right
+            i = 0
+            for t_ns in edges[k:stop]:
+                i = bisect_right(times, t_ns, i) - 1
+                t0 = times[i]
+                c0 = raws[i] - raw0 + modulus * wraps[i]
+                c1 = raws[i + 1] - raw0 + modulus * wraps[i + 1]
+                append(c0 + (c1 - c0) * ((t_ns - t0) / (times[i + 1] - t0)))
+            self._wraps = wraps[-1]
+        else:
+            self._wraps += sum(map(operator.lt, islice(raws, 1, None), raws))
+            if self.last_t is not None and raws[0] < self._last_raw:
+                self._wraps += 1
+        self._next = stop
+        self.last_t, self._last_raw = times[-1], raws[-1]
+
+    def last_count(self) -> int:
+        """The unwrapped count at the last sample fed."""
+        return self._last_raw - self._raw0 + self.modulus * self._wraps
+
+    def finish(self) -> list[float]:
+        """The counts of ``edges[first_edge:]`` through the last sample,
+        once every sample has been fed."""
+        k = self._next
+        if k < len(self.edges) and self.edges[k] == self.last_t:
+            self.counts.append(float(self.last_count()))
+            self._next = k + 1
+        return self.counts
+
+
+class _UnsafeSpans:
+    """Unsafe-gap queries over the spans a series' ``_unsafe_spans``
+    gives, sorted and indexed on first use."""
+
+    def _unsafe_index(self) -> tuple[list[tuple[int, int]], list[int]]:
+        """The sorted unsafe spans and the running max of their ends."""
+        if self._unsafe is None:
+            spans = sorted(self._unsafe_spans())
+            object.__setattr__(self, "_unsafe", (spans, list(accumulate(
+                (g1 for _, g1 in spans), max))))
+        return self._unsafe
+
+    def unsafe_gaps(self) -> list[tuple[int, int]]:
+        """Sample gaps wide enough that an undetected wrap was possible.
+
+        A gap is unsafe when it exceeds half the wrap horizon (the shortest
+        time the counter could take to wrap at the configured maximum power).
+        Explicit gap markers recorded by the agent are always unsafe.
+        """
+        return list(self._unsafe_index()[0])
+
+    def has_unsafe_gap(self, start_ns: int, end_ns: int) -> bool:
+        """Whether an unsafe gap touches ``[start_ns, end_ns]``: some span
+        starting by ``end_ns`` ends at or after ``start_ns``."""
+        spans, max_ends = self._unsafe_index()
+        k = bisect.bisect_right(spans, end_ns, key=operator.itemgetter(0))
+        return k > 0 and max_ends[k - 1] >= start_ns
+
+
+def _degenerate(node_id: str, spec: CounterSpec,
+                samples: int) -> DegenerateSeriesError:
+    return DegenerateSeriesError(
+        f"series for {node_id}/{spec.domain} has {samples} sample(s); "
+        f"need >= 2")
+
+
 @dataclass(frozen=True)
-class SampleSeries:
+class SampleSeries(_UnsafeSpans):
     """Ordered raw readings of one counter on one node.
 
     ``times`` and ``raws`` are the columns: integer nanoseconds on the
@@ -219,8 +346,6 @@ class SampleSeries:
     gap_markers: tuple[int, ...] = ()
     wrap_horizon_ns: int | None = None
     samples: SampleView = field(init=False, repr=False, compare=False)
-    _wraps: array | None = field(default=None, init=False, repr=False,
-                                 compare=False)
     _unsafe: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
@@ -247,53 +372,108 @@ class SampleSeries:
     @property
     def span_ns(self) -> tuple[int, int]:
         if len(self.times) < 2:
-            raise DegenerateSeriesError(
-                f"series for {self.node_id}/{self.spec.domain} has "
-                f"{len(self.times)} sample(s); need >= 2")
+            raise _degenerate(self.node_id, self.spec, len(self.times))
         return self.times[0], self.times[-1]
 
-    def _wrap_prefix(self) -> array:
-        """``wraps[i]``: the readings up to ``i`` that fell below their
-        predecessor, computed on first use."""
-        wraps = self._wraps
-        if wraps is None:
-            raws = self.raws
-            wraps = array("q", accumulate(
-                map(operator.lt, islice(raws, 1, None), raws), initial=0))
-            object.__setattr__(self, "_wraps", wraps)
-        return wraps
+    def _counts(self, edges_ns: Sequence[int]) -> list[float]:
+        walker = CountWalker(self.spec.modulus, edges_ns)
+        walker.feed(self.times, self.raws)
+        return walker.finish()
 
-    def _unsafe_index(self) -> tuple[list[tuple[int, int]], list[int]]:
-        """The sorted unsafe spans and the running max of their ends,
-        computed on first use, like the wrap-count prefix."""
-        if self._unsafe is None:
-            gaps = {(t, t) for t in self.gap_markers}
-            if self.wrap_horizon_ns is not None:
-                limit = self.wrap_horizon_ns // 2
-                times = self.times
-                gaps.update((a, b) for a, b in
-                            zip(times, islice(times, 1, None))
-                            if b - a > limit)
-            spans = sorted(gaps)
-            object.__setattr__(self, "_unsafe", (spans, list(accumulate(
-                (g1 for _, g1 in spans), max))))
-        return self._unsafe
+    def _unsafe_spans(self) -> set[tuple[int, int]]:
+        gaps = {(t, t) for t in self.gap_markers}
+        if self.wrap_horizon_ns is not None:
+            limit = self.wrap_horizon_ns // 2
+            times = self.times
+            gaps.update((a, b) for a, b in zip(times, islice(times, 1, None))
+                        if b - a > limit)
+        return gaps
 
-    def unsafe_gaps(self) -> list[tuple[int, int]]:
-        """Sample gaps wide enough that an undetected wrap was possible.
 
-        A gap is unsafe when it exceeds half the wrap horizon (the shortest
-        time the counter could take to wrap at the configured maximum power).
-        Explicit gap markers recorded by the agent are always unsafe.
-        """
-        return list(self._unsafe_index()[0])
+@dataclass(frozen=True)
+class SeriesCounts(_UnsafeSpans):
+    """One counter's counts at chosen edges, read from its samples without
+    keeping them.
 
-    def has_unsafe_gap(self, start_ns: int, end_ns: int) -> bool:
-        """Whether an unsafe gap touches ``[start_ns, end_ns]``: some span
-        starting by ``end_ns`` ends at or after ``start_ns``."""
-        spans, max_ends = self._unsafe_index()
-        k = bisect.bisect_right(spans, end_ns, key=operator.itemgetter(0))
-        return k > 0 and max_ends[k - 1] >= start_ns
+    What a report needs of a :class:`SampleSeries` when the edges it
+    integrates between are known before the samples are read: the number
+    of samples, the first and last sample's times (``ends``, None with no
+    sample), the gap markers, and the unwrapped count at each edge a
+    :class:`CountWalker` resolved and at the two end samples: ``counts``
+    at the increasing monotonic times ``edges_ns``.  :func:`counts_at`
+    answers from them and raises for an edge they do not hold.  A log
+    carries no wrap horizon, so the unsafe spans are the gap markers.
+    """
+
+    node_id: str
+    spec: CounterSpec
+    length: int
+    ends: tuple[int, int] | None
+    edges_ns: array
+    counts: array
+    epoch_wall_ns: int = 0
+    gap_markers: tuple[int, ...] = ()
+    _unsafe: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
+
+    @classmethod
+    def from_walker(cls, node_id: str, spec: CounterSpec,
+                    walker: CountWalker, epoch_wall_ns: int = 0,
+                    gap_markers: tuple[int, ...] = ()) -> "SeriesCounts":
+        """The counts a walker fed every sample of a series resolved."""
+        counts = array("d", walker.finish())
+        k = walker.first_edge
+        edges = array("q", walker.edges[k:k + len(counts)])
+        ends = None
+        if walker.samples:
+            # What an edge at either end sample takes.
+            ends = (walker.first_t, walker.last_t)
+            if not edges or edges[0] != walker.first_t:
+                edges.insert(0, walker.first_t)
+                counts.insert(0, 0.0)
+            if edges[-1] != walker.last_t:
+                edges.append(walker.last_t)
+                counts.append(float(walker.last_count()))
+        return cls(node_id=node_id, spec=spec, length=walker.samples,
+                   ends=ends, edges_ns=edges, counts=counts,
+                   epoch_wall_ns=epoch_wall_ns, gap_markers=gap_markers)
+
+    def __len__(self) -> int:
+        return self.length
+
+    @property
+    def span_ns(self) -> tuple[int, int]:
+        if self.length < 2:
+            raise _degenerate(self.node_id, self.spec, self.length)
+        return self.ends
+
+    def _positions(self, edges_ns: Iterable[int]) -> list[int] | None:
+        """Where each of increasing ``edges_ns`` sits in ``edges_ns`` of
+        this series, or None when one has no count here."""
+        edges, found, i = self.edges_ns, [], 0
+        for t_ns in edges_ns:
+            i = bisect.bisect_left(edges, t_ns, i)
+            if i == len(edges) or edges[i] != t_ns:
+                return None
+            found.append(i)
+        return found
+
+    def has_counts(self, edges_ns: Iterable[int]) -> bool:
+        """Whether every one of increasing ``edges_ns`` has a count here."""
+        return self._positions(edges_ns) is not None
+
+    def _counts(self, edges_ns: Sequence[int]) -> list[float]:
+        found = self._positions(edges_ns)
+        if found is None:
+            missing = next(t for t in edges_ns if t not in self.edges_ns)
+            raise WattflowError(
+                f"no count read for {self.node_id}/{self.spec.domain} at "
+                f"{missing} ns")
+        counts = self.counts
+        return [counts[i] for i in found]
+
+    def _unsafe_spans(self) -> set[tuple[int, int]]:
+        return {(t, t) for t in self.gap_markers}
 
 
 def raw_delta(prev: int, curr: int, bit_width: int) -> int:
@@ -320,20 +500,22 @@ def raw_delta(prev: int, curr: int, bit_width: int) -> int:
     return (curr - prev) % modulus
 
 
-def counts_at(series: SampleSeries, edges_ns: Sequence[int]) -> list[float]:
+def counts_at(series: SampleSeries | SeriesCounts,
+              edges_ns: Sequence[int]) -> list[float]:
     """Unwrapped cumulative counts at each of increasing window edges.
 
     Counters refresh far more often than they are sampled, so cumulative
     energy is modeled as linear between consecutive samples: the count at
     an edge is interpolated between the two samples around it (the count
-    at the last sample is that sample's).  One forward walk serves all the
-    edges, each edge bisecting only the samples after the previous one's.
-    The energy between two edges is ``max(c_hi - c_lo, 0.0)`` times the
-    counter's energy unit, exactly what :func:`integrate_window` gives for
-    that window.
+    at the last sample is that sample's).  A :class:`CountWalker` fed the
+    series' columns gives them all in one forward walk; a
+    :class:`SeriesCounts` gives the counts it read.  The energy between
+    two edges is ``max(c_hi - c_lo, 0.0)`` times the counter's energy
+    unit, exactly what :func:`integrate_window` gives for that window.
 
     Args:
-        series: Sample series with at least two samples.
+        series: Sample series, or counts read from one, with at least two
+            samples.
         edges_ns: Two or more strictly increasing monotonic nanosecond
             times inside the sampled span.
 
@@ -344,7 +526,8 @@ def counts_at(series: SampleSeries, edges_ns: Sequence[int]) -> list[float]:
         DegenerateSeriesError: Fewer than two samples.
         InvalidArgumentError: Fewer than two edges, or edges that do not
             increase.
-        WattflowError: An edge beyond the sampled span, or energy between
+        WattflowError: An edge beyond the sampled span, an edge a
+            :class:`SeriesCounts` holds no count for, or energy between
             the first and last edge that is not a finite real.
     """
     first, last = series.span_ns
@@ -361,20 +544,7 @@ def counts_at(series: SampleSeries, edges_ns: Sequence[int]) -> list[float]:
     if edges_ns[-1] > last:
         raise WattflowError(
             f"window ends {edges_ns[-1] - last} ns after last sample")
-    times, raws, wraps = series.times, series.raws, series._wrap_prefix()
-    raw0, modulus, final = raws[0], series.spec.modulus, len(times) - 1
-    counts: list[float] = []
-    append, bisect_right = counts.append, bisect.bisect_right
-    i = 0
-    for t_ns in edges_ns:
-        i = bisect_right(times, t_ns, i) - 1
-        c0 = raws[i] - raw0 + modulus * wraps[i]
-        if i == final:
-            append(float(c0))
-            continue
-        t0 = times[i]
-        c1 = raws[i + 1] - raw0 + modulus * wraps[i + 1]
-        append(c0 + (c1 - c0) * ((t_ns - t0) / (times[i + 1] - t0)))
+    counts = series._counts(edges_ns)
     if not math.isfinite((counts[-1] - counts[0])
                          * series.spec.energy_unit_joules):
         raise WattflowError(
@@ -383,13 +553,14 @@ def counts_at(series: SampleSeries, edges_ns: Sequence[int]) -> list[float]:
     return counts
 
 
-def integrate_window(series: SampleSeries, window_start_ns: int,
+def integrate_window(series: SampleSeries | SeriesCounts,
+                     window_start_ns: int,
                      window_end_ns: int) -> EnergyQuantity:
     """Energy accumulated by the counter inside a time window.
 
     The two-edge case of :func:`counts_at`: the unwrapped count at each
-    window edge comes from the series' wrap-count prefix, linearly
-    interpolated between the two samples around the edge; the energy is
+    window edge is linearly interpolated between the two samples around
+    the edge; the energy is
     the difference of the two counts times the counter's energy unit.
     ``series_total`` is this over the whole sampled span, so every report,
     resume and simulation shares one path from raw counts to joules.

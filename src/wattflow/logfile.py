@@ -13,18 +13,22 @@ Line grammar::
     #wattflow-gap t_ns=<int> domain=<name>
     #wattflow-end status=<closed|truncated|reaped>
 
-Record lines make up nearly all of a long log, so :func:`parse_log` reads
-the file in blocks of about 32 KiB and handles each run of record lines
+Record lines make up nearly all of a long log, so the reader reads the
+file in blocks of about 32 KiB and handles each run of record lines
 between two directive lines in one block step: a few passes at C speed
 check the whole run's shape (every line ``<digits>,<spelling>,<digits>``
 with a spelling some header used), convert its numbers with one split
 and one ``map(int)``, split them by domain, check each domain's range and
-order, and only then extend that domain's columns, an ``array('q')`` of
-times and an ``array('Q')`` of raw counts, which become the
-:class:`SampleSeries` as they are.  A run that fails any check appends
-nothing and is read again line by line on the checked path, which names
-the first failing line and its number; directive lines are always read
-one at a time.  Nothing but the columns grows with the log.
+order, and only then feed each domain's samples to its sink.  A run that
+fails any check feeds nothing and is read again line by line on the
+checked path, which names the first failing line and its number;
+directive lines are always read one at a time.  Two readers share that
+front end and differ only in the sink.  :func:`parse_log` grows each
+domain's columns, an ``array('q')`` of times and an ``array('Q')`` of raw
+counts, which become the :class:`SampleSeries` as they are.
+:func:`read_counts` feeds a :class:`CountWalker` at edges the caller
+chose and keeps only the counts, so its memory does not grow with the
+log.
 :func:`read_status` answers "has this log closed?" from the file's tail
 alone, and :func:`has_record` answers "has this log a record yet?" from
 its head, for callers that poll a growing log.
@@ -45,9 +49,16 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .counter import CounterSpec, RaplDomain, RawSample, SampleSeries
+from .counter import (
+    CounterSpec,
+    CountWalker,
+    RaplDomain,
+    RawSample,
+    SampleSeries,
+    SeriesCounts,
+)
 from .errors import (
     AlreadyActiveError,
     InvalidArgumentError,
@@ -63,9 +74,6 @@ _END_PREFIX_BYTES = END_PREFIX.encode("ascii")
 _TAIL_BLOCK = 256
 
 _FILENAME_RE = re.compile(r"^rapl_(?P<rest>.+)\.csv$")
-
-# One domain's columns while a log is read: modulus, times, raw counts.
-_Column = tuple[int, array, array]
 
 # parse_log reads a log in blocks of this many characters.
 _PARSE_BLOCK = 32 * 1024
@@ -289,12 +297,38 @@ class LogWriter:
 
 @dataclass(frozen=True)
 class ParsedLog:
-    """One session log read back into per-domain sample series."""
+    """One session log read back, per domain, into a sample series
+    (:func:`parse_log`) or into the counts at chosen edges
+    (:func:`read_counts`)."""
 
     node_id: str
     session_id: str
     status: LogStatus
-    series: Mapping[RaplDomain, SampleSeries]
+    series: Mapping[RaplDomain, SampleSeries | SeriesCounts]
+
+
+class _Columns:
+    """:func:`parse_log`'s sink for one domain: growing columns of times
+    and raw counts."""
+
+    __slots__ = ("modulus", "times", "raws", "last_t")
+
+    def __init__(self, modulus: int) -> None:
+        self.modulus = modulus
+        self.times = array("q")
+        self.raws = array("Q")
+        self.last_t: int | None = None
+
+    def feed(self, times: list[int], raws: list[int]) -> None:
+        self.times.fromlist(times)
+        self.raws.fromlist(raws)
+        self.last_t = times[-1]
+
+
+# One domain's sink while a log is read: a _Columns or a CountWalker.  The
+# front end checks each sample against the sink's ``modulus`` and
+# ``last_t``, then hands it over with ``feed(times, raws)``.
+_Sink = _Columns | CountWalker
 
 
 def _parse_kv(body: str, path: str,
@@ -336,13 +370,13 @@ def _non_ascii(line: str, path: str, lineno: int) -> ParseError | None:
 
 
 def _append_record(line: str, lineno: int, path: str,
-                   by_spelling: Mapping[str, _Column],
-                   columns: Mapping[RaplDomain, _Column]) -> None:
-    """Check one record line in full and append it to its domain's columns.
+                   by_spelling: Mapping[str, _Sink],
+                   sinks: Mapping[RaplDomain, _Sink]) -> None:
+    """Check one record line in full and feed it to its domain's sink.
 
-    The checked path of :func:`parse_log`: it runs, line by line, for a
-    run of records the block step did not take, and reports the first
-    failing check in the parser's fixed order.
+    The checked path of the log reader: it runs, line by line, for a run
+    of records the block step did not take, and reports the first failing
+    check in the reader's fixed order.
     """
     error = _non_ascii(line, path, lineno)
     if error is not None:
@@ -352,44 +386,42 @@ def _append_record(line: str, lineno: int, path: str,
         raise ParseError(f"expected t_ns,domain,raw got {line!r}",
                          path=path, line=lineno)
     t_text, domain_text, raw_text = fields
-    column = by_spelling.get(domain_text)
+    sink = by_spelling.get(domain_text)
     try:
         t_ns = int(t_text)
-        if column is None:
+        if sink is None:
             domain = RaplDomain.parse(domain_text)
         raw = int(raw_text)
     except (ValueError, InvalidArgumentError) as exc:
         raise ParseError(str(exc), path=path, line=lineno) from None
-    if column is None:
-        column = columns.get(domain)
-        if column is None:
+    if sink is None:
+        sink = sinks.get(domain)
+        if sink is None:
             raise ParseError(
                 f"{path}:{lineno}: record for {domain} before its header")
-    modulus, times, raws = column
-    if not 0 <= raw < modulus:
-        raise ParseError(f"raw {raw} outside [0, {modulus})",
+    if not 0 <= raw < sink.modulus:
+        raise ParseError(f"raw {raw} outside [0, {sink.modulus})",
                          path=path, line=lineno)
-    if times and t_ns <= times[-1]:
-        raise ParseError(f"non-monotonic timestamp {t_ns} after {times[-1]}",
+    last = sink.last_t
+    if last is not None and t_ns <= last:
+        raise ParseError(f"non-monotonic timestamp {t_ns} after {last}",
                          path=path, line=lineno)
-    try:
-        times.append(t_ns)
-    except OverflowError:
+    if not -_T_END <= t_ns < _T_END:
         raise ParseError(f"timestamp {t_ns} outside the signed 64-bit range",
-                         path=path, line=lineno) from None
-    raws.append(raw)
+                         path=path, line=lineno)
+    sink.feed([t_ns], [raw])
 
 
-def _take_run(run: str, fields: Sequence[tuple[bytes, _Column]]) -> bool:
-    """Append a run of record lines to their columns in one block step.
+def _take_run(run: str, fields: Sequence[tuple[bytes, _Sink]]) -> bool:
+    """Feed a run of record lines to their sinks in one block step.
 
     ``run`` is whole lines, each ending in ``\\n``; ``fields`` pairs each
-    header's ``,<spelling>,`` with its domain's columns, in header order.
-    The step is all or nothing: it appends only when every line is
+    header's ``,<spelling>,`` with its domain's sink, in header order.
+    The step is all or nothing: it feeds only when every line is
     ``<digits>,<header spelling>,<digits>``, the lines cycle through their
     domains in one order, and each domain's raw counts lie inside its
-    modulus and its timestamps increase from its column's last one and
-    stay inside the signed 64-bit range; otherwise it appends nothing and
+    modulus and its timestamps increase from its sink's last one and
+    stay inside the signed 64-bit range; otherwise it feeds nothing and
     returns False.
 
     Each spelling becomes a marker byte that no ASCII text holds, so with
@@ -430,54 +462,51 @@ def _take_run(run: str, fields: Sequence[tuple[bytes, _Column]]) -> bool:
               values[2 * j + 1::2 * width])
              for j, marker in enumerate(cycle)]
 
-    for (modulus, column_times, _), times, raws in parts:
-        if max(raws) >= modulus or times[-1] >= _T_END or \
-                (column_times and times[0] <= column_times[-1]) or \
+    for sink, times, raws in parts:
+        last = sink.last_t
+        if max(raws) >= sink.modulus or times[-1] >= _T_END or \
+                (last is not None and times[0] <= last) or \
                 not all(map(operator.lt, times, islice(times, 1, None))):
             return False
-    for (_, column_times, column_raws), times, raws in parts:
-        column_times.fromlist(times)
-        column_raws.fromlist(raws)
+    for sink, times, raws in parts:
+        sink.feed(times, raws)
     return True
 
 
-def parse_log(path: str) -> ParsedLog:
-    """Read a session log back into immutable sample series.
+# Per domain, as the log reader returns it: spec, sink, gap marker times.
+_Domain = tuple[CounterSpec, _Sink, list[int]]
 
-    Round-trips exactly what :class:`LogWriter` wrote: integer timestamps
-    and raw counts are preserved bit for bit, the energy unit through its
-    shortest decimal representation.
 
-    The file is read in text mode with universal newlines, so ``\\r`` and
+def _read_log(path: str, new_sink: Callable[[CounterSpec, str, int], _Sink]
+              ) -> tuple[str, int, LogStatus, dict[RaplDomain, _Domain]]:
+    """The one log reader behind :func:`parse_log` and :func:`read_counts`.
+
+    Reads the file in text mode with universal newlines, so ``\\r`` and
     ``\\r\\n`` end a line as ``\\n`` does, in blocks of about 32 KiB, each
     finished with one ``readline`` so that it ends on a line break; only a
     torn tail at the end of the file does not.  Each ``#`` directive line
-    is handled on its own.  Each run of record lines between directives
-    goes to its domains' columns in one block step that checks the whole
-    run at C speed and appends all of it or nothing; a run it refuses,
-    including one whose lines do not cycle through their domains in one
-    order, is read again line by line, which appends what is valid and
-    names the first failing line.  A final line without a terminating
-    newline is treated as torn by a crashed writer: it is dropped and the
-    log is marked truncated.
+    is handled on its own; a header asks ``new_sink(spec, node_id,
+    epoch_wall_ns)`` for its domain's sink.  Each run of record lines
+    between directives goes to its domains' sinks in one block step that
+    checks the whole run at C speed and feeds all of it or nothing; a run
+    it refuses, including one whose lines do not cycle through their
+    domains in one order, is read again line by line, which feeds what is
+    valid and names the first failing line.  A final line without a
+    terminating newline is treated as torn by a crashed writer: it is
+    dropped and the log is marked truncated.
 
-    Raises:
-        ParseError: Malformed line, unknown domain, non-monotonic timestamp,
-            out-of-range raw value, a byte outside ASCII (message carries
-            path and line number), a record or gap before its domain
-            header, no header at all, or headers disagreeing on node or
-            epoch.
+    Returns the node id, the epoch, the status and, per domain in header
+    order, its spec, its sink and its gap markers.
     """
     node_id: str | None = None
     epoch_wall_ns: int | None = None
-    specs: dict[RaplDomain, CounterSpec] = {}
-    gaps: dict[RaplDomain, list[int]] = {}
-    # Per domain: (modulus, times, raws), also reachable by the domain's
-    # header spelling for the checked path, and as ``,<spelling>,`` in
-    # header order for the block step.
-    columns: dict[RaplDomain, _Column] = {}
-    by_spelling: dict[str, _Column] = {}
-    fields: list[tuple[bytes, _Column]] = []
+    domains: dict[RaplDomain, _Domain] = {}
+    # Per domain, its sink, also reachable by the domain's header spelling
+    # for the checked path, and as ``,<spelling>,`` in header order for
+    # the block step.
+    sinks: dict[RaplDomain, _Sink] = {}
+    by_spelling: dict[str, _Sink] = {}
+    fields: list[tuple[bytes, _Sink]] = []
     status = LogStatus.OPEN
     saw_trailer = False
     lineno = 0
@@ -502,8 +531,7 @@ def parse_log(path: str) -> ParsedLog:
                     if not _take_run(run, fields):
                         for i, line in enumerate(run[:-1].split("\n"),
                                                  start=lineno + 1):
-                            _append_record(line, i, path, by_spelling,
-                                           columns)
+                            _append_record(line, i, path, by_spelling, sinks)
                     lineno += run.count("\n")
                     start = stop
                     continue
@@ -533,16 +561,14 @@ def parse_log(path: str) -> ParsedLog:
                         raise ParseError(
                             f"{path}:{lineno}: header disagrees with earlier "
                             f"header (node {node!r} vs {node_id!r})")
-                    if domain in specs:
+                    if domain in domains:
                         raise ParseError(
                             f"duplicate header for domain {domain}",
                             path=path, line=lineno)
-                    specs[domain] = spec
-                    gaps[domain] = []
-                    column = (spec.modulus, array("q"), array("Q"))
-                    columns[domain] = by_spelling[kv["domain"]] = column
-                    fields.append(
-                        (f",{kv['domain']},".encode("ascii"), column))
+                    sink = new_sink(spec, node_id, epoch_wall_ns)
+                    domains[domain] = (spec, sink, [])
+                    sinks[domain] = by_spelling[kv["domain"]] = sink
+                    fields.append((f",{kv['domain']},".encode("ascii"), sink))
                 elif line.startswith(GAP_PREFIX):
                     kv = _parse_kv(line[len(GAP_PREFIX):], path, lineno)
                     try:
@@ -552,11 +578,11 @@ def parse_log(path: str) -> ParsedLog:
                             InvalidArgumentError) as exc:
                         raise ParseError(f"bad gap marker: {exc}", path=path,
                                          line=lineno) from None
-                    if domain not in specs:
+                    if domain not in domains:
                         raise ParseError(
                             f"{path}:{lineno}: gap for {domain} before its "
                             f"header")
-                    gaps[domain].append(t_ns)
+                    domains[domain][2].append(t_ns)
                 elif line.startswith(END_PREFIX):
                     status = _parse_trailer(line, path, lineno)
                     saw_trailer = True
@@ -569,13 +595,67 @@ def parse_log(path: str) -> ParsedLog:
         status = LogStatus.TRUNCATED
     if node_id is None or epoch_wall_ns is None:
         raise ParseError(f"{path}: no header line found")
+    return node_id, epoch_wall_ns, status, domains
 
+
+def parse_log(path: str) -> ParsedLog:
+    """Read a session log back into immutable sample series.
+
+    Round-trips exactly what :class:`LogWriter` wrote: integer timestamps
+    and raw counts are preserved bit for bit, the energy unit through its
+    shortest decimal representation.  Each domain's samples grow an
+    ``array('q')`` of times and an ``array('Q')`` of raw counts, which
+    become its :class:`SampleSeries` as they are; nothing else grows with
+    the log.
+
+    Raises:
+        ParseError: Malformed line, unknown domain, non-monotonic timestamp,
+            out-of-range raw value, a byte outside ASCII (message carries
+            path and line number), a record or gap before its domain
+            header, no header at all, or headers disagreeing on node or
+            epoch.
+    """
+    node_id, epoch, status, domains = _read_log(
+        path, lambda spec, _node, _epoch: _Columns(spec.modulus))
     series = {
-        domain: SampleSeries(node_id=node_id, spec=specs[domain],
-                             times=times, raws=raws,
-                             epoch_wall_ns=epoch_wall_ns,
-                             gap_markers=tuple(gaps[domain]))
-        for domain, (_, times, raws) in columns.items()
+        domain: SampleSeries(node_id=node_id, spec=spec,
+                             times=columns.times, raws=columns.raws,
+                             epoch_wall_ns=epoch, gap_markers=tuple(gaps))
+        for domain, (spec, columns, gaps) in domains.items()
+    }
+    return ParsedLog(node_id=node_id,
+                     session_id=session_from_filename(path, node_id),
+                     status=status, series=series)
+
+
+def read_counts(path: str,
+                edges_for: Callable[[str], Sequence[int]]) -> ParsedLog:
+    """Read a session log into each domain's counts at chosen edges,
+    keeping none of its samples.
+
+    ``edges_for(node_id)`` gives strictly increasing wall-ns edges for the
+    log's node once its first header is read.  Every domain's samples go,
+    block by block, to a :class:`CountWalker` at those edges, so memory is
+    bounded by the block size and the edges, not by the log's length.
+    Each series is a :class:`SeriesCounts`: the counts at the edges inside
+    its sampled span and at its two end samples, its sample count and
+    span, and its gap markers.  The checks, errors and status are those
+    of :func:`parse_log`, which reads the file with the same code.
+    """
+    planned: list[list[int]] = []
+
+    def walker(spec: CounterSpec, node_id: str, epoch: int) -> CountWalker:
+        if not planned:
+            planned.append(array("q", [t - epoch
+                                       for t in edges_for(node_id)]))
+        return CountWalker(spec.modulus, planned[0])
+
+    node_id, epoch, status, domains = _read_log(path, walker)
+    series = {
+        domain: SeriesCounts.from_walker(node_id, spec, walker,
+                                         epoch_wall_ns=epoch,
+                                         gap_markers=tuple(gaps))
+        for domain, (spec, walker, gaps) in domains.items()
     }
     return ParsedLog(node_id=node_id,
                      session_id=session_from_filename(path, node_id),

@@ -33,6 +33,7 @@ from .accounting import (
     node_energies,
     # Not called here; the benchmark's resume hook wraps this name.
     node_window_energy,  # noqa: F401
+    read_log_counts,
     report_to_json,
 )
 from .errors import (
@@ -48,7 +49,8 @@ from .logfile import (
     LogStatus,
     has_record,
     log_filename,
-    parse_log,
+    # Not called here; the benchmark's resume hook wraps this name.
+    parse_log,  # noqa: F401
     read_status,
 )
 from .signals import (
@@ -260,16 +262,24 @@ def _collect_logs(config: RunConfig) -> dict[str, str | None]:
     return collected
 
 
+def _span_edges(_node_id: str, span: tuple[int, int] | None
+                ) -> tuple[int, ...]:
+    """A whole-session report's edges: the ends of the log's span."""
+    return () if span is None else span
+
+
 def _build_run_report(config: RunConfig,
                       log_paths: Mapping[str, str | None],
                       status: str, extra_flags: tuple[str, ...] = ()
                       ) -> EnergyReport:
     """Whole-session totals per node; the shell method covers the run.
 
-    A node whose log is absent or cannot be parsed is left out and
-    flagged ``missing_log:<node>``; :func:`node_energies` does the same
-    for a log with no sampled span (too few records) and adds each used
-    log's flags.  ``run`` and ``resume`` both build their report here.
+    Each log is read into the counts at its domains' shared span only
+    (:func:`read_log_counts`), not into samples.  A node whose log is
+    absent or cannot be parsed is left out and flagged
+    ``missing_log:<node>``; :func:`node_energies` does the same for a log
+    with no sampled span (too few records) and adds each used log's flags.
+    ``run`` and ``resume`` both build their report here.
     """
     logs: dict[str, NodeEnergyLog] = {}
     flags = set(extra_flags)
@@ -277,7 +287,8 @@ def _build_run_report(config: RunConfig,
         try:
             if path is None:
                 raise FileNotFoundError(f"no log collected for {node_id}")
-            logs[node_id] = NodeEnergyLog.from_parsed(parse_log(path))
+            logs[node_id] = NodeEnergyLog.from_parsed(
+                read_log_counts(path, _span_edges))
         except (OSError, ParseError):
             flags.add(f"{FLAG_MISSING_LOG}:{node_id}")
     per_node, _, node_flags = node_energies(logs)

@@ -187,6 +187,17 @@ class TestAttributeConcurrent:
         assert NOTE_SHARED_WINDOW in by_id["a"].notes
         assert by_id["a"].estimated
 
+    def test_overflowed_weight_raises_as_the_entry_check_did(self):
+        # A CPU rate past the float range makes the weights inf and the
+        # shares NaN; the sweep refuses them instead of reporting NaN.
+        log = constant_log(watts=50, duration_s=30)
+        tasks = [task("a", 5, 25, cpu_time_s=3.0),
+                 task("b", 10, 10.5, cpu_time_s=1e308)]
+        with pytest.raises(InvalidArgumentError,
+                           match="task b: package energy must be >= 0, "
+                                 "got nan"):
+            attribute_concurrent(tasks, log, cpu_policy())
+
     def test_solo_task_gets_full_segment_every_policy(self):
         log = constant_log(watts=50, duration_s=30)
         tasks = [task("a", 5, 25, cpu_time_s=3.0)]

@@ -6,13 +6,17 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import pytest
 
-from wattflow import accounting
+from wattflow import accounting, cli
 from wattflow.accounting import (
     EnergyReport,
     MeasurementMethod,
+    PolicyKind,
     report_to_json,
 )
 from wattflow.cli import main
@@ -297,6 +301,27 @@ class TestReportCommand:
             f"wattflow: error: {log}:4: non-ASCII byte 0xe9\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("trace_text", ["{not json", None])
+    def test_bad_log_is_reported_before_bad_trace(self, tmp_path, capsys,
+                                                  trace_text):
+        # The trace plans the edges the logs are read at, so it is read
+        # first; a bad log must still be the error reported.
+        out = run_simulate(tmp_path)
+        log = next(os.path.join(out, name) for name in sorted(os.listdir(out))
+                   if name.startswith("rapl_"))
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write("5,package,1\n")
+        trace = tmp_path / "bad_trace.json"
+        if trace_text is not None:
+            trace.write_text(trace_text, encoding="utf-8")
+        capsys.readouterr()
+        code = main(["report", "--logs", out, "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"wattflow: error: {log}:")
+        assert "content after end trailer" in captured.err
+        assert captured.out == ""
+
     def test_session_reads_only_its_own_logs(self, tmp_path, capsys):
         # Another session's log that does not parse sits beside the
         # simulated one: --session never opens it.
@@ -455,6 +480,24 @@ class TestRunCommand:
         assert report["coverage_fraction"] == 1.0
         assert report["method"] == "shell-wrap"
 
+    def test_run_calls_the_run_wrapped_of_the_cli_module(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # The benchmark stamps each run by replacing cli.run_wrapped, so
+        # cmd_run must look the name up when it runs.
+        config = prewritten_run_config(tmp_path)
+        calls = []
+
+        def fake(run_config):
+            calls.append(run_config)
+            return SimpleNamespace(
+                report_path="fake-report.json", workflow_exit_code=0,
+                report=SimpleNamespace(flags=frozenset()))
+        monkeypatch.setattr(cli, "run_wrapped", fake)
+        code = main(["run", "--config", write_run_config(tmp_path, config)])
+        assert code == 0
+        assert calls == [config]
+        assert capsys.readouterr().out == "fake-report.json\n"
+
     def test_failing_workflow_reports_then_exit3(self, tmp_path, capsys):
         config = make_run_config(tmp_path, nodes=("n1",),
                                  workflow_cmd="false",
@@ -500,6 +543,22 @@ class TestRunCommand:
 
 
 class TestUsage:
+    def test_importing_the_cli_leaves_out_what_the_agent_does_not_use(self):
+        # ``wattflow agent`` starts sooner without them.
+        lazy = ["wattflow.accounting", "wattflow.orchestrate",
+                "wattflow.simulate", "wattflow.trace"]
+        code = ("import sys, wattflow.cli; "
+                "print([m for m in %r if m in sys.modules])" % (lazy,))
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=60,
+                                check=True)
+        assert result.stdout.strip() == "[]"
+
+    def test_report_choices_are_the_enum_spellings(self):
+        assert cli._POLICIES == tuple(k.value for k in PolicyKind)
+        assert cli._METHODS == tuple(m.value for m in MeasurementMethod)
+
     def test_argparse_usage_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["report"])          # missing required flags

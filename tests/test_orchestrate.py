@@ -20,8 +20,14 @@ from wattflow.errors import (
     SchemaViolationError,
     WattflowError,
 )
-from wattflow.logfile import LogStatus, LogWriter, log_filename, parse_log
-from wattflow import orchestrate
+from wattflow.logfile import (
+    LogStatus,
+    LogWriter,
+    log_filename,
+    parse_log,
+    read_counts,
+)
+from wattflow import accounting, orchestrate
 from wattflow.orchestrate import (
     AgentEndpoint,
     RunConfig,
@@ -329,10 +335,12 @@ class TestResumeTrailerWait:
                        "n2": "#wattflow-end status=closed\n"})
         parsed = []
 
-        def counting_parse(path):
+        def counting_read(path, edges_for):
             parsed.append(path)
-            return parse_log(path)
-        monkeypatch.setattr(orchestrate, "parse_log", counting_parse)
+            return read_counts(path, edges_for)
+        # The report reads each log through read_counts, once when its
+        # domains share one span.
+        monkeypatch.setattr(accounting, "read_counts", counting_read)
         result = resume(config, sleep=_never_sleep)
         assert sorted(parsed) == sorted(result.log_paths.values())
         assert result.report.total_joules == pytest.approx(200.0)
@@ -410,12 +418,12 @@ class TestFirstRecordWait:
         config = prewritten_run_config(tmp_path)
         parsed = []
 
-        def counting_parse(path):
+        def counting_read(path, edges_for):
             parsed.append(path)
-            return parse_log(path)
-        monkeypatch.setattr(orchestrate, "parse_log", counting_parse)
+            return read_counts(path, edges_for)
+        monkeypatch.setattr(accounting, "read_counts", counting_read)
         result = run_wrapped(config, sleep=_never_sleep)
-        # Only the report parses, once per collected log.
+        # Only the report reads each collected log, once.
         assert sorted(parsed) == sorted(result.log_paths.values())
         assert result.workflow_exit_code == 0
 
