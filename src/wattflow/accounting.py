@@ -20,7 +20,6 @@ import json
 import math
 from bisect import insort
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -40,6 +39,7 @@ from .errors import (
     WattflowError,
     load_json,
 )
+from .kinds import MeasurementMethod, PolicyKind
 from .logfile import LogStatus, ParsedLog, read_counts
 from .trace import (
     FLAG_SUB_RESOLUTION as _SUB_RESOLUTION,  # a task note, no report flag
@@ -64,19 +64,6 @@ FLAG_UNSAFE_GAP = "unsafe_gap"
 FLAG_FLAGGED_LOG = "flagged_log"
 FLAG_MISSING_LOG = "missing_log"
 FLAG_RESUMED = "resumed"
-
-
-class MeasurementMethod(Enum):
-    SHELL_WRAP = "shell-wrap"
-    SIGNAL_WORKFLOW = "signal-workflow"
-    SIGNAL_PLUGIN = "signal-plugin"
-    INTERVAL_SCRAPE = "interval-scrape"
-
-
-class PolicyKind(Enum):
-    CPU_TIME_SHARE = "cputime"
-    WALL_TIME_SHARE = "walltime"
-    EXCLUSIVE_ONLY = "exclusive"
 
 
 @dataclass(frozen=True)
@@ -360,20 +347,6 @@ class TaskEnergy:
         object.__setattr__(self, "joules_by_domain", cleaned)
         object.__setattr__(self, "notes", frozenset(self.notes))
 
-    @classmethod
-    def _of_sweep(cls, task_id: str,
-                  joules_by_domain: dict[RaplDomain, float],
-                  notes: frozenset[str]) -> "TaskEnergy":
-        """An estimated entry built without ``__post_init__``'s re-check
-        and copy: :func:`attribute_concurrent` checks its joules finite,
-        and they are sums of non-negative shares."""
-        entry = object.__new__(cls)
-        object.__setattr__(entry, "task_id", task_id)
-        object.__setattr__(entry, "joules_by_domain", joules_by_domain)
-        object.__setattr__(entry, "estimated", True)
-        object.__setattr__(entry, "notes", notes)
-        return entry
-
 
 @dataclass(frozen=True)
 class AttributionResult:
@@ -387,8 +360,12 @@ class AttributionResult:
         return _countable_sum(self.unattributed_by_domain)
 
 
+# Each task's clipped window, or None, and the sorted segment boundaries.
+_Cuts = tuple[list["tuple[int, int] | None"], list[int]]
+
+
 def _clip_tasks(tasks: Iterable[TaskRecord], window: tuple[int, int]
-                ) -> tuple[list[tuple[int, int] | None], list[int]]:
+                ) -> _Cuts:
     """Each task's window clipped to ``window``, None when nothing of it
     is left, and the sorted segment boundaries: the window's ends and the
     ends of every clipped task window."""
@@ -408,8 +385,8 @@ def _clip_tasks(tasks: Iterable[TaskRecord], window: tuple[int, int]
 
 def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
                          policy: AttributionPolicy,
-                         window: tuple[int, int] | None = None
-                         ) -> AttributionResult:
+                         window: tuple[int, int] | None = None,
+                         cuts: _Cuts | None = None) -> AttributionResult:
     """Split a node's windowed energy among concurrently running tasks.
 
     The timeline is cut at every task start and end inside the accounting
@@ -443,6 +420,9 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
         policy: Split rule plus optional idle baseline.
         window: Wall-ns accounting window; defaults to the log's sampled
             span.  Task windows are clipped to it.
+        cuts: The tasks' clipped windows and the segment boundaries over
+            ``window``, when the caller has them already
+            (:meth:`ReportPlan.cuts`); computed here otherwise.
     """
     for task in tasks:
         if task.node_id != log.node_id:
@@ -456,7 +436,8 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
         raise InvalidArgumentError(f"empty accounting window {window}")
 
     # Per task, by position in ``tasks``.
-    clipped, boundaries = _clip_tasks(tasks, window)
+    clipped, boundaries = cuts if cuts is not None \
+        else _clip_tasks(tasks, window)
     weights: list[float] = []
     notes: list[set[str]] = []
     starting: dict[int, list[int]] = {}
@@ -534,16 +515,6 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
                     attributed += share
             unattributed[d] += joules - attributed
 
-    # Shares are >= 0, so only a weight that overflowed can spoil them.
-    if not all(all(map(math.isfinite, joules_of))
-               for joules_of in task_joules):
-        task, domain, joules = next(
-            (task, domain, joules_of[i]) for i, task in enumerate(tasks)
-            for domain, joules_of in zip(domains, task_joules)
-            if not math.isfinite(joules_of[i]))
-        raise InvalidArgumentError(
-            f"task {task.task_id}: {domain} energy must be >= 0, "
-            f"got {joules}")
     for i in shared:
         notes[i].add(NOTE_SHARED_WINDOW)
     energies = []
@@ -551,11 +522,11 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
         clip = clipped[i]
         if clip is not None and log.has_unsafe_gap(*clip):
             notes[i].add(FLAG_UNSAFE_GAP)
-        energies.append(TaskEnergy._of_sweep(
-            task.task_id,
-            {domain: joules_of[i] for domain, joules_of
-             in zip(domains, task_joules)},
-            frozenset(notes[i])))
+        energies.append(TaskEnergy(
+            task_id=task.task_id,
+            joules_by_domain={domain: joules_of[i] for domain, joules_of
+                              in zip(domains, task_joules)},
+            estimated=True, notes=frozenset(notes[i])))
     return AttributionResult(task_energies=tuple(energies),
                              unattributed_by_domain=dict(zip(domains,
                                                              unattributed)))
@@ -626,49 +597,58 @@ class EnergyReport:
         object.__setattr__(self, "flags", frozenset(self.flags))
 
 
-def _task_groups(trace: WorkflowTrace
-                 ) -> tuple[dict[str, list[TaskRecord]], list[TaskRecord]]:
-    """The trace's tasks by node, and, in trace order, the tasks placed
-    on no node: those ``cached`` and those flagged ``unknown_node``."""
-    groups: dict[str, list[TaskRecord]] = {}
-    unplaced = []
-    for t in trace.tasks:
-        if t.status is TaskStatus.CACHED or FLAG_UNKNOWN_NODE in t.flags:
-            unplaced.append(t)
-        else:
-            groups.setdefault(t.node_id, []).append(t)
-    return groups, unplaced
+class ReportPlan:
+    """How :func:`assemble_report` cuts a trace's nodes, worked out once.
 
-
-def report_edges(trace: WorkflowTrace) -> EdgePlan:
-    """The edges :func:`assemble_report` takes each node's counts at, for
-    :func:`read_log_counts`.
-
-    For a node, the segment boundaries of its tasks over the workflow
-    window clipped to the log's span, or over the whole window while the
-    span is not known; none when the clipped window is empty, since the
-    node's log is then left out.
+    ``groups`` holds the trace's tasks by node, each group ordered by
+    ``(start, end, task_id)`` so that the order of the trace's rows never
+    reaches the report; ``unplaced`` holds, in trace order, the tasks
+    placed on no node: those ``cached`` and those flagged
+    ``unknown_node``.  :meth:`cuts` gives a node's clipped task windows
+    and segment boundaries over an accounting window, computed on first
+    use; :meth:`edges` is the :data:`EdgePlan` a log is read at with
+    :func:`read_log_counts`, and attribution takes the same cuts.
     """
-    groups = _task_groups(trace)[0]
-    window = (trace.submitted_wall_ns, trace.finished_wall_ns)
-    planned: dict[tuple[str, int, int], list[int]] = {}
 
-    def edges(node_id: str, span: tuple[int, int] | None) -> list[int]:
-        lo, hi = window if span is None else _clip(window, span)
+    def __init__(self, trace: WorkflowTrace) -> None:
+        self.window = (trace.submitted_wall_ns, trace.finished_wall_ns)
+        self.groups: dict[str, list[TaskRecord]] = {}
+        self.unplaced: list[TaskRecord] = []
+        for t in trace.tasks:
+            if t.status is TaskStatus.CACHED or FLAG_UNKNOWN_NODE in t.flags:
+                self.unplaced.append(t)
+            else:
+                self.groups.setdefault(t.node_id, []).append(t)
+        for tasks in self.groups.values():
+            tasks.sort(key=lambda t: (t.start_wall_ns, t.end_wall_ns,
+                                      t.task_id))
+        self._cuts: dict[tuple[str, tuple[int, int]], _Cuts] = {}
+
+    def cuts(self, node_id: str, window: tuple[int, int]) -> _Cuts:
+        """:func:`_clip_tasks` of the node's group over ``window``."""
+        key = (node_id, window)
+        if key not in self._cuts:
+            self._cuts[key] = _clip_tasks(self.groups.get(node_id, ()),
+                                          window)
+        return self._cuts[key]
+
+    def edges(self, node_id: str, span: tuple[int, int] | None
+              ) -> list[int]:
+        """The node's segment boundaries over the workflow window clipped
+        to the log's span, or over the whole window while the span is not
+        known; none when the clipped window is empty, since the node's log
+        is then left out."""
+        lo, hi = self.window if span is None else _clip(self.window, span)
         if lo >= hi:
             return []
-        key = (node_id, lo, hi)
-        if key not in planned:
-            planned[key] = _clip_tasks(groups.get(node_id, ()), (lo, hi))[1]
-        return planned[key]
-    return edges
+        return self.cuts(node_id, (lo, hi))[1]
 
 
 def assemble_report(trace: WorkflowTrace,
                     logs: Mapping[str, NodeEnergyLog],
                     policy: AttributionPolicy,
-                    method: MeasurementMethod = MeasurementMethod.SIGNAL_WORKFLOW
-                    ) -> EnergyReport:
+                    method: MeasurementMethod = MeasurementMethod.SIGNAL_WORKFLOW,
+                    plan: ReportPlan | None = None) -> EnergyReport:
     """Full accounting pipeline: trace plus node logs to an energy report.
 
     The accounting window is the workflow's submit-to-finish interval,
@@ -682,19 +662,21 @@ def assemble_report(trace: WorkflowTrace,
     energy and the ``cached`` note, and take no share of any segment.
     Tasks flagged ``unknown_node`` ran on no known node: they are listed
     with no energy and that note, their energy stays unattributed, and the
-    report carries the flag.  Every other task joins its node's group,
-    ordered by ``(start, end, task_id)`` so that the order of the trace's
-    rows never reaches the report.
+    report carries the flag.  Every other task joins its node's group, in
+    the order :class:`ReportPlan` gives.  ``plan`` is a plan of ``trace``,
+    made here when None; the one the logs were read with
+    (:meth:`ReportPlan.edges`) lends attribution the cuts it made.
 
     Raises:
         WattflowError: The trace places tasks on a node with no usable
             log.
     """
-    per_node, windows, report_flags = node_energies(
-        logs, (trace.submitted_wall_ns, trace.finished_wall_ns))
-    groups, unplaced = _task_groups(trace)
+    if plan is None:
+        plan = ReportPlan(trace)
+    per_node, windows, report_flags = node_energies(logs, plan.window)
+    groups = plan.groups
     all_tasks = []
-    for t in unplaced:
+    for t in plan.unplaced:
         if t.status is TaskStatus.CACHED:
             note = NOTE_CACHED
         else:
@@ -708,10 +690,9 @@ def assemble_report(trace: WorkflowTrace,
             f"no usable sample log for node(s): {', '.join(missing)}")
     unattributed = 0.0
     for node, window in windows.items():
-        tasks = groups.get(node, [])
-        tasks.sort(key=lambda t: (t.start_wall_ns, t.end_wall_ns, t.task_id))
-        result = attribute_concurrent(tasks, logs[node], policy,
-                                      window=window)
+        result = attribute_concurrent(groups.get(node, []), logs[node],
+                                      policy, window=window,
+                                      cuts=plan.cuts(node, window))
         unattributed += result.unattributed_joules
         all_tasks.extend(result.task_energies)
     all_tasks.sort(key=lambda te: te.task_id)

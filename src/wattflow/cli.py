@@ -41,6 +41,7 @@ from .errors import (
     json_text,
     load_json,
 )
+from .kinds import MeasurementMethod, PolicyKind
 from .logfile import parse_log
 
 if TYPE_CHECKING:
@@ -51,10 +52,9 @@ logger = logging.getLogger(__name__)
 # Modules that only some commands use, so that ``wattflow agent`` starts
 # without them, and the names the commands take from each.
 _LAZY = {
-    "accounting": ("FLAG_MISSING_LOG", "AttributionPolicy",
-                   "MeasurementMethod", "NodeEnergyLog", "PolicyKind",
-                   "assemble_report", "load_report", "read_log_counts",
-                   "report_edges", "report_to_json"),
+    "accounting": ("FLAG_MISSING_LOG", "AttributionPolicy", "NodeEnergyLog",
+                   "ReportPlan", "assemble_report", "load_report",
+                   "read_log_counts", "report_to_json"),
     "orchestrate": ("load_run_config", "resume", "run_wrapped"),
     "simulate": ("evaluate_methods", "load_scenario", "write_log_files"),
     "trace": ("parse_generic_trace", "parse_nextflow_trace",
@@ -78,13 +78,6 @@ def __getattr__(name: str) -> Any:
 # This module.  The commands look each name above up on it when they run,
 # so a caller that replaced one (a test, a trace hook) sees its calls.
 _cli = sys.modules[__name__]
-
-# The report command's choices as accounting's PolicyKind and
-# MeasurementMethod spell them, so that parsing a command line imports
-# no accounting.
-_POLICIES = ("cputime", "walltime", "exclusive")
-_METHODS = ("shell-wrap", "signal-workflow", "signal-plugin",
-            "interval-scrape")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -212,23 +205,23 @@ def cmd_report(args: argparse.Namespace) -> int:
         try:
             trace = (_cli.parse_generic_trace if args.trace.endswith(".json")
                      else _cli.parse_nextflow_trace)(args.trace)
-            trace_error = None
+            plan, trace_error = _cli.ReportPlan(trace), None
         except (WattflowError, OSError) as exc:
-            trace, trace_error = None, exc
+            plan, trace_error = None, exc
         logs = _load_logs(args.logs, args.session,
-                          _cli.report_edges(trace) if trace_error is None
+                          plan.edges if plan is not None
                           else lambda _node, _span: ())
         if trace_error is not None:
             raise trace_error
         policy = _cli.AttributionPolicy(
-            kind=_cli.PolicyKind(args.policy),
+            kind=PolicyKind(args.policy),
             idle_baseline_watts=args.idle_baseline_watts)
     except _USAGE_ERRORS as exc:
         return _fail(str(exc), EXIT_USAGE)
     try:
         report = _cli.assemble_report(
-            trace, logs, policy,
-            method=_cli.MeasurementMethod(args.method))
+            trace, logs, policy, method=MeasurementMethod(args.method),
+            plan=plan)
     except WattflowError as exc:
         return _fail(str(exc), EXIT_RUNTIME)
     payload = _cli.report_to_json(report)
@@ -344,14 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
                           help="trace file (.json generic, else "
                                "scheduler TSV)")
     p_report.add_argument("--policy", default="cputime",
-                          choices=_POLICIES)
+                          choices=[k.value for k in PolicyKind])
     p_report.add_argument("--idle-baseline-watts", type=float,
                           default=None)
     p_report.add_argument("--session", default=None,
                           help="session id when the directory holds "
                                "several")
     p_report.add_argument("--method", default="shell-wrap",
-                          choices=_METHODS,
+                          choices=[m.value for m in MeasurementMethod],
                           help="measurement method recorded in the report")
     p_report.add_argument("--out", help="write the report here instead "
                                         "of stdout")

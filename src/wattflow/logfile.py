@@ -640,14 +640,17 @@ def read_counts(path: str,
     Each series is a :class:`SeriesCounts`: the counts at the edges inside
     its sampled span and at its two end samples, its sample count and
     span, and its gap markers.  The checks, errors and status are those
-    of :func:`parse_log`, which reads the file with the same code.
+    of :func:`parse_log`, which reads the file with the same code.  An
+    edge outside the signed 64-bit range of the log's monotonic time lies
+    outside every sampled span, and is dropped.
     """
-    planned: list[list[int]] = []
+    planned: list[array] = []
 
     def walker(spec: CounterSpec, node_id: str, epoch: int) -> CountWalker:
         if not planned:
-            planned.append(array("q", [t - epoch
-                                       for t in edges_for(node_id)]))
+            planned.append(array("q", [
+                t for t in (t - epoch for t in edges_for(node_id))
+                if -_T_END <= t < _T_END]))
         return CountWalker(spec.modulus, planned[0])
 
     node_id, epoch, status, domains = _read_log(path, walker)

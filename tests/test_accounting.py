@@ -187,9 +187,10 @@ class TestAttributeConcurrent:
         assert NOTE_SHARED_WINDOW in by_id["a"].notes
         assert by_id["a"].estimated
 
-    def test_overflowed_weight_raises_as_the_entry_check_did(self):
+    def test_overflowed_weight_raises(self):
         # A CPU rate past the float range makes the weights inf and the
-        # shares NaN; the sweep refuses them instead of reporting NaN.
+        # shares NaN; the task's entry refuses them instead of reporting
+        # NaN.
         log = constant_log(watts=50, duration_s=30)
         tasks = [task("a", 5, 25, cpu_time_s=3.0),
                  task("b", 10, 10.5, cpu_time_s=1e308)]

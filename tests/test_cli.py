@@ -14,18 +14,21 @@ import pytest
 
 from wattflow import accounting, cli
 from wattflow.accounting import (
+    AttributionPolicy,
     EnergyReport,
     MeasurementMethod,
+    NodeEnergyLog,
     PolicyKind,
     report_to_json,
 )
 from wattflow.cli import main
 from wattflow.counter import CounterSpec, RaplDomain
-from wattflow.logfile import LogStatus, LogWriter
+from wattflow.logfile import LogStatus, LogWriter, parse_log
 from wattflow.trace import (
     TaskRecord,
     TaskStatus,
     WorkflowTrace,
+    parse_generic_trace,
     write_generic_trace,
 )
 
@@ -322,6 +325,36 @@ class TestReportCommand:
         assert "content after end trailer" in captured.err
         assert captured.out == ""
 
+    def test_window_past_the_64_bit_range_is_clipped(self, tmp_path,
+                                                     capsys):
+        # A trace in the wrong unit can reach far outside the log's
+        # signed 64-bit monotonic times; the window is clipped to the
+        # log's span as for an in-memory log.
+        out = run_simulate(tmp_path)
+        with open(os.path.join(out, "trace_demo.json"),
+                  encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["submitted_wall_ns"] = ORIGIN - 2 ** 64
+        doc["finished_wall_ns"] = ORIGIN + 2 ** 64
+        doc["tasks"][0]["start_wall_ns"] = ORIGIN - 2 ** 64
+        trace_path = tmp_path / "wide_trace.json"
+        trace_path.write_text(json.dumps(doc), encoding="utf-8")
+        logs = {}
+        for name in sorted(os.listdir(out)):
+            if name.startswith("rapl_"):
+                parsed = parse_log(os.path.join(out, name))
+                logs[parsed.node_id] = NodeEnergyLog.from_parsed(parsed)
+        want = report_to_json(accounting.assemble_report(
+            parse_generic_trace(str(trace_path)), logs,
+            AttributionPolicy(kind=PolicyKind.CPU_TIME_SHARE),
+            method=MeasurementMethod.SHELL_WRAP))
+        capsys.readouterr()
+        code = main(["report", "--logs", out, "--trace", str(trace_path)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "clipped_window" in captured.err
+        assert captured.out == want
+
     def test_session_reads_only_its_own_logs(self, tmp_path, capsys):
         # Another session's log that does not parse sits beside the
         # simulated one: --session never opens it.
@@ -554,10 +587,6 @@ class TestUsage:
                                 capture_output=True, text=True, timeout=60,
                                 check=True)
         assert result.stdout.strip() == "[]"
-
-    def test_report_choices_are_the_enum_spellings(self):
-        assert cli._POLICIES == tuple(k.value for k in PolicyKind)
-        assert cli._METHODS == tuple(m.value for m in MeasurementMethod)
 
     def test_argparse_usage_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -23,9 +23,9 @@ from wattflow.accounting import (
     AttributionPolicy,
     NodeEnergyLog,
     PolicyKind,
+    ReportPlan,
     assemble_report,
     read_log_counts,
-    report_edges,
     report_to_json,
 )
 from wattflow.cli import main
@@ -224,7 +224,7 @@ class TestReadLogCounts:
         want = _report_text(trace, NodeEnergyLog.from_parsed(parse_log(path)))
         seen = self._reads(monkeypatch)
         log = NodeEnergyLog.from_parsed(
-            read_log_counts(path, report_edges(trace)))
+            read_log_counts(path, ReportPlan(trace).edges))
         assert _report_text(trace, log) == want
         assert len(seen) == reads
 
@@ -246,7 +246,7 @@ class TestReadLogCounts:
         trace = trace_over(lo, hi, tasks)
         want = _report_text(trace, NodeEnergyLog.from_parsed(parse_log(path)))
         log = NodeEnergyLog.from_parsed(
-            read_log_counts(path, report_edges(trace)))
+            read_log_counts(path, ReportPlan(trace).edges))
         assert _report_text(trace, log) == want
 
     @pytest.mark.parametrize("dram_from_s, reads", [(0, 1), (30, 2)])
@@ -280,7 +280,7 @@ class TestReadLogCounts:
             return reads[-1]
         monkeypatch.setattr(accounting, "read_counts", grow_after_first_read)
         log = NodeEnergyLog.from_parsed(
-            read_log_counts(path, report_edges(trace)))
+            read_log_counts(path, ReportPlan(trace).edges))
         assert len(reads) == 2
         assert reads[1].series[PKG].span_ns != log.series_by_domain[PKG].span_ns
         assert _report_text(trace, log) == want
