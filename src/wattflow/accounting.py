@@ -42,6 +42,7 @@ from .errors import (
 from .kinds import MeasurementMethod, PolicyKind
 from .logfile import LogStatus, ParsedLog, read_counts
 from .trace import (
+    FLAG_NO_TIMING,
     FLAG_SUB_RESOLUTION as _SUB_RESOLUTION,  # a task note, no report flag
     FLAG_UNKNOWN_NODE,
     TaskRecord,
@@ -57,13 +58,15 @@ NOTE_IDLE_CLAMPED = "idle_clamped"
 NOTE_CACHED = "cached"
 
 # Report-level flags are this module's FLAG_* names, FLAG_UNKNOWN_NODE
-# among them: a report carrying one is partial.  The first two are also
-# task notes.
+# and FLAG_NO_TIMING among them: a report carrying one is partial.  Those
+# two and the first two below are also task notes.
 FLAG_CLIPPED_WINDOW = "clipped_window"
 FLAG_UNSAFE_GAP = "unsafe_gap"
 FLAG_FLAGGED_LOG = "flagged_log"
 FLAG_MISSING_LOG = "missing_log"
 FLAG_RESUMED = "resumed"
+# The trace flags that leave a task on no node, and flag the report.
+_UNPLACED = frozenset({FLAG_UNKNOWN_NODE, FLAG_NO_TIMING})
 
 
 @dataclass(frozen=True)
@@ -604,10 +607,11 @@ class ReportPlan:
     ``(start, end, task_id)`` so that the order of the trace's rows never
     reaches the report; ``unplaced`` holds, in trace order, the tasks
     placed on no node: those ``cached`` and those flagged
-    ``unknown_node``.  :meth:`cuts` gives a node's clipped task windows
-    and segment boundaries over an accounting window, computed on first
-    use; :meth:`edges` is the :data:`EdgePlan` a log is read at with
-    :func:`read_log_counts`, and attribution takes the same cuts.
+    ``unknown_node`` or ``no_timing``.  :meth:`cuts` gives a node's
+    clipped task windows and segment boundaries over an accounting window,
+    computed on first use; :meth:`edges` is the :data:`EdgePlan` a log is
+    read at with :func:`read_log_counts`, and attribution takes the same
+    cuts.
     """
 
     def __init__(self, trace: WorkflowTrace) -> None:
@@ -615,7 +619,7 @@ class ReportPlan:
         self.groups: dict[str, list[TaskRecord]] = {}
         self.unplaced: list[TaskRecord] = []
         for t in trace.tasks:
-            if t.status is TaskStatus.CACHED or FLAG_UNKNOWN_NODE in t.flags:
+            if t.status is TaskStatus.CACHED or t.flags & _UNPLACED:
                 self.unplaced.append(t)
             else:
                 self.groups.setdefault(t.node_id, []).append(t)
@@ -660,10 +664,11 @@ def assemble_report(trace: WorkflowTrace,
 
     ``cached`` tasks did not run in this session: they are listed with no
     energy and the ``cached`` note, and take no share of any segment.
-    Tasks flagged ``unknown_node`` ran on no known node: they are listed
-    with no energy and that note, their energy stays unattributed, and the
-    report carries the flag.  Every other task joins its node's group, in
-    the order :class:`ReportPlan` gives.  ``plan`` is a plan of ``trace``,
+    Tasks flagged ``unknown_node`` ran on no known node, and tasks flagged
+    ``no_timing`` at no known time: they are listed with no energy and
+    those notes, their energy stays unattributed, and the report carries
+    the flags.  Every other task joins its node's group, in the order
+    :class:`ReportPlan` gives.  ``plan`` is a plan of ``trace``,
     made here when None; the one the logs were read with
     (:meth:`ReportPlan.edges`) lends attribution the cuts it made.
 
@@ -678,12 +683,12 @@ def assemble_report(trace: WorkflowTrace,
     all_tasks = []
     for t in plan.unplaced:
         if t.status is TaskStatus.CACHED:
-            note = NOTE_CACHED
+            notes = {NOTE_CACHED}
         else:
-            note = FLAG_UNKNOWN_NODE
-            report_flags.add(FLAG_UNKNOWN_NODE)
+            notes = t.flags & _UNPLACED
+            report_flags |= notes
         all_tasks.append(TaskEnergy(task_id=t.task_id, joules_by_domain={},
-                                    estimated=True, notes={note}))
+                                    estimated=True, notes=notes))
     missing = sorted(set(groups) - set(per_node))
     if missing:
         raise WattflowError(

@@ -15,20 +15,21 @@ Line grammar::
 
 Record lines make up nearly all of a long log, so the reader reads the
 file in blocks of about 32 KiB and handles each run of record lines
-between two directive lines in one block step: a few passes at C speed
-check the whole run's shape (every line ``<digits>,<spelling>,<digits>``
-with a spelling some header used), convert its numbers with one split
-and one ``map(int)``, split them by domain, check each domain's range and
-order, and only then feed each domain's samples to its sink.  A run that
-fails any check feeds nothing and is read again line by line on the
-checked path, which names the first failing line and its number;
-directive lines are always read one at a time.  Two readers share that
-front end and differ only in the sink.  :func:`parse_log` grows each
-domain's columns, an ``array('q')`` of times and an ``array('Q')`` of raw
-counts, which become the :class:`SampleSeries` as they are.
-:func:`read_counts` feeds a :class:`CountWalker` at edges the caller
-chose and keeps only the counts, so its memory does not grow with the
-log.
+between two lines holding ``#`` in one block step of a few passes at C
+speed.  With its digits deleted, the run must equal one cycle of
+``,<header spelling>,`` lines repeated, which one comparison checks; with
+its letters deleted instead, ``json``'s scanner decodes all its numbers
+in one pass.  The values are split by domain, each domain's range and
+order are checked, and only then are each domain's samples fed to its
+sink.  A run that fails any check feeds nothing and is read again line
+by line on the checked path, which names the first failing line and its
+number; directive lines are always read one at a time.  Two readers
+share that front end and differ only in the sink.  :func:`parse_log`
+grows each domain's columns, an ``array('q')`` of times and an
+``array('Q')`` of raw counts, which become the :class:`SampleSeries` as
+they are.  :func:`read_counts` feeds a :class:`CountWalker` at edges the
+caller chose and keeps only the counts, so its memory does not grow with
+the log.
 :func:`read_status` answers "has this log closed?" from the file's tail
 alone, and :func:`has_record` answers "has this log a record yet?" from
 its head, for callers that poll a growing log.
@@ -41,10 +42,12 @@ each log's own timestamp check and appends the block in one write.
 
 from __future__ import annotations
 
+import json
 import logging
 import operator
 import os
 import re
+import string
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -77,14 +80,10 @@ _FILENAME_RE = re.compile(r"^rapl_(?P<rest>.+)\.csv$")
 
 # parse_log reads a log in blocks of this many characters.
 _PARSE_BLOCK = 32 * 1024
-_DIGITS = b"0123456789"
+_DIGITS = string.digits.encode("ascii")
+_LETTERS = string.ascii_letters.encode("ascii")
+_NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
 _T_END = 2 ** 63
-# The block step's stand-in for the i-th header's ``,<spelling>,`` is byte
-# _MARKER_0 + i, which no ASCII text holds.
-_MARKER_0 = 0x80
-_MARKERS = tuple(bytes((_MARKER_0 + i,)) for i in range(len(RaplDomain)))
-_MARKER_SET = b"".join(_MARKERS)
-_MARKERS_TO_SPACE = bytes.maketrans(_MARKER_SET, b" " * len(_MARKERS))
 
 
 class LogStatus(Enum):
@@ -412,65 +411,79 @@ def _append_record(line: str, lineno: int, path: str,
     sink.feed([t_ns], [raw])
 
 
-def _take_run(run: str, fields: Sequence[tuple[bytes, _Sink]]) -> bool:
-    """Feed a run of record lines to their sinks in one block step.
+def _take_run(run: str, by_line: Mapping[bytes, _Sink]) -> int:
+    """Feed a run of record lines to their sinks in one block step, and
+    return its line count, or 0 when it feeds nothing.
 
-    ``run`` is whole lines, each ending in ``\\n``; ``fields`` pairs each
-    header's ``,<spelling>,`` with its domain's sink, in header order.
-    The step is all or nothing: it feeds only when every line is
-    ``<digits>,<header spelling>,<digits>``, the lines cycle through their
-    domains in one order, and each domain's raw counts lie inside its
-    modulus and its timestamps increase from its sink's last one and
-    stay inside the signed 64-bit range; otherwise it feeds nothing and
-    returns False.
+    ``run`` is whole lines, each ending in ``\\n``; ``by_line`` maps each
+    header's ``,<spelling>,\\n`` to its domain's sink.  The step is all or
+    nothing: it feeds only when every line is ``<digits>,<header
+    spelling>,<digits>`` with no leading zero, the lines cycle through
+    their domains in one order, and each domain's raw counts lie inside its
+    modulus and its timestamps increase from its sink's last one and stay
+    inside the signed 64-bit range.
 
-    Each spelling becomes a marker byte that no ASCII text holds, so with
-    its digits deleted a passing run reads marker, newline, marker,
-    newline, and its markers give each line's domain.
+    With its digits deleted, a passing run is its skeleton: one cycle of
+    ``,<spelling>,\\n`` lines, the lines up to the first repeat, repeated
+    and cut after a whole line, so one comparison checks every line's
+    shape and domain and the cycle gives the line count.  With its
+    letters deleted instead, each line reads ``<t>,,<raw>``; collapsing
+    ``,,`` and joining the lines with ``,`` leaves the run's numbers as
+    one JSON array, which ``json``'s C scanner decodes in one pass into
+    the ints ``int()`` gives.  The scanner refuses an empty field, a
+    leading zero (which ``int()`` reads) and more digits than the
+    interpreter converts, and each refusal leaves the run to the checked
+    path.
     """
     try:
         data = run.encode("ascii")
     except UnicodeEncodeError:
-        return False
-    for marker, (field, _) in zip(_MARKERS, fields):
-        data = data.replace(field, marker)
-    # With its digits deleted, each line must be one marker and its
-    # newline: n markers at even offsets leave the n newlines the odd ones.
-    n = run.count("\n")
+        return 0
     skeleton = data.translate(None, _DIGITS)
-    order = skeleton[::2]
-    if len(skeleton) != 2 * n or order.translate(None, _MARKER_SET):
-        return False
+    cycle: dict[bytes, _Sink] = {}
+    end = 0
+    while end < len(skeleton):
+        stop = skeleton.index(b"\n", end) + 1
+        line = skeleton[end:stop]
+        if line in cycle:
+            break
+        sink = by_line.get(line)
+        if sink is None:
+            return 0
+        cycle[line] = sink
+        end = stop
+    reps, rem = divmod(len(skeleton), end)
+    pattern = skeleton[:end]
+    if skeleton != pattern * reps + pattern[:rem]:
+        return 0
+    width = len(cycle)
+    n = reps * width + pattern.count(b"\n", 0, rem)
+
+    pairs = data.translate(None, _LETTERS)
+    numbers = pairs.replace(b",,", b",")
+    # Each line's two commas are adjacent once its letters are gone,
+    # unless a digit sits inside its spelling.
+    if len(pairs) - len(numbers) != n:
+        return 0
     try:
-        values = list(map(int, data.translate(_MARKERS_TO_SPACE).split()))
+        values = json.loads(b"[" + numbers.translate(_NEWLINE_TO_COMMA)[:-1]
+                            + b"]")
     except ValueError:
-        # More digits than int() converts: the checked path names the line.
-        return False
-    if len(values) != 2 * n:
-        return False
+        return 0
 
     # A LogWriter log cycles through its domains in one order, so each
-    # domain's values are a stride slice.  A run in any other order is
-    # left to the checked path.
-    width = 1
-    while width < n and order[width] not in order[:width]:
-        width += 1
-    cycle = order[:width]
-    if order != cycle * (n // width) + cycle[:n % width]:
-        return False
-    parts = [(fields[marker - _MARKER_0][1], values[2 * j::2 * width],
-              values[2 * j + 1::2 * width])
-             for j, marker in enumerate(cycle)]
-
+    # domain's values are a stride slice.
+    parts = [(sink, values[2 * j::2 * width], values[2 * j + 1::2 * width])
+             for j, sink in enumerate(cycle.values())]
     for sink, times, raws in parts:
         last = sink.last_t
         if max(raws) >= sink.modulus or times[-1] >= _T_END or \
                 (last is not None and times[0] <= last) or \
                 not all(map(operator.lt, times, islice(times, 1, None))):
-            return False
+            return 0
     for sink, times, raws in parts:
         sink.feed(times, raws)
-    return True
+    return n
 
 
 # Per domain, as the log reader returns it: spec, sink, gap marker times.
@@ -486,14 +499,17 @@ def _read_log(path: str, new_sink: Callable[[CounterSpec, str, int], _Sink]
     finished with one ``readline`` so that it ends on a line break; only a
     torn tail at the end of the file does not.  Each ``#`` directive line
     is handled on its own; a header asks ``new_sink(spec, node_id,
-    epoch_wall_ns)`` for its domain's sink.  Each run of record lines
-    between directives goes to its domains' sinks in one block step that
-    checks the whole run at C speed and feeds all of it or nothing; a run
-    it refuses, including one whose lines do not cycle through their
-    domains in one order, is read again line by line, which feeds what is
-    valid and names the first failing line.  A final line without a
-    terminating newline is treated as torn by a crashed writer: it is
-    dropped and the log is marked truncated.
+    epoch_wall_ns)`` for its domain's sink.  A run of record lines ends
+    before the next line holding ``#``, found with one ``find`` and backed
+    up to its line's start; a ``#`` inside a record line sends that line
+    alone to the checked path, which names it.  Each run goes to its
+    domains' sinks in one block step (:func:`_take_run`) that checks the
+    whole run at C speed, feeds all of it or nothing, and gives its line
+    count; a run it refuses, including one whose lines do not cycle
+    through their domains in one order, is read again line by line,
+    which feeds what is valid and names the first failing line.  A final
+    line without a terminating newline is treated as torn by a crashed
+    writer: it is dropped and the log is marked truncated.
 
     Returns the node id, the epoch, the status and, per domain in header
     order, its spec, its sink and its gap markers.
@@ -502,11 +518,10 @@ def _read_log(path: str, new_sink: Callable[[CounterSpec, str, int], _Sink]
     epoch_wall_ns: int | None = None
     domains: dict[RaplDomain, _Domain] = {}
     # Per domain, its sink, also reachable by the domain's header spelling
-    # for the checked path, and as ``,<spelling>,`` in header order for
-    # the block step.
+    # for the checked path, and by ``,<spelling>,\n`` for the block step.
     sinks: dict[RaplDomain, _Sink] = {}
     by_spelling: dict[str, _Sink] = {}
-    fields: list[tuple[bytes, _Sink]] = []
+    by_line: dict[bytes, _Sink] = {}
     status = LogStatus.OPEN
     saw_trailer = False
     lineno = 0
@@ -524,15 +539,23 @@ def _read_log(path: str, new_sink: Callable[[CounterSpec, str, int], _Sink]
                     raise ParseError("content after end trailer", path=path,
                                      line=lineno + 1)
                 if text[start] != "#":
-                    # The run ends where a line starts with "#", or at the
-                    # block's cut.
-                    stop = text.find("\n#", start, cut) + 1 or cut
-                    run = text[start:stop]
-                    if not _take_run(run, fields):
-                        for i, line in enumerate(run[:-1].split("\n"),
-                                                 start=lineno + 1):
+                    # The run ends before the line holding the next "#", a
+                    # directive's or one inside a record, or at the cut.
+                    mark = text.find("#", start, cut)
+                    stop = cut if mark < 0 else \
+                        text.rfind("\n", start, mark) + 1
+                    if stop > start:
+                        n = _take_run(text[start:stop], by_line)
+                    else:
+                        # A "#" inside this line: the checked path names it.
+                        stop = text.index("\n", mark) + 1
+                        n = 0
+                    if not n:
+                        lines = text[start:stop - 1].split("\n")
+                        for i, line in enumerate(lines, start=lineno + 1):
                             _append_record(line, i, path, by_spelling, sinks)
-                    lineno += run.count("\n")
+                        n = len(lines)
+                    lineno += n
                     start = stop
                     continue
                 stop = text.index("\n", start) + 1
@@ -568,7 +591,7 @@ def _read_log(path: str, new_sink: Callable[[CounterSpec, str, int], _Sink]
                     sink = new_sink(spec, node_id, epoch_wall_ns)
                     domains[domain] = (spec, sink, [])
                     sinks[domain] = by_spelling[kv["domain"]] = sink
-                    fields.append((f",{kv['domain']},".encode("ascii"), sink))
+                    by_line[f",{kv['domain']},\n".encode("ascii")] = sink
                 elif line.startswith(GAP_PREFIX):
                     kv = _parse_kv(line[len(GAP_PREFIX):], path, lineno)
                     try:

@@ -28,6 +28,7 @@ from .errors import (
 FLAG_SUB_RESOLUTION = "sub_resolution"
 FLAG_UNKNOWN_NODE = "unknown_node"
 FLAG_CPU_TIME_FALLBACK = "cpu_time_fallback"
+FLAG_NO_TIMING = "no_timing"
 
 SUB_RESOLUTION_S = 0.5
 
@@ -45,7 +46,8 @@ class TaskRecord:
     ``end_wall_ns == start_wall_ns`` marks a task whose engine stamped both
     ends with the same instant (runtime below the trace resolution); such
     records carry the ``sub_resolution`` flag and get an assumed window for
-    accounting (see :meth:`window`).
+    accounting (see :meth:`window`).  A record flagged ``no_timing`` has
+    no window: its times and CPU time are 0 and stand for nothing.
     """
 
     task_id: str
@@ -69,7 +71,8 @@ class TaskRecord:
                 f"task {self.task_id}: cpu_time_s must be >= 0, "
                 f"got {self.cpu_time_s}")
         flags = frozenset(self.flags)
-        if self.end_wall_ns == self.start_wall_ns:
+        if self.end_wall_ns == self.start_wall_ns and \
+                FLAG_NO_TIMING not in flags:
             flags |= {FLAG_SUB_RESOLUTION}
         object.__setattr__(self, "flags", flags)
 
@@ -120,6 +123,9 @@ _NF_STATUS = {
     "ABORTED": TaskStatus.FAILED,
 }
 
+# The columns a row needs to be placed in time; the engine writes "-" for
+# a field it did not record.
+_TIMING_COLUMNS = ("start", "complete", "realtime", "%cpu")
 _DURATION_TOKEN = re.compile(r"(?P<num>\d+(?:\.\d+)?)\s*(?P<unit>ms|[smhd])$")
 _UNIT_S = {"ms": 1e-3, "s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
 
@@ -171,15 +177,18 @@ def parse_nextflow_trace(path: str) -> WorkflowTrace:
     CPU time is reconstructed as ``realtime x (%cpu / 100)``: the engine
     reports task wall runtime and average CPU utilization, not CPU seconds.
     Node placement comes from the hostname column when present; rows without
-    one get node ``unknown`` plus a flag.  The workflow window runs from
-    the earliest start to the latest completion of the rows that are not
-    ``CACHED`` (of every row when all are).  The workflow id is the file's
-    base name without extension.
+    one get node ``unknown`` plus a flag.  A row with ``-`` in ``start``,
+    ``complete``, ``realtime`` or ``%cpu`` (a task the engine aborted
+    before it recorded them) is kept with the ``no_timing`` flag and no
+    window.  The workflow window runs from the earliest start to the
+    latest completion of the timed rows that are not ``CACHED`` (of every
+    timed row when all are).  The workflow id is the file's base name
+    without extension.
 
     Raises:
-        ParseError: No task rows, a required column absent from the
-            header, or a row's field that cannot be interpreted (carries
-            the row number).
+        ParseError: No task rows, no timed row, a required column absent
+            from the header, or a row's field that cannot be interpreted
+            (carries the row number).
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -208,11 +217,19 @@ def parse_nextflow_trace(path: str) -> WorkflowTrace:
             status_text = fields[index["status"]].strip().upper()
             if status_text not in _NF_STATUS:
                 raise ValueError(f"unknown status {status_text!r}")
-            realtime_s = parse_duration_s(fields[index["realtime"]])
-            pcpu = parse_percent(fields[index["%cpu"]])
-            if pcpu < 0:
-                raise ValueError(f"negative %cpu {pcpu}")
             flags = set()
+            if any(fields[index[c]].strip() == "-" for c in _TIMING_COLUMNS):
+                flags.add(FLAG_NO_TIMING)
+                start = end = 0
+                cpu_time_s = 0.0
+            else:
+                realtime_s = parse_duration_s(fields[index["realtime"]])
+                pcpu = parse_percent(fields[index["%cpu"]])
+                if pcpu < 0:
+                    raise ValueError(f"negative %cpu {pcpu}")
+                start = parse_timestamp_wall_ns(fields[index["start"]])
+                end = parse_timestamp_wall_ns(fields[index["complete"]])
+                cpu_time_s = realtime_s * (pcpu / 100.0)
             if host_col is not None and fields[host_col].strip() not in ("", "-"):
                 node_id = fields[host_col].strip()
             else:
@@ -222,9 +239,9 @@ def parse_nextflow_trace(path: str) -> WorkflowTrace:
                 task_id=fields[index["task_id"]].strip(),
                 name=fields[index["name"]].strip(),
                 node_id=node_id,
-                start_wall_ns=parse_timestamp_wall_ns(fields[index["start"]]),
-                end_wall_ns=parse_timestamp_wall_ns(fields[index["complete"]]),
-                cpu_time_s=realtime_s * (pcpu / 100.0),
+                start_wall_ns=start,
+                end_wall_ns=end,
+                cpu_time_s=cpu_time_s,
                 status=_NF_STATUS[status_text],
                 flags=frozenset(flags))
         except (ValueError, InvalidArgumentError) as exc:
@@ -232,7 +249,10 @@ def parse_nextflow_trace(path: str) -> WorkflowTrace:
         tasks.append(record)
     if not tasks:
         raise ParseError("trace file has no task rows", path=path)
-    ran = [t for t in tasks if t.status is not TaskStatus.CACHED] or tasks
+    timed = [t for t in tasks if FLAG_NO_TIMING not in t.flags]
+    if not timed:
+        raise ParseError("trace file has no row with timing", path=path)
+    ran = [t for t in timed if t.status is not TaskStatus.CACHED] or timed
     return WorkflowTrace(
         workflow_id=_stem(path),
         submitted_wall_ns=min(t.start_wall_ns for t in ran),

@@ -762,6 +762,73 @@ class TestCachedTask:
                  "notes": ["cached"]}]
 
 
+class TestUntimedRow:
+    @pytest.mark.parametrize("dashed", ["start", "complete", "realtime",
+                                        "%cpu", "all"])
+    def test_dash_field_row_is_listed_and_flagged(self, tmp_path, capsys,
+                                                   dashed):
+        # The engine writes "-" for a field it did not record, as for a
+        # task aborted before it ran.  The row's task takes no energy and
+        # stays out of the workflow window, and the report is flagged.
+        out = str(tmp_path / "sim")
+        assert main(["simulate", "--scenario",
+                     os.path.join(ROOT, "scenarios", "rnaseq_like.json"),
+                     "--out", out]) == 0
+        ms = ORIGIN // 1_000_000
+        columns = ["task_id", "name", "status", "start", "complete",
+                   "realtime", "%cpu", "hostname"]
+        ran = ["t1", "uniform-load", "COMPLETED", str(ms),
+               str(ms + 1_500_000), "1500s", "200%", "n1"]
+        aborted = ["a1", "aborted-step", "ABORTED", str(ms - 86_400_000),
+                   str(ms + 3_000_000), "600s", "100%", "n1"]
+        for i, column in enumerate(columns):
+            if column == dashed or (dashed == "all" and 3 <= i <= 6):
+                aborted[i] = "-"
+        reports, codes = [], []
+        for name, rows in (("plain", [ran]), ("aborted", [ran, aborted])):
+            (tmp_path / name).mkdir()
+            trace_path = tmp_path / name / "trace.tsv"
+            trace_path.write_text("".join("\t".join(row) + "\n" for row in
+                                          [columns] + rows),
+                                  encoding="utf-8")
+            target = str(tmp_path / f"{name}.json")
+            capsys.readouterr()
+            codes.append(main(["report", "--logs", out, "--trace",
+                               str(trace_path), "--out", target]))
+            assert warnings_in(capsys.readouterr().err) == (
+                partial_warning("no_timing") if rows[1:] else [])
+            reports.append(read_json(target))
+        assert codes == [0, 4]
+        without, with_aborted = reports
+        assert with_aborted["flags"] == ["no_timing"]
+        assert [t for t in with_aborted["per_task"]
+                if t["task_id"] == "a1"] == [
+            {"task_id": "a1", "joules_by_domain": {}, "estimated": True,
+             "notes": ["no_timing"]}]
+        # The same window and split: only the listing and the flag differ.
+        with_aborted["per_task"] = [t for t in with_aborted["per_task"]
+                                    if t["task_id"] != "a1"]
+        del with_aborted["flags"]
+        assert with_aborted == without
+        assert without["total_joules"] == pytest.approx(225_000.0, rel=1e-6)
+        # Conservation: tasks plus unattributed make the total.
+        attributed = sum(sum(t["joules_by_domain"].values())
+                         for t in without["per_task"])
+        assert attributed + without["unattributed_joules"] == \
+            pytest.approx(without["total_joules"], rel=1e-12)
+
+    def test_trace_with_no_timed_row_exits_2(self, tmp_path, capsys):
+        out = run_simulate(tmp_path)
+        trace_path = tmp_path / "aborted.tsv"
+        trace_path.write_text(
+            "task_id\tname\tstatus\tstart\tcomplete\trealtime\t%cpu\n"
+            "a1\tstep\tABORTED\t-\t-\t-\t-\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--logs", out, "--trace",
+                     str(trace_path)]) == 2
+        assert "no row with timing" in capsys.readouterr().err
+
+
 def _os_error_case(tmp_path, case: str) -> list[str]:
     """Arguments for one subcommand that meets an OS error."""
     blocker = tmp_path / "a-file"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import tracemalloc
 
@@ -19,6 +20,7 @@ from wattflow.counter import (
     RaplDomain,
     RawSample,
     build_series,
+    counts_at,
 )
 from wattflow.errors import (
     AlreadyActiveError,
@@ -747,15 +749,27 @@ TWO_FAULT_LOGS = (
     _HEAD + f"10,package,1\n5,package,{2**32}\n",  # range, monotonic
     _HEAD + "10,package,1\n10,PACKAGE,2\n",      # monotonic, other spelling
 )
-# One run per check of the block step, each failing only that check.
+_HEAD2 = _HEAD + (f"{HEADER_PREFIX}node=n1 domain=dram bit_width=32 "
+                  f"unit_j=1e-06 epoch_wall_ns=7\n")
+# One run per check of the block step, each failing only that check,
+# and one run that starts on its second domain, which the step takes.
 BLOCK_STEP_LOGS = (
-    _HEAD + "10,package,1\n20 5\n",              # markers only
+    _HEAD + "10,package,1\n20 5\n",              # skeleton line
     _HEAD + "10,package,1\n20,package,\n",       # two integers a line
     _HEAD + f"10,package,1\n20,package,{2**32}\n",  # range
     _HEAD + "10,package,1\n10,package,2\n",      # order within the run
     _HEAD + f"10,package,1\n{GAP_PREFIX}t_ns=12 domain=package\n"
     "5,package,2\n",                             # order after the column
     _HEAD + "10,package,1\n" + "9" * 5000 + ",package,2\n",  # int() limit
+    _HEAD + "10,package,1\n020,package,2\n",     # leading zero, parses
+    _HEAD + "10,package,1\n2#0,package,2\n",     # "#" inside a record
+    _HEAD + "10,package,1\n20,package,2#\n",     # "#" ending a record
+    _HEAD2 + "10,dram,1\n10,package,1\n"
+    "20,dram,2\n20,package,2\n",                 # cycle from the 2nd header
+    _HEAD2 + "10,package,1\n10,dram,1\n20,dram,2\n20,package,2\n"
+    "30,package,3\n30,dram,3\n",                 # cycle broken mid-run
+    _HEAD + "10,package,1\n20,PACKAGE,2\n",      # header's case only
+    _HEAD + "10,package,1\n20,pack7age,30\n",    # digit inside a spelling
 )
 # Block edges at each block size: a record whose "\r\n" straddles the
 # edge of a 64-character block (the block starts with that record), a
@@ -785,6 +799,13 @@ class TestDifferentialParse:
     @example(log=(BLOCK_STEP_LOGS[3], False))
     @example(log=(BLOCK_STEP_LOGS[4], False))
     @example(log=(BLOCK_STEP_LOGS[5], False))
+    @example(log=(BLOCK_STEP_LOGS[6], False))
+    @example(log=(BLOCK_STEP_LOGS[7], False))
+    @example(log=(BLOCK_STEP_LOGS[8], False))
+    @example(log=(BLOCK_STEP_LOGS[9], False))
+    @example(log=(BLOCK_STEP_LOGS[10], False))
+    @example(log=(BLOCK_STEP_LOGS[11], False))
+    @example(log=(BLOCK_STEP_LOGS[12], False))
     @example(log=(EDGE_LOGS[0], False))
     @example(log=(EDGE_LOGS[1], False))
     @example(log=(EDGE_LOGS[2], True))
@@ -833,6 +854,49 @@ class TestDifferentialParse:
         for size in (64, 1000, logfile._PARSE_BLOCK):
             monkeypatch.setattr(logfile, "_PARSE_BLOCK", size)
             assert _outcome(parse_log, str(path)) == expected, size
+
+    @pytest.mark.parametrize("size", (1024, logfile._PARSE_BLOCK))
+    @pytest.mark.parametrize("gaps", (False, True))
+    def test_block_step_takes_every_writer_run(self, tmp_path, monkeypatch,
+                                               size, gaps):
+        # A clean LogWriter log over many blocks, its runs cut by blocks
+        # and by gap markers, never reaches the checked path.  Refusing
+        # such runs would keep every result right and only cost time.
+        rng = random.Random(19)
+        path = str(tmp_path / log_filename("n1", "fast"))
+        specs = {PKG: PKG_SPEC, DRAM: DRAM_SPEC}
+        w = LogWriter(path, "n1", specs, epoch_wall_ns=1_000)
+        written: dict = {PKG: [], DRAM: []}
+        t = 0
+        for _ in range(8000):
+            t += rng.randint(1, 10**9)
+            for d in specs:
+                if gaps and rng.random() < 0.01:
+                    w.gap(t, d)
+                else:
+                    raw = rng.randrange(2**32)
+                    w.record(t, d, raw)
+                    written[d].append((t, raw))
+        w.close()
+        assert os.path.getsize(path) > 8 * size
+
+        def refuse(*args):
+            raise AssertionError("block step refused a writer run")
+
+        monkeypatch.setattr(logfile, "_PARSE_BLOCK", size)
+        monkeypatch.setattr(logfile, "_append_record", refuse)
+        parsed = parse_log(path)
+        for d, samples in written.items():
+            series = parsed.series[d]
+            assert list(zip(series.times, series.raws)) == samples
+            assert bool(series.gap_markers) == gaps
+        inside = [t // 3, t // 2]
+        counted = logfile.read_counts(
+            path, lambda node: [1_000 + e for e in inside])
+        for d, samples in written.items():
+            assert len(counted.series[d]) == len(samples)
+            assert counts_at(counted.series[d], inside) == \
+                counts_at(parsed.series[d], inside)
 
     def test_generator_reaches_each_outcome(self, tmp_path):
         # The property above is only as strong as the cases it sees: valid

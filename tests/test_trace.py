@@ -13,6 +13,7 @@ from wattflow.errors import (
 )
 from wattflow.trace import (
     FLAG_CPU_TIME_FALLBACK,
+    FLAG_NO_TIMING,
     FLAG_SUB_RESOLUTION,
     FLAG_UNKNOWN_NODE,
     TaskRecord,
@@ -104,6 +105,22 @@ class TestNextflowTrace:
         assert trace.submitted_wall_ns == 1_700_000_000_000_000_000
         assert trace.finished_wall_ns == 1_700_000_015_000_000_000
         assert [t.flags for t in trace.tasks] == [frozenset()] * 2
+
+    @pytest.mark.parametrize("field", ["start", "complete", "realtime",
+                                       "pcpu"])
+    def test_dash_field_leaves_the_row_untimed(self, tmp_path, field):
+        # The engine writes "-" for a field it did not record; the row is
+        # kept, flagged, and left out of the workflow window.
+        aborted = {"task_id": "2", "status": "ABORTED",
+                   "start": "1600000000000", "complete": "1800000000000"}
+        rows = [tsv_row(task_id="1"), tsv_row(**{**aborted, field: "-"})]
+        trace = parse_nextflow_trace(write_tsv(tmp_path, rows))
+        timed, untimed = trace.tasks
+        assert untimed.flags == frozenset({FLAG_NO_TIMING})
+        assert (untimed.start_wall_ns, untimed.end_wall_ns,
+                untimed.cpu_time_s) == (0, 0, 0.0)
+        assert (trace.submitted_wall_ns, trace.finished_wall_ns) == \
+            (timed.start_wall_ns, timed.end_wall_ns)
 
     def test_workflow_id_defaults_to_file_stem(self, tmp_path):
         path = write_tsv(tmp_path, [tsv_row()], name="rnaseq_run.txt")
