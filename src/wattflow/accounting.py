@@ -11,7 +11,9 @@ Also hosts the interval-scrape estimator, which deliberately reproduces the
 point-count times interval arithmetic of average-power monitoring queries
 (including their boundary coarseness).
 
-Everything here is pure computation over immutable inputs.
+Each node's log arrives as a :class:`~wattflow.logfile.NodeEnergyLog`,
+which :mod:`wattflow.logfile` reads; no log is read here, and everything
+here is pure computation over immutable inputs.
 """
 
 from __future__ import annotations
@@ -19,28 +21,25 @@ from __future__ import annotations
 import json
 import math
 from bisect import insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .counter import (
     EnergyQuantity,
     RaplDomain,
-    SampleSeries,
-    SeriesCounts,
     counts_at,
     integrate_window,
 )
 from .errors import (
     DegenerateSeriesError,
     InvalidArgumentError,
-    ParseError,
     SchemaViolationError,
     WattflowError,
     load_json,
 )
 from .kinds import MeasurementMethod, PolicyKind
-from .logfile import LogStatus, ParsedLog, read_counts
+from .logfile import LogStatus, NodeEnergyLog
 from .trace import (
     FLAG_NO_TIMING,
     FLAG_SUB_RESOLUTION as _SUB_RESOLUTION,  # a task note, no report flag
@@ -95,113 +94,6 @@ class AttributionPolicy:
                     f"got {self.idle_baseline_watts}")
 
 
-@dataclass(frozen=True)
-class NodeEnergyLog:
-    """A node's recorded domains for one session and its log's status.
-
-    Each domain is a :class:`SampleSeries`, or a :class:`SeriesCounts`
-    that :func:`read_log_counts` read at the edges a report needs; every
-    function here takes either.
-    """
-
-    node_id: str
-    series_by_domain: Mapping[RaplDomain, SampleSeries | SeriesCounts]
-    status: LogStatus = LogStatus.CLOSED
-
-    def __post_init__(self) -> None:
-        if not self.series_by_domain:
-            raise InvalidArgumentError(
-                f"node {self.node_id}: no recorded domains")
-        # Kept in domain-name order, the order node_window_energy and
-        # attribute_concurrent return domains in.
-        object.__setattr__(self, "series_by_domain", dict(sorted(
-            self.series_by_domain.items(), key=lambda kv: kv[0].value)))
-        for domain, series in self.series_by_domain.items():
-            if series.node_id != self.node_id:
-                raise InvalidArgumentError(
-                    f"series for {domain} belongs to {series.node_id!r}, "
-                    f"not {self.node_id!r}")
-            if series.spec.domain is not domain:
-                raise InvalidArgumentError(
-                    f"series keyed {domain} but carries "
-                    f"{series.spec.domain}")
-
-    @classmethod
-    def from_parsed(cls, parsed: ParsedLog) -> "NodeEnergyLog":
-        return cls(node_id=parsed.node_id, series_by_domain=parsed.series,
-                   status=parsed.status)
-
-    def wall_span(self) -> tuple[int, int]:
-        """Intersection of all domains' sampled spans, in wall time."""
-        starts, ends = [], []
-        for series in self.series_by_domain.values():
-            first, last = series.span_ns
-            starts.append(first + series.epoch_wall_ns)
-            ends.append(last + series.epoch_wall_ns)
-        lo, hi = max(starts), min(ends)
-        if hi <= lo:
-            raise InvalidArgumentError(
-                f"node {self.node_id}: recorded domains share no time span")
-        return lo, hi
-
-    def has_unsafe_gap(self, start_wall_ns: int, end_wall_ns: int) -> bool:
-        return any(
-            series.has_unsafe_gap(start_wall_ns - series.epoch_wall_ns,
-                                  end_wall_ns - series.epoch_wall_ns)
-            for series in self.series_by_domain.values())
-
-
-# Edges a log is read at: ``edges(node_id, span)`` gives the wall-ns
-# edges for the log's node, with ``span`` None before the log is read and
-# the log's sampled wall span after.
-EdgePlan = Callable[[str, "tuple[int, int] | None"], Sequence[int]]
-
-
-def read_log_counts(path: str, edges: EdgePlan) -> ParsedLog:
-    """Read a log into the counts at the edges a report needs, keeping no
-    samples.
-
-    The log is read once with :func:`~wattflow.logfile.read_counts` at
-    ``edges(node_id, None)``.  When that read holds no count at one of
-    ``edges(node_id, span)``, with ``span`` the log's sampled wall span
-    (:meth:`NodeEnergyLog.wall_span`), it is read a second time at those
-    edges: the span clipped the planned window, or the domains' spans
-    differ.  Only the counts of the second read are kept; span, gaps and
-    status stay those of the first, so a log that grew between the reads
-    gives the counts of the log as first read.  A log with no usable span
-    is returned as first read, since no count of it is used.
-
-    Raises:
-        ParseError: As :func:`~wattflow.logfile.parse_log`, or the log's
-            node or domains changed between the two reads.
-    """
-    planned: list[Sequence[int]] = []
-
-    def first_edges(node_id: str) -> Sequence[int]:
-        planned.append(edges(node_id, None))
-        return planned[0]
-
-    parsed = read_counts(path, first_edges)
-    try:
-        span = NodeEnergyLog.from_parsed(parsed).wall_span()
-    except (DegenerateSeriesError, InvalidArgumentError):
-        return parsed
-    final = edges(parsed.node_id, span)
-    # Planned edges inside the span have counts in every domain.
-    if final == planned[0] or all(
-            s.has_counts([t - s.epoch_wall_ns for t in final])
-            for s in parsed.series.values()):
-        return parsed
-    again = read_counts(path, lambda _node: final)
-    if again.node_id != parsed.node_id or \
-            again.series.keys() != parsed.series.keys():
-        raise ParseError(f"{path}: log changed between reads")
-    return replace(parsed, series={
-        domain: replace(s, edges_ns=again.series[domain].edges_ns,
-                        counts=again.series[domain].counts)
-        for domain, s in parsed.series.items()})
-
-
 def _clip(window: tuple[int, int], span: tuple[int, int]
           ) -> tuple[int, int]:
     return max(window[0], span[0]), min(window[1], span[1])
@@ -216,7 +108,7 @@ def log_flags(log: NodeEnergyLog) -> set[str]:
     flags = set()
     if log.status is not LogStatus.CLOSED:
         flags.add(f"{FLAG_FLAGGED_LOG}:{log.node_id}")
-    if any(s.unsafe_gaps() for s in log.series_by_domain.values()):
+    if any(s.unsafe_gaps() for s in log.series.values()):
         flags.add(FLAG_UNSAFE_GAP)
     return flags
 
@@ -233,7 +125,7 @@ def node_window_energy(log: NodeEnergyLog, start_wall_ns: int,
         raise InvalidArgumentError(
             f"window start {start_wall_ns} after end {end_wall_ns}")
     out: dict[RaplDomain, float] = {}
-    for domain, series in log.series_by_domain.items():
+    for domain, series in log.series.items():
         if start_wall_ns == end_wall_ns:
             out[domain] = 0.0
             continue
@@ -464,7 +356,7 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
     # Joules per task and unattributed, by position in ``domains``; dicts
     # are built once.  Each domain's entry carries its count at every
     # boundary and its energy unit.
-    domains = list(log.series_by_domain)
+    domains = list(log.series)
     package = domains.index(RaplDomain.PACKAGE) \
         if RaplDomain.PACKAGE in domains else None
     task_joules = [[0.0] * len(tasks) for _ in domains]
@@ -472,7 +364,7 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
     per_domain = [
         (d, counts_at(series, [b - series.epoch_wall_ns for b in boundaries]),
          series.spec.energy_unit_joules, task_joules[d])
-        for d, series in enumerate(log.series_by_domain.values())]
+        for d, series in enumerate(log.series.values())]
     exclusive = policy.kind is PolicyKind.EXCLUSIVE_ONLY
     baseline_w = policy.idle_baseline_watts
     live: list[int] = []
@@ -609,8 +501,9 @@ class ReportPlan:
     placed on no node: those ``cached`` and those flagged
     ``unknown_node`` or ``no_timing``.  :meth:`cuts` gives a node's
     clipped task windows and segment boundaries over an accounting window,
-    computed on first use; :meth:`edges` is the :data:`EdgePlan` a log is
-    read at with :func:`read_log_counts`, and attribution takes the same
+    computed on first use; :meth:`edges` is the
+    :data:`~wattflow.logfile.EdgePlan` a log is read at with
+    :func:`~wattflow.logfile.read_counts`, and attribution takes the same
     cuts.
     """
 

@@ -222,7 +222,6 @@ class SamplerAgent:
             config.signal_dir, stale_timeout_s=config.stale_timeout_s,
             wall_ns=wall_ns)
         self._writers: dict[str, LogWriter] = {}
-        self._skipped: set[str] = set()
         self._stopping = False
         # Read end of the pipe a stop signal writes to; see _sleep.
         self._wake_fd: int | None = None
@@ -243,31 +242,26 @@ class SamplerAgent:
         return tuple(sorted(self._writers))
 
     def _open_writer(self, session_id: str) -> None:
-        if session_id in self._writers or session_id in self._skipped:
-            return
         path = f"{self.config.log_dir}/" \
                f"{log_filename(self.config.node_id, session_id)}"
         epoch_wall_ns = self._wall_ns() - self._mono_ns()
         try:
-            writer = LogWriter(path, self.config.node_id, self._specs,
-                               epoch_wall_ns=epoch_wall_ns)
+            self._writers[session_id] = LogWriter(
+                path, self.config.node_id, self._specs,
+                epoch_wall_ns=epoch_wall_ns)
         except AlreadyActiveError:
             logger.warning(
                 "log %s already exists; ignoring session %s",
                 path, session_id)
-            self._skipped.add(session_id)
-            return
         except OSError as exc:
             logger.error("cannot create log %s (%s); ignoring session %s",
                          path, exc, session_id)
-            self._skipped.add(session_id)
-            return
-        self._writers[session_id] = writer
-        logger.info("session %s started, logging to %s", session_id, path)
+        else:
+            logger.info("session %s started, logging to %s", session_id,
+                        path)
 
     def _close_writer(self, session_id: str, status: LogStatus) -> None:
         writer = self._writers.pop(session_id, None)
-        self._skipped.discard(session_id)
         if writer is None:
             return
         try:

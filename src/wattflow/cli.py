@@ -30,10 +30,11 @@ import logging
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
 from .agent import SamplerAgent, config_from_obj
 from .errors import (
+    DegenerateSeriesError,
     InvalidArgumentError,
     ParseError,
     SchemaViolationError,
@@ -42,19 +43,15 @@ from .errors import (
     load_json,
 )
 from .kinds import MeasurementMethod, PolicyKind
-from .logfile import parse_log
-
-if TYPE_CHECKING:
-    from .accounting import EdgePlan, NodeEnergyLog
+from .logfile import EdgePlan, NodeEnergyLog, parse_log, read_counts
 
 logger = logging.getLogger(__name__)
 
 # Modules that only some commands use, so that ``wattflow agent`` starts
 # without them, and the names the commands take from each.
 _LAZY = {
-    "accounting": ("FLAG_MISSING_LOG", "AttributionPolicy", "NodeEnergyLog",
-                   "ReportPlan", "assemble_report", "load_report",
-                   "read_log_counts", "report_to_json"),
+    "accounting": ("FLAG_MISSING_LOG", "AttributionPolicy", "ReportPlan",
+                   "assemble_report", "load_report", "report_to_json"),
     "orchestrate": ("load_run_config", "resume", "run_wrapped"),
     "simulate": ("evaluate_methods", "load_scenario", "write_log_files"),
     "trace": ("parse_generic_trace", "parse_nextflow_trace",
@@ -154,7 +151,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _load_logs(logs_dir: str, session: str | None, edges: EdgePlan
                ) -> dict[str, NodeEnergyLog]:
     """Read every session log in a directory into per-node logs, each at
-    the edges ``edges`` plans (see ``accounting.read_log_counts``).
+    the edges ``edges`` plans (see ``logfile.read_counts``).
 
     Multiple sessions in one directory need ``--session``; with it, only
     the logs whose names end in ``_<session>.csv`` are read.  A log that
@@ -168,8 +165,8 @@ def _load_logs(logs_dir: str, session: str | None, edges: EdgePlan
     for name in sorted(os.listdir(logs_dir)):
         if name.startswith("rapl_") and name.endswith(suffix):
             try:
-                parsed_logs.append(_cli.read_log_counts(
-                    os.path.join(logs_dir, name), edges))
+                parsed_logs.append(read_counts(os.path.join(logs_dir, name),
+                                               edges))
             except ParseError as exc:
                 unparsed.append((name, exc))
     if session is not None:
@@ -194,8 +191,29 @@ def _load_logs(logs_dir: str, session: str | None, edges: EdgePlan
             raise InvalidArgumentError(
                 f"two logs for node {p.node_id} in session "
                 f"{p.session_id}")
-        logs[p.node_id] = _cli.NodeEnergyLog.from_parsed(p)
+        logs[p.node_id] = p
     return logs
+
+
+def _note_offsets(window: tuple[int, int], logs: dict[str, NodeEnergyLog],
+                  tsv: bool) -> None:
+    """One note per node whose log's span does not hold the trace window,
+    naming how far the window's middle lies from the span's: a clock or
+    time-zone offset between trace and logs shows as that many seconds."""
+    for node, log in sorted(logs.items()):
+        try:
+            lo, hi = log.wall_span()
+        except (DegenerateSeriesError, InvalidArgumentError):
+            continue
+        if lo <= window[0] and window[1] <= hi:
+            continue
+        offset_s = (window[0] + window[1] - lo - hi) / 2e9
+        print(f"wattflow: note: the trace window is not inside node {node}'s "
+              f"log span; its middle lies {abs(offset_s):.1f} s "
+              f"{'before' if offset_s < 0 else 'after'} the span's"
+              + ("; TSV timestamps are read as UTC, and Nextflow's "
+                 "trace.raw = true writes epoch ms" if tsv else ""),
+              file=sys.stderr)
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -218,6 +236,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             idle_baseline_watts=args.idle_baseline_watts)
     except _USAGE_ERRORS as exc:
         return _fail(str(exc), EXIT_USAGE)
+    _note_offsets(plan.window, logs, tsv=not args.trace.endswith(".json"))
     try:
         report = _cli.assemble_report(
             trace, logs, policy, method=MeasurementMethod(args.method),
@@ -283,9 +302,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_USAGE)
     os.makedirs(args.out, exist_ok=True)
     try:
-        logs = {p.node_id: _cli.NodeEnergyLog.from_parsed(p)
-                for p in map(parse_log,
-                             _cli.write_log_files(scenario, args.out))}
+        logs = {log.node_id: log for log in map(
+            parse_log, _cli.write_log_files(scenario, args.out))}
         _cli.write_generic_trace(
             scenario.trace,
             os.path.join(args.out, f"trace_{scenario.scenario_id}.json"))

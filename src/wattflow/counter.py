@@ -14,8 +14,8 @@ samples in order, keeps the first raw reading, the number of readings
 that fell below their predecessor (wraps) and the last sample, and gives
 the count at each of a fixed list of edges, an exact Python int for any
 modulus before it is interpolated.  :func:`counts_at` feeds it a series'
-columns; a log reader feeds it blocks of samples as it reads them, and
-keeps only the counts, as a :class:`SeriesCounts`.
+columns; :func:`wattflow.logfile.read_counts` feeds it blocks of samples
+as it reads a log, and keeps only the counts, as a :class:`SeriesCounts`.
 
 All functions are pure and operate on immutable inputs; they are safe to call
 from any number of threads.

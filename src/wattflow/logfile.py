@@ -28,8 +28,10 @@ share that front end and differ only in the sink.  :func:`parse_log`
 grows each domain's columns, an ``array('q')`` of times and an
 ``array('Q')`` of raw counts, which become the :class:`SampleSeries` as
 they are.  :func:`read_counts` feeds a :class:`CountWalker` at edges the
-caller chose and keeps only the counts, so its memory does not grow with
-the log.
+caller plans and keeps only the counts, so its memory does not grow with
+the log; it reads the log a second time only when the first read lacks a
+count at the final edges.  Both return a :class:`NodeEnergyLog`, the one
+type accounting takes.
 :func:`read_status` answers "has this log closed?" from the file's tail
 alone, and :func:`has_record` answers "has this log a record yet?" from
 its head, for callers that poll a growing log.
@@ -49,7 +51,7 @@ import os
 import re
 import string
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import islice
 from typing import Callable, Mapping, Sequence
@@ -64,6 +66,7 @@ from .counter import (
 )
 from .errors import (
     AlreadyActiveError,
+    DegenerateSeriesError,
     InvalidArgumentError,
     ParseError,
 )
@@ -204,10 +207,7 @@ class LogWriter:
                  epoch_wall_ns: int) -> None:
         if not specs:
             raise InvalidArgumentError("at least one domain spec required")
-        self.path = path
-        self.node_id = node_id
         self.specs = dict(specs)
-        self.epoch_wall_ns = epoch_wall_ns
         self._last_t: dict[str, int] = {}
         self._closed = False
         try:
@@ -295,15 +295,55 @@ class LogWriter:
 
 
 @dataclass(frozen=True)
-class ParsedLog:
-    """One session log read back, per domain, into a sample series
-    (:func:`parse_log`) or into the counts at chosen edges
-    (:func:`read_counts`)."""
+class NodeEnergyLog:
+    """One node's session log read back, and how it ended.
+
+    Each recorded domain is a :class:`SampleSeries` (:func:`parse_log`) or
+    the :class:`SeriesCounts` at chosen edges (:func:`read_counts`); every
+    accounting function takes either.  Domains are kept in name order, the
+    order accounting returns them in.  ``session_id`` is the one the log's
+    file name carries, None for a log built by hand.
+    """
 
     node_id: str
-    session_id: str
-    status: LogStatus
     series: Mapping[RaplDomain, SampleSeries | SeriesCounts]
+    status: LogStatus = LogStatus.CLOSED
+    session_id: str | None = None
+
+    def __post_init__(self) -> None:
+        if not self.series:
+            raise InvalidArgumentError(
+                f"node {self.node_id}: no recorded domains")
+        object.__setattr__(self, "series", dict(sorted(
+            self.series.items(), key=lambda kv: kv[0].value)))
+        for domain, series in self.series.items():
+            if series.node_id != self.node_id:
+                raise InvalidArgumentError(
+                    f"series for {domain} belongs to {series.node_id!r}, "
+                    f"not {self.node_id!r}")
+            if series.spec.domain is not domain:
+                raise InvalidArgumentError(
+                    f"series keyed {domain} but carries "
+                    f"{series.spec.domain}")
+
+    def wall_span(self) -> tuple[int, int]:
+        """Intersection of all domains' sampled spans, in wall time."""
+        starts, ends = [], []
+        for series in self.series.values():
+            first, last = series.span_ns
+            starts.append(first + series.epoch_wall_ns)
+            ends.append(last + series.epoch_wall_ns)
+        lo, hi = max(starts), min(ends)
+        if hi <= lo:
+            raise InvalidArgumentError(
+                f"node {self.node_id}: recorded domains share no time span")
+        return lo, hi
+
+    def has_unsafe_gap(self, start_wall_ns: int, end_wall_ns: int) -> bool:
+        return any(
+            series.has_unsafe_gap(start_wall_ns - series.epoch_wall_ns,
+                                  end_wall_ns - series.epoch_wall_ns)
+            for series in self.series.values())
 
 
 class _Columns:
@@ -621,7 +661,7 @@ def _read_log(path: str, new_sink: Callable[[CounterSpec, str, int], _Sink]
     return node_id, epoch_wall_ns, status, domains
 
 
-def parse_log(path: str) -> ParsedLog:
+def parse_log(path: str) -> NodeEnergyLog:
     """Read a session log back into immutable sample series.
 
     Round-trips exactly what :class:`LogWriter` wrote: integer timestamps
@@ -640,33 +680,20 @@ def parse_log(path: str) -> ParsedLog:
     """
     node_id, epoch, status, domains = _read_log(
         path, lambda spec, _node, _epoch: _Columns(spec.modulus))
-    series = {
-        domain: SampleSeries(node_id=node_id, spec=spec,
-                             times=columns.times, raws=columns.raws,
-                             epoch_wall_ns=epoch, gap_markers=tuple(gaps))
-        for domain, (spec, columns, gaps) in domains.items()
-    }
-    return ParsedLog(node_id=node_id,
-                     session_id=session_from_filename(path, node_id),
-                     status=status, series=series)
+    return NodeEnergyLog(
+        node_id=node_id, status=status,
+        session_id=session_from_filename(path, node_id), series={
+            domain: SampleSeries(node_id=node_id, spec=spec,
+                                 times=columns.times, raws=columns.raws,
+                                 epoch_wall_ns=epoch,
+                                 gap_markers=tuple(gaps))
+            for domain, (spec, columns, gaps) in domains.items()})
 
 
-def read_counts(path: str,
-                edges_for: Callable[[str], Sequence[int]]) -> ParsedLog:
-    """Read a session log into each domain's counts at chosen edges,
-    keeping none of its samples.
-
-    ``edges_for(node_id)`` gives strictly increasing wall-ns edges for the
-    log's node once its first header is read.  Every domain's samples go,
-    block by block, to a :class:`CountWalker` at those edges, so memory is
-    bounded by the block size and the edges, not by the log's length.
-    Each series is a :class:`SeriesCounts`: the counts at the edges inside
-    its sampled span and at its two end samples, its sample count and
-    span, and its gap markers.  The checks, errors and status are those
-    of :func:`parse_log`, which reads the file with the same code.  An
-    edge outside the signed 64-bit range of the log's monotonic time lies
-    outside every sampled span, and is dropped.
-    """
+def _read_counts_at(path: str, edges_for: Callable[[str], Sequence[int]]
+                    ) -> NodeEnergyLog:
+    """One read of a log into each domain's counts at
+    ``edges_for(node_id)``, asked once the first header is read."""
     planned: list[array] = []
 
     def walker(spec: CounterSpec, node_id: str, epoch: int) -> CountWalker:
@@ -677,15 +704,73 @@ def read_counts(path: str,
         return CountWalker(spec.modulus, planned[0])
 
     node_id, epoch, status, domains = _read_log(path, walker)
-    series = {
-        domain: SeriesCounts.from_walker(node_id, spec, walker,
-                                         epoch_wall_ns=epoch,
-                                         gap_markers=tuple(gaps))
-        for domain, (spec, walker, gaps) in domains.items()
-    }
-    return ParsedLog(node_id=node_id,
-                     session_id=session_from_filename(path, node_id),
-                     status=status, series=series)
+    return NodeEnergyLog(
+        node_id=node_id, status=status,
+        session_id=session_from_filename(path, node_id), series={
+            domain: SeriesCounts.from_walker(node_id, spec, walker,
+                                             epoch_wall_ns=epoch,
+                                             gap_markers=tuple(gaps))
+            for domain, (spec, walker, gaps) in domains.items()})
+
+
+# Edges a log is read at: ``edges(node_id, span)`` gives the wall-ns
+# edges for the log's node, with ``span`` None before the log is read and
+# the log's sampled wall span after.
+EdgePlan = Callable[[str, "tuple[int, int] | None"], Sequence[int]]
+
+
+def read_counts(path: str, edges: EdgePlan) -> NodeEnergyLog:
+    """Read a session log into each domain's counts at the edges a report
+    needs, keeping none of its samples.
+
+    Every domain's samples go, block by block, to a :class:`CountWalker`
+    at ``edges(node_id, None)``, asked once the first header is read, so
+    memory is bounded by the block size and the edges, not by the log's
+    length.  Each series is a :class:`SeriesCounts`: the counts at the
+    edges inside its sampled span and at its two end samples, its sample
+    count and span, and its gap markers.  An edge outside the signed
+    64-bit range of the log's monotonic time lies outside every sampled
+    span, and is dropped.
+
+    When that read holds no count at one of ``edges(node_id, span)``, with
+    ``span`` the log's sampled wall span (:meth:`NodeEnergyLog.wall_span`),
+    the log is read a second time at those edges: the span clipped the
+    planned window, or the domains' spans differ.  Only the counts of the
+    second read are kept; span, gaps and status stay those of the first,
+    so a log that grew between the reads gives the counts of the log as
+    first read.  A log with no usable span is returned as first read,
+    since no count of it is used.
+
+    Raises:
+        ParseError: As :func:`parse_log`, which reads the file with the
+            same code, or the log's node or domains changed between the
+            two reads.
+    """
+    planned: list[Sequence[int]] = []
+
+    def first_edges(node_id: str) -> Sequence[int]:
+        planned.append(edges(node_id, None))
+        return planned[0]
+
+    log = _read_counts_at(path, first_edges)
+    try:
+        span = log.wall_span()
+    except (DegenerateSeriesError, InvalidArgumentError):
+        return log
+    final = edges(log.node_id, span)
+    # Planned edges inside the span have counts in every domain.
+    if final == planned[0] or all(
+            s.has_counts([t - s.epoch_wall_ns for t in final])
+            for s in log.series.values()):
+        return log
+    again = _read_counts_at(path, lambda _node: final)
+    if again.node_id != log.node_id or \
+            again.series.keys() != log.series.keys():
+        raise ParseError(f"{path}: log changed between reads")
+    return replace(log, series={
+        domain: replace(s, edges_ns=again.series[domain].edges_ns,
+                        counts=again.series[domain].counts)
+        for domain, s in log.series.items()})
 
 
 def has_record(path: str) -> bool:

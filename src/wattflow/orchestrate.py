@@ -28,12 +28,10 @@ from .accounting import (
     FLAG_RESUMED,
     EnergyReport,
     MeasurementMethod,
-    NodeEnergyLog,
     countable_total,
     node_energies,
     # Not called here; the benchmark's resume hook wraps this name.
     node_window_energy,  # noqa: F401
-    read_log_counts,
     report_to_json,
 )
 from .errors import (
@@ -47,10 +45,12 @@ from .errors import (
 )
 from .logfile import (
     LogStatus,
+    NodeEnergyLog,
     has_record,
     log_filename,
     # Not called here; the benchmark's resume hook wraps this name.
     parse_log,  # noqa: F401
+    read_counts,
     read_status,
 )
 from .signals import (
@@ -167,9 +167,7 @@ def load_run_config(path: str, **overrides: str | None) -> RunConfig:
 class RunResult:
     report: EnergyReport
     report_path: str
-    meta_path: str
     workflow_exit_code: int | None
-    log_paths: Mapping[str, str | None]
 
 
 def _session_log_path(endpoint: AgentEndpoint, session_id: str) -> str:
@@ -275,8 +273,8 @@ def _build_run_report(config: RunConfig,
     """Whole-session totals per node; the shell method covers the run.
 
     Each log is read into the counts at its domains' shared span only
-    (:func:`read_log_counts`), not into samples.  A node whose log is
-    absent or cannot be parsed is left out and flagged
+    (:func:`~wattflow.logfile.read_counts`), not into samples.  A node
+    whose log is absent or cannot be parsed is left out and flagged
     ``missing_log:<node>``; :func:`node_energies` does the same for a log
     with no sampled span (too few records) and adds each used log's flags.
     ``run`` and ``resume`` both build their report here.
@@ -287,8 +285,7 @@ def _build_run_report(config: RunConfig,
         try:
             if path is None:
                 raise FileNotFoundError(f"no log collected for {node_id}")
-            logs[node_id] = NodeEnergyLog.from_parsed(
-                read_log_counts(path, _span_edges))
+            logs[node_id] = read_counts(path, _span_edges)
         except (OSError, ParseError):
             flags.add(f"{FLAG_MISSING_LOG}:{node_id}")
     per_node, _, node_flags = node_energies(logs)
@@ -303,21 +300,18 @@ def _build_run_report(config: RunConfig,
 
 
 def _write_outputs(config: RunConfig, report: EnergyReport,
-                   meta: dict[str, Any],
-                   log_paths: Mapping[str, str | None]) -> RunResult:
+                   meta: dict[str, Any]) -> RunResult:
     report_path = f"{config.output_dir}/report_{config.session_id}.json"
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(report_to_json(report))
     meta = {"session_id": config.session_id,
             "workflow_cmd": config.workflow_cmd,
             "nodes": [a.node_id for a in config.agents], **meta}
-    meta_path = f"{config.output_dir}/run_{config.session_id}.json"
-    with open(meta_path, "w", encoding="utf-8") as fh:
+    with open(f"{config.output_dir}/run_{config.session_id}.json", "w",
+              encoding="utf-8") as fh:
         fh.write(json_text(meta))
     return RunResult(report=report, report_path=report_path,
-                     meta_path=meta_path,
-                     workflow_exit_code=meta.get("workflow_exit_code"),
-                     log_paths=dict(log_paths))
+                     workflow_exit_code=meta.get("workflow_exit_code"))
 
 
 def run_wrapped(config: RunConfig,
@@ -393,7 +387,7 @@ def run_wrapped(config: RunConfig,
                    "stop_to_trailer_s": stop_to_trailer[node]}
             for node in launched},
     }
-    return _write_outputs(config, report, meta, log_paths)
+    return _write_outputs(config, report, meta)
 
 
 def resume(config: RunConfig,
@@ -411,4 +405,4 @@ def resume(config: RunConfig,
     meta = {"workflow_exit_code": None, "resumed": True,
             "node_timing": {node: {"stop_to_trailer_s": seconds}
                             for node, seconds in stop_to_trailer.items()}}
-    return _write_outputs(config, report, meta, log_paths)
+    return _write_outputs(config, report, meta)

@@ -27,7 +27,6 @@ from typing import Any, Mapping
 from .accounting import (
     EnergyReport,
     MeasurementMethod,
-    NodeEnergyLog,
     countable_total,
     interval_estimate,
     node_energies,
@@ -42,7 +41,13 @@ from .errors import (
     load_json,
     present_keys,
 )
-from .logfile import LogStatus, log_filename, parse_log, read_status
+from .logfile import (
+    LogStatus,
+    NodeEnergyLog,
+    log_filename,
+    parse_log,
+    read_status,
+)
 from .signals import SessionMarker, check_safe_id, signal_start, signal_stop
 from .trace import TaskRecord, TaskStatus, WorkflowTrace
 
@@ -224,8 +229,8 @@ def synthesize_counters(scenario: Scenario) -> dict[str, NodeEnergyLog]:
     """Every node's log as :func:`write_log_files` records it, parsed
     back from a temporary directory."""
     with tempfile.TemporaryDirectory() as out_dir:
-        return {p.node_id: NodeEnergyLog.from_parsed(p)
-                for p in map(parse_log, write_log_files(scenario, out_dir))}
+        return {log.node_id: log
+                for log in map(parse_log, write_log_files(scenario, out_dir))}
 
 
 def scrape_points(profile: PowerProfile, scenario: Scenario

@@ -85,7 +85,7 @@ def test_c2_wrap_period_recovery():
                                   unit=2.0 ** -14, sample_interval_ms=500)
     from wattflow.simulate import synthesize_counters
     logs = synthesize_counters(scenario)
-    series = logs["n1"].series_by_domain[PACKAGE]
+    series = logs["n1"].series[PACKAGE]
     span_s = (series.samples[-1].t_ns - series.samples[0].t_ns) / 1e9
     analytic = watts * span_s
     total = series_total(series).joules

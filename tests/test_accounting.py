@@ -70,7 +70,7 @@ def constant_power_series(node, watts, duration_s, domain=PKG,
 
 
 def constant_log(node="n1", watts=100, duration_s=60, domains=(PKG,)):
-    return NodeEnergyLog(node_id=node, series_by_domain={
+    return NodeEnergyLog(node_id=node, series={
         d: constant_power_series(node, watts, duration_s, domain=d)
         for d in domains})
 
@@ -96,7 +96,7 @@ class TestNodeWindowEnergy:
         assert node_window_energy(log, EPOCH + S, EPOCH + S) == {PKG: 0.0}
 
     def test_domains_integrate_independently(self):
-        log = NodeEnergyLog(node_id="n1", series_by_domain={
+        log = NodeEnergyLog(node_id="n1", series={
             PKG: constant_power_series("n1", 100, 60),
             DRAM: constant_power_series("n1", 10, 60, domain=DRAM)})
         out = node_window_energy(log, EPOCH, EPOCH + 60 * S)
@@ -105,16 +105,16 @@ class TestNodeWindowEnergy:
 
     def test_node_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            NodeEnergyLog(node_id="n2", series_by_domain={
+            NodeEnergyLog(node_id="n2", series={
                 PKG: constant_power_series("n1", 100, 10)})
 
     def test_domains_kept_and_integrated_in_name_order(self):
         psys = RaplDomain.PSYS
         given_order = (PKG, psys, DRAM)
-        log = NodeEnergyLog(node_id="n1", series_by_domain={
+        log = NodeEnergyLog(node_id="n1", series={
             d: constant_power_series("n1", 10, 10, domain=d)
             for d in given_order})
-        assert list(log.series_by_domain) == [DRAM, PKG, psys]
+        assert list(log.series) == [DRAM, PKG, psys]
         out = node_window_energy(log, EPOCH, EPOCH + 10 * S)
         assert list(out) == [DRAM, PKG, psys]
 
@@ -217,7 +217,7 @@ class TestAttributeConcurrent:
             samples.append(RawSample(t, raw))
             t += 250_000_000
             raw += rng.randrange(0, 60_000_000)
-        log = NodeEnergyLog(node_id="n1", series_by_domain={
+        log = NodeEnergyLog(node_id="n1", series={
             PKG: build_series("n1", spec, samples, epoch_wall_ns=EPOCH)})
         tasks = [task("a", 3, 31, cpu_time_s=rng.uniform(0, 90)),
                  task("b", 10, 45, cpu_time_s=rng.uniform(0, 90)),
@@ -371,7 +371,7 @@ def scan_attribution(tasks, log, policy, window=None):
                 and clipped[t.task_id][0] < clipped[t.task_id][1]:
             notes[t.task_id].add(FLAG_UNSAFE_GAP)
         joules = task_joules[t.task_id]
-        for domain in log.series_by_domain:
+        for domain in log.series:
             joules.setdefault(domain, 0.0)
         energies.append(TaskEnergy(
             task_id=t.task_id, joules_by_domain=joules, estimated=True,
@@ -408,7 +408,7 @@ def random_node_logs(draw):
         series[domain] = build_series(
             "n1", spec, samples, epoch_wall_ns=EPOCH,
             gap_markers=sorted(markers), wrap_horizon_ns=horizon)
-    return NodeEnergyLog(node_id="n1", series_by_domain=series)
+    return NodeEnergyLog(node_id="n1", series=series)
 
 
 @st.composite
@@ -451,7 +451,7 @@ def scanned_unsafe_spans(log: NodeEnergyLog) -> list[tuple[int, int]]:
     """Every unsafe span of a log in wall time, by a scan of each series:
     each gap marker, and each step longer than half the wrap horizon."""
     spans = []
-    for series in log.series_by_domain.values():
+    for series in log.series.values():
         steps = []
         if series.wrap_horizon_ns is not None:
             times = list(series.times)
@@ -548,7 +548,7 @@ def energies_log(draw, node):
                               energy_unit_joules=1e-6),
             samples, epoch_wall_ns=EPOCH, gap_markers=markers)
     status = LogStatus.TRUNCATED if kind == "truncated" else LogStatus.CLOSED
-    log = NodeEnergyLog(node_id=node, series_by_domain=series, status=status)
+    log = NodeEnergyLog(node_id=node, series=series, status=status)
     return log, (EPOCH + start, EPOCH + start + (count - 1) * TICK)
 
 
@@ -801,7 +801,7 @@ class TestAssembleReport:
         series = build_series("n1", spec,
                               [RawSample(t, t // 10) for t in times],
                               epoch_wall_ns=EPOCH, wrap_horizon_ns=4 * S)
-        log = NodeEnergyLog(node_id="n1", series_by_domain={PKG: series})
+        log = NodeEnergyLog(node_id="n1", series={PKG: series})
         trace = WorkflowTrace(workflow_id="wf-h", submitted_wall_ns=EPOCH,
                               finished_wall_ns=EPOCH + 20 * S,
                               tasks=(task("t1", 5, 15),))

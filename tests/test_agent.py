@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wattflow import signals
-from wattflow.accounting import NodeEnergyLog, log_flags
+from wattflow.accounting import log_flags
 from wattflow.agent import (
     SamplerAgent,
     SamplerConfig,
@@ -240,7 +240,7 @@ class TestFailureModes:
         series = parsed.series[RaplDomain.PACKAGE]
         assert len(series.gap_markers) == 1
         assert series.gap_markers[0] == round(0.5 * S)
-        assert log_flags(NodeEnergyLog.from_parsed(parsed)) == {"unsafe_gap"}
+        assert log_flags(parsed) == {"unsafe_gap"}
         assert len(series.samples) == 5  # one tick recorded no sample
 
     def test_sink_failure_closes_log_truncated(self, tmp_path):
@@ -260,8 +260,7 @@ class TestFailureModes:
         assert agent.active_sessions == ()
         parsed = parse_log(log_path(tmp_path))
         assert parsed.status is LogStatus.TRUNCATED
-        assert log_flags(NodeEnergyLog.from_parsed(parsed)) == \
-            {"flagged_log:n1"}
+        assert log_flags(parsed) == {"flagged_log:n1"}
         clock.advance(0.5)
         agent.tick_once(clock.mono)      # dropped session stays dropped
         assert agent.active_sessions == ()
@@ -293,8 +292,7 @@ class TestFailureModes:
         agent.tick_once(clock.mono)
         parsed = parse_log(log_path(tmp_path))
         assert parsed.status is LogStatus.REAPED
-        assert log_flags(NodeEnergyLog.from_parsed(parsed)) == \
-            {"flagged_log:n1"}
+        assert log_flags(parsed) == {"flagged_log:n1"}
         assert agent.active_sessions == ()
 
     def test_existing_log_file_skips_session(self, tmp_path, caplog):
@@ -306,6 +304,29 @@ class TestFailureModes:
             drive(agent, clock, 3)
         assert agent.active_sessions == ()
         assert any("already exists" in r.message for r in caplog.records)
+
+    def test_existing_log_warns_once_per_marker(self, tmp_path, caplog):
+        # The watcher reports each marker's appearance once, so a skipped
+        # session is not retried, or warned about, on every tick.
+        clock = FakeClock()
+        agent = make_agent(tmp_path, clock)
+        (tmp_path / "logs" / log_filename("n1", "s1")).write_text("stale")
+
+        def skip_warnings() -> int:
+            return sum("already exists" in r.message
+                       for r in caplog.records)
+        with caplog.at_level(logging.WARNING, logger="wattflow.agent"):
+            start_session(tmp_path, clock)
+            drive(agent, clock, 20)
+            assert skip_warnings() == 1
+            signal_stop(str(tmp_path / "signals"), "s1")
+            drive(agent, clock, 2)
+            start_session(tmp_path, clock)
+            drive(agent, clock, 20)
+        assert skip_warnings() == 2
+        assert agent.active_sessions == ()
+        assert (tmp_path / "logs" / log_filename("n1", "s1")).read_text() \
+            == "stale"
 
     def test_open_session_keeps_sampling_across_failed_open(
             self, tmp_path, caplog):
@@ -662,7 +683,11 @@ class TestBetweenTicks:
         for sid in ("a", "b"):
             signal_start(str(sigs), SessionMarker(
                 session_id=sid, created_wall_ns=time.time_ns()))
-        remover = threading.Timer(0.2, shutil.rmtree, args=(str(sigs),))
+        # The directory vanishes in one step: removing it file by file
+        # could let a poll see both markers gone, and close the logs as
+        # stopped, before the listing fails.
+        remover = threading.Timer(0.2, os.rename,
+                                  args=(str(sigs), str(tmp_path / "gone")))
         remover.start()
         started = time.monotonic()
         try:

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
 
 import pytest
@@ -17,7 +18,6 @@ from wattflow.accounting import (
     AttributionPolicy,
     EnergyReport,
     MeasurementMethod,
-    NodeEnergyLog,
     PolicyKind,
     report_to_json,
 )
@@ -343,7 +343,7 @@ class TestReportCommand:
         for name in sorted(os.listdir(out)):
             if name.startswith("rapl_"):
                 parsed = parse_log(os.path.join(out, name))
-                logs[parsed.node_id] = NodeEnergyLog.from_parsed(parsed)
+                logs[parsed.node_id] = parsed
         want = report_to_json(accounting.assemble_report(
             parse_generic_trace(str(trace_path)), logs,
             AttributionPolicy(kind=PolicyKind.CPU_TIME_SHARE),
@@ -827,6 +827,58 @@ class TestUntimedRow:
         assert main(["report", "--logs", out, "--trace",
                      str(trace_path)]) == 2
         assert "no row with timing" in capsys.readouterr().err
+
+
+class TestTraceOffsetNote:
+    """A trace window outside a node's log span gets a note naming the
+    offset, and for a TSV, how its timestamps are read."""
+
+    @pytest.mark.parametrize("suffix, shift_s, code, last", [
+        # Written two zones east of UTC: no overlap with the log.
+        (".tsv", 7200, 3,
+         "wattflow: error: no usable sample log for node(s): n1"),
+        # A clock ten minutes fast: the window is clipped.
+        (".tsv", 600, 4, partial_warning("clipped_window")[0]),
+        (".json", 600, 4, partial_warning("clipped_window")[0]),
+    ])
+    def test_shifted_trace_names_the_offset(self, tmp_path, capsys, suffix,
+                                            shift_s, code, last):
+        out = str(tmp_path / "sim")
+        assert main(["simulate", "--scenario",
+                     os.path.join(ROOT, "scenarios", "rnaseq_like.json"),
+                     "--out", out]) == 0
+        trace_path = tmp_path / f"shifted{suffix}"
+        if suffix == ".tsv":
+            # The human-readable timestamps of rnaseq_like's one task.
+            start = datetime.fromtimestamp(ORIGIN // S + shift_s,
+                                           timezone.utc)
+            stamps = [(start + timedelta(seconds=s)).strftime(
+                "%Y-%m-%d %H:%M:%S.000") for s in (0, 1500)]
+            trace_path.write_text(
+                "task_id\tname\tstatus\tstart\tcomplete\trealtime\t%cpu\t"
+                "hostname\n"
+                f"t1\tuniform-load\tCOMPLETED\t{stamps[0]}\t{stamps[1]}\t"
+                "25m\t200%\tn1\n", encoding="utf-8")
+        else:
+            trace = parse_generic_trace(
+                os.path.join(out, "trace_rnaseq_like.json"))
+            write_generic_trace(dataclasses.replace(
+                trace, submitted_wall_ns=trace.submitted_wall_ns
+                + shift_s * S,
+                finished_wall_ns=trace.finished_wall_ns + shift_s * S,
+                tasks=tuple(dataclasses.replace(
+                    t, start_wall_ns=t.start_wall_ns + shift_s * S,
+                    end_wall_ns=t.end_wall_ns + shift_s * S)
+                    for t in trace.tasks)), str(trace_path))
+        capsys.readouterr()
+        assert main(["report", "--logs", out, "--trace", str(trace_path),
+                     "--out", str(tmp_path / "report.json")]) == code
+        note = ("wattflow: note: the trace window is not inside node n1's "
+                f"log span; its middle lies {shift_s}.0 s after the span's")
+        if suffix == ".tsv":
+            note += ("; TSV timestamps are read as UTC, and Nextflow's "
+                     "trace.raw = true writes epoch ms")
+        assert capsys.readouterr().err.splitlines() == [note, last]
 
 
 def _os_error_case(tmp_path, case: str) -> list[str]:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 _UNIQUE = itertools.count()
 
 from wattflow import logfile
-from wattflow.accounting import NodeEnergyLog, log_flags
+from wattflow.accounting import log_flags
 from wattflow.counter import (
     CounterSpec,
     RaplDomain,
@@ -33,7 +33,7 @@ from wattflow.logfile import (
     HEADER_PREFIX,
     LogStatus,
     LogWriter,
-    ParsedLog,
+    NodeEnergyLog,
     format_record,
     has_record,
     log_filename,
@@ -41,6 +41,7 @@ from wattflow.logfile import (
     read_status,
     session_from_filename,
 )
+from wattflow.orchestrate import _span_edges
 
 PKG_SPEC = CounterSpec(domain=RaplDomain.PACKAGE, bit_width=32,
                        energy_unit_joules=1e-6)
@@ -57,11 +58,6 @@ def write_simple_log(tmp_path, records, node="n1", session="s1",
         w.record(t_ns, domain, raw)
     w.close(status)
     return path
-
-
-def flags_of(parsed: ParsedLog) -> set[str]:
-    """The report flags a parsed log raises."""
-    return log_flags(NodeEnergyLog.from_parsed(parsed))
 
 
 class TestRoundTrip:
@@ -86,6 +82,27 @@ class TestRoundTrip:
         assert [s.raw for s in parsed.series[RaplDomain.DRAM].samples] == [2, 4]
         assert parsed.series[RaplDomain.DRAM].spec.energy_unit_joules \
             == 6.103515625e-05
+
+    def test_both_readers_give_one_log_type_in_name_order(self, tmp_path):
+        # The headers list package before dram; both readers keep the
+        # domains in name order, the order accounting returns them in.
+        specs = {RaplDomain.PACKAGE: PKG_SPEC, RaplDomain.DRAM: DRAM_SPEC}
+        recs = [(10, RaplDomain.PACKAGE, 1), (10, RaplDomain.DRAM, 2),
+                (20, RaplDomain.PACKAGE, 3), (20, RaplDomain.DRAM, 4)]
+        path = write_simple_log(tmp_path, recs, specs=specs,
+                                status=LogStatus.REAPED)
+        with open(path, encoding="ascii") as fh:
+            heads = [fh.readline().split()[2] for _ in range(2)]
+        assert heads == ["domain=package", "domain=dram"]
+        parsed = parse_log(path)
+        counted = logfile.read_counts(path, _span_edges)
+        for log in (parsed, counted):
+            assert type(log) is NodeEnergyLog
+            assert (log.node_id, log.session_id, log.status) == \
+                ("n1", "s1", LogStatus.REAPED)
+            assert list(log.series) == [RaplDomain.DRAM,
+                                        RaplDomain.PACKAGE]
+        assert counted.wall_span() == parsed.wall_span() == (1_010, 1_020)
 
     @given(steps=st.lists(
                st.tuples(st.integers(min_value=1, max_value=10**6),
@@ -300,18 +317,18 @@ class TestGapAndStatus:
         series = parsed.series[RaplDomain.PACKAGE]
         assert series.gap_markers == (15,)
         assert series.has_unsafe_gap(10, 20)
-        assert flags_of(parsed) == {"unsafe_gap"}
+        assert log_flags(parsed) == {"unsafe_gap"}
 
     def test_clean_log_not_flagged(self, tmp_path):
         parsed = parse_log(write_simple_log(
             tmp_path, [(1, RaplDomain.PACKAGE, 0)]))
-        assert flags_of(parsed) == set()
+        assert log_flags(parsed) == set()
 
     def test_reaped_status_round_trips(self, tmp_path):
         parsed = parse_log(write_simple_log(
             tmp_path, [(1, RaplDomain.PACKAGE, 0)], status=LogStatus.REAPED))
         assert parsed.status is LogStatus.REAPED
-        assert flags_of(parsed) == {"flagged_log:n1"}
+        assert log_flags(parsed) == {"flagged_log:n1"}
 
     def test_missing_trailer_reads_as_open(self, tmp_path):
         path = str(tmp_path / log_filename("n1", "g2"))
@@ -320,7 +337,7 @@ class TestGapAndStatus:
         w.abandon()
         parsed = parse_log(path)
         assert parsed.status is LogStatus.OPEN
-        assert flags_of(parsed) == {"flagged_log:n1"}
+        assert log_flags(parsed) == {"flagged_log:n1"}
 
     def test_torn_final_line_dropped_and_truncated(self, tmp_path):
         path = write_simple_log(tmp_path, [(1, RaplDomain.PACKAGE, 0),
@@ -492,7 +509,7 @@ def _reference_kv(body: str, path: str, lineno: int) -> dict[str, str]:
     return out
 
 
-def reference_parse_log(path: str) -> ParsedLog:
+def reference_parse_log(path: str) -> NodeEnergyLog:
     """The parser before the one-pass record branch, kept as the reference.
 
     Each record line is matched after the three directive prefixes, its
@@ -606,9 +623,9 @@ def reference_parse_log(path: str) -> ParsedLog:
                              gap_markers=gaps[domain])
         for domain in specs
     }
-    return ParsedLog(node_id=node_id,
-                     session_id=session_from_filename(path, node_id),
-                     status=status, series=series)
+    return NodeEnergyLog(node_id=node_id,
+                         session_id=session_from_filename(path, node_id),
+                         status=status, series=series)
 
 
 PKG, DRAM = RaplDomain.PACKAGE, RaplDomain.DRAM
@@ -892,7 +909,7 @@ class TestDifferentialParse:
             assert bool(series.gap_markers) == gaps
         inside = [t // 3, t // 2]
         counted = logfile.read_counts(
-            path, lambda node: [1_000 + e for e in inside])
+            path, lambda node, span: [1_000 + e for e in inside])
         for d, samples in written.items():
             assert len(counted.series[d]) == len(samples)
             assert counts_at(counted.series[d], inside) == \

@@ -25,9 +25,8 @@ from wattflow.logfile import (
     LogWriter,
     log_filename,
     parse_log,
-    read_counts,
 )
-from wattflow import accounting, orchestrate
+from wattflow import logfile
 from wattflow.orchestrate import (
     AgentEndpoint,
     RunConfig,
@@ -85,6 +84,32 @@ def make_run_config(tmp_path, nodes=("n1", "n2"),
                      output_dir=str(tmp_path / "out"), **defaults)
 
 
+def collected_log(config: RunConfig, node_id: str) -> str:
+    """Where a run collects a node's log."""
+    return os.path.join(config.output_dir,
+                        log_filename(node_id, config.session_id))
+
+
+def run_meta(config: RunConfig) -> dict:
+    """The run's metadata document, ``run_<session>.json``."""
+    with open(os.path.join(config.output_dir,
+                           f"run_{config.session_id}.json"),
+              encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def count_log_reads(monkeypatch) -> list[str]:
+    """The paths of every whole read of a log from here on."""
+    reads: list[str] = []
+    read_log = logfile._read_log
+
+    def counting(path, new_sink):
+        reads.append(path)
+        return read_log(path, new_sink)
+    monkeypatch.setattr(logfile, "_read_log", counting)
+    return reads
+
+
 class TestRunWrapped:
     def test_two_node_run_measures_before_and_after(self, tmp_path):
         config = make_run_config(tmp_path, workflow_cmd="sleep 1.0")
@@ -96,12 +121,11 @@ class TestRunWrapped:
         assert sorted(report.per_node) == ["n1", "n2"]
         assert report.total_joules > 0
         assert os.path.exists(result.report_path)
-        with open(result.meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
+        meta = run_meta(config)
         # Start-before-launch: every node recorded strictly before the
         # workflow process was spawned.
         for node in ("n1", "n2"):
-            parsed = parse_log(result.log_paths[node])
+            parsed = parse_log(collected_log(config, node))
             assert parsed.status is LogStatus.CLOSED
             series = parsed.series[RaplDomain.PACKAGE]
             first_wall = series.epoch_wall_ns + series.samples[0].t_ns
@@ -118,7 +142,7 @@ class TestRunWrapped:
         assert result.workflow_exit_code == 7
         assert result.report.status == "failed"
         assert result.report.total_joules > 0
-        parsed = parse_log(result.log_paths["n1"])
+        parsed = parse_log(collected_log(config, "n1"))
         assert parsed.status is LogStatus.CLOSED
 
     def test_agent_start_failure_aborts_before_workflow(self, tmp_path):
@@ -159,7 +183,7 @@ class TestRunWrapped:
         assert result.report.status == "failed"
         assert "resumed" in result.report.flags
         assert result.report.total_joules > 0
-        parsed = parse_log(result.log_paths["n1"])
+        parsed = parse_log(collected_log(config, "n1"))
         assert parsed.status is LogStatus.CLOSED
 
 
@@ -174,8 +198,7 @@ class TestNodeTiming:
         config = make_run_config(tmp_path, workflow_cmd="sleep 0.3",
                                  session_id="it-timing", agent_cmds=cmds)
         result = run_wrapped(config)
-        with open(result.meta_path, encoding="utf-8") as fh:
-            timing = json.load(fh)["node_timing"]
+        timing = run_meta(config)["node_timing"]
         assert sorted(timing) == ["n1", "n2"]
         for node in ("n1", "n2"):
             first, stop = (timing[node]["first_record_s"],
@@ -333,16 +356,11 @@ class TestResumeTrailerWait:
         config = closed_logs_config(
             tmp_path, {"n1": "#wattflow-end status=closed\n",
                        "n2": "#wattflow-end status=closed\n"})
-        parsed = []
-
-        def counting_read(path, edges_for):
-            parsed.append(path)
-            return read_counts(path, edges_for)
-        # The report reads each log through read_counts, once when its
-        # domains share one span.
-        monkeypatch.setattr(accounting, "read_counts", counting_read)
+        # The report reads each log once when its domains share one span.
+        parsed = count_log_reads(monkeypatch)
         result = resume(config, sleep=_never_sleep)
-        assert sorted(parsed) == sorted(result.log_paths.values())
+        assert sorted(parsed) == [collected_log(config, node)
+                                  for node in ("n1", "n2")]
         assert result.report.total_joules == pytest.approx(200.0)
 
     @pytest.mark.parametrize("tail", [
@@ -378,9 +396,8 @@ class TestResumeTrailerWait:
         config = closed_logs_config(
             tmp_path, {"n1": "#wattflow-end status=closed\n", "n2": None},
             stop_timeout_s=0.0)
-        result = resume(config, sleep=_never_sleep)
-        with open(result.meta_path, encoding="utf-8") as fh:
-            timing = json.load(fh)["node_timing"]
+        resume(config, sleep=_never_sleep)
+        timing = run_meta(config)["node_timing"]
         assert list(timing) == ["n1", "n2"]
         assert list(timing["n1"]) == ["stop_to_trailer_s"]
         assert 0 <= timing["n1"]["stop_to_trailer_s"] < 1.0
@@ -416,15 +433,11 @@ def prewritten_run_config(tmp_path, tails: dict[str, str | None] | None
 class TestFirstRecordWait:
     def test_wait_reads_heads_without_parsing(self, tmp_path, monkeypatch):
         config = prewritten_run_config(tmp_path)
-        parsed = []
-
-        def counting_read(path, edges_for):
-            parsed.append(path)
-            return read_counts(path, edges_for)
-        monkeypatch.setattr(accounting, "read_counts", counting_read)
+        parsed = count_log_reads(monkeypatch)
         result = run_wrapped(config, sleep=_never_sleep)
         # Only the report reads each collected log, once.
-        assert sorted(parsed) == sorted(result.log_paths.values())
+        assert sorted(parsed) == [collected_log(config, node)
+                                  for node in ("n1", "n2")]
         assert result.workflow_exit_code == 0
 
     def test_log_without_record_aborts(self, tmp_path):

@@ -187,7 +187,7 @@ class TestSynthesis:
     def test_zero_power_counter_stays_constant(self):
         scenario = idle_only_scenario(0.0, 10.0, 32, 1e-6, 500)
         logs = synthesize_counters(scenario)
-        series = logs["n1"].series_by_domain[RaplDomain.PACKAGE]
+        series = logs["n1"].series[RaplDomain.PACKAGE]
         assert all(s.raw == 0 for s in series.samples)
 
     def test_first_wrap_time_closed_form(self):
@@ -200,7 +200,7 @@ class TestSynthesis:
                                       sample_interval_ms=1,
                                       scrape_interval=0.01)
         logs = synthesize_counters(scenario)
-        series = logs["n1"].series_by_domain[RaplDomain.PACKAGE]
+        series = logs["n1"].series[RaplDomain.PACKAGE]
         decreases = [i for i in range(1, len(series.samples))
                      if series.samples[i].raw < series.samples[i - 1].raw]
         assert decreases, "expected at least one wrap"
@@ -222,7 +222,7 @@ class TestSynthesis:
         watts = capacity / 3120.0
         scenario = idle_only_scenario(watts, 7200.0, 32, 2.0 ** -14, 500)
         logs = synthesize_counters(scenario)
-        series = logs["n1"].series_by_domain[RaplDomain.PACKAGE]
+        series = logs["n1"].series[RaplDomain.PACKAGE]
         decreases = sum(
             1 for i in range(1, len(series.samples))
             if series.samples[i].raw < series.samples[i - 1].raw)
@@ -258,8 +258,8 @@ class TestSynthesis:
         scenario = make_scenario()
         logs_a = synthesize_counters(scenario)
         logs_b = synthesize_counters(scenario)
-        sa = tuple(logs_a["n1"].series_by_domain[RaplDomain.PACKAGE].samples)
-        sb = tuple(logs_b["n1"].series_by_domain[RaplDomain.PACKAGE].samples)
+        sa = tuple(logs_a["n1"].series[RaplDomain.PACKAGE].samples)
+        sb = tuple(logs_b["n1"].series[RaplDomain.PACKAGE].samples)
         assert sa == sb
         dir_a = tmp_path / "a"
         dir_b = tmp_path / "b"
@@ -275,8 +275,8 @@ class TestSynthesis:
         logs = synthesize_counters(scenario)
         (path,) = write_log_files(scenario, str(tmp_path))
         parsed = parse_log(path)
-        assert not log_flags(NodeEnergyLog.from_parsed(parsed))
-        original = logs["n1"].series_by_domain[RaplDomain.PACKAGE]
+        assert not log_flags(parsed)
+        original = logs["n1"].series[RaplDomain.PACKAGE]
         recovered = parsed.series[RaplDomain.PACKAGE]
         assert tuple(recovered.samples) == tuple(original.samples)
         assert recovered.epoch_wall_ns == original.epoch_wall_ns
@@ -380,7 +380,7 @@ class TestEvaluateMethods:
         # psys contains package, so a node logging both counts package
         # alone; adding psys would double count the node.
         scenario = make_scenario(idle=20.0)
-        pkg = synthesize_counters(scenario)["n1"].series_by_domain[
+        pkg = synthesize_counters(scenario)["n1"].series[
             RaplDomain.PACKAGE]
         psys_spec = replace(pkg.spec, domain=RaplDomain.PSYS)
         psys = build_series(

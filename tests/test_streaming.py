@@ -1,9 +1,9 @@
 """The streaming report path: counts read without keeping samples.
 
 ``read_counts`` feeds each domain's samples to a ``CountWalker`` as the
-log is read; ``read_log_counts`` reads a log a second time when the first
-read lacks a count the report needs.  Both must give, bit for bit, what
-``parse_log`` plus ``counts_at`` give, and reports built on them must be
+log is read, and reads a log a second time when the first read lacks a
+count the report needs.  It must give, bit for bit, what ``parse_log``
+plus ``counts_at`` give, and reports built on its logs must be
 byte-identical to reports built on parsed series.
 """
 
@@ -21,11 +21,9 @@ from hypothesis import strategies as st
 from wattflow import accounting, logfile
 from wattflow.accounting import (
     AttributionPolicy,
-    NodeEnergyLog,
     PolicyKind,
     ReportPlan,
     assemble_report,
-    read_log_counts,
     report_to_json,
 )
 from wattflow.cli import main
@@ -46,6 +44,8 @@ from wattflow.trace import (
     WorkflowTrace,
     write_generic_trace,
 )
+
+from test_orchestrate import count_log_reads
 
 PKG, DRAM = RaplDomain.PACKAGE, RaplDomain.DRAM
 S = 1_000_000_000
@@ -131,7 +131,7 @@ class TestStreamedCounts:
         parsed = parse_log(path)
         for size in BLOCK_SIZES:
             monkeypatch.setattr(logfile, "_PARSE_BLOCK", size)
-            streamed = read_counts(path, lambda node: edges)
+            streamed = read_counts(path, lambda node, span: edges)
             assert (streamed.node_id, streamed.session_id, streamed.status) \
                 == (parsed.node_id, parsed.session_id, parsed.status)
             assert streamed.series.keys() == parsed.series.keys()
@@ -157,7 +157,8 @@ class TestStreamedCounts:
         path = _write(tmp_path, f"{HEADER_PREFIX}node=n1 domain=package "
                       f"bit_width=8 unit_j=1e-06 epoch_wall_ns={EPOCH}\n"
                       "0,package,250\n10,package,5\n20,package,9\n")
-        counted = read_counts(path, lambda node: [EPOCH + 5]).series[PKG]
+        counted = read_counts(
+            path, lambda node, span: [EPOCH + 5]).series[PKG]
         assert counts_at(counted, [0, 5, 20]) == [0.0, 5.5, 15.0]
         with pytest.raises(WattflowError, match="no count read"):
             counts_at(counted, [0, 6])
@@ -199,14 +200,8 @@ def _report_text(trace, log) -> str:
 
 
 class TestReadLogCounts:
-    def _reads(self, monkeypatch) -> list[str]:
-        reads: list[str] = []
-
-        def counting(path, edges_for):
-            reads.append(path)
-            return read_counts(path, edges_for)
-        monkeypatch.setattr(accounting, "read_counts", counting)
-        return reads
+    """``read_counts`` over a report's edge plan reads a log again only
+    when the first read lacks a count the report needs."""
 
     @pytest.mark.parametrize("dram_from_s, window_s, reads", [
         (0, (10.5, 300.25), 1),      # window inside both spans
@@ -221,10 +216,9 @@ class TestReadLogCounts:
         path = two_domain_log(tmp_path, dram_from_s)
         trace = trace_over(*window_s, [(5.0, 50.5, 20.0), (20.25, 90.0, 3.0),
                                        (60.0, 320.0, 100.0)])
-        want = _report_text(trace, NodeEnergyLog.from_parsed(parse_log(path)))
-        seen = self._reads(monkeypatch)
-        log = NodeEnergyLog.from_parsed(
-            read_log_counts(path, ReportPlan(trace).edges))
+        want = _report_text(trace, parse_log(path))
+        seen = count_log_reads(monkeypatch)
+        log = read_counts(path, ReportPlan(trace).edges)
         assert _report_text(trace, log) == want
         assert len(seen) == reads
 
@@ -244,9 +238,8 @@ class TestReadLogCounts:
                                              unique=True)))
             tasks.append((a, b, data.draw(st.floats(0.0, 500.0))))
         trace = trace_over(lo, hi, tasks)
-        want = _report_text(trace, NodeEnergyLog.from_parsed(parse_log(path)))
-        log = NodeEnergyLog.from_parsed(
-            read_log_counts(path, ReportPlan(trace).edges))
+        want = _report_text(trace, parse_log(path))
+        log = read_counts(path, ReportPlan(trace).edges)
         assert _report_text(trace, log) == want
 
     @pytest.mark.parametrize("dram_from_s, reads", [(0, 1), (30, 2)])
@@ -255,11 +248,10 @@ class TestReadLogCounts:
                                                    reads):
         # run and resume report each node over its domains' shared span.
         path = two_domain_log(tmp_path, dram_from_s)
-        want = accounting.node_energies(
-            {"n1": NodeEnergyLog.from_parsed(parse_log(path))})
-        seen = self._reads(monkeypatch)
-        got = accounting.node_energies({"n1": NodeEnergyLog.from_parsed(
-            read_log_counts(path, _span_edges))})
+        want = accounting.node_energies({"n1": parse_log(path)})
+        seen = count_log_reads(monkeypatch)
+        got = accounting.node_energies({"n1": read_counts(path,
+                                                          _span_edges)})
         assert got == want
         assert len(seen) == reads
 
@@ -269,20 +261,21 @@ class TestReadLogCounts:
         # report is that of the log as first read.
         path = two_domain_log(tmp_path, 30, trailer=False)
         trace = trace_over(10.5, 500.0, [(20.25, 90.0, 3.0)])
-        want = _report_text(trace, NodeEnergyLog.from_parsed(parse_log(path)))
-        reads = []
+        want = _report_text(trace, parse_log(path))
+        reads = count_log_reads(monkeypatch)
+        read_log = logfile._read_log
 
-        def grow_after_first_read(path_, edges_for):
-            reads.append(read_counts(path_, edges_for))
+        def grow_after_first_read(path_, new_sink):
+            read = read_log(path_, new_sink)
             if len(reads) == 1:
                 with open(path_, "a", encoding="ascii") as fh:
                     fh.write(f"{400 * S},package,5\n{400 * S},dram,5\n")
-            return reads[-1]
-        monkeypatch.setattr(accounting, "read_counts", grow_after_first_read)
-        log = NodeEnergyLog.from_parsed(
-            read_log_counts(path, ReportPlan(trace).edges))
+            return read
+        monkeypatch.setattr(logfile, "_read_log", grow_after_first_read)
+        log = read_counts(path, ReportPlan(trace).edges)
         assert len(reads) == 2
-        assert reads[1].series[PKG].span_ns != log.series_by_domain[PKG].span_ns
+        grown = parse_log(path).series[PKG].span_ns
+        assert grown != log.series[PKG].span_ns
         assert _report_text(trace, log) == want
 
 
