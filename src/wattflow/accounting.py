@@ -18,12 +18,13 @@ here is pure computation over immutable inputs.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from bisect import insort
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence, TextIO
 
 from .counter import (
     EnergyQuantity,
@@ -66,6 +67,18 @@ FLAG_MISSING_LOG = "missing_log"
 FLAG_RESUMED = "resumed"
 # The trace flags that leave a task on no node, and flag the report.
 _UNPLACED = frozenset({FLAG_UNKNOWN_NODE, FLAG_NO_TIMING})
+_CACHED_NOTES = frozenset({NOTE_CACHED})
+
+# The notes the attribution sweep sets, one bit each by position: the
+# sweep keeps a task's notes as an int, and _SWEEP_NOTE_SETS[bits] is the
+# one frozenset every task with those bits shares.
+_SWEEP_NOTES = (_SUB_RESOLUTION, FLAG_CLIPPED_WINDOW, NOTE_EQUAL_SPLIT,
+                NOTE_IDLE_CLAMPED, NOTE_SHARED_WINDOW, FLAG_UNSAFE_GAP)
+(_BIT_SUB_RESOLUTION, _BIT_CLIPPED, _BIT_EQUAL_SPLIT, _BIT_IDLE_CLAMPED,
+ _BIT_SHARED, _BIT_UNSAFE_GAP) = (1 << k for k in range(len(_SWEEP_NOTES)))
+_SWEEP_NOTE_SETS = tuple(
+    frozenset(note for k, note in enumerate(_SWEEP_NOTES) if bits >> k & 1)
+    for bits in range(1 << len(_SWEEP_NOTES)))
 
 
 @dataclass(frozen=True)
@@ -213,7 +226,7 @@ def countable_total(per_node: Mapping[str, Mapping[RaplDomain, float]]
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskEnergy:
     """Energy attributed to one task, with how trustworthy it is.
 
@@ -221,13 +234,15 @@ class TaskEnergy:
     are always apportioned from node counters by its time window, never
     read from a counter of its own.  ``notes`` name the further
     assumptions that apply (shared windows, assumed sub-resolution
-    duration, clipping) and why an entry holds no joules.
+    duration, clipping) and why an entry holds no joules.  ``notes`` is
+    kept as given when it is a frozenset, so entries with the same notes
+    share one set: attribution hands out one set per combination of notes.
     """
 
     task_id: str
     joules_by_domain: Mapping[RaplDomain, float]
     estimated: bool = False
-    notes: frozenset[str] = frozenset()
+    notes: frozenset[str] = _SWEEP_NOTE_SETS[0]
 
     def __post_init__(self) -> None:
         cleaned: dict[RaplDomain, float] = {}
@@ -334,18 +349,19 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
     clipped, boundaries = cuts if cuts is not None \
         else _clip_tasks(tasks, window)
     weights: list[float] = []
-    notes: list[set[str]] = []
+    # Each task's notes as bits of _SWEEP_NOTES.
+    notes: list[int] = []
     starting: dict[int, list[int]] = {}
     ending: dict[int, list[int]] = {}
     for i, (task, clip) in enumerate(zip(tasks, clipped)):
-        notes.append({_SUB_RESOLUTION} if task.sub_resolution else set())
+        notes.append(_BIT_SUB_RESOLUTION if task.sub_resolution else 0)
         if clip is None:
             weights.append(0.0)
-            notes[i].add(FLAG_CLIPPED_WINDOW)
+            notes[i] |= _BIT_CLIPPED
             continue
         lo, hi = clip
         if clip != task.window():
-            notes[i].add(FLAG_CLIPPED_WINDOW)
+            notes[i] |= _BIT_CLIPPED
         starting.setdefault(lo, []).append(i)
         ending.setdefault(hi, []).append(i)
         if policy.kind is PolicyKind.CPU_TIME_SHARE:
@@ -387,7 +403,7 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
                 total_weight += w
             if not total_weight > 0:
                 for i in active:
-                    notes[i].add(NOTE_EQUAL_SPLIT)
+                    notes[i] |= _BIT_EQUAL_SPLIT
         dur_s = (seg_hi - seg_lo) / 1e9
         for d, domain_counts, unit, joules_of in per_domain:
             joules = max(domain_counts[k + 1] - domain_counts[k], 0.0) * unit
@@ -398,7 +414,7 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
                     baseline_j = baseline_w * dur_s
                     if baseline_j > available:
                         for i in active:
-                            notes[i].add(NOTE_IDLE_CLAMPED)
+                            notes[i] |= _BIT_IDLE_CLAMPED
                     available = max(available - baseline_j, 0.0)
                 if total_weight > 0:
                     shares = [available * (w / total_weight)
@@ -411,17 +427,17 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
             unattributed[d] += joules - attributed
 
     for i in shared:
-        notes[i].add(NOTE_SHARED_WINDOW)
+        notes[i] |= _BIT_SHARED
     energies = []
     for i, task in enumerate(tasks):
         clip = clipped[i]
         if clip is not None and log.has_unsafe_gap(*clip):
-            notes[i].add(FLAG_UNSAFE_GAP)
+            notes[i] |= _BIT_UNSAFE_GAP
         energies.append(TaskEnergy(
             task_id=task.task_id,
             joules_by_domain={domain: joules_of[i] for domain, joules_of
                               in zip(domains, task_joules)},
-            estimated=True, notes=frozenset(notes[i])))
+            estimated=True, notes=_SWEEP_NOTE_SETS[notes[i]]))
     return AttributionResult(task_energies=tuple(energies),
                              unattributed_by_domain=dict(zip(domains,
                                                              unattributed)))
@@ -574,11 +590,14 @@ def assemble_report(trace: WorkflowTrace,
     per_node, windows, report_flags = node_energies(logs, plan.window)
     groups = plan.groups
     all_tasks = []
+    # One notes set per combination, shared by the unplaced tasks.
+    unplaced_notes: dict[frozenset[str], frozenset[str]] = {}
     for t in plan.unplaced:
         if t.status is TaskStatus.CACHED:
-            notes = {NOTE_CACHED}
+            notes = _CACHED_NOTES
         else:
             notes = t.flags & _UNPLACED
+            notes = unplaced_notes.setdefault(notes, notes)
             report_flags |= notes
         all_tasks.append(TaskEnergy(task_id=t.task_id, joules_by_domain={},
                                     estimated=True, notes=notes))
@@ -655,42 +674,52 @@ def _task_text(te: TaskEnergy) -> str:
         "    }")
 
 
-def report_to_json(report: EnergyReport) -> str:
-    """Deterministic serialization: fixed key order, no volatile fields.
+def write_report(report: EnergyReport, fh: TextIO) -> None:
+    """Write a report's deterministic serialization to ``fh``: fixed key
+    order, no volatile fields.
 
     The text is the one :func:`~wattflow.errors.json_text` writes for the
-    report's JSON document, written straight from the report's fields:
-    ``per_node`` holds the sorted nodes, each with its domains by name;
-    each ``per_task`` entry is one template; the top-level values are
-    written first and joined in sorted key order.  Each leaf is encoded
-    as :mod:`json` encodes it, which skips the pure-Python encoder that
-    ``json.dumps`` falls back to under ``indent``.  :func:`report_from_obj`
-    reads the document back.
+    report's JSON document, written straight from the report's fields by
+    one fixed template: the top-level keys in sorted order, ``per_node``
+    holding the sorted nodes, each with its domains by name, and each
+    ``per_task`` entry written to ``fh`` as it is formatted, so that the
+    whole text is never held.  Each leaf is encoded as :mod:`json` encodes
+    it, which skips the pure-Python encoder that ``json.dumps`` falls back
+    to under ``indent``.  :func:`report_from_obj` reads the document back.
     """
-    values = {
-        "method": _scalar_text(report.method.value),
-        "per_node": _container_text(
-            [f"{encode_basestring_ascii(node)}: "
-             f"{_domains_text(report.per_node[node], '    ')}"
-             for node in sorted(report.per_node)], "  ", "{}"),
-        "per_task": _container_text(
-            [_task_text(te) for te in report.per_task], "  ", "[]"),
-        "report_version": _scalar_text(REPORT_VERSION),
-        "status": _scalar_text(report.status),
-        "total_joules": _scalar_text(report.total_joules),
-        "unattributed_joules": _scalar_text(report.unattributed_joules),
-        "workflow_id": _scalar_text(report.workflow_id),
-    }
+    write = fh.write
+    write("{\n")
     if report.coverage_fraction is not None:
-        values["coverage_fraction"] = _scalar_text(report.coverage_fraction)
+        write(f'  "coverage_fraction": '
+              f'{_scalar_text(report.coverage_fraction)},\n')
     if report.flags:
-        values["flags"] = _strings_text(report.flags, "  ")
-    # One join, so the long per-task text is copied only into the result.
-    pieces = ["{\n"]
-    for key in sorted(values):
-        pieces += (f'  "{key}": ', values[key], ",\n")
-    pieces[-1] = "\n}\n"
-    return "".join(pieces)
+        write(f'  "flags": {_strings_text(report.flags, "  ")},\n')
+    per_node = _container_text(
+        [f"{encode_basestring_ascii(node)}: "
+         f"{_domains_text(report.per_node[node], '    ')}"
+         for node in sorted(report.per_node)], "  ", "{}")
+    write(f'  "method": {_scalar_text(report.method.value)},\n'
+          f'  "per_node": {per_node},\n'
+          f'  "per_task": ')
+    separator = "[\n    "
+    for te in report.per_task:
+        write(separator + _task_text(te))
+        separator = ",\n    "
+    write("\n  ]" if report.per_task else "[]")
+    write(f',\n  "report_version": {_scalar_text(REPORT_VERSION)},\n'
+          f'  "status": {_scalar_text(report.status)},\n'
+          f'  "total_joules": {_scalar_text(report.total_joules)},\n'
+          f'  "unattributed_joules": '
+          f'{_scalar_text(report.unattributed_joules)},\n'
+          f'  "workflow_id": {_scalar_text(report.workflow_id)}\n'
+          "}\n")
+
+
+def report_to_json(report: EnergyReport) -> str:
+    """The text :func:`write_report` writes for ``report``, as one string."""
+    buffer = io.StringIO()
+    write_report(report, buffer)
+    return buffer.getvalue()
 
 
 def report_from_obj(obj: Any) -> EnergyReport:

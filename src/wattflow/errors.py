@@ -64,7 +64,7 @@ def present_keys(doc: Any, **kinds: Callable[[Any], Any]) -> dict[str, Any]:
 def json_text(obj: Any) -> str:
     """The text of every JSON document wattflow writes: two-space indent,
     sorted keys and a final newline, so equal documents are equal bytes.
-    ``accounting.report_to_json`` writes this same text for a report
+    ``accounting.write_report`` writes this same text for a report
     straight from its fields."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 

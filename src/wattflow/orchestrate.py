@@ -32,7 +32,7 @@ from .accounting import (
     node_energies,
     # Not called here; the benchmark's resume hook wraps this name.
     node_window_energy,  # noqa: F401
-    report_to_json,
+    write_report,
 )
 from .errors import (
     InvalidArgumentError,
@@ -303,7 +303,7 @@ def _write_outputs(config: RunConfig, report: EnergyReport,
                    meta: dict[str, Any]) -> RunResult:
     report_path = f"{config.output_dir}/report_{config.session_id}.json"
     with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(report_to_json(report))
+        write_report(report, fh)
     meta = {"session_id": config.session_id,
             "workflow_cmd": config.workflow_cmd,
             "nodes": [a.node_id for a in config.agents], **meta}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -32,6 +33,17 @@ FLAG_NO_TIMING = "no_timing"
 
 SUB_RESOLUTION_S = 0.5
 
+# Flag sets the readers share among records, so that a record's flags cost
+# a pointer, not a set of its own.
+_NO_FLAGS: frozenset[str] = frozenset()
+_CPU_TIME_FALLBACK_FLAGS = frozenset({FLAG_CPU_TIME_FALLBACK})
+# A TSV row's flags, by whether it lacks timing and whether it lacks a host.
+_ROW_FLAGS = {
+    (no_timing, unknown_node): frozenset(
+        flag for flag, on in ((FLAG_NO_TIMING, no_timing),
+                              (FLAG_UNKNOWN_NODE, unknown_node)) if on)
+    for no_timing in (False, True) for unknown_node in (False, True)}
+
 
 class TaskStatus(Enum):
     COMPLETED = "completed"
@@ -39,7 +51,7 @@ class TaskStatus(Enum):
     CACHED = "cached"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskRecord:
     """One executed task: placement, wall-time window, and CPU time.
 
@@ -48,6 +60,10 @@ class TaskRecord:
     records carry the ``sub_resolution`` flag and get an assumed window for
     accounting (see :meth:`window`).  A record flagged ``no_timing`` has
     no window: its times and CPU time are 0 and stand for nothing.
+
+    ``flags`` is kept as given when it is a frozenset, so records with the
+    same flags share one set: the trace readers pass module constants, and
+    the default is one empty set for every record.
     """
 
     task_id: str
@@ -57,7 +73,7 @@ class TaskRecord:
     end_wall_ns: int
     cpu_time_s: float
     status: TaskStatus
-    flags: frozenset[str] = frozenset()
+    flags: frozenset[str] = _NO_FLAGS
 
     def __post_init__(self) -> None:
         if not self.task_id:
@@ -190,63 +206,64 @@ def parse_nextflow_trace(path: str) -> WorkflowTrace:
             from the header, or a row's field that cannot be interpreted
             (carries the row number).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or not lines[0].strip():
-        raise ParseError("trace file has no header row", path=path)
-    header = lines[0].split("\t")
-    index: dict[str, int] = {}
-    for column in ("task_id", "name", "status", "start", "complete",
-                   "realtime", "%cpu"):
-        if column not in header:
-            raise ParseError(
-                f"required column {column!r} not in header", path=path)
-        index[column] = header.index(column)
-    host_col = header.index("hostname") if "hostname" in header else None
-
     tasks: list[TaskRecord] = []
-    for rownum, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) < len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, got {len(fields)}",
-                path=path, line=rownum)
-        try:
-            status_text = fields[index["status"]].strip().upper()
-            if status_text not in _NF_STATUS:
-                raise ValueError(f"unknown status {status_text!r}")
-            flags = set()
-            if any(fields[index[c]].strip() == "-" for c in _TIMING_COLUMNS):
-                flags.add(FLAG_NO_TIMING)
-                start = end = 0
-                cpu_time_s = 0.0
-            else:
-                realtime_s = parse_duration_s(fields[index["realtime"]])
-                pcpu = parse_percent(fields[index["%cpu"]])
-                if pcpu < 0:
-                    raise ValueError(f"negative %cpu {pcpu}")
-                start = parse_timestamp_wall_ns(fields[index["start"]])
-                end = parse_timestamp_wall_ns(fields[index["complete"]])
-                cpu_time_s = realtime_s * (pcpu / 100.0)
-            if host_col is not None and fields[host_col].strip() not in ("", "-"):
-                node_id = fields[host_col].strip()
-            else:
-                node_id = "unknown"
-                flags.add(FLAG_UNKNOWN_NODE)
-            record = TaskRecord(
-                task_id=fields[index["task_id"]].strip(),
-                name=fields[index["name"]].strip(),
-                node_id=node_id,
-                start_wall_ns=start,
-                end_wall_ns=end,
-                cpu_time_s=cpu_time_s,
-                status=_NF_STATUS[status_text],
-                flags=frozenset(flags))
-        except (ValueError, InvalidArgumentError) as exc:
-            raise ParseError(str(exc), path=path, line=rownum) from None
-        tasks.append(record)
+    with open(path, "r", encoding="utf-8") as fh:
+        # Each row becomes its record as it is read; the file is never
+        # held whole.
+        header_line = fh.readline().rstrip("\n")
+        if not header_line.strip():
+            raise ParseError("trace file has no header row", path=path)
+        header = header_line.split("\t")
+        index: dict[str, int] = {}
+        for column in ("task_id", "name", "status", "start", "complete",
+                       "realtime", "%cpu"):
+            if column not in header:
+                raise ParseError(
+                    f"required column {column!r} not in header", path=path)
+            index[column] = header.index(column)
+        host_col = header.index("hostname") if "hostname" in header \
+            else None
+
+        for rownum, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) < len(header):
+                raise ParseError(
+                    f"expected {len(header)} fields, got {len(fields)}",
+                    path=path, line=rownum)
+            try:
+                status_text = fields[index["status"]].strip().upper()
+                if status_text not in _NF_STATUS:
+                    raise ValueError(f"unknown status {status_text!r}")
+                no_timing = any(fields[index[c]].strip() == "-"
+                                for c in _TIMING_COLUMNS)
+                if no_timing:
+                    start = end = 0
+                    cpu_time_s = 0.0
+                else:
+                    realtime_s = parse_duration_s(fields[index["realtime"]])
+                    pcpu = parse_percent(fields[index["%cpu"]])
+                    if pcpu < 0:
+                        raise ValueError(f"negative %cpu {pcpu}")
+                    start = parse_timestamp_wall_ns(fields[index["start"]])
+                    end = parse_timestamp_wall_ns(fields[index["complete"]])
+                    cpu_time_s = realtime_s * (pcpu / 100.0)
+                host = fields[host_col].strip() if host_col is not None \
+                    else ""
+                unknown_node = host in ("", "-")
+                record = TaskRecord(
+                    task_id=fields[index["task_id"]].strip(),
+                    name=fields[index["name"]].strip(),
+                    node_id="unknown" if unknown_node else sys.intern(host),
+                    start_wall_ns=start,
+                    end_wall_ns=end,
+                    cpu_time_s=cpu_time_s,
+                    status=_NF_STATUS[status_text],
+                    flags=_ROW_FLAGS[no_timing, unknown_node])
+            except (ValueError, InvalidArgumentError) as exc:
+                raise ParseError(str(exc), path=path, line=rownum) from None
+            tasks.append(record)
     if not tasks:
         raise ParseError("trace file has no task rows", path=path)
     timed = [t for t in tasks if FLAG_NO_TIMING not in t.flags]
@@ -315,7 +332,7 @@ def trace_from_obj(doc: Any) -> WorkflowTrace:
                                        json_path=f"{jp}.status") from None
         start = _require(item, "start_wall_ns", int, jp)
         end = _require(item, "end_wall_ns", int, jp)
-        flags = set()
+        flags = _NO_FLAGS
         if "cpu_time_s" in item:
             cpu_time = item["cpu_time_s"]
             if isinstance(cpu_time, bool) or \
@@ -326,17 +343,18 @@ def trace_from_obj(doc: Any) -> WorkflowTrace:
             cpu_time = float(cpu_time)
         else:
             cpu_time = (end - start) / 1e9
-            flags.add(FLAG_CPU_TIME_FALLBACK)
+            flags = _CPU_TIME_FALLBACK_FLAGS
         try:
             record = TaskRecord(
                 task_id=_require(item, "task_id", str, jp),
                 name=_require(item, "name", str, jp),
-                node_id=_require(item, "node_id", str, jp),
+                # One string per node, not one per task.
+                node_id=sys.intern(_require(item, "node_id", str, jp)),
                 start_wall_ns=start,
                 end_wall_ns=end,
                 cpu_time_s=cpu_time,
                 status=status,
-                flags=frozenset(flags))
+                flags=flags)
         except InvalidArgumentError as exc:
             raise SchemaViolationError(str(exc), json_path=jp) from None
         tasks.append(record)

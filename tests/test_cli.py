@@ -659,6 +659,67 @@ class TestUsage:
         assert "not filesystem-safe" in capsys.readouterr().err
 
 
+def _flagged_report_inputs(tmp_path) -> tuple[str, str]:
+    """A one-node log over 60 s and a TSV trace whose report carries three
+    flags and whose tasks carry two notes each: shared and sub-resolution
+    windows, shared and clipped ones."""
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    specs = {d: CounterSpec(domain=d, bit_width=32, energy_unit_joules=1e-6)
+             for d in (RaplDomain.PACKAGE, RaplDomain.DRAM)}
+    writer = LogWriter(str(logs / "rapl_n1_hs.csv"), "n1", specs,
+                       epoch_wall_ns=ORIGIN)
+    for k in range(61):
+        writer.record(k * S, RaplDomain.PACKAGE, k * 70_000_000 % 2**32)
+        writer.record(k * S, RaplDomain.DRAM, k * 9_000_000)
+    writer.close(LogStatus.CLOSED)
+    ms = ORIGIN // 1_000_000
+    rows = [["task_id", "name", "status", "start", "complete", "realtime",
+             "%cpu", "hostname"]]
+    for tid, lo, hi, cpu, host in (("t1", 5, 35, "100%", "n1"),
+                                   ("t2", 20, 50, "250%", "n1"),
+                                   ("t3", 45, 70, "80%", "n1"),
+                                   ("t4", 30, 30, "100%", "n1"),
+                                   ("u1", 10, 20, "100%", "-")):
+        rows.append([tid, "step", "COMPLETED", str(ms + lo * 1000),
+                     str(ms + hi * 1000), f"{hi - lo}s", cpu, host])
+    rows.append(["a1", "step", "ABORTED", "-", "-", "-", "-", "n1"])
+    trace = tmp_path / "trace.tsv"
+    trace.write_text("".join("\t".join(row) + "\n" for row in rows),
+                     encoding="utf-8")
+    return str(logs), str(trace)
+
+
+class TestReportBytes:
+    def test_same_bytes_under_every_hash_seed_and_output(self, tmp_path):
+        # Flags and notes are sets shared among tasks, and the report is
+        # written piece by piece: neither the hash seed nor the output
+        # may change a byte.
+        logs, trace = _flagged_report_inputs(tmp_path)
+        argv = [sys.executable, "-m", "wattflow.cli", "report",
+                "--logs", logs, "--trace", trace]
+        texts = set()
+        for seed in range(4):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                       PYTHONPATH=os.path.join(ROOT, "src"))
+            out = tmp_path / f"report{seed}.json"
+            to_file = subprocess.run(argv + ["--out", str(out)], env=env,
+                                     capture_output=True, timeout=60)
+            to_stdout = subprocess.run(argv, env=env, capture_output=True,
+                                       timeout=60)
+            assert (to_file.returncode, to_stdout.returncode) == (4, 4), \
+                to_stdout.stderr
+            assert to_stdout.stdout == out.read_bytes()
+            texts.add(to_stdout.stdout)
+        assert len(texts) == 1
+        report = json.loads(texts.pop())
+        assert report["flags"] == ["clipped_window", "no_timing",
+                                   "unknown_node"]
+        notes = {t["task_id"]: t["notes"] for t in report["per_task"]}
+        assert notes["t3"] == ["clipped_window", "shared_window"]
+        assert notes["t4"] == ["shared_window", "sub_resolution"]
+
+
 class TestUnknownNode:
     def test_hostname_less_trace_is_flagged_not_fatal(self, tmp_path,
                                                       capsys):

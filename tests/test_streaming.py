@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -320,3 +321,54 @@ class TestStreamingMemory:
             with open(out, encoding="utf-8") as fh:
                 assert json.load(fh)["per_node"]["n1"]["package"] > 0
         assert abs(peaks[1] - peaks[0]) < 4 * logfile._PARSE_BLOCK, peaks
+
+    def test_report_peak_per_task_is_bounded(self, tmp_path):
+        # A report's peak grows with its trace by what each task holds:
+        # its record, its cuts and counts, its energy entry.  One task at a
+        # time over a 200 s log, 8k and then 64k of them; the slope
+        # between the two peaks is the cost per task.  Measured at
+        # 1,050 B a task; with a flag set per task and the report text
+        # built whole before it is written, 1,840.
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        lines = [f"{HEADER_PREFIX}node=n1 domain=package bit_width=32 "
+                 f"unit_j=1e-06 epoch_wall_ns={EPOCH}"]
+        lines += [f"{k * S // 2},package,{k * 40_000_000 % 2**32}"
+                  for k in range(401)]
+        lines.append(f"{END_PREFIX}status=closed")
+        (logs / log_filename("n1", "mem")).write_text(
+            "".join(line + "\n" for line in lines), encoding="ascii")
+        argvs = {}
+        for n in (8_000, 64_000):
+            step = 200 * S // n
+            trace = str(tmp_path / f"trace{n}.json")
+            write_generic_trace(WorkflowTrace(
+                workflow_id="wf", submitted_wall_ns=EPOCH,
+                finished_wall_ns=EPOCH + n * step,
+                tasks=tuple(TaskRecord(
+                    task_id=f"t{k}", name="p", node_id="n1",
+                    start_wall_ns=EPOCH + k * step,
+                    end_wall_ns=EPOCH + (k + 1) * step, cpu_time_s=0.01,
+                    status=TaskStatus.COMPLETED) for k in range(n))), trace)
+            argvs[n] = ["report", "--logs", str(logs), "--trace", trace,
+                        "--out", str(tmp_path / f"report{n}.json")]
+        # The warm-up imports what report needs.  It runs under a profile
+        # function, which gives each code object it runs a table of line
+        # numbers; without one, Python 3.11 finds the line of each
+        # allocation tracemalloc traces by scanning the code's line table,
+        # and the traced calls take tens of seconds instead of seconds.
+        sys.setprofile(lambda *args: None)
+        try:
+            assert main(argvs[8_000]) == 0
+        finally:
+            sys.setprofile(None)
+        peaks = {}
+        for n, argv in argvs.items():
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        per_task = (peaks[64_000] - peaks[8_000]) / 56_000
+        assert per_task < 1_300, peaks
