@@ -67,18 +67,16 @@ FLAG_MISSING_LOG = "missing_log"
 FLAG_RESUMED = "resumed"
 # The trace flags that leave a task on no node, and flag the report.
 _UNPLACED = frozenset({FLAG_UNKNOWN_NODE, FLAG_NO_TIMING})
-_CACHED_NOTES = frozenset({NOTE_CACHED})
+# Every TaskEnergy notes set built here, by its contents, so that entries
+# with the same notes share one set.  Notes come from the fixed names
+# above, so the table stays small.
+_NOTE_SETS: dict[frozenset[str], frozenset[str]] = {}
 
-# The notes the attribution sweep sets, one bit each by position: the
-# sweep keeps a task's notes as an int, and _SWEEP_NOTE_SETS[bits] is the
-# one frozenset every task with those bits shares.
-_SWEEP_NOTES = (_SUB_RESOLUTION, FLAG_CLIPPED_WINDOW, NOTE_EQUAL_SPLIT,
-                NOTE_IDLE_CLAMPED, NOTE_SHARED_WINDOW, FLAG_UNSAFE_GAP)
-(_BIT_SUB_RESOLUTION, _BIT_CLIPPED, _BIT_EQUAL_SPLIT, _BIT_IDLE_CLAMPED,
- _BIT_SHARED, _BIT_UNSAFE_GAP) = (1 << k for k in range(len(_SWEEP_NOTES)))
-_SWEEP_NOTE_SETS = tuple(
-    frozenset(note for k, note in enumerate(_SWEEP_NOTES) if bits >> k & 1)
-    for bits in range(1 << len(_SWEEP_NOTES)))
+
+def _shared_notes(notes: Iterable[str], *more: str) -> frozenset[str]:
+    """``notes`` and ``more`` as the one set every entry with them shares."""
+    frozen = frozenset(notes).union(more)
+    return _NOTE_SETS.setdefault(frozen, frozen)
 
 
 @dataclass(frozen=True)
@@ -242,7 +240,7 @@ class TaskEnergy:
     task_id: str
     joules_by_domain: Mapping[RaplDomain, float]
     estimated: bool = False
-    notes: frozenset[str] = _SWEEP_NOTE_SETS[0]
+    notes: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         cleaned: dict[RaplDomain, float] = {}
@@ -349,19 +347,21 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
     clipped, boundaries = cuts if cuts is not None \
         else _clip_tasks(tasks, window)
     weights: list[float] = []
-    # Each task's notes as bits of _SWEEP_NOTES.
-    notes: list[int] = []
+    # Each task's notes, one shared set per combination: a set per task
+    # would add about a fifth to a task's cost at the report's peak.
+    notes: list[frozenset[str]] = []
     starting: dict[int, list[int]] = {}
     ending: dict[int, list[int]] = {}
     for i, (task, clip) in enumerate(zip(tasks, clipped)):
-        notes.append(_BIT_SUB_RESOLUTION if task.sub_resolution else 0)
+        notes.append(_shared_notes(
+            (_SUB_RESOLUTION,) if task.sub_resolution else ()))
         if clip is None:
             weights.append(0.0)
-            notes[i] |= _BIT_CLIPPED
+            notes[i] = _shared_notes(notes[i], FLAG_CLIPPED_WINDOW)
             continue
         lo, hi = clip
         if clip != task.window():
-            notes[i] |= _BIT_CLIPPED
+            notes[i] = _shared_notes(notes[i], FLAG_CLIPPED_WINDOW)
         starting.setdefault(lo, []).append(i)
         ending.setdefault(hi, []).append(i)
         if policy.kind is PolicyKind.CPU_TIME_SHARE:
@@ -403,7 +403,7 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
                 total_weight += w
             if not total_weight > 0:
                 for i in active:
-                    notes[i] |= _BIT_EQUAL_SPLIT
+                    notes[i] = _shared_notes(notes[i], NOTE_EQUAL_SPLIT)
         dur_s = (seg_hi - seg_lo) / 1e9
         for d, domain_counts, unit, joules_of in per_domain:
             joules = max(domain_counts[k + 1] - domain_counts[k], 0.0) * unit
@@ -414,7 +414,8 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
                     baseline_j = baseline_w * dur_s
                     if baseline_j > available:
                         for i in active:
-                            notes[i] |= _BIT_IDLE_CLAMPED
+                            notes[i] = _shared_notes(notes[i],
+                                                     NOTE_IDLE_CLAMPED)
                     available = max(available - baseline_j, 0.0)
                 if total_weight > 0:
                     shares = [available * (w / total_weight)
@@ -427,17 +428,17 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
             unattributed[d] += joules - attributed
 
     for i in shared:
-        notes[i] |= _BIT_SHARED
+        notes[i] = _shared_notes(notes[i], NOTE_SHARED_WINDOW)
     energies = []
     for i, task in enumerate(tasks):
         clip = clipped[i]
         if clip is not None and log.has_unsafe_gap(*clip):
-            notes[i] |= _BIT_UNSAFE_GAP
+            notes[i] = _shared_notes(notes[i], FLAG_UNSAFE_GAP)
         energies.append(TaskEnergy(
             task_id=task.task_id,
             joules_by_domain={domain: joules_of[i] for domain, joules_of
                               in zip(domains, task_joules)},
-            estimated=True, notes=_SWEEP_NOTE_SETS[notes[i]]))
+            estimated=True, notes=notes[i]))
     return AttributionResult(task_energies=tuple(energies),
                              unattributed_by_domain=dict(zip(domains,
                                                              unattributed)))
@@ -590,14 +591,11 @@ def assemble_report(trace: WorkflowTrace,
     per_node, windows, report_flags = node_energies(logs, plan.window)
     groups = plan.groups
     all_tasks = []
-    # One notes set per combination, shared by the unplaced tasks.
-    unplaced_notes: dict[frozenset[str], frozenset[str]] = {}
     for t in plan.unplaced:
         if t.status is TaskStatus.CACHED:
-            notes = _CACHED_NOTES
+            notes = _shared_notes((), NOTE_CACHED)
         else:
-            notes = t.flags & _UNPLACED
-            notes = unplaced_notes.setdefault(notes, notes)
+            notes = _shared_notes(t.flags & _UNPLACED)
             report_flags |= notes
         all_tasks.append(TaskEnergy(task_id=t.task_id, joules_by_domain={},
                                     estimated=True, notes=notes))

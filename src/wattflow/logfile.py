@@ -53,7 +53,7 @@ import string
 from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import compress, islice
+from itertools import islice
 from typing import Callable, Mapping, Sequence
 
 from .counter import (
@@ -86,9 +86,6 @@ _PARSE_BLOCK = 32 * 1024
 _DIGITS = string.digits.encode("ascii")
 _LETTERS = string.ascii_letters.encode("ascii")
 _NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
-# Per digit, a table that maps it to 1 and every other byte to 0.
-_DIGIT_MASKS = tuple(bytes(int(b == digit) for b in range(256))
-                     for digit in _DIGITS)
 _T_END = 2 ** 63
 
 
@@ -461,26 +458,22 @@ def _take_run(run: str, by_line: Mapping[bytes, _Sink]) -> int:
     ``run`` is whole lines, each ending in ``\\n``; ``by_line`` maps each
     header's ``,<spelling>,\\n`` to its domain's sink.  The step is all or
     nothing: it feeds only when every line is ``<digits>,<header
-    spelling>,<digits>`` with no leading zero, and each domain's raw counts
-    lie inside its modulus and its timestamps increase from its sink's
-    last one and stay inside the signed 64-bit range.
+    spelling>,<digits>`` with no leading zero, the lines cycle through
+    their domains in one order, and each domain's raw counts lie inside its
+    modulus and its timestamps increase from its sink's last one and stay
+    inside the signed 64-bit range.
 
-    With its digits deleted, a run is its skeleton: one
-    ``,<spelling>,\\n`` line per record.  A :class:`LogWriter` run cycles
-    through its domains in one order, so its skeleton is one cycle of
-    lines, the lines up to the first repeat, repeated and cut after a
-    whole line: one comparison checks every line's shape and domain, and
-    each domain's values are a stride slice.  In any other run, such as
-    one where a domain skips a reading or a tick lists its domains in
-    another order, each header's line is replaced by one digit, which no
-    skeleton holds; the run passes when only digits are left, one a line,
-    and each domain takes the values at its digit.  With its letters
-    deleted instead, each line reads ``<t>,,<raw>``; collapsing ``,,`` and
-    joining the lines with ``,`` leaves the run's numbers as one JSON
-    array, which ``json``'s C scanner decodes in one pass into the ints
-    ``int()`` gives.  The scanner refuses an empty field, a leading zero
-    (which ``int()`` reads) and more digits than the interpreter converts,
-    and each refusal leaves the run to the checked path.
+    With its digits deleted, a passing run is its skeleton: one cycle of
+    ``,<spelling>,\\n`` lines, the lines up to the first repeat, repeated
+    and cut after a whole line, so one comparison checks every line's
+    shape and domain and the cycle gives the line count.  With its
+    letters deleted instead, each line reads ``<t>,,<raw>``; collapsing
+    ``,,`` and joining the lines with ``,`` leaves the run's numbers as
+    one JSON array, which ``json``'s C scanner decodes in one pass into
+    the ints ``int()`` gives.  The scanner refuses an empty field, a
+    leading zero (which ``int()`` reads) and more digits than the
+    interpreter converts, and each refusal leaves the run to the checked
+    path.
     """
     try:
         data = run.encode("ascii")
@@ -501,16 +494,10 @@ def _take_run(run: str, by_line: Mapping[bytes, _Sink]) -> int:
         end = stop
     reps, rem = divmod(len(skeleton), end)
     pattern = skeleton[:end]
-    codes = None
-    if skeleton == pattern * reps + pattern[:rem]:
-        n = reps * len(cycle) + pattern.count(b"\n", 0, rem)
-    else:
-        codes = skeleton
-        for digit, line in zip(_DIGITS, by_line):
-            codes = codes.replace(line, bytes((digit,)))
-        if not codes.isdigit():
-            return 0
-        n = len(codes)
+    if skeleton != pattern * reps + pattern[:rem]:
+        return 0
+    width = len(cycle)
+    n = reps * width + pattern.count(b"\n", 0, rem)
 
     pairs = data.translate(None, _LETTERS)
     numbers = pairs.replace(b",,", b",")
@@ -524,18 +511,10 @@ def _take_run(run: str, by_line: Mapping[bytes, _Sink]) -> int:
     except ValueError:
         return 0
 
-    if codes is None:
-        width = 2 * len(cycle)
-        parts = [(sink, values[2 * j::width], values[2 * j + 1::width])
-                 for j, sink in enumerate(cycle.values())]
-    else:
-        times, raws = values[::2], values[1::2]
-        parts = []
-        for mask, sink in zip(_DIGIT_MASKS, by_line.values()):
-            mine = codes.translate(mask)
-            if 1 in mine:
-                parts.append((sink, list(compress(times, mine)),
-                              list(compress(raws, mine))))
+    # A LogWriter log cycles through its domains in one order, so each
+    # domain's values are a stride slice.
+    parts = [(sink, values[2 * j::2 * width], values[2 * j + 1::2 * width])
+             for j, sink in enumerate(cycle.values())]
     for sink, times, raws in parts:
         last = sink.last_t
         if max(raws) >= sink.modulus or times[-1] >= _T_END or \

@@ -860,19 +860,14 @@ class TestDifferentialParse:
     def test_irregular_multi_block_log(self, tmp_path, monkeypatch):
         # A clean log over many blocks whose lines do not cycle through
         # the domains in one order: gap markers, a domain skipping a tick,
-        # ticks in another order.  The block step takes such runs too, so
-        # the checked path never runs.
+        # ticks in another order.  The block step leaves such runs to the
+        # checked path.
         path = tmp_path / log_filename("n1", "irregular")
         path.write_text(irregular_log(random.Random(12), ticks=3000),
                         encoding="ascii")
         expected = _outcome(reference_parse_log, str(path))
         assert expected[0] == "parsed"
         assert len(expected[1].series[DRAM].gap_markers) > 0
-
-        def refuse(*args):
-            raise AssertionError("block step refused an irregular run")
-
-        monkeypatch.setattr(logfile, "_append_record", refuse)
         for size in (64, 1000, logfile._PARSE_BLOCK):
             monkeypatch.setattr(logfile, "_PARSE_BLOCK", size)
             assert _outcome(parse_log, str(path)) == expected, size
@@ -972,56 +967,6 @@ def irregular_log(rng: random.Random, ticks: int) -> str:
                 lines.append(f"{t},{d.value},{raws[d]}")
     lines.append(f"{END_PREFIX}status=closed")
     return "".join(line + "\n" for line in lines)
-
-
-@st.composite
-def faulty_irregular_logs(draw) -> str:
-    """Text of an :func:`irregular_log` with faults in up to two of its
-    record lines, each from :func:`_mutate`, so that an irregular run
-    holds a bad line."""
-    text = irregular_log(random.Random(draw(st.integers(0, 2**32))),
-                         ticks=draw(st.integers(1, 40)))
-    lines = text.split("\n")[:-1]
-    records = [i for i, ln in enumerate(lines) if ln[:1] != "#"]
-    if records:
-        first_t = lines[records[0]].split(",")[0]
-        for i in draw(st.lists(st.sampled_from(records), max_size=2,
-                               unique=True)):
-            where, line = _mutate(draw, lines[i], 2**32, first_t)
-            if where not in ("before_header", "append"):
-                lines[i] = line
-    return "".join(line + "\n" for line in lines)
-
-
-class TestIrregularRuns:
-    @given(text=faulty_irregular_logs())
-    @settings(max_examples=200, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_parse_matches_reference(self, tmp_path, monkeypatch, text):
-        # Runs whose lines skip a domain or list the domains in another
-        # order are taken by the block step when they are clean; a bad
-        # line still sends its run to the checked path, which names it.
-        path = tmp_path / log_filename("n1", f"i{next(_UNIQUE)}")
-        path.write_text(text, encoding="ascii")
-        expected = _outcome(reference_parse_log, str(path))
-        for size in BLOCK_SIZES:
-            monkeypatch.setattr(logfile, "_PARSE_BLOCK", size)
-            assert _outcome(parse_log, str(path)) == expected, size
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_read_counts_matches_parse(self, tmp_path, seed):
-        path = str(tmp_path / log_filename("n1", f"c{seed}"))
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(irregular_log(random.Random(seed), ticks=2000))
-        parsed = parse_log(path)
-        lo, hi = parsed.wall_span()
-        edges = [lo + (hi - lo) * k // 7 for k in range(8)]
-        counted = logfile.read_counts(path, lambda node, span: edges)
-        for domain, series in parsed.series.items():
-            inside = [e - series.epoch_wall_ns for e in edges]
-            assert len(counted.series[domain]) == len(series)
-            assert counts_at(counted.series[domain], inside) == \
-                counts_at(series, inside)
 
 
 NEEDLES = ("expected t_ns,domain,raw", "invalid literal",
