@@ -22,6 +22,8 @@ from pathlib import Path
 import pytest
 
 from wattflow.cli import main
+from wattflow.counter import CounterSpec, RaplDomain
+from wattflow.logfile import LogWriter, log_filename
 from wattflow.trace import (
     TaskRecord,
     TaskStatus,
@@ -110,9 +112,11 @@ def simulate(tmp_path, scenario_id: str) -> str:
     return out
 
 
-def report_digests(run, logs: str, trace: str, tmp_path) -> dict:
+def report_digests(run, logs: str, trace: str, tmp_path,
+                   code: int = 0) -> dict:
     """The digest of each of ``REPORT_RUNS``' reports over ``logs`` and
-    ``trace``, each written by ``run(argv)``, which returns the exit code.
+    ``trace``, each written by ``run(argv)``, which returns the exit code
+    and must return ``code``.
     """
     digests = {}
     for policy, idle in REPORT_RUNS:
@@ -121,7 +125,7 @@ def report_digests(run, logs: str, trace: str, tmp_path) -> dict:
                 "--policy", policy, "--out", target]
         if idle:
             argv += ["--idle-baseline-watts", idle]
-        assert run(argv) == 0, (policy, idle)
+        assert run(argv) == code, (policy, idle)
         digests[policy, idle] = sha256(target)
     return digests
 
@@ -210,6 +214,94 @@ def test_concurrent_split_reports_are_byte_identical(tmp_path):
         CONCURRENT_DIGESTS
 
 
+# A third pin runs the five reports over a dense run of two nodes written
+# here: package and dram 32-bit counters sampled every 500 ms for 300 s,
+# one package gap marker on n1 (so the report is flagged ``unsafe_gap``
+# and exits 4, and the tasks live across it are noted), and 16 lanes of back-to-back tasks per
+# node (about 300 tasks, at most 16 at once).  n1's first task starts
+# before the workflow window, n2 holds one sub-resolution task, and every
+# n2 task live in [150 s, 158 s] has zero CPU time, so those segments split
+# equally.  About half the task edges fall on sample times.
+DENSE_DIGESTS = {
+    ("cputime", ""):
+        "f2651415cd1eee3520f10806c3d6ec0a8357d1388b2a426f187804198218a7d0",
+    ("walltime", ""):
+        "62e184e2803d3590f734c2623e016fc396684f9e350c71c8f639405a9ec26a0f",
+    ("exclusive", ""):
+        "c9527d6cf0b211a16de109100877797a5b2024d41af1e297cfd1744ee1aee974",
+    ("cputime", "5"):
+        "ad0500be59b511e2e705d9f6f91df2bce1a4d182bd537de02a548ca055bbc2bc",
+    ("walltime", "5"):
+        "e4c60f3d274e7d66966db7b5389b731d1a94aafe549f9296eab272e644ee0388",
+}
+
+
+def dense_run(folder) -> tuple[str, str]:
+    """Write the dense run's logs and trace under ``folder``; return the
+    logs folder and the trace path."""
+    rng = random.Random(24)
+    epoch = 1_700_000_000_000_000_000
+    logs = os.path.join(folder, "dense")
+    os.makedirs(logs)
+    specs = {d: CounterSpec(domain=d, bit_width=32, energy_unit_joules=1e-6)
+             for d in (RaplDomain.PACKAGE, RaplDomain.DRAM)}
+    for node in ("n1", "n2"):
+        writer = LogWriter(os.path.join(logs, log_filename(node, "dense")),
+                           node, specs, epoch)
+        raws = {RaplDomain.PACKAGE: rng.randrange(2**32),
+                RaplDomain.DRAM: rng.randrange(2**32)}
+        watts = {RaplDomain.PACKAGE: (40, 120), RaplDomain.DRAM: (5, 15)}
+        for k in range(601):
+            for domain, (low, high) in watts.items():
+                raws[domain] = (raws[domain] + rng.randint(low, high)
+                                * 500_000) % 2**32
+                if node == "n1" and k == 200 and \
+                        domain is RaplDomain.PACKAGE:
+                    writer.gap(k * SAMPLE_NS, domain)
+                else:
+                    writer.record(k * SAMPLE_NS, domain, raws[domain])
+        writer.close()
+    lo, hi = epoch + 5 * 10**9 + 123, epoch + 290_250_000_000
+    tasks = []
+    sub_resolution = True  # one task stamped with one instant, on n2
+    for node in ("n1", "n2"):
+        for lane in range(16):
+            start = lo + rng.randrange(2 * 10**9)
+            while True:
+                end = start + rng.randrange(10 * 10**9, 45 * 10**9)
+                if rng.random() < 0.5:  # both edges on sample times
+                    start += -(start - epoch) % SAMPLE_NS
+                    end += -(end - epoch) % SAMPLE_NS
+                if end > hi:
+                    break
+                if not tasks:
+                    start = lo - 3 * 10**9  # clipped at the window start
+                elif node == "n2" and lane == 5 and sub_resolution:
+                    end = start
+                    sub_resolution = False
+                zero = node == "n2" and start < epoch + 158 * 10**9 \
+                    and end > epoch + 150 * 10**9
+                cpu = 0.0 if zero else \
+                    round(rng.uniform(0.1, 4.0) * (end - start) / 1e9, 3)
+                tasks.append(TaskRecord(
+                    task_id=f"{node}-{len(tasks):03d}", name="dense",
+                    node_id=node, start_wall_ns=start, end_wall_ns=end,
+                    cpu_time_s=cpu, status=TaskStatus.COMPLETED))
+                start = end + rng.randrange(2 * 10**9)
+    trace = os.path.join(folder, "dense.json")
+    write_generic_trace(WorkflowTrace(workflow_id="dense",
+                                      submitted_wall_ns=lo,
+                                      finished_wall_ns=hi,
+                                      tasks=tuple(tasks)), trace)
+    return logs, trace
+
+
+def test_dense_two_node_reports_are_byte_identical(tmp_path):
+    logs, trace = dense_run(tmp_path)
+    assert report_digests(main, logs, trace, tmp_path, code=4) == \
+        DENSE_DIGESTS
+
+
 def other_interpreters() -> list[str]:
     """Every other CPython >= 3.10 here that starts, one per build.
 
@@ -262,20 +354,24 @@ def test_digests_hold_on_other_interpreters(tmp_path):
         simulate(tmp_path, "rnaseq_like"), "trace_rnaseq_like.json")))
     overlap = str(tmp_path / "overlap.json")
     write_generic_trace(trace, overlap)
+    dense_logs, dense_trace = dense_run(tmp_path)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for n, exe in enumerate(interpreters):
         def cli(argv):
             done = subprocess.run([exe, "-m", "wattflow.cli", *argv],
                                   env=env, capture_output=True, text=True,
                                   timeout=300)
-            assert done.returncode == 0, (exe, argv, done.stderr)
+            assert done.returncode in (0, 4), (exe, argv, done.stderr)
             return done.returncode
 
         work = tmp_path / f"py{n}"
         for scenario_id in sorted(SIMULATE_DIGESTS):
             out = str(work / scenario_id)
-            cli(["simulate", "--scenario",
-                 str(SCENARIOS / f"{scenario_id}.json"), "--out", out])
+            assert cli(["simulate", "--scenario",
+                        str(SCENARIOS / f"{scenario_id}.json"),
+                        "--out", out]) == 0
             assert digests_in(out) == SIMULATE_DIGESTS[scenario_id], exe
         assert report_digests(cli, str(work / "rnaseq_like"), overlap,
                               work) == CONCURRENT_DIGESTS, exe
+        assert report_digests(cli, dense_logs, dense_trace, work,
+                              code=4) == DENSE_DIGESTS, exe
