@@ -313,15 +313,6 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
 
     holds per domain up to float rounding regardless of policy.
 
-    The active tasks of each segment come from a sweep over the sorted
-    segment boundaries: at each boundary the tasks whose clipped window
-    ends there leave the live list, then those starting there join it.
-    That costs the active tasks of each segment, instead of a scan of
-    every task per segment.  The live list is kept in input task order,
-    so every float sum (total weight, shares, leftover, and each task's
-    accumulation over segments) is a left fold over its terms in a fixed
-    order, and reports stay byte-stable.
-
     Args:
         tasks: Task records placed on this log's node.
         log: The node's recorded counters.
@@ -343,25 +334,56 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
     if win_lo >= win_hi:
         raise InvalidArgumentError(f"empty accounting window {window}")
 
-    # Per task, by position in ``tasks``.
-    clipped, boundaries = cuts if cuts is not None \
-        else _clip_tasks(tasks, window)
+    if cuts is None:
+        cuts = _clip_tasks(tasks, window)
+    task_joules, unattributed, notes = _sweep(tasks, cuts, log, policy)
+    domains = list(log.series)
+    energies = []
+    for i, (task, clip) in enumerate(zip(tasks, cuts[0])):
+        if clip is not None and log.has_unsafe_gap(*clip):
+            notes[i] = _shared_notes(notes[i], FLAG_UNSAFE_GAP)
+        energies.append(TaskEnergy(
+            task_id=task.task_id,
+            joules_by_domain={domain: joules_of[i] for domain, joules_of
+                              in zip(domains, task_joules)},
+            estimated=True, notes=notes[i]))
+    return AttributionResult(task_energies=tuple(energies),
+                             unattributed_by_domain=dict(zip(domains,
+                                                             unattributed)))
+
+
+def _sweep(tasks: Sequence[TaskRecord], cuts: _Cuts, log: NodeEnergyLog,
+           policy: AttributionPolicy
+           ) -> tuple[list[list[float]], list[float], list[frozenset[str]]]:
+    """Joules per task and unattributed joules, by domain in ``log.series``
+    order, and each task's notes, by position in ``tasks``.
+
+    The active tasks of each segment come from a sweep over the sorted
+    segment boundaries: at each boundary the tasks whose clipped window
+    ends there leave the live list, then those starting there join it.
+    That costs the active tasks of each segment, instead of a scan of
+    every task per segment.  The live list is kept in input task order,
+    so every float sum (total weight, shares, leftover, and each task's
+    accumulation over segments) is a left fold over its terms in a fixed
+    order, and reports stay byte-stable.
+    """
+    clipped, boundaries = cuts
     weights: list[float] = []
     # Each task's notes, one shared set per combination: a set per task
     # would add about a fifth to a task's cost at the report's peak.
     notes: list[frozenset[str]] = []
     starting: dict[int, list[int]] = {}
     ending: dict[int, list[int]] = {}
+    no_notes = _shared_notes(())
     for i, (task, clip) in enumerate(zip(tasks, clipped)):
-        notes.append(_shared_notes(
-            (_SUB_RESOLUTION,) if task.sub_resolution else ()))
+        notes.append(_shared_notes((_SUB_RESOLUTION,))
+                     if task.sub_resolution else no_notes)
+        if clip != task.window():  # None when nothing of it is left
+            notes[i] = _shared_notes(notes[i], FLAG_CLIPPED_WINDOW)
         if clip is None:
             weights.append(0.0)
-            notes[i] = _shared_notes(notes[i], FLAG_CLIPPED_WINDOW)
             continue
         lo, hi = clip
-        if clip != task.window():
-            notes[i] = _shared_notes(notes[i], FLAG_CLIPPED_WINDOW)
         starting.setdefault(lo, []).append(i)
         ending.setdefault(hi, []).append(i)
         if policy.kind is PolicyKind.CPU_TIME_SHARE:
@@ -391,57 +413,45 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
             live.remove(i)
         for i in starting.get(seg_lo, ()):
             insort(live, i)
-        active = live
-        if len(active) > 1:
-            shared.update(active)
-            if exclusive:
-                active = []
+        # Until a task joins again the live list only shrinks, so a task
+        # that shares a segment is live with another where one joined.
+        if seg_lo in starting and len(live) > 1:
+            shared.update(live)
+        active = () if exclusive and len(live) > 1 else live
         if active:
-            seg_weights = [weights[i] for i in active]
             total_weight = 0.0
-            for w in seg_weights:
-                total_weight += w
+            for i in active:
+                total_weight += weights[i]
             if not total_weight > 0:
                 for i in active:
                     notes[i] = _shared_notes(notes[i], NOTE_EQUAL_SPLIT)
-        dur_s = (seg_hi - seg_lo) / 1e9
         for d, domain_counts, unit, joules_of in per_domain:
             joules = max(domain_counts[k + 1] - domain_counts[k], 0.0) * unit
             attributed = 0.0
             if active:
                 available = joules
                 if baseline_w is not None and d == package:
-                    baseline_j = baseline_w * dur_s
+                    baseline_j = baseline_w * ((seg_hi - seg_lo) / 1e9)
                     if baseline_j > available:
                         for i in active:
                             notes[i] = _shared_notes(notes[i],
                                                      NOTE_IDLE_CLAMPED)
                     available = max(available - baseline_j, 0.0)
                 if total_weight > 0:
-                    shares = [available * (w / total_weight)
-                              for w in seg_weights]
+                    for i in active:
+                        share = available * (weights[i] / total_weight)
+                        joules_of[i] += share
+                        attributed += share
                 else:
-                    shares = [available / len(active)] * len(active)
-                for i, share in zip(active, shares):
-                    joules_of[i] += share
-                    attributed += share
+                    share = available / len(active)
+                    for i in active:
+                        joules_of[i] += share
+                        attributed += share
             unattributed[d] += joules - attributed
 
     for i in shared:
         notes[i] = _shared_notes(notes[i], NOTE_SHARED_WINDOW)
-    energies = []
-    for i, task in enumerate(tasks):
-        clip = clipped[i]
-        if clip is not None and log.has_unsafe_gap(*clip):
-            notes[i] = _shared_notes(notes[i], FLAG_UNSAFE_GAP)
-        energies.append(TaskEnergy(
-            task_id=task.task_id,
-            joules_by_domain={domain: joules_of[i] for domain, joules_of
-                              in zip(domains, task_joules)},
-            estimated=True, notes=notes[i]))
-    return AttributionResult(task_energies=tuple(energies),
-                             unattributed_by_domain=dict(zip(domains,
-                                                             unattributed)))
+    return task_joules, unattributed, notes
 
 
 def interval_estimate(avg_watt_points: Sequence[tuple[int, float]],
@@ -660,18 +670,6 @@ def _domains_text(joules_by_domain: Mapping[RaplDomain, float],
         pad, "{}")
 
 
-def _task_text(te: TaskEnergy) -> str:
-    """One ``per_task`` entry, by a fixed template."""
-    return (
-        "{\n"
-        f'      "estimated": {_scalar_text(te.estimated)},\n'
-        f'      "joules_by_domain": '
-        f'{_domains_text(te.joules_by_domain, "      ")},\n'
-        f'      "notes": {_strings_text(te.notes, "      ")},\n'
-        f'      "task_id": {_scalar_text(te.task_id)}\n'
-        "    }")
-
-
 def write_report(report: EnergyReport, fh: TextIO) -> None:
     """Write a report's deterministic serialization to ``fh``: fixed key
     order, no volatile fields.
@@ -699,9 +697,30 @@ def write_report(report: EnergyReport, fh: TextIO) -> None:
     write(f'  "method": {_scalar_text(report.method.value)},\n'
           f'  "per_node": {per_node},\n'
           f'  "per_task": ')
+    # Each notes set's text, and each domain-key order's joule positions
+    # in name order and format, made once per call; a key order is named
+    # by its members' ids, as hashing an Enum member runs Python code.
+    notes_texts: dict[frozenset[str], str] = {}
+    domain_forms: dict[tuple[int, ...], tuple[list[int], str]] = {}
     separator = "[\n    "
     for te in report.per_task:
-        write(separator + _task_text(te))
+        if te.notes not in notes_texts:
+            notes_texts[te.notes] = _strings_text(te.notes, "      ")
+        by_domain = te.joules_by_domain
+        key = tuple(map(id, by_domain))
+        if key not in domain_forms:
+            names = sorted((d.value, n) for n, d in enumerate(by_domain))
+            domain_forms[key] = [n for _, n in names], _container_text(
+                [f'"{name}": %s' for name, _ in names], "      ", "{}")
+        order, form = domain_forms[key]
+        joules = list(by_domain.values())
+        write(f'{separator}{{\n'
+              f'      "estimated": {_scalar_text(te.estimated)},\n'
+              f'      "joules_by_domain": '
+              f'{form % tuple([_scalar_text(joules[n]) for n in order])},\n'
+              f'      "notes": {notes_texts[te.notes]},\n'
+              f'      "task_id": {_scalar_text(te.task_id)}\n'
+              "    }")
         separator = ",\n    "
     write("\n  ]" if report.per_task else "[]")
     write(f',\n  "report_version": {_scalar_text(REPORT_VERSION)},\n'

@@ -463,6 +463,12 @@ class SeriesCounts(_UnsafeSpans):
         return self._positions(edges_ns) is not None
 
     def _counts(self, edges_ns: Sequence[int]) -> list[float]:
+        # A report asks at the edges it read at, a run of edges_ns; they
+        # lie in the sampled span (counts_at checks), so in the array's range.
+        edges, n = self.edges_ns, len(edges_ns)
+        i = bisect.bisect_left(edges, edges_ns[0])
+        if edges[i:i + n] == array("q", edges_ns):
+            return self.counts[i:i + n].tolist()
         found = self._positions(edges_ns)
         if found is None:
             missing = next(t for t in edges_ns if t not in self.edges_ns)

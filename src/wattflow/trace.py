@@ -311,6 +311,10 @@ def parse_generic_trace(path: str) -> WorkflowTrace:
     return trace_from_obj(load_json(path))
 
 
+# Each status by its spelling in lower case.
+_STATUS_OF = {status.value: status for status in TaskStatus}
+
+
 def trace_from_obj(doc: Any) -> WorkflowTrace:
     if not isinstance(doc, dict):
         raise SchemaViolationError("top level must be an object")
@@ -319,45 +323,50 @@ def trace_from_obj(doc: Any) -> WorkflowTrace:
     finished = _require(doc, "finished_wall_ns", int, "$")
     tasks_obj = _require(doc, "tasks", list, "$")
     tasks: list[TaskRecord] = []
+    # Each value of the exact type the trace writer writes passes one
+    # check; any other goes through _require, which names the first bad
+    # key in the order below.
     for i, item in enumerate(tasks_obj):
         jp = f"$.tasks[{i}]"
         if not isinstance(item, dict):
             raise SchemaViolationError("task entry must be an object",
                                        json_path=jp)
-        status_text = _require(item, "status", str, jp)
-        try:
-            status = TaskStatus(status_text.lower())
-        except ValueError:
+        status_text = item.get("status")
+        if type(status_text) is not str:
+            status_text = _require(item, "status", str, jp)
+        status = _STATUS_OF.get(status_text.lower())
+        if status is None:
             raise SchemaViolationError(f"unknown status {status_text!r}",
-                                       json_path=f"{jp}.status") from None
-        start = _require(item, "start_wall_ns", int, jp)
-        end = _require(item, "end_wall_ns", int, jp)
+                                       json_path=f"{jp}.status")
+        start, end = item.get("start_wall_ns"), item.get("end_wall_ns")
+        if type(start) is not int or type(end) is not int:
+            start = _require(item, "start_wall_ns", int, jp)
+            end = _require(item, "end_wall_ns", int, jp)
         flags = _NO_FLAGS
         if "cpu_time_s" in item:
             cpu_time = item["cpu_time_s"]
-            if isinstance(cpu_time, bool) or \
-                    not isinstance(cpu_time, (int, float)):
-                raise SchemaViolationError(
-                    f"expected number, got {type(cpu_time).__name__}",
-                    json_path=f"{jp}.cpu_time_s")
-            cpu_time = float(cpu_time)
+            if type(cpu_time) is not float:
+                if isinstance(cpu_time, bool) or \
+                        not isinstance(cpu_time, (int, float)):
+                    raise SchemaViolationError(
+                        f"expected number, got {type(cpu_time).__name__}",
+                        json_path=f"{jp}.cpu_time_s")
+                cpu_time = float(cpu_time)
         else:
             cpu_time = (end - start) / 1e9
             flags = _CPU_TIME_FALLBACK_FLAGS
+        task_id, name, node_id = (item.get("task_id"), item.get("name"),
+                                  item.get("node_id"))
+        if not type(task_id) is type(name) is type(node_id) is str:
+            task_id = _require(item, "task_id", str, jp)
+            name = _require(item, "name", str, jp)
+            node_id = _require(item, "node_id", str, jp)
         try:
-            record = TaskRecord(
-                task_id=_require(item, "task_id", str, jp),
-                name=_require(item, "name", str, jp),
-                # One string per node, not one per task.
-                node_id=sys.intern(_require(item, "node_id", str, jp)),
-                start_wall_ns=start,
-                end_wall_ns=end,
-                cpu_time_s=cpu_time,
-                status=status,
-                flags=flags)
+            # One string per node, not one per task.
+            tasks.append(TaskRecord(task_id, name, sys.intern(node_id),
+                                    start, end, cpu_time, status, flags))
         except InvalidArgumentError as exc:
             raise SchemaViolationError(str(exc), json_path=jp) from None
-        tasks.append(record)
     try:
         return WorkflowTrace(workflow_id=workflow_id,
                              submitted_wall_ns=submitted,

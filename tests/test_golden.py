@@ -217,11 +217,12 @@ def test_concurrent_split_reports_are_byte_identical(tmp_path):
 # A third pin runs the five reports over a dense run of two nodes written
 # here: package and dram 32-bit counters sampled every 500 ms for 300 s,
 # one package gap marker on n1 (so the report is flagged ``unsafe_gap``
-# and exits 4, and the tasks live across it are noted), and 16 lanes of back-to-back tasks per
-# node (about 300 tasks, at most 16 at once).  n1's first task starts
-# before the workflow window, n2 holds one sub-resolution task, and every
-# n2 task live in [150 s, 158 s] has zero CPU time, so those segments split
-# equally.  About half the task edges fall on sample times.
+# and exits 4, and the tasks live across it are noted), and 16 lanes of
+# back-to-back tasks per node (about 300 tasks, at most 16 at once).
+# n1's first task starts before the workflow window, n2 holds one
+# sub-resolution task, and every n2 task live in [150 s, 158 s] has zero
+# CPU time, so those segments split equally.  About half the task edges
+# fall on sample times.
 DENSE_DIGESTS = {
     ("cputime", ""):
         "f2651415cd1eee3520f10806c3d6ec0a8357d1388b2a426f187804198218a7d0",

@@ -252,6 +252,62 @@ class TestGenericTrace:
         with pytest.raises(SchemaViolationError):
             trace_from_obj(doc)
 
+    # A bad second entry, after a good one, and the error it raises.
+    @pytest.mark.parametrize("change, path, message", [
+        ({"start_wall_ns": True}, ".start_wall_ns",
+         "expected integer, got boolean"),
+        ({"end_wall_ns": False}, ".end_wall_ns",
+         "expected integer, got boolean"),
+        ({"start_wall_ns": 2e9}, ".start_wall_ns", "expected int, got float"),
+        ({"cpu_time_s": True}, ".cpu_time_s", "expected number, got bool"),
+        ({"cpu_time_s": "2.5"}, ".cpu_time_s", "expected number, got str"),
+        ({"name": 7}, ".name", "expected str, got int"),
+        ({"status": ["completed"]}, ".status", "expected str, got list"),
+        ({"status": "paused"}, ".status", "unknown status 'paused'"),
+        ({"task_id": ""}, "", "task_id must be non-empty"),
+        ({"end_wall_ns": 1_000_000_000}, "",
+         "task t2: end 1000000000 before start 2000000000"),
+        ({"cpu_time_s": -1.0}, "", "task t2: cpu_time_s must be >= 0, "
+         "got -1.0"),
+        ({"node_id": None}, "", "missing required key 'node_id'"),
+        ({"status": None}, "", "missing required key 'status'"),
+    ])
+    def test_bad_entry_error_names_its_path(self, change, path, message):
+        entry = dict(generic_doc()["tasks"][0], task_id="t2")
+        entry.update(change)
+        entry = {key: value for key, value in entry.items()
+                 if value is not None}
+        doc = generic_doc()
+        doc["tasks"].append(entry)
+        with pytest.raises(SchemaViolationError) as exc:
+            trace_from_obj(doc)
+        assert exc.value.json_path == f"$.tasks[1]{path}"
+        assert str(exc.value) == f"$.tasks[1]{path}: {message}"
+
+    def test_entry_that_is_not_an_object(self):
+        doc = generic_doc()
+        doc["tasks"].append(3)
+        with pytest.raises(SchemaViolationError) as exc:
+            trace_from_obj(doc)
+        assert str(exc.value) == "$.tasks[1]: task entry must be an object"
+
+    def test_nan_cpu_time_is_named(self, tmp_path):
+        # json.load reads NaN, which no CPU time can be.
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps(generic_doc()).replace("2.5", "NaN"))
+        with pytest.raises(SchemaViolationError) as exc:
+            parse_generic_trace(str(p))
+        assert str(exc.value) == \
+            "$.tasks[0]: task t1: cpu_time_s must be >= 0, got nan"
+
+    def test_integer_cpu_time_and_any_status_case_are_read(self):
+        doc = generic_doc()
+        doc["tasks"][0].update(cpu_time_s=3, status="Cached")
+        task, = trace_from_obj(doc).tasks
+        assert type(task.cpu_time_s) is float and task.cpu_time_s == 3.0
+        assert task.status is TaskStatus.CACHED
+        assert task.flags == frozenset()
+
 
 class TestDuplicateTaskIds:
     def test_workflow_trace_names_duplicated_id(self):
