@@ -21,10 +21,11 @@ from __future__ import annotations
 import io
 import json
 import math
+from array import array
 from bisect import insort
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, Mapping, Sequence, TextIO
+from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .counter import (
     EnergyQuantity,
@@ -224,6 +225,43 @@ def countable_total(per_node: Mapping[str, Mapping[RaplDomain, float]]
     return total
 
 
+class _Joules(Mapping):
+    """A task's joules by domain: the domains, a tuple entries with the
+    same key order share, and the joules in that order.
+
+    A read-only mapping that costs two tuples, where a dict of one domain
+    costs about 224 bytes.
+    """
+
+    __slots__ = ("_domains", "_joules")
+
+    def __init__(self, domains: tuple[RaplDomain, ...],
+                 joules: tuple[float, ...]) -> None:
+        self._domains = domains
+        self._joules = joules
+
+    def __getitem__(self, domain: RaplDomain) -> float:
+        try:
+            return self._joules[self._domains.index(domain)]
+        except ValueError:
+            raise KeyError(domain) from None
+
+    def __iter__(self) -> Iterator[RaplDomain]:
+        return iter(self._domains)
+
+    def __len__(self) -> int:
+        return len(self._domains)
+
+    def __repr__(self) -> str:
+        return repr(dict(zip(self._domains, self._joules)))
+
+
+# Every key order a TaskEnergy was built from a mapping with, so that
+# entries with the same domains share one tuple; at most one per ordered
+# subset of the few RAPL domains.
+_DOMAIN_ORDERS: dict[tuple[RaplDomain, ...], tuple[RaplDomain, ...]] = {}
+
+
 @dataclass(frozen=True, slots=True)
 class TaskEnergy:
     """Energy attributed to one task, with how trustworthy it is.
@@ -235,6 +273,8 @@ class TaskEnergy:
     duration, clipping) and why an entry holds no joules.  ``notes`` is
     kept as given when it is a frozenset, so entries with the same notes
     share one set: attribution hands out one set per combination of notes.
+    ``joules_by_domain`` is kept as a read-only mapping, in the order it
+    was given.
     """
 
     task_id: str
@@ -243,16 +283,24 @@ class TaskEnergy:
     notes: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        cleaned: dict[RaplDomain, float] = {}
-        for domain, joules in self.joules_by_domain.items():
+        given = self.joules_by_domain
+        if type(given) is _Joules:
+            domains, values = given._domains, given._joules
+        else:
+            domains = tuple(given)
+            domains = _DOMAIN_ORDERS.setdefault(domains, domains)
+            values = tuple(given.values())
+        cleaned = []
+        for domain, joules in zip(domains, values):
             if -1e-9 < joules < 0.0:
                 joules = 0.0
             if not (math.isfinite(joules) and joules >= 0):
                 raise InvalidArgumentError(
                     f"task {self.task_id}: {domain} energy must be >= 0, "
                     f"got {joules}")
-            cleaned[domain] = joules
-        object.__setattr__(self, "joules_by_domain", cleaned)
+            cleaned.append(joules)
+        object.__setattr__(self, "joules_by_domain",
+                           _Joules(domains, tuple(cleaned)))
         object.__setattr__(self, "notes", frozenset(self.notes))
 
 
@@ -337,16 +385,15 @@ def attribute_concurrent(tasks: Sequence[TaskRecord], log: NodeEnergyLog,
     if cuts is None:
         cuts = _clip_tasks(tasks, window)
     task_joules, unattributed, notes = _sweep(tasks, cuts, log, policy)
-    domains = list(log.series)
+    domains = tuple(log.series)
     energies = []
-    for i, (task, clip) in enumerate(zip(tasks, cuts[0])):
+    for task, clip, joules, task_notes in zip(tasks, cuts[0],
+                                              zip(*task_joules), notes):
         if clip is not None and log.has_unsafe_gap(*clip):
-            notes[i] = _shared_notes(notes[i], FLAG_UNSAFE_GAP)
+            task_notes = _shared_notes(task_notes, FLAG_UNSAFE_GAP)
         energies.append(TaskEnergy(
-            task_id=task.task_id,
-            joules_by_domain={domain: joules_of[i] for domain, joules_of
-                              in zip(domains, task_joules)},
-            estimated=True, notes=notes[i]))
+            task_id=task.task_id, joules_by_domain=_Joules(domains, joules),
+            estimated=True, notes=task_notes))
     return AttributionResult(task_energies=tuple(energies),
                              unattributed_by_domain=dict(zip(domains,
                                                              unattributed)))
@@ -361,19 +408,20 @@ def _sweep(tasks: Sequence[TaskRecord], cuts: _Cuts, log: NodeEnergyLog,
     The active tasks of each segment come from a sweep over the sorted
     segment boundaries: at each boundary the tasks whose clipped window
     ends there leave the live list, then those starting there join it.
-    That costs the active tasks of each segment, instead of a scan of
-    every task per segment.  The live list is kept in input task order,
-    so every float sum (total weight, shares, leftover, and each task's
-    accumulation over segments) is a left fold over its terms in a fixed
-    order, and reports stay byte-stable.
+    The placed tasks, sorted stably by clipped start and by clipped end,
+    are walked with one pointer each, so no boundary holds a container
+    of its own.  That costs the active tasks of each segment, instead of
+    a scan of every task per segment.  The live list is kept in input
+    task order, so every float sum (total weight, shares, leftover, and
+    each task's accumulation over segments) is a left fold over its terms
+    in a fixed order, and reports stay byte-stable.
     """
     clipped, boundaries = cuts
     weights: list[float] = []
     # Each task's notes, one shared set per combination: a set per task
     # would add about a fifth to a task's cost at the report's peak.
     notes: list[frozenset[str]] = []
-    starting: dict[int, list[int]] = {}
-    ending: dict[int, list[int]] = {}
+    placed: list[int] = []
     no_notes = _shared_notes(())
     for i, (task, clip) in enumerate(zip(tasks, clipped)):
         notes.append(_shared_notes((_SUB_RESOLUTION,))
@@ -383,13 +431,14 @@ def _sweep(tasks: Sequence[TaskRecord], cuts: _Cuts, log: NodeEnergyLog,
         if clip is None:
             weights.append(0.0)
             continue
-        lo, hi = clip
-        starting.setdefault(lo, []).append(i)
-        ending.setdefault(hi, []).append(i)
+        placed.append(i)
         if policy.kind is PolicyKind.CPU_TIME_SHARE:
+            lo, hi = clip
             weights.append(task.cpu_time_s / ((hi - lo) / 1e9))
         else:
             weights.append(1.0)
+    by_start = sorted(placed, key=lambda i: clipped[i][0])
+    by_end = sorted(placed, key=lambda i: clipped[i][1])
 
     # Joules per task and unattributed, by position in ``domains``; dicts
     # are built once.  Each domain's entry carries its count at every
@@ -400,22 +449,30 @@ def _sweep(tasks: Sequence[TaskRecord], cuts: _Cuts, log: NodeEnergyLog,
     task_joules = [[0.0] * len(tasks) for _ in domains]
     unattributed = [0.0] * len(domains)
     per_domain = [
-        (d, counts_at(series, [b - series.epoch_wall_ns for b in boundaries]),
+        (d, counts_at(series, array("q", (b - series.epoch_wall_ns
+                                          for b in boundaries))),
          series.spec.energy_unit_joules, task_joules[d])
         for d, series in enumerate(log.series.values())]
     exclusive = policy.kind is PolicyKind.EXCLUSIVE_ONLY
     baseline_w = policy.idle_baseline_watts
     live: list[int] = []
     shared: set[int] = set()
+    # The next task to join and to leave, by position in by_start and
+    # by_end; every clipped end is a boundary, so each is met exactly.
+    joins = leaves = 0
+    n_placed = len(by_start)
 
     for k, (seg_lo, seg_hi) in enumerate(zip(boundaries, boundaries[1:])):
-        for i in ending.get(seg_lo, ()):
-            live.remove(i)
-        for i in starting.get(seg_lo, ()):
-            insort(live, i)
+        while leaves < n_placed and clipped[by_end[leaves]][1] == seg_lo:
+            live.remove(by_end[leaves])
+            leaves += 1
+        joined = joins
+        while joins < n_placed and clipped[by_start[joins]][0] == seg_lo:
+            insort(live, by_start[joins])
+            joins += 1
         # Until a task joins again the live list only shrinks, so a task
         # that shares a segment is live with another where one joined.
-        if seg_lo in starting and len(live) > 1:
+        if joins > joined and len(live) > 1:
             shared.update(live)
         active = () if exclusive and len(live) > 1 else live
         if active:
@@ -528,7 +585,8 @@ class ReportPlan:
     placed on no node: those ``cached`` and those flagged
     ``unknown_node`` or ``no_timing``.  :meth:`cuts` gives a node's
     clipped task windows and segment boundaries over an accounting window,
-    computed on first use; :meth:`edges` is the
+    computed on first use and kept until :meth:`take_cuts` hands them to
+    attribution; :meth:`edges` is the
     :data:`~wattflow.logfile.EdgePlan` a log is read at with
     :func:`~wattflow.logfile.read_counts`, and attribution takes the same
     cuts.
@@ -555,6 +613,12 @@ class ReportPlan:
             self._cuts[key] = _clip_tasks(self.groups.get(node_id, ()),
                                           window)
         return self._cuts[key]
+
+    def take_cuts(self, node_id: str, window: tuple[int, int]) -> _Cuts:
+        """:meth:`cuts`, which the plan then no longer keeps."""
+        cuts = self.cuts(node_id, window)
+        del self._cuts[node_id, window]
+        return cuts
 
     def edges(self, node_id: str, span: tuple[int, int] | None
               ) -> list[int]:
@@ -615,9 +679,10 @@ def assemble_report(trace: WorkflowTrace,
             f"no usable sample log for node(s): {', '.join(missing)}")
     unattributed = 0.0
     for node, window in windows.items():
+        # A node's cuts are not needed once it is attributed.
         result = attribute_concurrent(groups.get(node, []), logs[node],
                                       policy, window=window,
-                                      cuts=plan.cuts(node, window))
+                                      cuts=plan.take_cuts(node, window))
         unattributed += result.unattributed_joules
         all_tasks.extend(result.task_energies)
     all_tasks.sort(key=lambda te: te.task_id)
@@ -706,14 +771,15 @@ def write_report(report: EnergyReport, fh: TextIO) -> None:
     for te in report.per_task:
         if te.notes not in notes_texts:
             notes_texts[te.notes] = _strings_text(te.notes, "      ")
-        by_domain = te.joules_by_domain
-        key = tuple(map(id, by_domain))
+        by_domain: _Joules = te.joules_by_domain
+        key = tuple(map(id, by_domain._domains))
         if key not in domain_forms:
-            names = sorted((d.value, n) for n, d in enumerate(by_domain))
+            names = sorted((d.value, n) for n, d
+                           in enumerate(by_domain._domains))
             domain_forms[key] = [n for _, n in names], _container_text(
                 [f'"{name}": %s' for name, _ in names], "      ", "{}")
         order, form = domain_forms[key]
-        joules = list(by_domain.values())
+        joules = by_domain._joules
         write(f'{separator}{{\n'
               f'      "estimated": {_scalar_text(te.estimated)},\n'
               f'      "joules_by_domain": '

@@ -285,16 +285,8 @@ class CountWalker:
 
 
 class _UnsafeSpans:
-    """Unsafe-gap queries over the spans a series' ``_unsafe_spans``
-    gives, sorted and indexed on first use."""
-
-    def _unsafe_index(self) -> tuple[list[tuple[int, int]], list[int]]:
-        """The sorted unsafe spans and the running max of their ends."""
-        if self._unsafe is None:
-            spans = sorted(self._unsafe_spans())
-            object.__setattr__(self, "_unsafe", (spans, list(accumulate(
-                (g1 for _, g1 in spans), max))))
-        return self._unsafe
+    """The unsafe gaps of the spans a series' ``_unsafe_spans`` gives,
+    sorted on first use."""
 
     def unsafe_gaps(self) -> list[tuple[int, int]]:
         """Sample gaps wide enough that an undetected wrap was possible.
@@ -303,14 +295,9 @@ class _UnsafeSpans:
         time the counter could take to wrap at the configured maximum power).
         Explicit gap markers recorded by the agent are always unsafe.
         """
-        return list(self._unsafe_index()[0])
-
-    def has_unsafe_gap(self, start_ns: int, end_ns: int) -> bool:
-        """Whether an unsafe gap touches ``[start_ns, end_ns]``: some span
-        starting by ``end_ns`` ends at or after ``start_ns``."""
-        spans, max_ends = self._unsafe_index()
-        k = bisect.bisect_right(spans, end_ns, key=operator.itemgetter(0))
-        return k > 0 and max_ends[k - 1] >= start_ns
+        if self._unsafe is None:
+            object.__setattr__(self, "_unsafe", sorted(self._unsafe_spans()))
+        return list(self._unsafe)
 
 
 def _degenerate(node_id: str, spec: CounterSpec,
@@ -346,7 +333,7 @@ class SampleSeries(_UnsafeSpans):
     gap_markers: tuple[int, ...] = ()
     wrap_horizon_ns: int | None = None
     samples: SampleView = field(init=False, repr=False, compare=False)
-    _unsafe: tuple | None = field(default=None, init=False, repr=False,
+    _unsafe: list | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
     def __post_init__(self) -> None:
@@ -413,7 +400,7 @@ class SeriesCounts(_UnsafeSpans):
     counts: array
     epoch_wall_ns: int = 0
     gap_markers: tuple[int, ...] = ()
-    _unsafe: tuple | None = field(default=None, init=False, repr=False,
+    _unsafe: list | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
     @classmethod

@@ -69,14 +69,16 @@ def json_text(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def load_json(path: str) -> Any:
-    """The JSON document in a UTF-8 file.
+def load_json(path: str,
+              object_hook: Callable[[dict], Any] | None = None) -> Any:
+    """The JSON document in a UTF-8 file, each object decoded passed
+    through ``object_hook`` when one is given (see :func:`json.load`).
 
     Raises:
         SchemaViolationError: The file is not valid JSON.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_hook=object_hook)
         except json.JSONDecodeError as exc:
             raise SchemaViolationError(f"not valid JSON: {exc}") from None

@@ -44,6 +44,7 @@ each log's own timestamp check and appends the block in one write.
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 import operator
@@ -51,9 +52,9 @@ import os
 import re
 import string
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Callable, Mapping, Sequence
 
 from .counter import (
@@ -309,6 +310,8 @@ class NodeEnergyLog:
     series: Mapping[RaplDomain, SampleSeries | SeriesCounts]
     status: LogStatus = LogStatus.CLOSED
     session_id: str | None = None
+    _unsafe: tuple[list[int], list[int]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.series:
@@ -340,10 +343,21 @@ class NodeEnergyLog:
         return lo, hi
 
     def has_unsafe_gap(self, start_wall_ns: int, end_wall_ns: int) -> bool:
-        return any(
-            series.has_unsafe_gap(start_wall_ns - series.epoch_wall_ns,
-                                  end_wall_ns - series.epoch_wall_ns)
-            for series in self.series.values())
+        """Whether an unsafe gap of any domain touches ``[start_wall_ns,
+        end_wall_ns]``: some span starting by the end ends at or after
+        the start.  The spans of every domain, in wall time, are merged
+        into one sorted index on first use, so each call is one
+        bisection."""
+        if self._unsafe is None:
+            spans = sorted((g0 + s.epoch_wall_ns, g1 + s.epoch_wall_ns)
+                           for s in self.series.values()
+                           for g0, g1 in s.unsafe_gaps())
+            object.__setattr__(self, "_unsafe", (
+                [g0 for g0, _ in spans],
+                list(accumulate((g1 for _, g1 in spans), max))))
+        starts, max_ends = self._unsafe
+        k = bisect.bisect_right(starts, end_wall_ns)
+        return k > 0 and max_ends[k - 1] >= start_wall_ns
 
 
 class _Columns:

@@ -305,17 +305,69 @@ def parse_generic_trace(path: str) -> WorkflowTrace:
     flagged, which later makes their attribution weight equal a plain
     wall-time share.
 
+    Each task entry becomes its record as soon as the decoder has read
+    it, so the decoded document is never held whole.  A document that
+    then raises is decoded again, plainly, for :func:`trace_from_obj` to
+    name its error: every error is the one the plain document gives.
+
     Raises:
         SchemaViolationError: Structural problem, named by JSON path.
     """
-    return trace_from_obj(load_json(path))
+    try:
+        return trace_from_obj(load_json(path, object_hook=_decoded))
+    except SchemaViolationError:
+        return trace_from_obj(load_json(path))
 
 
 # Each status by its spelling in lower case.
 _STATUS_OF = {status.value: status for status in TaskStatus}
 
 
+def _record_of(item: Any) -> TaskRecord | None:
+    """The record of a valid task entry whose every value has the exact
+    type :mod:`json` decodes it to, or None for any other entry, which
+    :func:`_checked_record` checks key by key to name its error.  Never
+    raises."""
+    if type(item) is not dict:
+        return None
+    status_text = item.get("status")
+    if type(status_text) is not str:
+        return None
+    status = _STATUS_OF.get(status_text.lower())
+    start, end = item.get("start_wall_ns"), item.get("end_wall_ns")
+    task_id, name, node_id = (item.get("task_id"), item.get("name"),
+                              item.get("node_id"))
+    if status is None or type(start) is not int or type(end) is not int \
+            or not type(task_id) is type(name) is type(node_id) is str:
+        return None
+    cpu_time, flags = item.get("cpu_time_s"), _NO_FLAGS
+    try:
+        if "cpu_time_s" not in item:
+            cpu_time = (end - start) / 1e9
+            flags = _CPU_TIME_FALLBACK_FLAGS
+        elif type(cpu_time) is int:
+            cpu_time = float(cpu_time)
+        elif type(cpu_time) is not float:
+            return None
+        # One string per node, not one per task.
+        return TaskRecord(task_id, name, sys.intern(node_id), start, end,
+                          cpu_time, status, flags)
+    except (OverflowError, InvalidArgumentError):
+        return None
+
+
+def _decoded(obj: dict) -> Any:
+    """``json.load``'s hook: a task entry's record in its place."""
+    record = _record_of(obj)
+    return obj if record is None else record
+
+
 def trace_from_obj(doc: Any) -> WorkflowTrace:
+    """The trace of a generic-document object.
+
+    A task entry that is already a :class:`TaskRecord` (what
+    :func:`parse_generic_trace`'s decoder makes of one) is kept as is.
+    """
     if not isinstance(doc, dict):
         raise SchemaViolationError("top level must be an object")
     workflow_id = _require(doc, "workflow_id", str, "$")
@@ -323,50 +375,11 @@ def trace_from_obj(doc: Any) -> WorkflowTrace:
     finished = _require(doc, "finished_wall_ns", int, "$")
     tasks_obj = _require(doc, "tasks", list, "$")
     tasks: list[TaskRecord] = []
-    # Each value of the exact type the trace writer writes passes one
-    # check; any other goes through _require, which names the first bad
-    # key in the order below.
     for i, item in enumerate(tasks_obj):
-        jp = f"$.tasks[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaViolationError("task entry must be an object",
-                                       json_path=jp)
-        status_text = item.get("status")
-        if type(status_text) is not str:
-            status_text = _require(item, "status", str, jp)
-        status = _STATUS_OF.get(status_text.lower())
-        if status is None:
-            raise SchemaViolationError(f"unknown status {status_text!r}",
-                                       json_path=f"{jp}.status")
-        start, end = item.get("start_wall_ns"), item.get("end_wall_ns")
-        if type(start) is not int or type(end) is not int:
-            start = _require(item, "start_wall_ns", int, jp)
-            end = _require(item, "end_wall_ns", int, jp)
-        flags = _NO_FLAGS
-        if "cpu_time_s" in item:
-            cpu_time = item["cpu_time_s"]
-            if type(cpu_time) is not float:
-                if isinstance(cpu_time, bool) or \
-                        not isinstance(cpu_time, (int, float)):
-                    raise SchemaViolationError(
-                        f"expected number, got {type(cpu_time).__name__}",
-                        json_path=f"{jp}.cpu_time_s")
-                cpu_time = float(cpu_time)
-        else:
-            cpu_time = (end - start) / 1e9
-            flags = _CPU_TIME_FALLBACK_FLAGS
-        task_id, name, node_id = (item.get("task_id"), item.get("name"),
-                                  item.get("node_id"))
-        if not type(task_id) is type(name) is type(node_id) is str:
-            task_id = _require(item, "task_id", str, jp)
-            name = _require(item, "name", str, jp)
-            node_id = _require(item, "node_id", str, jp)
-        try:
-            # One string per node, not one per task.
-            tasks.append(TaskRecord(task_id, name, sys.intern(node_id),
-                                    start, end, cpu_time, status, flags))
-        except InvalidArgumentError as exc:
-            raise SchemaViolationError(str(exc), json_path=jp) from None
+        if type(item) is not TaskRecord:
+            item = _record_of(item) or _checked_record(item,
+                                                       f"$.tasks[{i}]")
+        tasks.append(item)
     try:
         return WorkflowTrace(workflow_id=workflow_id,
                              submitted_wall_ns=submitted,
@@ -374,6 +387,41 @@ def trace_from_obj(doc: Any) -> WorkflowTrace:
                              tasks=tuple(tasks))
     except InvalidArgumentError as exc:
         raise SchemaViolationError(str(exc)) from None
+
+
+def _checked_record(item: Any, jp: str) -> TaskRecord:
+    """The record of the task entry at ``jp``, checked key by key in the
+    order below, so that the first bad key is the one named."""
+    if not isinstance(item, dict):
+        raise SchemaViolationError("task entry must be an object",
+                                   json_path=jp)
+    status_text = _require(item, "status", str, jp)
+    status = _STATUS_OF.get(status_text.lower())
+    if status is None:
+        raise SchemaViolationError(f"unknown status {status_text!r}",
+                                   json_path=f"{jp}.status")
+    start = _require(item, "start_wall_ns", int, jp)
+    end = _require(item, "end_wall_ns", int, jp)
+    flags = _NO_FLAGS
+    if "cpu_time_s" in item:
+        cpu_time = item["cpu_time_s"]
+        if isinstance(cpu_time, bool) or \
+                not isinstance(cpu_time, (int, float)):
+            raise SchemaViolationError(
+                f"expected number, got {type(cpu_time).__name__}",
+                json_path=f"{jp}.cpu_time_s")
+        cpu_time = float(cpu_time)
+    else:
+        cpu_time = (end - start) / 1e9
+        flags = _CPU_TIME_FALLBACK_FLAGS
+    task_id = _require(item, "task_id", str, jp)
+    name = _require(item, "name", str, jp)
+    node_id = _require(item, "node_id", str, jp)
+    try:
+        return TaskRecord(task_id, name, sys.intern(node_id), start, end,
+                          cpu_time, status, flags)
+    except InvalidArgumentError as exc:
+        raise SchemaViolationError(str(exc), json_path=jp) from None
 
 
 def trace_to_obj(trace: WorkflowTrace) -> dict[str, Any]:

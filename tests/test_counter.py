@@ -29,6 +29,7 @@ from wattflow.errors import (
     InvalidArgumentError,
     WattflowError,
 )
+from wattflow.logfile import NodeEnergyLog
 
 PKG = RaplDomain.PACKAGE
 
@@ -318,14 +319,17 @@ class TestSampleSeries:
             wrap_horizon_ns=10 * 10**9)
         gaps = series.unsafe_gaps()
         assert gaps == [(4 * 10**9, 10 * 10**9)]
-        assert series.has_unsafe_gap(5 * 10**9, 6 * 10**9)
-        assert not series.has_unsafe_gap(0, 3 * 10**9)
+        log = NodeEnergyLog(node_id="n1", series={s.domain: series})
+        assert log.has_unsafe_gap(5 * 10**9, 6 * 10**9)
+        assert not log.has_unsafe_gap(0, 3 * 10**9)
 
     def test_gap_markers_always_unsafe(self):
         s = spec(bit_width=64)
         series = build_series("n1", s, [RawSample(0, 0), RawSample(10**9, 1)],
                               gap_markers=(5 * 10**8,))
-        assert series.has_unsafe_gap(0, 10**9)
+        assert series.unsafe_gaps() == [(5 * 10**8, 5 * 10**8)]
+        log = NodeEnergyLog(node_id="n1", series={s.domain: series})
+        assert log.has_unsafe_gap(0, 10**9)
 
 
 @dataclass(frozen=True)

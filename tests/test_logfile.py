@@ -316,7 +316,7 @@ class TestGapAndStatus:
         parsed = parse_log(path)
         series = parsed.series[RaplDomain.PACKAGE]
         assert series.gap_markers == (15,)
-        assert series.has_unsafe_gap(10, 20)
+        assert parsed.has_unsafe_gap(10, 20)
         assert log_flags(parsed) == {"unsafe_gap"}
 
     def test_clean_log_not_flagged(self, tmp_path):
