@@ -440,9 +440,9 @@ def _sweep(tasks: Sequence[TaskRecord], cuts: _Cuts, log: NodeEnergyLog,
     by_start = sorted(placed, key=lambda i: clipped[i][0])
     by_end = sorted(placed, key=lambda i: clipped[i][1])
 
-    # Joules per task and unattributed, by position in ``domains``; dicts
-    # are built once.  Each domain's entry carries its count at every
-    # boundary and its energy unit.
+    # Joules per task and unattributed, by position in ``domains``.  Each
+    # domain's entry carries its count at every boundary and its energy
+    # unit.
     domains = list(log.series)
     package = domains.index(RaplDomain.PACKAGE) \
         if RaplDomain.PACKAGE in domains else None

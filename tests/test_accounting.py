@@ -23,6 +23,7 @@ from wattflow.accounting import (
     MeasurementMethod,
     NodeEnergyLog,
     PolicyKind,
+    ReportPlan,
     TaskEnergy,
     assemble_report,
     attribute_concurrent,
@@ -783,6 +784,14 @@ class TestAssembleReport:
                     assemble_report(trace, logs, policy)))
             assert len(texts) == 1, kind
 
+    def test_plan_keeps_no_cuts_once_its_nodes_are_attributed(self):
+        trace, logs = fixture_trace_and_logs()
+        plan = ReportPlan(trace)
+        report = assemble_report(trace, logs, cpu_policy(), plan=plan)
+        assert plan._cuts == {}
+        assert report_to_json(report) == report_to_json(
+            assemble_report(trace, logs, cpu_policy()))
+
     def test_missing_node_named(self):
         trace, logs = fixture_trace_and_logs()
         del logs["n2"]
@@ -861,6 +870,73 @@ class TestReportSerialization:
         obj = json.loads(report_to_json(report))
         assert "coverage_fraction" not in obj
         assert report_from_obj(obj).coverage_fraction is None
+
+
+class TestTaskEnergyMapping:
+    """``joules_by_domain`` is kept compactly, and reads as the mapping it
+    was built from."""
+
+    def test_reads_as_the_dict_it_was_built_from(self):
+        given = {DRAM: 0.25, PKG: 3.0}
+        te = TaskEnergy("t1", given, True)
+        assert te.joules_by_domain == given
+        assert dict(te.joules_by_domain) == given
+        assert list(te.joules_by_domain.items()) == list(given.items())
+        assert te.joules_by_domain[PKG] == 3.0
+        assert PKG in te.joules_by_domain
+        assert RaplDomain.PSYS not in te.joules_by_domain
+        assert te.joules_by_domain.get(RaplDomain.PSYS) is None
+        with pytest.raises(KeyError):
+            te.joules_by_domain[RaplDomain.PSYS]
+
+    def test_refuses_item_assignment(self):
+        te = TaskEnergy("t1", {PKG: 3.0}, True)
+        with pytest.raises(TypeError):
+            te.joules_by_domain[PKG] = 4.0
+        with pytest.raises(TypeError):
+            te.joules_by_domain[DRAM] = 1.0
+        assert dict(te.joules_by_domain) == {PKG: 3.0}
+
+    def test_checks_and_clamps_every_value(self):
+        assert TaskEnergy("t1", {PKG: -1e-12}).joules_by_domain == {PKG: 0.0}
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidArgumentError, match="t1: dram"):
+                TaskEnergy("t1", {PKG: 1.0, DRAM: bad})
+
+    def test_entry_without_joules(self):
+        trace = WorkflowTrace(
+            workflow_id="wf", submitted_wall_ns=EPOCH,
+            finished_wall_ns=EPOCH + 60 * S,
+            tasks=(dataclasses.replace(task("c1", 10, 20),
+                                       status=TaskStatus.CACHED),
+                   dataclasses.replace(task("u1", 10, 20, node="n9"),
+                                       flags=frozenset({FLAG_UNKNOWN_NODE}))))
+        report = assemble_report(trace, {"n1": constant_log()}, cpu_policy())
+        for te in report.per_task:
+            assert te.joules_by_domain == {}
+            assert len(te.joules_by_domain) == 0
+            assert dict(te.joules_by_domain) == {}
+        assert [t["joules_by_domain"] for t in
+                json.loads(report_to_json(report))["per_task"]] == [{}, {}]
+
+    def test_report_text_round_trips(self):
+        trace, logs = fixture_trace_and_logs()
+        text = report_to_json(assemble_report(trace, logs, cpu_policy()))
+        restored = report_from_obj(json.loads(text))
+        assert report_to_json(restored) == text
+
+    def test_entries_from_equal_dicts_are_equal(self):
+        a = TaskEnergy("t1", {PKG: 3.0, DRAM: 0.5}, True, {"cached"})
+        b = TaskEnergy("t1", {DRAM: 0.5, PKG: 3.0}, True,
+                       frozenset({"cached"}))
+        assert a == b
+        assert a.joules_by_domain == b.joules_by_domain
+        assert a != dataclasses.replace(b, joules_by_domain={PKG: 3.0})
+        # An entry attribution built equals one built from its dict.
+        te, = attribute_concurrent([task("t1", 10, 20)], constant_log(),
+                                   cpu_policy()).task_energies
+        assert te == TaskEnergy(te.task_id, dict(te.joules_by_domain),
+                                te.estimated, te.notes)
 
 
 # Ids mix ASCII, non-ASCII, control characters and lone surrogates, all of

@@ -327,9 +327,11 @@ class TestStreamingMemory:
         # its record, its cuts and counts, its energy entry.  Tasks run 16
         # at once, as in the dense benchmark workload, over a 200 s log,
         # 8k and then 64k of them; the slope between the two peaks is the
-        # cost per task.  Measured at 786-851 B a task on CPython 3.10 to
-        # 3.13; with a flag set per task and the report text built whole
-        # before it is written, 1,805-1,950.
+        # cost per task.  Measured at 541-551 B a task on CPython 3.10 to
+        # 3.13; with the decoded trace document held whole, a dict of
+        # joules per entry and per-boundary lists in the sweep, 739-851;
+        # with a flag set per task and the report text built whole before
+        # it is written, 1,805-1,950.
         logs = tmp_path / "logs"
         logs.mkdir()
         lines = [f"{HEADER_PREFIX}node=n1 domain=package bit_width=32 "
@@ -372,4 +374,4 @@ class TestStreamingMemory:
             finally:
                 tracemalloc.stop()
         per_task = (peaks[64_000] - peaks[8_000]) / 56_000
-        assert per_task < 1_050, peaks
+        assert per_task < 680, peaks

@@ -6,10 +6,12 @@ import json
 
 import pytest
 
+from wattflow import trace as trace_module
 from wattflow.errors import (
     InvalidArgumentError,
     ParseError,
     SchemaViolationError,
+    load_json,
 )
 from wattflow.trace import (
     FLAG_CPU_TIME_FALLBACK,
@@ -194,6 +196,38 @@ def generic_doc(**overrides):
     return doc
 
 
+# A bad second entry, after a good one: what it changes (None deletes a
+# key), the JSON path after ``$.tasks[1]`` and the error it raises.
+BAD_ENTRIES = [
+    ({"start_wall_ns": True}, ".start_wall_ns",
+     "expected integer, got boolean"),
+    ({"end_wall_ns": False}, ".end_wall_ns",
+     "expected integer, got boolean"),
+    ({"start_wall_ns": 2e9}, ".start_wall_ns", "expected int, got float"),
+    ({"cpu_time_s": True}, ".cpu_time_s", "expected number, got bool"),
+    ({"cpu_time_s": "2.5"}, ".cpu_time_s", "expected number, got str"),
+    ({"name": 7}, ".name", "expected str, got int"),
+    ({"status": ["completed"]}, ".status", "expected str, got list"),
+    ({"status": "paused"}, ".status", "unknown status 'paused'"),
+    ({"task_id": ""}, "", "task_id must be non-empty"),
+    ({"end_wall_ns": 1_000_000_000}, "",
+     "task t2: end 1000000000 before start 2000000000"),
+    ({"cpu_time_s": -1.0}, "", "task t2: cpu_time_s must be >= 0, "
+     "got -1.0"),
+    ({"node_id": None}, "", "missing required key 'node_id'"),
+    ({"status": None}, "", "missing required key 'status'"),
+]
+
+
+def with_bad_entry(change) -> dict:
+    entry = dict(generic_doc()["tasks"][0], task_id="t2")
+    entry.update(change)
+    doc = generic_doc()
+    doc["tasks"].append({key: value for key, value in entry.items()
+                         if value is not None})
+    return doc
+
+
 class TestGenericTrace:
     def test_minimal_document(self, tmp_path):
         p = tmp_path / "t.json"
@@ -252,35 +286,10 @@ class TestGenericTrace:
         with pytest.raises(SchemaViolationError):
             trace_from_obj(doc)
 
-    # A bad second entry, after a good one, and the error it raises.
-    @pytest.mark.parametrize("change, path, message", [
-        ({"start_wall_ns": True}, ".start_wall_ns",
-         "expected integer, got boolean"),
-        ({"end_wall_ns": False}, ".end_wall_ns",
-         "expected integer, got boolean"),
-        ({"start_wall_ns": 2e9}, ".start_wall_ns", "expected int, got float"),
-        ({"cpu_time_s": True}, ".cpu_time_s", "expected number, got bool"),
-        ({"cpu_time_s": "2.5"}, ".cpu_time_s", "expected number, got str"),
-        ({"name": 7}, ".name", "expected str, got int"),
-        ({"status": ["completed"]}, ".status", "expected str, got list"),
-        ({"status": "paused"}, ".status", "unknown status 'paused'"),
-        ({"task_id": ""}, "", "task_id must be non-empty"),
-        ({"end_wall_ns": 1_000_000_000}, "",
-         "task t2: end 1000000000 before start 2000000000"),
-        ({"cpu_time_s": -1.0}, "", "task t2: cpu_time_s must be >= 0, "
-         "got -1.0"),
-        ({"node_id": None}, "", "missing required key 'node_id'"),
-        ({"status": None}, "", "missing required key 'status'"),
-    ])
+    @pytest.mark.parametrize("change, path, message", BAD_ENTRIES)
     def test_bad_entry_error_names_its_path(self, change, path, message):
-        entry = dict(generic_doc()["tasks"][0], task_id="t2")
-        entry.update(change)
-        entry = {key: value for key, value in entry.items()
-                 if value is not None}
-        doc = generic_doc()
-        doc["tasks"].append(entry)
         with pytest.raises(SchemaViolationError) as exc:
-            trace_from_obj(doc)
+            trace_from_obj(with_bad_entry(change))
         assert exc.value.json_path == f"$.tasks[1]{path}"
         assert str(exc.value) == f"$.tasks[1]{path}: {message}"
 
@@ -307,6 +316,118 @@ class TestGenericTrace:
         assert type(task.cpu_time_s) is float and task.cpu_time_s == 3.0
         assert task.status is TaskStatus.CACHED
         assert task.flags == frozenset()
+
+
+def task_entry(**changes) -> dict:
+    return dict(generic_doc()["tasks"][0], **changes)
+
+
+def decoded_both_ways(tmp_path, text: str):
+    """What ``parse_generic_trace`` gives for ``text``, checked equal to
+    what ``trace_from_obj`` gives for the plainly decoded document: the
+    same trace, or a ``SchemaViolationError`` with the same message and
+    JSON path, returned as ``(message, json_path)``."""
+    path = tmp_path / "t.json"
+    path.write_text(text, encoding="utf-8")
+
+    def outcome(read):
+        try:
+            return read()
+        except SchemaViolationError as exc:
+            return str(exc), exc.json_path
+    got = outcome(lambda: parse_generic_trace(str(path)))
+    assert got == outcome(lambda: trace_from_obj(load_json(str(path))))
+    return got
+
+
+class TestDecodeParity:
+    """``parse_generic_trace`` builds each record as its entry is decoded,
+    and gives what the plainly decoded document gives."""
+
+    def test_records_are_built_while_decoding(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(generic_doc()), encoding="utf-8")
+        doc = load_json(str(path), object_hook=trace_module._decoded)
+        assert type(doc["tasks"][0]) is TaskRecord
+        assert decoded_both_ways(tmp_path, path.read_text()) \
+            == trace_from_obj(generic_doc())
+
+    @pytest.mark.parametrize("change, path, message", BAD_ENTRIES)
+    def test_bad_entry(self, tmp_path, change, path, message):
+        got = decoded_both_ways(tmp_path, json.dumps(with_bad_entry(change)))
+        assert got == (f"$.tasks[1]{path}: {message}", f"$.tasks[1]{path}")
+
+    def test_entry_that_is_not_an_object(self, tmp_path):
+        doc = generic_doc()
+        doc["tasks"].append(3)
+        got = decoded_both_ways(tmp_path, json.dumps(doc))
+        assert got == ("$.tasks[1]: task entry must be an object",
+                       "$.tasks[1]")
+
+    def test_task_shaped_top_level(self, tmp_path):
+        got = decoded_both_ways(
+            tmp_path, json.dumps(dict(task_entry(task_id="top"),
+                                      **generic_doc())))
+        assert [t.task_id for t in got.tasks] == ["t1"]
+
+    def test_task_shaped_workflow_id(self, tmp_path):
+        got = decoded_both_ways(
+            tmp_path, json.dumps(generic_doc(workflow_id=task_entry())))
+        assert got == ("$.workflow_id: expected str, got dict",
+                       "$.workflow_id")
+
+    def test_task_shaped_values_of_extra_keys(self, tmp_path):
+        doc = generic_doc(meta=task_entry(task_id="doc-extra"))
+        doc["tasks"][0]["extra"] = task_entry(task_id="task-extra")
+        doc["tasks"].append(task_entry(task_id="t2", name=task_entry()))
+        got = decoded_both_ways(tmp_path, json.dumps(doc))
+        assert got == ("$.tasks[1].name: expected str, got dict",
+                       "$.tasks[1].name")
+        del doc["tasks"][1]
+        got = decoded_both_ways(tmp_path, json.dumps(doc))
+        assert [t.task_id for t in got.tasks] == ["t1"]
+
+    def test_missing_cpu_time(self, tmp_path):
+        doc = generic_doc()
+        del doc["tasks"][0]["cpu_time_s"]
+        doc["tasks"].append(task_entry(task_id="t2", cpu_time_s=3))
+        first, second = decoded_both_ways(tmp_path, json.dumps(doc)).tasks
+        assert first.flags == frozenset({FLAG_CPU_TIME_FALLBACK})
+        assert first.cpu_time_s == 3.0
+        assert type(second.cpu_time_s) is float and not second.flags
+
+    def test_nan_cpu_time(self, tmp_path):
+        text = json.dumps(generic_doc()).replace("2.5", "NaN")
+        assert decoded_both_ways(tmp_path, text) == (
+            "$.tasks[0]: task t1: cpu_time_s must be >= 0, got nan",
+            "$.tasks[0]")
+
+    def test_duplicated_key(self, tmp_path):
+        # The last value of a key decoded twice is the one read.
+        text = json.dumps(generic_doc()).replace(
+            '"task_id": "t1"', '"task_id": 7, "status": "paused", '
+            '"task_id": "t1"')
+        assert '"task_id": 7' in text
+        got = decoded_both_ways(tmp_path, text)
+        assert got == trace_from_obj(generic_doc())
+        text = text.replace('"status": "completed"', '"status": "x"')
+        assert decoded_both_ways(tmp_path, text) == (
+            "$.tasks[0].status: unknown status 'x'", "$.tasks[0].status")
+
+    def test_duplicated_task_id(self, tmp_path):
+        doc = generic_doc()
+        doc["tasks"].append(task_entry(node_id="n2"))
+        message, json_path = decoded_both_ways(tmp_path, json.dumps(doc))
+        assert json_path == "$" and "duplicate task_id 't1'" in message
+
+    def test_invalid_json_after_a_valid_task(self, tmp_path):
+        doc = generic_doc()
+        doc["tasks"].append(task_entry(task_id="t2"))
+        text = json.dumps(doc)
+        message, json_path = decoded_both_ways(
+            tmp_path, text[:text.index('"t2"') + 6])
+        assert json_path == "$"
+        assert message.startswith("$: not valid JSON: ")
 
 
 class TestDuplicateTaskIds:
