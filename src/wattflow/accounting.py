@@ -34,6 +34,7 @@ from .counter import (
     integrate_window,
 )
 from .errors import (
+    CONVERSION_ERRORS,
     DegenerateSeriesError,
     InvalidArgumentError,
     SchemaViolationError,
@@ -226,8 +227,8 @@ def countable_total(per_node: Mapping[str, Mapping[RaplDomain, float]]
 
 
 class _Joules(Mapping):
-    """A task's joules by domain: the domains, a tuple entries with the
-    same key order share, and the joules in that order.
+    """A task's joules by domain: the domains, a tuple attribution shares
+    among a node's entries, and the joules in that order.
 
     A read-only mapping that costs two tuples, where a dict of one domain
     costs about 224 bytes.
@@ -256,12 +257,6 @@ class _Joules(Mapping):
         return repr(dict(zip(self._domains, self._joules)))
 
 
-# Every key order a TaskEnergy was built from a mapping with, so that
-# entries with the same domains share one tuple; at most one per ordered
-# subset of the few RAPL domains.
-_DOMAIN_ORDERS: dict[tuple[RaplDomain, ...], tuple[RaplDomain, ...]] = {}
-
-
 @dataclass(frozen=True, slots=True)
 class TaskEnergy:
     """Energy attributed to one task, with how trustworthy it is.
@@ -287,9 +282,7 @@ class TaskEnergy:
         if type(given) is _Joules:
             domains, values = given._domains, given._joules
         else:
-            domains = tuple(given)
-            domains = _DOMAIN_ORDERS.setdefault(domains, domains)
-            values = tuple(given.values())
+            domains, values = tuple(given), tuple(given.values())
         cleaned = []
         for domain, joules in zip(domains, values):
             if -1e-9 < joules < 0.0:
@@ -836,9 +829,7 @@ def report_from_obj(obj: Any) -> EnergyReport:
             unattributed_joules=float(obj.get("unattributed_joules", 0.0)),
             status=obj.get("status", "ok"),
             flags=frozenset(obj.get("flags", ())))
-    except SchemaViolationError:
-        raise
-    except (KeyError, ValueError, TypeError, InvalidArgumentError) as exc:
+    except CONVERSION_ERRORS as exc:
         raise SchemaViolationError(f"bad report document: {exc}") from None
 
 

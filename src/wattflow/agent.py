@@ -43,6 +43,7 @@ from .backends import (
 )
 from .counter import CounterSpec, RaplDomain, RawSample, wrap_horizon_s
 from .errors import (
+    CONVERSION_ERRORS,
     AlreadyActiveError,
     InvalidArgumentError,
     SchemaViolationError,
@@ -174,10 +175,7 @@ def config_from_obj(doc: Any, start_ns: int = 0
                            max_runtime_s=lambda v: None if v is None
                            else float(v)))
         return config, backends
-    except SchemaViolationError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError,
-            InvalidArgumentError) as exc:
+    except CONVERSION_ERRORS as exc:
         raise SchemaViolationError(
             f"bad agent config: {exc}") from None
 

@@ -284,22 +284,6 @@ class CountWalker:
         return self.counts
 
 
-class _UnsafeSpans:
-    """The unsafe gaps of the spans a series' ``_unsafe_spans`` gives,
-    sorted on first use."""
-
-    def unsafe_gaps(self) -> list[tuple[int, int]]:
-        """Sample gaps wide enough that an undetected wrap was possible.
-
-        A gap is unsafe when it exceeds half the wrap horizon (the shortest
-        time the counter could take to wrap at the configured maximum power).
-        Explicit gap markers recorded by the agent are always unsafe.
-        """
-        if self._unsafe is None:
-            object.__setattr__(self, "_unsafe", sorted(self._unsafe_spans()))
-        return list(self._unsafe)
-
-
 def _degenerate(node_id: str, spec: CounterSpec,
                 samples: int) -> DegenerateSeriesError:
     return DegenerateSeriesError(
@@ -308,7 +292,7 @@ def _degenerate(node_id: str, spec: CounterSpec,
 
 
 @dataclass(frozen=True)
-class SampleSeries(_UnsafeSpans):
+class SampleSeries:
     """Ordered raw readings of one counter on one node.
 
     ``times`` and ``raws`` are the columns: integer nanoseconds on the
@@ -333,8 +317,6 @@ class SampleSeries(_UnsafeSpans):
     gap_markers: tuple[int, ...] = ()
     wrap_horizon_ns: int | None = None
     samples: SampleView = field(init=False, repr=False, compare=False)
-    _unsafe: list | None = field(default=None, init=False, repr=False,
-                                  compare=False)
 
     def __post_init__(self) -> None:
         modulus = self.spec.modulus
@@ -367,18 +349,25 @@ class SampleSeries(_UnsafeSpans):
         walker.feed(self.times, self.raws)
         return walker.finish()
 
-    def _unsafe_spans(self) -> set[tuple[int, int]]:
+    def unsafe_gaps(self) -> list[tuple[int, int]]:
+        """Sample gaps wide enough that an undetected wrap was possible,
+        sorted.
+
+        A gap is unsafe when it exceeds half the wrap horizon (the shortest
+        time the counter could take to wrap at the configured maximum power).
+        Explicit gap markers recorded by the agent are always unsafe.
+        """
         gaps = {(t, t) for t in self.gap_markers}
         if self.wrap_horizon_ns is not None:
             limit = self.wrap_horizon_ns // 2
             times = self.times
             gaps.update((a, b) for a, b in zip(times, islice(times, 1, None))
                         if b - a > limit)
-        return gaps
+        return sorted(gaps)
 
 
 @dataclass(frozen=True)
-class SeriesCounts(_UnsafeSpans):
+class SeriesCounts:
     """One counter's counts at chosen edges, read from its samples without
     keeping them.
 
@@ -400,8 +389,6 @@ class SeriesCounts(_UnsafeSpans):
     counts: array
     epoch_wall_ns: int = 0
     gap_markers: tuple[int, ...] = ()
-    _unsafe: list | None = field(default=None, init=False, repr=False,
-                                  compare=False)
 
     @classmethod
     def from_walker(cls, node_id: str, spec: CounterSpec,
@@ -465,8 +452,9 @@ class SeriesCounts(_UnsafeSpans):
         counts = self.counts
         return [counts[i] for i in found]
 
-    def _unsafe_spans(self) -> set[tuple[int, int]]:
-        return {(t, t) for t in self.gap_markers}
+    def unsafe_gaps(self) -> list[tuple[int, int]]:
+        """The gap markers, each a span of no width, sorted."""
+        return sorted({(t, t) for t in self.gap_markers})
 
 
 def raw_delta(prev: int, curr: int, bit_width: int) -> int:

@@ -55,6 +55,13 @@ class SchemaViolationError(ParseError):
         self.json_path = json_path
 
 
+# What reading a decoded JSON document's values into wattflow's types can
+# raise, a number no float holds included; each document loader turns it
+# into its SchemaViolationError.
+CONVERSION_ERRORS = (KeyError, TypeError, ValueError, OverflowError,
+                     InvalidArgumentError)
+
+
 def present_keys(doc: Any, **kinds: Callable[[Any], Any]) -> dict[str, Any]:
     """The keys of ``kinds`` that ``doc`` holds, each read through its
     kind: as keyword arguments they leave omitted keys to the defaults."""

@@ -35,6 +35,7 @@ from .accounting import (
     write_report,
 )
 from .errors import (
+    CONVERSION_ERRORS,
     InvalidArgumentError,
     ParseError,
     SchemaViolationError,
@@ -155,7 +156,7 @@ def run_config_from_obj(doc: Any, *, workflow_cmd: str | None = None,
             output_dir=output_dir or doc["output_dir"],
             **present_keys(doc, startup_timeout_s=float,
                            stop_timeout_s=float))
-    except (KeyError, TypeError, ValueError, InvalidArgumentError) as exc:
+    except CONVERSION_ERRORS as exc:
         raise SchemaViolationError(f"bad run config: {exc}") from None
 
 

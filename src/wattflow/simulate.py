@@ -35,6 +35,7 @@ from .agent import SamplerAgent, SamplerConfig
 from .backends import MockBackend, PowerProfile, TaskLoad, analytic_energy
 from .counter import CounterSpec, RaplDomain
 from .errors import (
+    CONVERSION_ERRORS,
     InvalidArgumentError,
     SchemaViolationError,
     WattflowError,
@@ -459,10 +460,7 @@ def scenario_from_obj(doc: Any) -> Scenario:
             scenario_id=scenario_id, profiles=tuple(profiles), trace=trace,
             specs=specs, timing=timing, wall_origin_ns=origin,
             **present_keys(doc, sample_interval_ms=int))
-    except SchemaViolationError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError,
-            InvalidArgumentError) as exc:
+    except CONVERSION_ERRORS as exc:
         raise SchemaViolationError(f"bad scenario document: {exc}") from None
 
 

@@ -305,10 +305,12 @@ def parse_generic_trace(path: str) -> WorkflowTrace:
     flagged, which later makes their attribution weight equal a plain
     wall-time share.
 
-    Each task entry becomes its record as soon as the decoder has read
-    it, so the decoded document is never held whole.  A document that
-    then raises is decoded again, plainly, for :func:`trace_from_obj` to
-    name its error: every error is the one the plain document gives.
+    Each task-shaped object becomes its record as soon as the decoder
+    has read it, so the decoded document is never held whole.  A
+    document that then raises is decoded again, plainly, and gives what
+    :func:`trace_from_obj` makes of the plain document.  The decoder
+    cannot tell where an object sits, so that second decode is what
+    reads a task-shaped top level or ``workflow_id`` as the object it is.
 
     Raises:
         SchemaViolationError: Structural problem, named by JSON path.
@@ -323,43 +325,75 @@ def parse_generic_trace(path: str) -> WorkflowTrace:
 _STATUS_OF = {status.value: status for status in TaskStatus}
 
 
-def _record_of(item: Any) -> TaskRecord | None:
-    """The record of a valid task entry whose every value has the exact
-    type :mod:`json` decodes it to, or None for any other entry, which
-    :func:`_checked_record` checks key by key to name its error.  Never
-    raises."""
-    if type(item) is not dict:
-        return None
+def _record(item: Any, jp: str) -> TaskRecord:
+    """The record of the task entry at ``jp``, its keys checked in the
+    order below, so that the first bad key is the one named.  A value of
+    the exact type :mod:`json` decodes it to passes one type check; any
+    other goes through the check that names its error."""
+    if not isinstance(item, dict):
+        raise SchemaViolationError("task entry must be an object",
+                                   json_path=jp)
     status_text = item.get("status")
     if type(status_text) is not str:
-        return None
+        status_text = _require(item, "status", str, jp)
     status = _STATUS_OF.get(status_text.lower())
+    if status is None:
+        raise SchemaViolationError(f"unknown status {status_text!r}",
+                                   json_path=f"{jp}.status")
     start, end = item.get("start_wall_ns"), item.get("end_wall_ns")
+    if type(start) is not int:
+        start = _require(item, "start_wall_ns", int, jp)
+    if type(end) is not int:
+        end = _require(item, "end_wall_ns", int, jp)
+    cpu_time, flags = item.get("cpu_time_s"), _NO_FLAGS
+    if type(cpu_time) is not float:
+        if "cpu_time_s" not in item:
+            try:
+                cpu_time = (end - start) / 1e9
+            except OverflowError:
+                raise SchemaViolationError(
+                    "wall duration too large for a float",
+                    json_path=jp) from None
+            flags = _CPU_TIME_FALLBACK_FLAGS
+        elif isinstance(cpu_time, bool) or \
+                not isinstance(cpu_time, (int, float)):
+            raise SchemaViolationError(
+                f"expected number, got {type(cpu_time).__name__}",
+                json_path=f"{jp}.cpu_time_s")
+        else:
+            try:
+                cpu_time = float(cpu_time)
+            except OverflowError:
+                raise SchemaViolationError(
+                    "number too large for a float",
+                    json_path=f"{jp}.cpu_time_s") from None
     task_id, name, node_id = (item.get("task_id"), item.get("name"),
                               item.get("node_id"))
-    if status is None or type(start) is not int or type(end) is not int \
-            or not type(task_id) is type(name) is type(node_id) is str:
-        return None
-    cpu_time, flags = item.get("cpu_time_s"), _NO_FLAGS
+    if type(task_id) is not str:
+        task_id = _require(item, "task_id", str, jp)
+    if type(name) is not str:
+        name = _require(item, "name", str, jp)
+    if type(node_id) is not str:
+        # Only an exact str can be interned.
+        node_id = str(_require(item, "node_id", str, jp))
     try:
-        if "cpu_time_s" not in item:
-            cpu_time = (end - start) / 1e9
-            flags = _CPU_TIME_FALLBACK_FLAGS
-        elif type(cpu_time) is int:
-            cpu_time = float(cpu_time)
-        elif type(cpu_time) is not float:
-            return None
         # One string per node, not one per task.
         return TaskRecord(task_id, name, sys.intern(node_id), start, end,
                           cpu_time, status, flags)
-    except (OverflowError, InvalidArgumentError):
-        return None
+    except InvalidArgumentError as exc:
+        raise SchemaViolationError(str(exc), json_path=jp) from None
 
 
 def _decoded(obj: dict) -> Any:
-    """``json.load``'s hook: a task entry's record in its place."""
-    record = _record_of(obj)
-    return obj if record is None else record
+    """``json.load``'s hook: a task entry's record in its place, and any
+    other object as it is."""
+    if "task_id" not in obj:
+        # No task entry, and cheaper to pass by than the checker's raise.
+        return obj
+    try:
+        return _record(obj, "$")
+    except SchemaViolationError:
+        return obj
 
 
 def trace_from_obj(doc: Any) -> WorkflowTrace:
@@ -377,8 +411,7 @@ def trace_from_obj(doc: Any) -> WorkflowTrace:
     tasks: list[TaskRecord] = []
     for i, item in enumerate(tasks_obj):
         if type(item) is not TaskRecord:
-            item = _record_of(item) or _checked_record(item,
-                                                       f"$.tasks[{i}]")
+            item = _record(item, f"$.tasks[{i}]")
         tasks.append(item)
     try:
         return WorkflowTrace(workflow_id=workflow_id,
@@ -387,41 +420,6 @@ def trace_from_obj(doc: Any) -> WorkflowTrace:
                              tasks=tuple(tasks))
     except InvalidArgumentError as exc:
         raise SchemaViolationError(str(exc)) from None
-
-
-def _checked_record(item: Any, jp: str) -> TaskRecord:
-    """The record of the task entry at ``jp``, checked key by key in the
-    order below, so that the first bad key is the one named."""
-    if not isinstance(item, dict):
-        raise SchemaViolationError("task entry must be an object",
-                                   json_path=jp)
-    status_text = _require(item, "status", str, jp)
-    status = _STATUS_OF.get(status_text.lower())
-    if status is None:
-        raise SchemaViolationError(f"unknown status {status_text!r}",
-                                   json_path=f"{jp}.status")
-    start = _require(item, "start_wall_ns", int, jp)
-    end = _require(item, "end_wall_ns", int, jp)
-    flags = _NO_FLAGS
-    if "cpu_time_s" in item:
-        cpu_time = item["cpu_time_s"]
-        if isinstance(cpu_time, bool) or \
-                not isinstance(cpu_time, (int, float)):
-            raise SchemaViolationError(
-                f"expected number, got {type(cpu_time).__name__}",
-                json_path=f"{jp}.cpu_time_s")
-        cpu_time = float(cpu_time)
-    else:
-        cpu_time = (end - start) / 1e9
-        flags = _CPU_TIME_FALLBACK_FLAGS
-    task_id = _require(item, "task_id", str, jp)
-    name = _require(item, "name", str, jp)
-    node_id = _require(item, "node_id", str, jp)
-    try:
-        return TaskRecord(task_id, name, sys.intern(node_id), start, end,
-                          cpu_time, status, flags)
-    except InvalidArgumentError as exc:
-        raise SchemaViolationError(str(exc), json_path=jp) from None
 
 
 def trace_to_obj(trace: WorkflowTrace) -> dict[str, Any]:

@@ -106,6 +106,19 @@ def read_json(path) -> dict:
         return json.load(fh)
 
 
+def usage_error_without_traceback(*args: str) -> str:
+    """The standard error of ``wattflow ARGS``, run in its own process and
+    checked to exit 2 with an error line and no traceback."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    result = subprocess.run([sys.executable, "-m", "wattflow.cli", *args],
+                            env=env, capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("wattflow: error:"), result.stderr
+    return result.stderr
+
+
 CLOSED = "#wattflow-end status=closed\n"
 GAP_THEN_CLOSED = "#wattflow-gap t_ns=1500000000 domain=package\n" + CLOSED
 
@@ -286,6 +299,21 @@ class TestReportCommand:
         assert "duplicate task_id 'x'" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("change, where", [
+        ({"end_wall_ns": 10**400}, "$.tasks[0]:"),
+        ({"cpu_time_s": 10**400}, "$.tasks[0].cpu_time_s:")])
+    def test_number_no_float_holds_in_trace_exits_2(self, tmp_path,
+                                                    change, where):
+        out = run_simulate(tmp_path)
+        doc = read_json(os.path.join(out, "trace_demo.json"))
+        doc["tasks"][0].update(change)
+        if "cpu_time_s" not in change:
+            del doc["tasks"][0]["cpu_time_s"]
+        trace_path = tmp_path / "huge.json"
+        trace_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert where in usage_error_without_traceback(
+            "report", "--logs", out, "--trace", str(trace_path))
+
     def test_non_ascii_byte_in_log_is_usage_error(self, tmp_path, capsys):
         out = run_simulate(tmp_path)
         log = next(os.path.join(out, name) for name in sorted(os.listdir(out))
@@ -464,6 +492,16 @@ class TestCompareCommand:
         bad.write_text("{}", encoding="utf-8")
         assert main(["compare", str(bad)]) == 2
 
+    def test_total_no_float_holds_exits_2(self, tmp_path):
+        path = write_report(str(tmp_path / "a.json"), "wf",
+                            MeasurementMethod.SHELL_WRAP, 1.0)
+        doc = read_json(path)
+        doc["total_joules"] = 10**400
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert "bad report document" in usage_error_without_traceback(
+            "compare", path, path)
+
     @pytest.mark.parametrize("flagged_first", [True, False])
     def test_flagged_input_is_named_and_exits_4(self, tmp_path, capsys,
                                                 flagged_first):
@@ -573,6 +611,18 @@ class TestRunCommand:
                             encoding="utf-8")
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert f"{key} must be finite" in capsys.readouterr().err
+
+    def test_timeout_no_float_holds_exits_2(self, tmp_path):
+        doc = {"workflow_cmd": "true", "session_id": "s1",
+               "output_dir": str(tmp_path / "out"),
+               "startup_timeout_s": 10**400,
+               "agents": [{"node_id": "n1", "agent_cmd": "true",
+                           "signal_dir": str(tmp_path),
+                           "log_dir": str(tmp_path)}]}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert "bad run config" in usage_error_without_traceback(
+            "run", "--config", str(cfg_path))
 
 
 class TestUsage:

@@ -6,6 +6,7 @@ import itertools
 import os
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -181,7 +182,7 @@ class TestParserErrors:
     def test_shuffled_lines_rejected(self, tmp_path):
         recs = [(t * 10, RaplDomain.PACKAGE, t) for t in range(1, 9)]
         path = write_simple_log(tmp_path, recs)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         body = [ln for ln in lines if not ln.startswith("#")]
         head = [ln for ln in lines if ln.startswith("#wattflow-v1")]
         tail = [ln for ln in lines if ln.startswith("#wattflow-end")]
@@ -212,7 +213,7 @@ class TestParserErrors:
 
     def test_malformed_record_carries_line_number(self, tmp_path):
         path = write_simple_log(tmp_path, [(1, RaplDomain.PACKAGE, 0)])
-        text = open(path).read().replace("1,package,0", "1;package;0")
+        text = Path(path).read_text().replace("1,package,0", "1;package;0")
         p = tmp_path / log_filename("n1", "s5")
         p.write_text(text)
         with pytest.raises(ParseError, match=r":2:"):
@@ -220,7 +221,7 @@ class TestParserErrors:
 
     def test_raw_out_of_register_range(self, tmp_path):
         path = write_simple_log(tmp_path, [(1, RaplDomain.PACKAGE, 0)])
-        text = open(path).read().replace("1,package,0",
+        text = Path(path).read_text().replace("1,package,0",
                                          f"1,package,{2**32}")
         p = tmp_path / log_filename("n1", "s6")
         p.write_text(text)
@@ -237,7 +238,7 @@ class TestParserErrors:
     def test_non_ascii_byte_names_path_and_line(self, tmp_path):
         path = write_simple_log(tmp_path, [(1, RaplDomain.PACKAGE, 0),
                                            (2, RaplDomain.PACKAGE, 5)])
-        data = open(path, "rb").read().replace(b"2,package,5",
+        data = Path(path).read_bytes().replace(b"2,package,5",
                                                b"2,package,\xe95")
         p = tmp_path / log_filename("n1", "s8")
         p.write_bytes(data)
@@ -257,7 +258,7 @@ class TestParserErrors:
         # The file is read line by line, so the first bad line is reported
         # even when a later line holds a byte outside ASCII.
         path = write_simple_log(tmp_path, [(1, RaplDomain.PACKAGE, 0)])
-        text = open(path, "rb").read().replace(
+        text = Path(path).read_bytes().replace(
             b"1,package,0\n", b"1;package;0\n2,package,\xff\n")
         p = tmp_path / log_filename("n1", "s10")
         p.write_bytes(text)
@@ -266,7 +267,7 @@ class TestParserErrors:
 
     def test_non_ascii_byte_in_torn_tail_is_dropped(self, tmp_path):
         path = write_simple_log(tmp_path, [(1, RaplDomain.PACKAGE, 0)])
-        data = open(path, "rb").read().replace(
+        data = Path(path).read_bytes().replace(
             b"#wattflow-end status=closed\n", b"2,pack\xe9")
         p = tmp_path / log_filename("n1", "s11")
         p.write_bytes(data)
@@ -342,7 +343,7 @@ class TestGapAndStatus:
     def test_torn_final_line_dropped_and_truncated(self, tmp_path):
         path = write_simple_log(tmp_path, [(1, RaplDomain.PACKAGE, 0),
                                            (2, RaplDomain.PACKAGE, 1)])
-        text = open(path).read()
+        text = Path(path).read_text()
         torn = text.replace("#wattflow-end status=closed\n", "3,packa")
         p = tmp_path / log_filename("n1", "g3")
         p.write_text(torn)
@@ -404,7 +405,7 @@ class TestReadStatus:
     def test_torn_tail_is_truncated(self, tmp_path):
         path = write_simple_log(tmp_path, [(1, RaplDomain.PACKAGE, 0)])
         p = tmp_path / log_filename("n1", "torn")
-        p.write_text(open(path).read() + "2,pack")
+        p.write_text(Path(path).read_text() + "2,pack")
         assert read_status(str(p)) is LogStatus.TRUNCATED
         assert parse_log(str(p)).status is LogStatus.TRUNCATED
 
@@ -436,7 +437,7 @@ class TestReadStatus:
         # The last line is longer than one tail block and only its start
         # says whether it is a trailer.
         head = write_simple_log(tmp_path, [], status=LogStatus.REAPED)
-        text = open(head).read()
+        text = Path(head).read_text()
         p = tmp_path / log_filename("n1", "long")
         p.write_text(text.replace("status=reaped",
                                   "status=reaped " + "x=y " * 400))
@@ -460,28 +461,33 @@ class TestReadStatus:
 
 
 class TestHasRecord:
-    def open_log(self, tmp_path) -> tuple[str, LogWriter]:
+    @pytest.fixture
+    def open_log(self, tmp_path):
+        """A log a live writer holds open, released without a trailer
+        once the test is done."""
         path = str(tmp_path / log_filename("n1", "head"))
-        return path, LogWriter(path, "n1", {RaplDomain.PACKAGE: PKG_SPEC,
-                                            RaplDomain.DRAM: DRAM_SPEC}, 0)
+        writer = LogWriter(path, "n1", {RaplDomain.PACKAGE: PKG_SPEC,
+                                        RaplDomain.DRAM: DRAM_SPEC}, 0)
+        yield path, writer
+        writer.abandon()
 
-    def test_headers_only(self, tmp_path):
-        path, _ = self.open_log(tmp_path)
+    def test_headers_only(self, open_log):
+        path, _ = open_log
         assert not has_record(path)
 
-    def test_headers_and_gap_marker(self, tmp_path):
-        path, writer = self.open_log(tmp_path)
+    def test_headers_and_gap_marker(self, open_log):
+        path, writer = open_log
         writer.gap(10, RaplDomain.PACKAGE)
         assert not has_record(path)
 
-    def test_torn_first_record(self, tmp_path):
-        path, _ = self.open_log(tmp_path)
+    def test_torn_first_record(self, open_log):
+        path, _ = open_log
         with open(path, "a", encoding="ascii") as fh:
             fh.write("10,package,12")
         assert not has_record(path)
 
-    def test_complete_record(self, tmp_path):
-        path, writer = self.open_log(tmp_path)
+    def test_complete_record(self, open_log):
+        path, writer = open_log
         writer.gap(10, RaplDomain.PACKAGE)
         writer.record(20, RaplDomain.DRAM, 7)
         assert has_record(path)

@@ -216,6 +216,9 @@ BAD_ENTRIES = [
      "got -1.0"),
     ({"node_id": None}, "", "missing required key 'node_id'"),
     ({"status": None}, "", "missing required key 'status'"),
+    ({"end_wall_ns": 10**400, "cpu_time_s": None}, "",
+     "wall duration too large for a float"),
+    ({"cpu_time_s": 10**400}, ".cpu_time_s", "number too large for a float"),
 ]
 
 
@@ -308,6 +311,33 @@ class TestGenericTrace:
             parse_generic_trace(str(p))
         assert str(exc.value) == \
             "$.tasks[0]: task t1: cpu_time_s must be >= 0, got nan"
+
+    def test_subclasses_of_the_decoded_types_are_read(self):
+        # Only a JSON decode gives the exact types; an object built in
+        # Python may hold subclasses, which read as their base type.
+        class Entry(dict):
+            pass
+
+        class Int(int):
+            pass
+
+        class Float(float):
+            pass
+
+        class Str(str):
+            pass
+
+        doc = generic_doc()
+        doc["tasks"] = [Entry(doc["tasks"][0], status=Str("completed"),
+                              start_wall_ns=Int(2_000_000_000),
+                              cpu_time_s=Float(2.5), name=Str("align"),
+                              node_id=Str("n1")),
+                        Entry(doc["tasks"][0], task_id="t2",
+                              cpu_time_s=Int(3))]
+        first, second = trace_from_obj(doc).tasks
+        assert first == trace_from_obj(generic_doc()).tasks[0]
+        assert type(first.cpu_time_s) is float
+        assert type(second.cpu_time_s) is float and second.cpu_time_s == 3.0
 
     def test_integer_cpu_time_and_any_status_case_are_read(self):
         doc = generic_doc()
